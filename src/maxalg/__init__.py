@@ -123,12 +123,14 @@ from .semiring import (
 from .spectral import (
     CriticalGraph,
     CycleMean,
+    SpectralAnalysis,
     critical_graph,
     eigenspace_basis,
     is_eigenvector,
     is_irreducible,
     max_cycle_gmean,
     principal_eigenvector,
+    spectral_analysis,
 )
 
 __version__ = "0.1.0"

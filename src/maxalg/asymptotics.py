@@ -34,7 +34,7 @@ from .matrix import (
     semiring_convert,
 )
 from .semiring import PLUS, Semiring
-from .spectral import critical_graph, max_cycle_gmean, _normalized
+from .spectral import critical_graph, spectral_analysis
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,17 @@ def _scan_periodicity(m, budget):
     )
 
 
-def _transient_with_growth(m, budget):
+def _transient_with_growth(m, budget, gamma):
     """Transient of the powers of m, growing the default budget on demand.
 
-    An explicit budget is a hard cap. The default starts at the usual
-    3n^2 + 2 gamma and doubles a few times, because that figure is only
-    the conjectured magnitude of the transient, not a proven bound.
+    gamma is the cyclicity of m's critical graph. An explicit budget is a
+    hard cap. The default starts at the usual 3n^2 + 2 gamma and doubles a
+    few times, because that figure is only the conjectured magnitude of
+    the transient, not a proven bound.
     """
     if budget is not None:
         return _scan_periodicity(m, budget)[0]
-    b = 3 * m.n * m.n + 2 * critical_graph(m).cyclicity
+    b = 3 * m.n * m.n + 2 * gamma
     for _ in range(7):
         try:
             return _scan_periodicity(m, b)[0]
@@ -103,13 +104,13 @@ def transient_and_period(a, budget=None):
     repeat at all: reducible ones with sub-unit classes shrink forever
     and exhaust the budget (default 3n^2 + 2 cyclicity).
     """
-    mean = max_cycle_gmean(a)
-    if mean.cmp_one() != 0:
+    an = spectral_analysis(a)
+    if an.mean.cmp_one() != 0:
         raise NotNormalizedError(
             "the power sequence repeats only at maximum cycle mean 1; "
             "divide by the mean first (normalize_to_unit)"
         )
-    gamma = critical_graph(a).cyclicity
+    gamma = an.critical.cyclicity
     if budget is None:
         budget = 3 * a.n * a.n + 2 * gamma
     transient, period, powers = _scan_periodicity(a, budget)
@@ -117,7 +118,7 @@ def transient_and_period(a, budget=None):
         transient=transient,
         period=period,
         predicted_period=gamma,
-        lam=mean,
+        lam=an.mean,
         powers=tuple(powers[transient : transient + period + 1]),
         budget=budget,
     )
@@ -140,28 +141,25 @@ def normalize_to_unit(a):
     ExactnessError; rerun in float mode for those. Acyclic matrices have
     mean zero and raise AcyclicMatrixError.
     """
-    tilde, _lam, mean = _normalized(a)
-    return tilde, mean
+    an = spectral_analysis(a)
+    return an.normalized(), an.mean
 
 
-def _csr_parts(a):
-    """Extract the C, S, R factors of a around its critical nodes."""
-    sr = a.semiring
-    tilde, lam_scalar, mean = _normalized(a)
-    cg = critical_graph(a)
-    gamma = cg.cyclicity
-    crit = list(cg.nodes)
-    tgam = mat_power(tilde, gamma)
-    star = kleene_star(tgam)
-    c = star.restrict(range(a.n), crit)
-    r = star.restrict(crit, range(a.n))
+def _csr_parts(an):
+    """The C, S, R factors of an analysed matrix around its critical nodes."""
+    tilde = an.normalized()
+    sr = tilde.semiring
+    cg = an.critical
+    crit = cg.nodes
+    star = kleene_star(mat_power(tilde, cg.cyclicity))
+    c = star.restrict(range(tilde.n), crit)
+    r = star.restrict(crit, range(tilde.n))
     pos = {node: k for k, node in enumerate(crit)}
     k = len(crit)
     s_rows = [[sr.zero] * k for _ in range(k)]
     for i, j, _w in cg.graph.edges:
         s_rows[pos[i]][pos[j]] = tilde.rows[i][j]
-    s = MaxMatrix._raw(s_rows, sr)
-    return tilde, lam_scalar, mean, gamma, tuple(crit), c, s, r
+    return c, MaxMatrix._raw(s_rows, sr), r
 
 
 def strong_path_table(a, t):
@@ -176,8 +174,9 @@ def strong_path_table(a, t):
         raise ValueError("walk length must be at least 1")
     sr = a.semiring
     n = a.n
-    tilde, _lam, _mean = _normalized(a)
-    crit = set(critical_graph(a).nodes)
+    an = spectral_analysis(a)
+    tilde = an.normalized()
+    crit = set(an.critical.nodes)
     f = [
         [
             tilde.rows[i][j] if (i in crit or j in crit) else sr.zero
@@ -229,10 +228,14 @@ def csr_decompose(a, budget=None):
     critical edges. The window where both sides are provably periodic is
     checked exhaustively; failure raises CertificationError.
     """
-    tilde, lam_scalar, mean, gamma, crit, c, s, r = _csr_parts(a)
+    an = spectral_analysis(a)
+    c, s, r = _csr_parts(an)
+    tilde = an.tilde
+    gamma = an.critical.cyclicity
+    # every edge of s is critical, so s shares tilde's critical cyclicity
     start = max(
-        _transient_with_growth(tilde, budget),
-        _transient_with_growth(s, budget),
+        _transient_with_growth(tilde, budget, gamma),
+        _transient_with_growth(s, budget, gamma),
     )
     lhs = mat_power(tilde, start)
     s_pow = mat_power(s, start)
@@ -254,15 +257,15 @@ def csr_decompose(a, budget=None):
             break
         onset = t
     return CsrTriple(
-        lam=lam_scalar,
-        lam_pair=(mean.weight, mean.length),
+        lam=an.lam,
+        lam_pair=an.mean.pair(),
         c=c,
         s=s,
         r=r,
         gamma=gamma,
         transient=onset,
         certified_from=start,
-        critical_nodes=crit,
+        critical_nodes=an.critical.nodes,
     )
 
 
@@ -320,9 +323,11 @@ def nachtigall_expansion(a, horizon=None):
     terms = []
     while alive:
         sub = a.restrict(alive)
-        if max_cycle_gmean(sub).is_zero:
+        an = spectral_analysis(sub)
+        if an.mean.is_zero:
             break
-        _tilde, lam_scalar, mean, gamma, crit_local, c, s, r = _csr_parts(sub)
+        c, s, r = _csr_parts(an)
+        crit_local = an.critical.nodes
         crit_orig = tuple(alive[i] for i in crit_local)
         k = len(crit_local)
         c_rows = [[sr.zero] * k for _ in range(n)]
@@ -334,12 +339,12 @@ def nachtigall_expansion(a, horizon=None):
                 r_rows[row][orig] = r.rows[row][local]
         terms.append(
             CsrTerm(
-                coefficient=lam_scalar,
-                pair=(mean.weight, mean.length),
+                coefficient=an.lam,
+                pair=an.mean.pair(),
                 c=MaxMatrix._raw(c_rows, sr),
                 s=s,
                 r=MaxMatrix._raw(r_rows, sr),
-                gamma=gamma,
+                gamma=an.critical.cyclicity,
                 critical_nodes=crit_orig,
             )
         )

@@ -16,18 +16,19 @@ certificate records the downgrade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .digraph import Digraph, digraph_of, scc
+from .digraph import digraph_of, scc
 from .errors import (
     CertificationError,
     ExactnessError,
     NoScalingError,
     SizeLimitError,
 )
-from .matrix import MaxMatrix, MaxVector, kleene_star, semiring_convert
-from .scaling import DiagonalScaling, apply_scaling
+from .matrix import MaxMatrix, MaxVector, semiring_convert
+from .scaling import DiagonalScaling
 from .semiring import Semiring, gmean_cmp
-from .spectral import _critical_edges_normalized, _normalized
+from .spectral import spectral_analysis
 
 
 @dataclass(frozen=True)
@@ -104,16 +105,9 @@ def is_max_balanced_cut(b, size_limit=14):
 def _eigen_combination(star, crit_nodes, sr):
     cols = star.rows
     return [
-        _fold_add(sr, [cols[i][v] for v in crit_nodes])
+        reduce(sr.add, [cols[i][v] for v in crit_nodes], sr.zero)
         for i in range(star.n)
     ]
-
-
-def _fold_add(sr, values):
-    acc = sr.zero
-    for v in values:
-        acc = sr.add(acc, v)
-    return acc
 
 
 def _balance_component(sub, sr):
@@ -124,11 +118,10 @@ def _balance_component(sub, sr):
     x_local = [sr.one] * m
     levels = []
     while cur.n > 1:
-        tilde, _lam, mean = _normalized(cur)
-        levels.append((mean.weight, mean.length))
-        star = kleene_star(tilde)
-        crit = _critical_edges_normalized(tilde, star)
-        crit_nodes = sorted({i for i, _ in crit} | {j for _, j in crit})
+        an = spectral_analysis(cur)
+        star = an.checked_star()  # an irrational level raises ExactnessError
+        levels.append(an.mean.pair())
+        crit_nodes = an.critical.nodes
         x_cur = _eigen_combination(star, crit_nodes, sr)
         for c, mult in enumerate(x_cur):
             for p in members[c]:
@@ -140,17 +133,11 @@ def _balance_component(sub, sr):
             ]
             for i, row in enumerate(cur.rows)
         ]
-        crit_graph = Digraph(
-            cur.n, [(i, j, sr.one) for i, j in crit], sr
+        groups = sorted(
+            list(an.critical.components)
+            + [(k,) for k in range(cur.n) if k not in crit_nodes],
+            key=min,
         )
-        dec = scc(crit_graph)
-        merged = []
-        for comp, triv in zip(dec.components, dec.trivial):
-            if triv:
-                merged.extend((k,) for k in comp)
-            else:
-                merged.append(comp)
-        groups = sorted(merged, key=min)
         new_members = [
             sorted(p for c in g for p in members[c]) for g in groups
         ]
@@ -162,9 +149,10 @@ def _balance_component(sub, sr):
                     row.append(sr.zero)
                 else:
                     row.append(
-                        _fold_add(
-                            sr,
+                        reduce(
+                            sr.add,
                             [scaled[u][v] for u in gi for v in gj],
+                            sr.zero,
                         )
                     )
             new_rows.append(row)

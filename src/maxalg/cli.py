@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import random
 import re
 import sys
@@ -35,25 +34,24 @@ from .balancing import max_balance
 from .commuting import (
     boolean_saturation_pair,
     common_eigenvector,
-    commutes,
     commuting_cycle_witness,
 )
-from .digraph import digraph_of, scc, threshold_spectrum
+from .digraph import threshold_spectrum
 from .errors import (
     HadamardFailsError,
     MaxAlgebraError,
     ModeError,
     NegativeAnswer,
-    NotCommutingError,
     ParseError,
     ZeroDiagonalError,
 )
-from .matrix import MaxMatrix, MaxVector, kleene_star, otimes
+from .matrix import MaxMatrix, kleene_star
 from .scaling import (
     apply_scaling,
     fp_scaling,
     hadamard_scaling_test,
     has_rowcol_maxima_diagonal,
+    random_positive_vector,
     row_col_maxima_scalings,
     sandwich_scalings,
     satisfies_sandwich,
@@ -61,13 +59,7 @@ from .scaling import (
     strong_fp_scaling,
 )
 from .semiring import PLUS, TIMES, Semiring
-from .spectral import (
-    critical_graph,
-    is_irreducible,
-    max_cycle_gmean,
-    principal_eigenvector,
-    _normalized,
-)
+from .spectral import spectral_analysis
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -285,41 +277,21 @@ def _load_matrix(path, args, inputs):
     return a, warnings
 
 
-def _rng_vector(sr, n, rng):
-    if sr.domain == TIMES:
-        if sr.exact:
-            entries = [
-                Fraction(rng.randint(1, 16), rng.randint(1, 16))
-                for _ in range(n)
-            ]
-        else:
-            entries = [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(n)]
-    elif sr.exact:
-        entries = [
-            Fraction(rng.randint(-16, 16), rng.randint(1, 4))
-            for _ in range(n)
-        ]
-    else:
-        entries = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-    return MaxVector(entries, sr)
-
-
 def _cmd_info(args, inputs):
     a, warnings = _load_matrix(args.matrix, args, inputs)
     sr = a.semiring
-    g = digraph_of(a)
-    dec = scc(g)
     nonzero = sum(
         0 if sr.is_zero(v) else 1 for row in a.rows for v in row
     )
-    mean = max_cycle_gmean(a)
+    an = spectral_analysis(a)
+    mean = an.mean
     results = {
         "domain": _DOMAIN_NAMES[sr.domain],
         "mode": "exact" if sr.exact else "float",
         "n": a.n,
         "nonzero_entries": nonzero,
-        "irreducible": is_irreducible(a),
-        "component_count": len(dec.components),
+        "irreducible": an.is_irreducible,
+        "component_count": len(an.components.components),
         "has_cycles": not mean.is_zero,
     }
     if mean.is_zero:
@@ -343,12 +315,12 @@ def _cmd_star(args, inputs):
 def _cmd_eigen(args, inputs):
     a, warnings = _load_matrix(args.matrix, args, inputs)
     sr = a.semiring
-    mean = max_cycle_gmean(a)
-    x = principal_eigenvector(a)
-    cg = critical_graph(a)
-    _tilde, lam, _mean = _normalized(a)
+    an = spectral_analysis(a)
+    x = an.principal_eigenvector()
+    cg = an.critical
+    mean = an.mean
     results = {
-        "lambda": _tok(lam, sr),
+        "lambda": _tok(an.lam, sr),
         "lambda_pair": _mean_tokens(mean, sr),
         "eigenvector": _vec_tokens(x),
         "critical_nodes": list(cg.nodes),
@@ -365,7 +337,7 @@ def _cmd_scale(args, inputs):
     sr = a.semiring
     rng = random.Random(args.seed) if args.seed is not None else None
     if args.variant == "fp":
-        u = _rng_vector(sr, a.n, rng) if rng else None
+        u = random_positive_vector(sr, a.n, rng) if rng else None
         scaling = fp_scaling(a, u)
         results = {
             "x": _vec_tokens(scaling.x),
@@ -381,12 +353,13 @@ def _cmd_scale(args, inputs):
             "scaled": _mat_tokens(scaling.apply(a)),
         }, warnings
     if args.variant == "eig":
-        tilde, lam, _mean = _normalized(a)
-        x = principal_eigenvector(a)
+        an = spectral_analysis(a)
+        tilde = an.normalized()
+        x = an.principal_eigenvector()
         visualized = apply_scaling(tilde, x)
         sat = saturation_graph(tilde, x)
         return {
-            "lambda": _tok(lam, sr),
+            "lambda": _tok(an.lam, sr),
             "eigenvector": _vec_tokens(x),
             "visualized": _mat_tokens(visualized),
             "saturation_edges": [[i, j] for i, j, _w in sat.graph.edges],
@@ -536,8 +509,6 @@ def _cmd_commute(args, inputs):
     b, wb = _load_matrix(args.matrix_b, args, inputs)
     warnings = wa + wb
     sr = a.semiring
-    if not commutes(a, b):
-        raise NotCommutingError("the matrices do not commute")
     ce = common_eigenvector(a, b)
     pair = boolean_saturation_pair(a, b, ce.x)
     cycle1, cycle2 = commuting_cycle_witness(pair)

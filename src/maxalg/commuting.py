@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, Path, scc
+from .digraph import Digraph, component_cycle, scc
 from .errors import (
     CertificationError,
     DimensionError,
@@ -28,20 +28,13 @@ from .errors import (
 from .matrix import (
     MaxMatrix,
     MaxVector,
-    kleene_star,
     left_residual,
     otimes,
     semiring_convert,
 )
 from .scaling import saturation_graph
 from .semiring import Semiring
-from .spectral import (
-    _critical_edges_normalized,
-    _normalized,
-    eigenspace_basis,
-    is_irreducible,
-    principal_eigenvector,
-)
+from .spectral import is_irreducible, spectral_analysis
 
 
 def commutes(a, b):
@@ -65,28 +58,20 @@ class CommonEigenvector:
         return iter((self.x, self.lam_a, self.lam_b))
 
 
-def _basis_matrix(a):
-    basis = eigenspace_basis(a)
-    n = len(basis[0])
-    rows = [[col[i] for col in basis] for i in range(n)]
-    return MaxMatrix._raw(rows, a.semiring)
-
-
-def _principal_direction(k):
-    """A principal eigenvector of the positive square matrix k."""
-    sr = k.semiring
-    tilde, _lam, _mean = _normalized(k)
-    star = kleene_star(tilde)
-    crit = _critical_edges_normalized(tilde, star)
-    c = min(i for i, _ in crit)
-    return star.col(c)
-
-
 def _common_core(a, b):
-    sr = a.semiring
-    ta, lam_a, _mean_a = _normalized(a)
-    tb, lam_b, _mean_b = _normalized(b)
-    v = _basis_matrix(a)
+    an_a = spectral_analysis(a)
+    if not an_a.is_irreducible:
+        raise NotIrreducibleError("the first matrix is not irreducible")
+    an_b = spectral_analysis(b)
+    if not an_b.is_irreducible:
+        raise NotIrreducibleError("the second matrix is not irreducible")
+    an_a.normalized()
+    tb = an_b.normalized()
+    lam_a, lam_b = an_a.lam, an_b.lam
+    basis = an_a.eigenspace_basis()
+    v = MaxMatrix._raw(
+        [[col[i] for col in basis] for i in range(a.n)], a.semiring
+    )
     w = otimes(tb, v)
     k = left_residual(v, w)
     if not otimes(v, k).allclose(w):
@@ -94,8 +79,9 @@ def _common_core(a, b):
             "the eigenvector cone of the first matrix is not carried "
             "into itself by the second"
         )
-    z = _principal_direction(k)
-    x = otimes(v, z)
+    # the star column of k's smallest critical node is an eigenvector of k
+    an_k = spectral_analysis(k)
+    x = otimes(v, an_k.checked_star().col(an_k.critical.nodes[0]))
     if not x.is_positive():
         raise CertificationError("lifted common eigenvector is not positive")
     if not otimes(a, x).allclose(x.scale(lam_a)):
@@ -138,8 +124,9 @@ def common_eigenvector(a, b):
             raise NotIrreducibleError(
                 "the non-unit matrix of the pair is not irreducible"
             )
-        x = principal_eigenvector(other)
-        lam = _normalized(other)[1]
+        an = spectral_analysis(other)
+        x = an.principal_eigenvector()
+        lam = an.lam
         if not otimes(other, x).allclose(x.scale(lam)):
             raise CertificationError(
                 "candidate vector fails its eigen-equation"
@@ -147,10 +134,6 @@ def common_eigenvector(a, b):
         if unit_a:
             return CommonEigenvector(x=x, lam_a=sr.one, lam_b=lam)
         return CommonEigenvector(x=x, lam_a=lam, lam_b=sr.one)
-    if not is_irreducible(a):
-        raise NotIrreducibleError("the first matrix is not irreducible")
-    if not is_irreducible(b):
-        raise NotIrreducibleError("the second matrix is not irreducible")
     try:
         return _common_core(a, b)
     except CertificationError:
@@ -201,8 +184,8 @@ def boolean_saturation_pair(a, b, x):
     sr = a.semiring
     if not isinstance(x, MaxVector):
         x = MaxVector(x, sr)
-    ta, _lam_a, _ = _normalized(a)
-    tb, _lam_b, _ = _normalized(b)
+    ta = spectral_analysis(a).normalized()
+    tb = spectral_analysis(b).normalized()
     sat_a = saturation_graph(ta, x)
     sat_b = saturation_graph(tb, x)
     m1 = _bool_matrix(sat_a.graph)
@@ -218,37 +201,13 @@ def boolean_saturation_pair(a, b, x):
 
 
 def _cycle_within(g, allowed, label):
-    sr = g.semiring
-    edges = [
-        (i, j, w) for i, j, w in g.edges if i in allowed and j in allowed
-    ]
-    sub = Digraph(g.n, edges, sr)
+    sub = g.subgraph(
+        (i, j) for i, j, _w in g.edges if i in allowed and j in allowed
+    )
     dec = scc(sub)
     for comp, triv in zip(dec.components, dec.trivial):
-        if triv:
-            continue
-        comp_set = set(comp)
-        succ = {}
-        for i, j, _w in edges:
-            if i in comp_set and j in comp_set:
-                succ.setdefault(i, j)
-                if j < succ[i]:
-                    succ[i] = j
-        start = min(comp)
-        order = [start]
-        index = {start: 0}
-        u = start
-        while True:
-            u = succ[u]
-            if u in index:
-                break
-            index[u] = len(order)
-            order.append(u)
-        nodes = tuple(order[index[u] :]) + (u,)
-        weight = sr.one
-        for t in range(len(nodes) - 1):
-            weight = sr.mul(weight, sub.weight(nodes[t], nodes[t + 1]))
-        return Path(nodes=nodes, weight=weight)
+        if not triv:
+            return component_cycle(sub, comp)
     raise WitnessNotFoundError(
         f"no cycle of {label} stays inside the strongly connected "
         "territory of the other graph; a precondition must be violated"

@@ -213,6 +213,24 @@ def scc(g):
     return SccDecomposition(tuple(components), trivial)
 
 
+def component_cycle(g, comp):
+    """A cycle of g inside one nontrivial strongly connected component.
+
+    The walk starts at the component's smallest node and follows the
+    smallest successor inside the component until a node repeats; the
+    repeated stretch comes back as a closed Path weighted by g's edges.
+    """
+    members = set(comp)
+    index = {}
+    walk = []
+    u = min(comp)
+    while u not in index:
+        index[u] = len(walk)
+        walk.append(u)
+        u = min(v for v, _w in g.successors(u) if v in members)
+    return g.path(walk[index[u]:] + [u])
+
+
 def is_strongly_connected(g):
     return scc(g).is_single
 

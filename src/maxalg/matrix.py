@@ -309,20 +309,27 @@ def mat_power(a, t):
     return result
 
 
-def _closure_rows(a):
-    """Floyd-Warshall closure: best path weights, no identity added."""
-    sr = a.semiring
-    add, mul = sr.add, sr.mul
-    d = [list(row) for row in a.rows]
+def closure_rows(rows, ops):
+    """Floyd-Warshall closure of a square grid: best path weights, no identity.
+
+    ``ops`` supplies ``add``, ``mul`` and ``is_zero``: a Semiring, or any
+    scalar representation with the same three operations (the spectral
+    layer passes symbolic multiples of an irrational mean). Zero factors
+    are skipped on both sides: in float max-times an overflowed inf times
+    zero is nan, which would overwrite the real path weights.
+    """
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    d = [list(row) for row in rows]
     n = len(d)
     for k in range(n):
         dk = d[k]
+        support = [j for j, v in enumerate(dk) if not is_zero(v)]
         for i in range(n):
             dik = d[i][k]
-            if sr.is_zero(dik):
+            if is_zero(dik):
                 continue
             di = d[i]
-            for j in range(n):
+            for j in support:
                 di[j] = add(di[j], mul(dik, dk[j]))
     return d
 
@@ -395,7 +402,7 @@ def kleene_star(a):
     """
     sr = a.semiring
     n = a.n
-    closure = _closure_rows(a)
+    closure = closure_rows(a.rows, sr)
     for i in range(n):
         if sr.lt(sr.one, closure[i][i]):
             witness = _divergence_witness(a)

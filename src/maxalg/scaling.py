@@ -189,6 +189,26 @@ def saturation_graph(a, x):
     return SaturationGraph(Digraph(a.n, edges, sr), scaling)
 
 
+def random_positive_vector(sr, n, rng):
+    """n positive scalars drawn from rng, spread over a few orders."""
+    if sr.domain == TIMES:
+        if sr.exact:
+            entries = [
+                Fraction(rng.randint(1, 16), rng.randint(1, 16))
+                for _ in range(n)
+            ]
+        else:
+            entries = [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(n)]
+    elif sr.exact:
+        entries = [
+            Fraction(rng.randint(-16, 16), rng.randint(1, 4))
+            for _ in range(n)
+        ]
+    else:
+        entries = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    return MaxVector(entries, sr)
+
+
 @dataclass(frozen=True)
 class ScalingFamily:
     """All solutions of a scaling problem: the positive range of q_star.
@@ -212,23 +232,9 @@ class ScalingFamily:
 
     def sample_random(self, rng):
         """A sample with u drawn from a spread of positive values."""
-        sr = self.q_star.semiring
-        n = self.q_star.n
-        if sr.domain == TIMES:
-            if sr.exact:
-                entries = [
-                    Fraction(rng.randint(1, 16), rng.randint(1, 16))
-                    for _ in range(n)
-                ]
-            else:
-                entries = [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(n)]
-        else:
-            if sr.exact:
-                entries = [Fraction(rng.randint(-16, 16), rng.randint(1, 4))
-                           for _ in range(n)]
-            else:
-                entries = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-        return self.sample(MaxVector(entries, sr))
+        return self.sample(
+            random_positive_vector(self.q_star.semiring, self.q_star.n, rng)
+        )
 
     def contains(self, x):
         """Membership test: x solves the problem iff q_star (x) x == x."""

@@ -12,21 +12,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, Path, digraph_of, graph_cyclicity, scc
+from .digraph import (
+    Digraph,
+    Path,
+    SccDecomposition,
+    component_cycle,
+    digraph_of,
+    graph_cyclicity,
+    scc,
+)
 from .errors import (
     AcyclicMatrixError,
     CertificationError,
     ExactnessError,
     NotIrreducibleError,
 )
-from .matrix import MaxMatrix, MaxVector, kleene_star, oplus, otimes
-from .semiring import (
-    TIMES,
-    gmean_cmp,
-    gmean_eq,
-    gmean_float,
-    gmean_value,
+from .matrix import (
+    MaxMatrix,
+    MaxVector,
+    closure_rows,
+    kleene_star,
+    oplus,
+    otimes,
 )
+from .semiring import gmean_cmp, gmean_eq, gmean_float, gmean_value
 
 
 @dataclass(frozen=True)
@@ -122,164 +131,56 @@ def _karp_best_pair(a, comp):
     return best
 
 
-def _closure_generic(rows, add, mul, is_zero):
-    """Floyd-Warshall closure over arbitrary scalar callbacks."""
-    d = [list(r) for r in rows]
-    n = len(d)
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            if is_zero(dik):
-                continue
-            di = d[i]
-            for j in range(n):
-                if not is_zero(dk[j]):
-                    di[j] = add(di[j], mul(dik, dk[j]))
-    return d
+class _Symbolic:
+    """Scalars (q, m) meaning q * lam^(-m) for an irrational lam = w0^(1/l0).
 
-
-def _critical_edges(a, lam_pair):
-    """Edges on cycles attaining the mean ``lam_pair``; exact in all modes.
-
-    An edge is critical iff edge (x) best-path-back equals one in the
-    normalized matrix. When the normalization constant is irrational in
-    exact max-times mode the computation runs on symbolic pairs instead.
+    None is the zero; values compare by cross powers, so Floyd-Warshall
+    and the critical-edge test run on them exactly.
     """
-    sr = a.semiring
-    n = a.n
-    lam = gmean_value(sr, lam_pair)
-    if lam is not None:
-        inv = sr.div(sr.one, lam)
-        norm = [[sr.mul(inv, v) for v in row] for row in a.rows]
-        closure = _closure_generic(norm, sr.add, sr.mul, sr.is_zero)
-        one = sr.one
-        crit = set()
-        for i in range(n):
-            for j in range(n):
-                if sr.is_zero(norm[i][j]):
-                    continue
-                back = one if i == j else closure[j][i]
-                if not sr.is_zero(back) and sr.eq(sr.mul(norm[i][j], back), one):
-                    crit.add((i, j))
-        return frozenset(crit)
 
-    # Symbolic route: value (q, m) stands for q * lam^(-m), lam = w0^(1/l0).
-    w0, l0 = lam_pair
+    def __init__(self, sr, lam_pair):
+        self.w0, self.l0 = lam_pair
+        self.one = (sr.one, 0)
 
-    def le(x, y):
-        return x[0] ** l0 * w0 ** y[1] <= y[0] ** l0 * w0 ** x[1]
-
-    def add(x, y):
-        return y if le(x, y) else x
-
-    def mul(x, y):
-        return (x[0] * y[0], x[1] + y[1])
-
-    def is_zero(x):
+    def is_zero(self, x):
         return x is None
 
-    def mul_opt(x, y):
-        return None if x is None or y is None else mul(x, y)
-
-    def add_opt(x, y):
+    def add(self, x, y):
         if x is None:
             return y
         if y is None:
             return x
-        return add(x, y)
+        w0, l0 = self.w0, self.l0
+        return y if x[0] ** l0 * w0 ** y[1] <= y[0] ** l0 * w0 ** x[1] else x
 
-    rows = [
-        [None if sr.is_zero(v) else (v, 1) for v in row] for row in a.rows
-    ]
-    closure = _closure_generic(rows, add_opt, mul_opt, is_zero)
-    one = (sr.one, 0)
+    def mul(self, x, y):
+        if x is None or y is None:
+            return None
+        return (x[0] * y[0], x[1] + y[1])
 
-    def is_one(x):
-        return x is not None and x[0] ** l0 == w0 ** x[1]
+    def eq(self, x, y):
+        w0, l0 = self.w0, self.l0
+        return x[0] ** l0 * w0 ** y[1] == y[0] ** l0 * w0 ** x[1]
 
-    crit = set()
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] is None:
+
+def _critical_edges(rows, closure, ops):
+    """Edges (i, j) of a unit-mean grid with edge (x) best path back == one."""
+    one = ops.one
+    crit = []
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if ops.is_zero(v):
                 continue
             back = one if i == j else closure[j][i]
-            if is_one(mul_opt(rows[i][j], back)):
-                crit.add((i, j))
-    return frozenset(crit)
+            if not ops.is_zero(back) and ops.eq(ops.mul(v, back), one):
+                crit.append((i, j))
+    return crit
 
 
-def _cycle_in_edges(edges):
-    """Some cycle in the edge set, by deterministic walk following."""
-    succ = {}
-    for i, j in sorted(edges):
-        succ.setdefault(i, j)
-    if not succ:
-        return None
-    start = min(succ)
-    order = {start: 0}
-    walk = [start]
-    u = start
-    while True:
-        u = succ[u]
-        if u in order:
-            return tuple(walk[order[u]:]) + (u,)
-        order[u] = len(walk)
-        walk.append(u)
-
-
-def _spectral_core(a):
-    """(mean pair, critical edge set, witness cycle) of a square matrix."""
+def _critical_graph(a, crit):
+    """The CriticalGraph of a spanned by the critical edge list crit."""
     sr = a.semiring
-    g = digraph_of(a)
-    dec = scc(g)
-    best = None
-    for comp, triv in zip(dec.components, dec.trivial):
-        if triv:
-            continue
-        pair = _karp_best_pair(a, comp)
-        if pair is not None and (best is None or gmean_cmp(sr, pair, best) > 0):
-            best = pair
-    if best is None:
-        return (sr.zero, 1), frozenset(), None
-    crit = _critical_edges(a, best)
-    nodes = _cycle_in_edges(crit)
-    if nodes is None:
-        raise CertificationError("no cycle found in the critical edge set")
-    witness = g.path(nodes)
-    if not gmean_eq(sr, (witness.weight, witness.length), best):
-        raise CertificationError(
-            "witness cycle mean disagrees with the computed maximum"
-        )
-    return (witness.weight, witness.length), crit, witness
-
-
-def max_cycle_gmean(a):
-    """Maximum over cycles of the geometric mean of the cycle weight.
-
-    Returns a CycleMean; acyclic input yields the zero mean with no
-    witness. Exact mode keeps the mean as a (weight, length) pair.
-    """
-    sr = a.semiring
-    pair, _, witness = _spectral_core(a)
-    if witness is None:
-        return CycleMean(sr.zero, 1, None, sr)
-    return CycleMean(pair[0], pair[1], witness, sr)
-
-
-def critical_graph(a):
-    """Union of all cycles attaining the maximum cycle geometric mean."""
-    sr = a.semiring
-    pair, crit, witness = _spectral_core(a)
-    if witness is None:
-        raise AcyclicMatrixError(
-            "the digraph has no cycle; the critical graph is undefined"
-        )
-    sub = Digraph(
-        a.n,
-        [(i, j, a.rows[i][j]) for (i, j) in sorted(crit)],
-        sr,
-    )
+    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], sr)
     dec = scc(sub)
     components = tuple(
         comp
@@ -302,87 +203,212 @@ def critical_graph(a):
     )
 
 
+@dataclass(frozen=True)
+class SpectralAnalysis:
+    """Everything the spectral theory reads off one square matrix.
+
+    Built once by spectral_analysis and passed down. ``components`` is the
+    SCC decomposition of the matrix's digraph, ``mean`` the maximum cycle
+    mean with its witness. ``lam`` is that mean as a scalar, ``tilde`` the
+    matrix divided by it and ``star`` the closure of ``tilde`` plus the
+    identity; these three are None when the matrix is acyclic or its mean
+    is irrational in exact mode. ``critical`` is the CriticalGraph, None
+    for acyclic matrices.
+    """
+
+    components: SccDecomposition
+    mean: CycleMean
+    lam: object
+    tilde: MaxMatrix
+    star: MaxMatrix
+    critical: CriticalGraph
+
+    @property
+    def is_irreducible(self):
+        return self.components.is_single
+
+    def normalized(self):
+        """``tilde``; raises when the matrix is acyclic or lam irrational."""
+        if self.mean.is_zero:
+            raise AcyclicMatrixError("cannot normalize an acyclic matrix")
+        if self.tilde is None:
+            raise ExactnessError(
+                f"the maximum cycle mean {self.mean.weight}^"
+                f"(1/{self.mean.length}) is irrational; use float mode"
+            )
+        sr = self.tilde.semiring
+        sr.coerce(sr.div(sr.one, self.lam))  # as a.scale: 1/lam must be finite
+        return self.tilde
+
+    def checked_star(self):
+        """``star`` after ``normalized()`` and kleene_star's divergence check.
+
+        Under a very tight float tolerance rounding can leave a normalized
+        cycle above one; kleene_star then raises its DivergenceError with
+        a witness. Only the diagonal is read on the normal path.
+        """
+        tilde = self.normalized()
+        sr = tilde.semiring
+        star = self.star
+        if any(sr.lt(sr.one, star[i, i]) for i in range(star.n)):
+            return kleene_star(tilde)
+        return star
+
+    def eigenspace_basis(self):
+        """One star column per critical component of ``tilde``.
+
+        The matrix must be irreducible with at least one cycle. Inside a
+        critical component all star columns are proportional; this is
+        verified and each component is represented by its smallest node's
+        column.
+        """
+        if not self.is_irreducible:
+            raise NotIrreducibleError("eigenvectors need an irreducible matrix")
+        star = self.checked_star()
+        sr = star.semiring
+        for comp in self.critical.components:
+            r = comp[0]
+            for v in comp[1:]:
+                factor = star[r, v]
+                for i in range(star.n):
+                    if not sr.eq(star[i, v], sr.mul(star[i, r], factor)):
+                        raise CertificationError(
+                            "star columns inside a critical component are "
+                            "not proportional"
+                        )
+        return tuple(star.col(comp[0]) for comp in self.critical.components)
+
+    def principal_eigenvector(self):
+        """Semiring sum of the eigenspace basis; positive when irreducible."""
+        basis = self.eigenspace_basis()
+        x = basis[0]
+        for v in basis[1:]:
+            x = oplus(x, v)
+        if not x.is_positive():
+            raise CertificationError(
+                "principal eigenvector of an irreducible matrix must be "
+                "positive"
+            )
+        return x
+
+
+def _divided_rows(a, lam):
+    """Rows of a divided by lam.
+
+    Unlike a.scale this does not check the range of 1/lam, so a float mean
+    below the normal range still yields its critical graph.
+    """
+    sr = a.semiring
+    inv = sr.div(sr.one, lam)
+    return [[sr.mul(inv, v) for v in row] for row in a.rows]
+
+
+def spectral_analysis(a):
+    """The SpectralAnalysis of a square matrix.
+
+    Karp's recurrence gives the mean per component; one Floyd-Warshall
+    closure of the normalized matrix gives the critical edges and the
+    star. When the mean is irrational in exact max-times mode the
+    normalization is carried symbolically, so the critical graph stays
+    exact while lam, tilde and star are None. The witness is a cycle of
+    the first critical component.
+    """
+    sr = a.semiring
+    dec = scc(digraph_of(a))
+    best = None
+    for comp, triv in zip(dec.components, dec.trivial):
+        if triv:
+            continue
+        pair = _karp_best_pair(a, comp)
+        if pair is not None and (best is None or gmean_cmp(sr, pair, best) > 0):
+            best = pair
+    if best is None:
+        return SpectralAnalysis(
+            dec, CycleMean(sr.zero, 1, None, sr), None, None, None, None
+        )
+    lam = gmean_value(sr, best)
+    if lam is None:
+        ops = _Symbolic(sr, best)
+        rows = [
+            [None if sr.is_zero(v) else (v, 1) for v in row] for row in a.rows
+        ]
+    else:
+        ops = sr
+        rows = _divided_rows(a, lam)
+    closure = closure_rows(rows, ops)
+    critical = _critical_graph(a, _critical_edges(rows, closure, ops))
+    if not critical.components:
+        raise CertificationError("no cycle found in the critical edge set")
+    witness = component_cycle(critical.graph, critical.components[0])
+    if not gmean_eq(sr, witness.gmean_pair(), best):
+        raise CertificationError(
+            "witness cycle mean disagrees with the computed maximum"
+        )
+    mean = CycleMean(witness.weight, witness.length, witness, sr)
+    if lam is None:
+        return SpectralAnalysis(dec, mean, None, None, None, critical)
+    if mean.exact_value() != lam:
+        # Float rounding: Karp's pair and the witness can round to
+        # different scalars; the reported mean is the witness's.
+        lam = mean.exact_value()
+        rows = _divided_rows(a, lam)
+        closure = closure_rows(rows, sr)
+    for i in range(a.n):
+        closure[i][i] = sr.add(closure[i][i], sr.one)
+    return SpectralAnalysis(
+        dec,
+        mean,
+        lam,
+        MaxMatrix._raw(rows, sr),
+        MaxMatrix._raw(closure, sr),
+        critical,
+    )
+
+
+def max_cycle_gmean(a):
+    """Maximum over cycles of the geometric mean of the cycle weight.
+
+    Returns a CycleMean; acyclic input yields the zero mean with no
+    witness. Exact mode keeps the mean as a (weight, length) pair.
+    """
+    return spectral_analysis(a).mean
+
+
+def critical_graph(a):
+    """Union of all cycles attaining the maximum cycle geometric mean."""
+    critical = spectral_analysis(a).critical
+    if critical is None:
+        raise AcyclicMatrixError(
+            "the digraph has no cycle; the critical graph is undefined"
+        )
+    return critical
+
+
 def is_irreducible(a):
     """True when the digraph of the square matrix is strongly connected."""
     return scc(digraph_of(a)).is_single
 
 
-def _normalized(a):
-    """(A divided by its mean, mean scalar, CycleMean); exactness enforced."""
-    sr = a.semiring
-    mean = max_cycle_gmean(a)
-    if mean.is_zero:
-        raise AcyclicMatrixError("cannot normalize an acyclic matrix")
-    lam = mean.exact_value()
-    if lam is None:
-        raise ExactnessError(
-            f"the maximum cycle mean {mean.weight}^(1/{mean.length}) is "
-            "irrational; use float mode"
-        )
-    inv = sr.div(sr.one, lam)
-    return a.scale(inv), lam, mean
-
-
-def _critical_edges_normalized(tilde, star):
-    """Critical edges of a matrix already normalized to unit mean."""
-    sr = tilde.semiring
-    one = sr.one
-    crit = set()
-    for i in range(tilde.n):
-        for j in range(tilde.n):
-            v = tilde.rows[i][j]
-            if sr.is_zero(v):
-                continue
-            back = star[j, i]
-            if not sr.is_zero(back) and sr.eq(sr.mul(v, back), one):
-                crit.add((i, j))
-    return crit
+def _irreducible_analysis(a):
+    # irreducibility is checked before the analysis is built, so that a
+    # reducible float matrix whose critical cycles fail to certify is still
+    # reported as reducible
+    if not is_irreducible(a):
+        raise NotIrreducibleError("eigenvectors need an irreducible matrix")
+    return spectral_analysis(a)
 
 
 def eigenspace_basis(a):
     """One star column per critical component of the normalized matrix.
 
-    The matrix must be irreducible with at least one cycle. Inside a
-    critical component all star columns are proportional; this is verified
-    and each component is represented by its smallest node's column.
+    See SpectralAnalysis.eigenspace_basis.
     """
-    sr = a.semiring
-    if not is_irreducible(a):
-        raise NotIrreducibleError("eigenvectors need an irreducible matrix")
-    tilde, _, _ = _normalized(a)
-    star = kleene_star(tilde)
-    crit = _critical_edges_normalized(tilde, star)
-    sub = Digraph(a.n, [(i, j, sr.one) for (i, j) in crit], sr)
-    dec = scc(sub)
-    components = [
-        comp for comp, triv in zip(dec.components, dec.trivial) if not triv
-    ]
-    reps = []
-    for comp in components:
-        r = comp[0]
-        reps.append(r)
-        for v in comp[1:]:
-            factor = star[r, v]
-            for i in range(a.n):
-                if not sr.eq(star[i, v], sr.mul(star[i, r], factor)):
-                    raise CertificationError(
-                        "star columns inside a critical component are not "
-                        "proportional"
-                    )
-    return tuple(star.col(r) for r in sorted(reps))
+    return _irreducible_analysis(a).eigenspace_basis()
 
 
 def principal_eigenvector(a):
     """Semiring sum of the eigenspace basis; positive for irreducible input."""
-    basis = eigenspace_basis(a)
-    x = basis[0]
-    for v in basis[1:]:
-        x = oplus(x, v)
-    if not x.is_positive():
-        raise CertificationError(
-            "principal eigenvector of an irreducible matrix must be positive"
-        )
-    return x
+    return _irreducible_analysis(a).principal_eigenvector()
 
 
 def is_eigenvector(a, x, lam):

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +41,11 @@ GOLDEN_CASES = [
     ("star_diverges", ["star", "data/diverge.mx", "--json"], 1),
     ("eigen", ["eigen", "data/two_cycle.mx", "--json"], 0),
     ("scale_fp", ["scale", "fp", "data/contract.mx", "--json"], 0),
+    (
+        "scale_fp_seed",
+        ["scale", "fp", "data/contract.mx", "--seed", "7", "--json"],
+        0,
+    ),
     ("scale_fp_negative", ["scale", "fp", "data/balance4.mx", "--json"], 1),
     ("scale_strong", ["scale", "strong", "data/half_cycle.mx", "--json"], 0),
     (
@@ -49,6 +55,11 @@ GOLDEN_CASES = [
     ),
     ("scale_eig", ["scale", "eig", "data/two_cycle.mx", "--json"], 0),
     ("scale_rowcol", ["scale", "rowcol", "data/rowcol.mx", "--json"], 0),
+    (
+        "scale_rowcol_seed",
+        ["scale", "rowcol", "data/rowcol.mx", "--seed", "7", "--json"],
+        0,
+    ),
     ("scale_balance", ["scale", "balance", "data/balance4.mx", "--json"], 0),
     (
         "sandwich",
@@ -98,6 +109,51 @@ def test_golden_reports(name, argv, want_code):
     if os.environ.get("MAXALG_UPDATE_GOLDENS"):
         path.write_text(text)
     assert text == path.read_text()
+
+
+def _count_analyses(monkeypatch):
+    """Route every module's spectral_analysis through a counting wrapper."""
+    from maxalg import spectral
+
+    original = spectral.spectral_analysis
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("maxalg") and (
+            getattr(mod, "spectral_analysis", None) is original
+        ):
+            monkeypatch.setattr(mod, "spectral_analysis", counting)
+    return calls
+
+
+ONE_ANALYSIS_CASES = [
+    c
+    for c in GOLDEN_CASES
+    if c[0] in ("info", "info_irrational", "eigen", "scale_eig", "csr")
+]
+
+
+@pytest.mark.parametrize(
+    "name,argv,want_code",
+    ONE_ANALYSIS_CASES,
+    ids=[c[0] for c in ONE_ANALYSIS_CASES],
+)
+def test_one_spectral_analysis_per_command(monkeypatch, name, argv, want_code):
+    calls = _count_analyses(monkeypatch)
+    _report, code = _run(argv)
+    assert code == want_code
+    assert len(calls) == 1
+
+
+def test_nachtigall_one_spectral_analysis_per_round(monkeypatch):
+    calls = _count_analyses(monkeypatch)
+    report, code = _run(["nachtigall", "data/diag_half.mx", "--json"])
+    assert code == 0
+    assert 1 <= len(calls) <= len(report["results"]["terms"]) + 1
 
 
 def test_round_trip_fixtures():
@@ -204,6 +260,30 @@ def test_exit_code_contract():
     # argparse usage failure: unknown variant
     _report, code = _run(["scale", "nope", "data/rowcol.mx"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "M"],
+        ["scale", "eig", "M"],
+        ["scale", "balance", "M"],
+        ["commute", "M", "M"],
+    ],
+    ids=["eigen", "scale_eig", "scale_balance", "commute"],
+)
+def test_tol_zero_rounding_above_one_is_a_divergence(tmp_path, argv):
+    # with no tolerance, float rounding leaves the normalized two-cycle
+    # just above one; the eigenvector readers must report the divergent
+    # star with its witness, as kleene_star does
+    path = tmp_path / "tight.mx"
+    path.write_text("maxplus 2 float\n1.2 2.7\n5.5 4.1\n")
+    argv = [str(path) if t == "M" else t for t in argv] + ["--tol", "0"]
+    report, code = run_command(argv)
+    assert code == 1
+    assert report["results"]["answer"] == "negative"
+    assert "the star diverges" in report["results"]["reason"]
+    assert report["results"]["witness"]["nodes"]
 
 
 def test_mode_override_flags():

@@ -16,6 +16,7 @@ from maxalg import (
     NotCommutingError,
     NotIrreducibleError,
     PatternViolationError,
+    Semiring,
     boolean_saturation_pair,
     common_eigenvector,
     commutes,
@@ -105,6 +106,14 @@ def test_common_eigenvector_errors():
     eye = MaxMatrix.identity(2, EXACT_TIMES)
     with pytest.raises(NotIrreducibleError):
         common_eigenvector(eye, tri)
+    # also when, with no tolerance, the partner's critical cycles fail to
+    # certify in float arithmetic
+    tight = Semiring("max-times", exact=False, tol=0.0)
+    diag = MaxMatrix([[1e97, 0], [0, 1e-68]], tight)
+    with pytest.raises(NotIrreducibleError):
+        common_eigenvector(MaxMatrix.identity(2, tight), diag)
+    with pytest.raises(NotIrreducibleError):
+        common_eigenvector(diag, diag)
 
 
 def test_boolean_saturation_pair_worked_example():

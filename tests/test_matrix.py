@@ -124,6 +124,16 @@ def test_kleene_star_known_value_and_oracle():
     assert checked > 80
 
 
+def test_kleene_star_overflow_is_no_divergence():
+    # the path 0 -> 1 -> 2 overflows to inf; inf times the zero entries of
+    # row 2 would be nan, which once read as a cycle above one
+    a = MaxMatrix([[0, 1e200, 0], [0, 0, 1e200], [0, 0, 0]], FLOAT_TIMES)
+    star = kleene_star(a)
+    assert star.rows[0][:2] == (1.0, 1e200)
+    assert star.rows[1] == (0.0, 1.0, 1e200)
+    assert star.rows[2] == (0.0, 0.0, 1.0)
+
+
 def test_divergence_witness_is_a_heavy_cycle():
     a = fmat([[0, 4], [1, 0]])
     with pytest.raises(DivergenceError) as info:

@@ -182,6 +182,17 @@ def test_reducible_matrices_are_rejected_for_eigenvectors():
         principal_eigenvector(fmat([[1, 1], [0, 1]]))
     with pytest.raises(NotIrreducibleError):
         principal_eigenvector(fmat([[0, 1], [0, 0]]))
+    # with no tolerance the critical cycles of this float matrix fail to
+    # certify; it is still reported as reducible first
+    from maxalg import MaxMatrix, Semiring
+
+    tight = MaxMatrix(
+        [[1e97, 0], [0, 1e-68]], Semiring("max-times", exact=False, tol=0.0)
+    )
+    with pytest.raises(NotIrreducibleError):
+        principal_eigenvector(tight)
+    with pytest.raises(NotIrreducibleError):
+        eigenspace_basis(tight)
 
 
 def test_irrational_mean_exact_mode_behavior():
@@ -197,6 +208,38 @@ def test_irrational_mean_exact_mode_behavior():
     lam = max_cycle_gmean(f).float_value()
     assert is_eigenvector(f, x, lam)
     assert math.isclose(lam, math.sqrt(6.0))
+
+
+def test_mean_below_float_range_keeps_its_critical_graph():
+    # 1/lam overflows to inf, yet the mean and critical graph need no
+    # normalized matrix that a caller could see
+    from maxalg import MaxMatrix
+
+    a = MaxMatrix([[1e-310]], FLOAT_TIMES)
+    assert max_cycle_gmean(a).pair() == (1e-310, 1)
+    assert critical_graph(a).edges == ((0, 0),)
+    # a normalized entry overflows to inf; inf times a zero entry is nan,
+    # which must not overwrite the path weights of the closure
+    a = MaxMatrix(
+        [[0, 1e-150, 1e200], [1e-150, 0, 0], [0, 0, 0]], FLOAT_TIMES
+    )
+    mean = max_cycle_gmean(a)
+    assert mean.pair() == (1e-300, 2)
+    assert mean.witness.nodes == (0, 1, 0)
+    assert critical_graph(a).edges == ((0, 1), (1, 0))
+
+
+def test_float_normalization_divides_by_the_reported_mean():
+    # Karp's pair and the witness cycle can round to different floats;
+    # the normalized matrix must use the mean max_cycle_gmean reports
+    from maxalg import normalize_to_unit
+
+    rng = random.Random(5)
+    for _ in range(80):
+        a = random_irreducible(rng, rng.randint(2, 8), density=0.5)
+        f = semiring_convert(a, FLOAT_TIMES)
+        tilde, mean = normalize_to_unit(f)
+        assert tilde == f.scale(1.0 / mean.exact_value())
 
 
 def test_is_eigenvector_rejects_wrong_pairs():
