@@ -11,13 +11,15 @@ mode and provides every scalar operation the matrix layer needs, so the
 algorithms above it never branch on the mode themselves.
 
 Cycle geometric means are handled as (weight, length) pairs and compared by
-cross powers, which stays exact even when the mean itself is irrational.
+cross powers, which stays exact even when the mean itself is irrational; a
+float filter with a proven error bound decides all but the near-ties
+without computing the powers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExactnessError, ModeError
@@ -39,24 +41,21 @@ class Semiring:
     domain: str = TIMES
     exact: bool = True
     tol: float = 1e-9
+    # the constants are built once; they take no part in ==, hash or repr
+    zero: object = field(init=False, compare=False, repr=False)
+    one: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain not in (TIMES, PLUS):
             raise ValueError(f"unknown domain {self.domain!r}")
-
-    # -- constants ---------------------------------------------------------
-
-    @property
-    def zero(self):
         if self.domain == TIMES:
-            return Fraction(0) if self.exact else 0.0
-        return NEG_INF
-
-    @property
-    def one(self):
-        if self.domain == TIMES:
-            return Fraction(1) if self.exact else 1.0
-        return Fraction(0) if self.exact else 0.0
+            zero = Fraction(0) if self.exact else 0.0
+            one = Fraction(1) if self.exact else 1.0
+        else:
+            zero = NEG_INF
+            one = Fraction(0) if self.exact else 0.0
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
 
     @property
     def mode_name(self):
@@ -201,6 +200,64 @@ EXACT_PLUS = Semiring(PLUS, True)
 FLOAT_PLUS = Semiring(PLUS, False)
 
 
+# -- filtered exact comparisons ----------------------------------------------
+#
+# Exact max-times comparisons of products and roots reduce to the sign of a
+# sum of integer logarithms. A float estimate of that sum decides the sign
+# whenever it is clear of its proven error bound; only near-ties pay for the
+# exact big-integer cross powers.
+
+_FILTER_EPS = 2.0 ** -52  # twice the unit roundoff 2^-53
+
+
+def log_terms(q):
+    """(ln numerator, ln denominator) of a positive rational, as floats.
+
+    math.log of an int works at any size, whereas float(q) would underflow
+    or overflow. Both results are >= 0.
+    """
+    return math.log(q.numerator), math.log(q.denominator)
+
+
+def filtered_sign(estimate, size, depth):
+    """Sign of a real d from a float estimate of it, or 0 when undecided.
+
+    d = sum_i c_i ln(n_i) for positive ints n_i and rational weights c_i.
+    ``estimate`` is computed from g_i = math.log(n_i) by float additions,
+    subtractions, and multiplications or divisions by ints below 2^53, with
+    at most ``depth`` roundings between any g_i and the result. ``size``
+    is an upper bound on sum_i |c_i| (g_i + 1), over every occurrence.
+
+    Bound. Let eps = 2^-53. For n_i < 2^1024 the conversion to a double
+    moves ln(n_i) by at most 1.01 eps, and a log faithful to 1 ulp (glibc,
+    the macOS libm) adds at most 2 eps g_i; above 2^1024 CPython takes the
+    log of the frexp mantissa plus e ln 2, whose roundings add at most
+    eps (3 g_i + 4). So |g_i - ln n_i| <= 4 eps (g_i + 1). Each later
+    rounding multiplies an intermediate by (1 + delta), |delta| <= eps, so
+    the float combination of the g_i is off by at most
+    ((1 + eps)^depth - 1) sum |c_i| g_i <= 1.01 depth eps sum |c_i| g_i.
+    Together
+
+        |estimate - d| <= 1.01 (depth + 4) eps size.
+
+    The threshold used, (depth + 4) size 2^-52, is twice that, which also
+    covers the roundings made in computing ``size`` and the threshold
+    itself. An exact tie d = 0 is therefore never decided here.
+    """
+    bound = (depth + 4) * size * _FILTER_EPS
+    if estimate > bound:
+        return 1
+    if estimate < -bound:
+        return -1
+    return 0
+
+
+def _cross_power_cmp(wa, la, wb, lb):
+    """Exact three-way compare of wa^(1/la) and wb^(1/lb): wa^lb vs wb^la."""
+    x, y = wa ** lb, wb ** la
+    return (x > y) - (x < y)
+
+
 # -- geometric means of cycles ---------------------------------------------
 #
 # A cycle of weight w and length l has geometric mean w^(1/l) in max-times
@@ -209,7 +266,12 @@ FLOAT_PLUS = Semiring(PLUS, False)
 
 
 def gmean_cmp(sr, pair_a, pair_b):
-    """Three-way compare two (weight, length) geometric-mean pairs."""
+    """Three-way compare two (weight, length) geometric-mean pairs.
+
+    Exact max-times pairs go through filtered_sign first: d = lb ln wa -
+    la ln wb is estimated with depth 3 (the log difference of each weight,
+    its product by the other length, and the final subtraction).
+    """
     wa, la = pair_a
     wb, lb = pair_b
     za, zb = sr.is_zero(wa), sr.is_zero(wb)
@@ -219,8 +281,14 @@ def gmean_cmp(sr, pair_a, pair_b):
         return -1 if za else 1
     if sr.domain == TIMES:
         if sr.exact:
-            x, y = wa ** lb, wb ** la
-            return (x > y) - (x < y)
+            pa, qa = log_terms(wa)
+            pb, qb = log_terms(wb)
+            sign = filtered_sign(
+                lb * (pa - qa) - la * (pb - qb),
+                lb * (pa + qa + 2.0) + la * (pb + qb + 2.0),
+                3,
+            )
+            return sign or _cross_power_cmp(wa, la, wb, lb)
         ma = math.exp(math.log(wa) / la)
         mb = math.exp(math.log(wb) / lb)
     else:

@@ -4,12 +4,14 @@ The mean is computed per strongly connected component with Karp's
 recurrence, kept as a (weight, length) pair so exact mode never touches an
 irrational root. Critical edges are detected on the normalized matrix; when
 the mean is irrational in exact max-times mode the normalization is carried
-symbolically as pairs (q, m) meaning q * mean^(-m), compared by cross
-powers, so the critical graph itself stays exact.
+symbolically as pairs (q, m) meaning q * mean^(-m), compared by a float
+filter with a proven error bound and by exact cross powers where the filter
+cannot decide, so the critical graph itself stays exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .digraph import (
@@ -25,6 +27,7 @@ from .errors import (
     AcyclicMatrixError,
     CertificationError,
     ExactnessError,
+    ModeError,
     NotIrreducibleError,
 )
 from .matrix import (
@@ -35,7 +38,14 @@ from .matrix import (
     oplus,
     otimes,
 )
-from .semiring import gmean_cmp, gmean_eq, gmean_float, gmean_value
+from .semiring import (
+    filtered_sign,
+    gmean_cmp,
+    gmean_eq,
+    gmean_float,
+    gmean_value,
+    log_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -132,35 +142,74 @@ def _karp_best_pair(a, comp):
 
 
 class _Symbolic:
-    """Scalars (q, m) meaning q * lam^(-m) for an irrational lam = w0^(1/l0).
+    """Scalars (q, m, f) meaning q * lam^(-m) for an irrational lam = w0^(1/l0).
 
-    None is the zero; values compare by cross powers, so Floyd-Warshall
-    and the critical-edge test run on them exactly.
+    q is the product of m entries of the matrix and f a float estimate of
+    ln q - m ln lam: each entry's term ln p - ln r - ln lam (entry p/r) is
+    estimated once, and mul adds the estimates. None is the zero. Values
+    compare through filtered_sign, and by exact cross powers only when the
+    estimates cannot decide, so Floyd-Warshall and the critical-edge test
+    run on them exactly. ``rows`` is the matrix in this representation.
+
+    Error bound: comparing x and y, with k = m_x + m_y, sums k entry
+    terms. Each reads the two logs of its entry, which sum to at most G
+    (the largest over the entries), and, through ln lam = (ln p0 - ln r0)
+    / l0 with w0 = p0/r0, 1/l0 times two logs that sum to G0. So size <=
+    k (G + 2 + (G0 + 2)/l0) in filtered_sign's terms. A log passes at most
+    3 roundings to become its term (for w0's: difference, division by l0,
+    subtraction from the entry's), at most m - 1 in the products and one
+    in the final difference, so depth <= k + 3.
     """
 
-    def __init__(self, sr, lam_pair):
+    def __init__(self, sr, lam_pair, rows):
         self.w0, self.l0 = lam_pair
-        self.one = (sr.one, 0)
+        self.one = (sr.one, 0, 0.0)
+        p0, r0 = log_terms(self.w0)
+        ln_lam = (p0 - r0) / self.l0
+        widest = 0.0
+        lifted = []
+        for row in rows:
+            out = []
+            for v in row:
+                if sr.is_zero(v):
+                    out.append(None)
+                    continue
+                p, r = log_terms(v)
+                widest = max(widest, p + r)
+                out.append((v, 1, (p - r) - ln_lam))
+            lifted.append(out)
+        self.rows = lifted
+        self.unit = widest + 2.0 + (p0 + r0 + 2.0) / self.l0
 
     def is_zero(self, x):
         return x is None
+
+    def cmp(self, x, y):
+        """Three-way compare of two nonzero values."""
+        k = x[1] + y[1]
+        sign = filtered_sign(x[2] - y[2], k * self.unit, k + 3)
+        return sign or self._cross_cmp(x, y)
+
+    def _cross_cmp(self, x, y):
+        w0, l0 = self.w0, self.l0
+        lhs = x[0] ** l0 * w0 ** y[1]
+        rhs = y[0] ** l0 * w0 ** x[1]
+        return (lhs > rhs) - (lhs < rhs)
 
     def add(self, x, y):
         if x is None:
             return y
         if y is None:
             return x
-        w0, l0 = self.w0, self.l0
-        return y if x[0] ** l0 * w0 ** y[1] <= y[0] ** l0 * w0 ** x[1] else x
+        return x if self.cmp(x, y) > 0 else y
 
     def mul(self, x, y):
         if x is None or y is None:
             return None
-        return (x[0] * y[0], x[1] + y[1])
+        return (x[0] * y[0], x[1] + y[1], x[2] + y[2])
 
     def eq(self, x, y):
-        w0, l0 = self.w0, self.l0
-        return x[0] ** l0 * w0 ** y[1] == y[0] ** l0 * w0 ** x[1]
+        return self.cmp(x, y) == 0
 
 
 def _critical_edges(rows, closure, ops):
@@ -189,6 +238,12 @@ def _critical_graph(a, crit):
     )
     nodes = tuple(sorted(v for comp in components for v in comp))
     renum = {v: t for t, v in enumerate(nodes)}
+    for i, j in crit:
+        if i not in renum or j not in renum:
+            # float rounding under a very tight tolerance
+            raise CertificationError(
+                f"critical edge ({i}, {j}) lies on no critical cycle"
+            )
     induced = Digraph(
         len(nodes),
         [(renum[i], renum[j], sr.one) for (i, j) in crit],
@@ -228,7 +283,11 @@ class SpectralAnalysis:
         return self.components.is_single
 
     def normalized(self):
-        """``tilde``; raises when the matrix is acyclic or lam irrational."""
+        """``tilde``, after the checks that it exists and is usable.
+
+        Raises when the matrix is acyclic, when lam is irrational, and
+        (ModeError) when 1/lam overflows the float range.
+        """
         if self.mean.is_zero:
             raise AcyclicMatrixError("cannot normalize an acyclic matrix")
         if self.tilde is None:
@@ -237,7 +296,11 @@ class SpectralAnalysis:
                 f"(1/{self.mean.length}) is irrational; use float mode"
             )
         sr = self.tilde.semiring
-        sr.coerce(sr.div(sr.one, self.lam))  # as a.scale: 1/lam must be finite
+        if sr.div(sr.one, self.lam) == math.inf:
+            raise ModeError(
+                f"the maximum cycle mean {self.lam!r} is so small that its "
+                "inverse overflows the float range; use exact mode"
+            )
         return self.tilde
 
     def checked_star(self):
@@ -328,10 +391,8 @@ def spectral_analysis(a):
         )
     lam = gmean_value(sr, best)
     if lam is None:
-        ops = _Symbolic(sr, best)
-        rows = [
-            [None if sr.is_zero(v) else (v, 1) for v in row] for row in a.rows
-        ]
+        ops = _Symbolic(sr, best, a.rows)
+        rows = ops.rows
     else:
         ops = sr
         rows = _divided_rows(a, lam)

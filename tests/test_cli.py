@@ -286,6 +286,19 @@ def test_tol_zero_rounding_above_one_is_a_divergence(tmp_path, argv):
     assert report["results"]["witness"]["nodes"]
 
 
+@pytest.mark.parametrize("command", ["eigen", "powers", "csr"])
+def test_mean_below_float_range_is_a_mode_refusal(tmp_path, command):
+    # 1/lam overflows: normalizing commands refuse with a typed mode error
+    # (exit 3), while info still reports the mean
+    path = tmp_path / "tiny.mx"
+    path.write_text("maxtimes 1 float\n1e-310\n")
+    report, code = run_command([command, str(path)])
+    assert code == 3
+    assert "overflows the float range" in report["results"]["error"]
+    _report, code = run_command(["info", str(path)])
+    assert code == 0
+
+
 def test_mode_override_flags():
     report, code = _run(["info", "data/two_cycle.mx", "--float"])
     assert code == 0

@@ -39,6 +39,13 @@ def test_constants_per_mode():
         assert not sr.is_zero(sr.one)
 
 
+def test_constants_are_built_once_outside_equality():
+    sr = Semiring("max-times", exact=True)
+    assert sr.zero is sr.zero and sr.one is sr.one
+    assert sr == EXACT_TIMES and hash(sr) == hash(EXACT_TIMES)
+    assert repr(sr) == "Semiring(domain='max-times', exact=True, tol=1e-09)"
+
+
 def test_coerce_exact_times():
     sr = EXACT_TIMES
     assert sr.coerce("3/4") == Fraction(3, 4)

@@ -229,6 +229,26 @@ def test_mean_below_float_range_keeps_its_critical_graph():
     assert critical_graph(a).edges == ((0, 1), (1, 0))
 
 
+def test_tight_tolerance_stray_critical_edge_is_a_certification_error():
+    # under tol=0 float rounding marks as critical an edge that lies on no
+    # critical cycle; the analysis refuses instead of failing on a lookup
+    from maxalg import CertificationError, MaxMatrix, Semiring
+
+    a = MaxMatrix(
+        [
+            [0, 8.7, 8.4, 0, 4.317, 2.2],
+            [4.625, 0, 8.813, 0, 0, 6.3],
+            [7.9, 1.915, 5.9, 7.526, 0, 0],
+            [4.376, 8.808, 7.44, 4.2, 0, 0.884],
+            [0, 2.8, 4.554, 0, 0, 7.4],
+            [5.565, 6.7, 7.7, 3.137, 0, 0],
+        ],
+        Semiring("max-times", exact=False, tol=0.0),
+    )
+    with pytest.raises(CertificationError, match="no critical cycle"):
+        max_cycle_gmean(a)
+
+
 def test_float_normalization_divides_by_the_reported_mean():
     # Karp's pair and the witness cycle can round to different floats;
     # the normalized matrix must use the mean max_cycle_gmean reports
