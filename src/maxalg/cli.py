@@ -31,11 +31,7 @@ from .asymptotics import (
     transient_bound,
 )
 from .balancing import max_balance
-from .commuting import (
-    boolean_saturation_pair,
-    common_eigenvector,
-    commuting_cycle_witness,
-)
+from .commuting import common_saturation_pair, commuting_cycle_witness
 from .digraph import threshold_spectrum
 from .errors import (
     HadamardFailsError,
@@ -240,7 +236,13 @@ def _parse_token(tok, sr, path, lineno, col, allow_negative):
         )
     if sr.exact:
         return value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModeError(
+            f"{path}:{lineno}:{col}: {tok!r} overflows the float range; "
+            "use exact mode"
+        ) from None
 
 
 def serialize_matrix(a):
@@ -509,8 +511,7 @@ def _cmd_commute(args, inputs):
     b, wb = _load_matrix(args.matrix_b, args, inputs)
     warnings = wa + wb
     sr = a.semiring
-    ce = common_eigenvector(a, b)
-    pair = boolean_saturation_pair(a, b, ce.x)
+    ce, pair = common_saturation_pair(a, b)
     cycle1, cycle2 = commuting_cycle_witness(pair)
     return {
         "commutes": True,

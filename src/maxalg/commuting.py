@@ -58,13 +58,18 @@ class CommonEigenvector:
         return iter((self.x, self.lam_a, self.lam_b))
 
 
-def _common_core(a, b):
+def _irreducible_analyses(a, b):
+    """The analyses of a and b, each checked irreducible in turn."""
     an_a = spectral_analysis(a)
     if not an_a.is_irreducible:
         raise NotIrreducibleError("the first matrix is not irreducible")
     an_b = spectral_analysis(b)
     if not an_b.is_irreducible:
         raise NotIrreducibleError("the second matrix is not irreducible")
+    return an_a, an_b
+
+
+def _common_core(a, b, an_a, an_b):
     an_a.normalized()
     tb = an_b.normalized()
     lam_a, lam_b = an_a.lam, an_b.lam
@@ -109,15 +114,25 @@ def common_eigenvector(a, b):
     fail their verification restart in exact arithmetic and return the
     exact result.
     """
+    return _common_eigenvector(a, b)[0]
+
+
+def _common_eigenvector(a, b):
+    """common_eigenvector's result and the analyses of a and b it built.
+
+    An analysis is None where none of that very matrix was built: for a
+    unit matrix, and after the restart in exact arithmetic.
+    """
     if not commutes(a, b):
         raise NotCommutingError("the matrices do not commute")
     sr = a.semiring
     unit_a = _is_unit_matrix(a)
     unit_b = _is_unit_matrix(b)
     if unit_a and unit_b:
-        return CommonEigenvector(
+        ce = CommonEigenvector(
             x=MaxVector.ones(a.n, sr), lam_a=sr.one, lam_b=sr.one
         )
+        return ce, None, None
     if unit_a or unit_b:
         other = b if unit_a else a
         if not is_irreducible(other):
@@ -132,17 +147,18 @@ def common_eigenvector(a, b):
                 "candidate vector fails its eigen-equation"
             )
         if unit_a:
-            return CommonEigenvector(x=x, lam_a=sr.one, lam_b=lam)
-        return CommonEigenvector(x=x, lam_a=lam, lam_b=sr.one)
+            return CommonEigenvector(x=x, lam_a=sr.one, lam_b=lam), None, an
+        return CommonEigenvector(x=x, lam_a=lam, lam_b=sr.one), an, None
     try:
-        return _common_core(a, b)
+        an_a, an_b = _irreducible_analyses(a, b)
+        return _common_core(a, b, an_a, an_b), an_a, an_b
     except CertificationError:
         if sr.exact:
             raise
         target = Semiring(sr.domain, exact=True)
-        return _common_core(
-            semiring_convert(a, target), semiring_convert(b, target)
-        )
+        ea, eb = semiring_convert(a, target), semiring_convert(b, target)
+        ce = _common_core(ea, eb, *_irreducible_analyses(ea, eb))
+        return ce, None, None
 
 
 @dataclass(frozen=True)
@@ -186,6 +202,22 @@ def boolean_saturation_pair(a, b, x):
         x = MaxVector(x, sr)
     ta = spectral_analysis(a).normalized()
     tb = spectral_analysis(b).normalized()
+    return _saturation_pair(ta, tb, x)
+
+
+def common_saturation_pair(a, b):
+    """common_eigenvector(a, b) and the boolean_saturation_pair of its x.
+
+    The analyses that common_eigenvector builds for a and b are reused
+    for the saturation graphs instead of being built again.
+    """
+    ce, an_a, an_b = _common_eigenvector(a, b)
+    ta = (an_a if an_a is not None else spectral_analysis(a)).normalized()
+    tb = (an_b if an_b is not None else spectral_analysis(b)).normalized()
+    return ce, _saturation_pair(ta, tb, ce.x)
+
+
+def _saturation_pair(ta, tb, x):
     sat_a = saturation_graph(ta, x)
     sat_b = saturation_graph(tb, x)
     m1 = _bool_matrix(sat_a.graph)

@@ -8,6 +8,7 @@ with a witness cycle, so this layer never needs the spectral machinery.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .digraph import Path
@@ -261,35 +262,72 @@ def oplus(a, b):
 
 
 def otimes(a, b):
-    """Semiring matrix product; the right factor may be a vector."""
+    """Semiring matrix product; the right factor may be a vector.
+
+    Exact max-times products run on integers (see _lifted_products); every
+    other mode folds the semiring's own add and mul.
+    """
     _check_same_semiring(a, b)
     sr = a.semiring
-    add, mul, zero = sr.add, sr.mul, sr.zero
-    if isinstance(b, MaxVector):
+    vector = isinstance(b, MaxVector)
+    if vector:
         if a.ncols != len(b):
             raise DimensionError(
                 f"cannot multiply {a.shape} by length-{len(b)} vector"
             )
+        cols = [b.entries]
+    else:
+        if a.ncols != b.nrows:
+            raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
+        cols = list(zip(*b.rows))
+    if sr.exact and sr.domain == TIMES:
+        out = _lifted_products(a.rows, cols)
+    else:
+        add, mul, zero = sr.add, sr.mul, sr.zero
         out = []
         for row in a.rows:
-            acc = zero
-            for x, y in zip(row, b.entries):
-                acc = add(acc, mul(x, y))
-            out.append(acc)
-        return MaxVector._raw(out, sr)
-    if a.ncols != b.nrows:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    bcols = list(zip(*b.rows))
-    out = []
-    for row in a.rows:
-        out_row = []
-        for col in bcols:
-            acc = zero
-            for x, y in zip(row, col):
-                acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(out_row)
+            out_row = []
+            for col in cols:
+                acc = zero
+                for x, y in zip(row, col):
+                    acc = add(acc, mul(x, y))
+                out_row.append(acc)
+            out.append(out_row)
+    if vector:
+        return MaxVector._raw([r[0] for r in out], sr)
     return MaxMatrix._raw(out, sr)
+
+
+def _lift(values):
+    """Nonnegative rationals as (ints, d) with values[k] == ints[k] / d.
+
+    d is the lcm of the denominators, so a zero entry lifts to 0.
+    """
+    d = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _lifted_products(rows, cols):
+    """Exact max-times products of rows and columns, fraction-free.
+
+    Row i is lifted over the lcm d_i of its own denominators and column j
+    over its own e_j, so entry (i, j) is max_k(r_ik * c_kj) / (d_i * e_j):
+    the inner loop multiplies Python ints and each entry builds one
+    canonical Fraction, equal in value and representation to the Fraction
+    fold. One lcm for the whole matrix would be simpler but can grow far
+    larger: pairwise coprime denominators make it the product of them all.
+    """
+    lifted_cols = [_lift(col) for col in cols]
+    out = []
+    for row in rows:
+        r, d = _lift(row)
+        out.append(
+            [
+                Fraction(max(map(operator.mul, r, c)), d * e)
+                for c, e in lifted_cols
+            ]
+        )
+    return out
 
 
 def mat_power(a, t):

@@ -19,6 +19,8 @@ without computing the powers.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,6 +30,10 @@ TIMES = "max-times"
 PLUS = "max-plus"
 
 NEG_INF = float("-inf")
+
+
+def _is_neg_inf(a):
+    return a == NEG_INF
 
 
 @dataclass(frozen=True)
@@ -41,9 +47,11 @@ class Semiring:
     domain: str = TIMES
     exact: bool = True
     tol: float = 1e-9
-    # the constants are built once; they take no part in ==, hash or repr
+    # the constants and the zero test are built once; they take no part in
+    # ==, hash or repr
     zero: object = field(init=False, compare=False, repr=False)
     one: object = field(init=False, compare=False, repr=False)
+    is_zero: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain not in (TIMES, PLUS):
@@ -51,11 +59,16 @@ class Semiring:
         if self.domain == TIMES:
             zero = Fraction(0) if self.exact else 0.0
             one = Fraction(1) if self.exact else 1.0
+            # `not a` equals `a == 0` for every Fraction and float,
+            # -0.0 and nan included, without Fraction.__eq__'s type checks
+            is_zero = operator.not_
         else:
             zero = NEG_INF
             one = Fraction(0) if self.exact else 0.0
+            is_zero = _is_neg_inf
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "one", one)
+        object.__setattr__(self, "is_zero", is_zero)
 
     @property
     def mode_name(self):
@@ -107,9 +120,6 @@ class Semiring:
         return self.coerce(abs(v))
 
     # -- semiring operations -----------------------------------------------
-
-    def is_zero(self, a):
-        return a == self.zero
 
     def add(self, a, b):
         """Semiring addition, i.e. max."""
@@ -354,10 +364,26 @@ def gmean_value(sr, pair):
 
 
 def gmean_float(sr, pair):
-    """Float approximation of a mean pair, for reports."""
+    """Float approximation of a mean pair, for reports.
+
+    An exact max-times weight outside the normal float range goes through
+    its integer logarithms, so only a mean that is itself outside the
+    float range is refused, with ModeError.
+    """
     w, l = pair
     if sr.is_zero(w):
         return sr.to_float(sr.zero)
-    if sr.domain == TIMES:
+    if sr.domain != TIMES:
+        return float(w) / l
+    if not sr.exact or sys.float_info.min <= w <= sys.float_info.max:
         return math.exp(math.log(w) / l)
-    return float(w) / l
+    p, q = log_terms(w)
+    try:
+        value = math.exp((p - q) / l)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ModeError(
+            f"the mean of a cycle of length {l} lies outside the float range"
+        )
+    return value

@@ -3,16 +3,14 @@
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
 per criterion. Everything runs in exact rational arithmetic against the
 brute-force oracles in helpers.py. Measurements that are reported rather
-than asserted (onset conjectures) are printed and appended to
-``tests/acceptance_metrics.txt``.
+than asserted (onset conjectures) are printed and written to
+``tests/acceptance_metrics.txt``, one line per criterion.
 """
 
 import math
 import random
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 from maxalg import (
     EXACT_TIMES,
@@ -83,16 +81,22 @@ from helpers import (
 METRICS_PATH = Path(__file__).with_name("acceptance_metrics.txt")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_metrics():
-    METRICS_PATH.write_text("")
-    yield
+def _criterion(line):
+    return int(line.split(":", 1)[0].removeprefix("criterion "))
 
 
 def _record(line):
+    """Put the line in place of its criterion's line in the metrics file.
+
+    Lines of criteria that did not run (a ``-k`` selection) are kept.
+    """
     print(line)
-    with METRICS_PATH.open("a") as fh:
-        fh.write(line + "\n")
+    key = _criterion(line)
+    old = METRICS_PATH.read_text() if METRICS_PATH.exists() else ""
+    kept = [x for x in old.splitlines() if _criterion(x) != key]
+    METRICS_PATH.write_text(
+        "".join(f"{x}\n" for x in sorted(kept + [line], key=_criterion))
+    )
 
 
 def _criterion_seven_corpus():

@@ -130,23 +130,29 @@ def _count_analyses(monkeypatch):
     return calls
 
 
-ONE_ANALYSIS_CASES = [
-    c
-    for c in GOLDEN_CASES
-    if c[0] in ("info", "info_irrational", "eigen", "scale_eig", "csr")
-]
+# one analysis per matrix a command analyses: commute reads two and
+# builds a third, the cone matrix of the common eigenvector
+ANALYSIS_COUNTS = {
+    "info": 1,
+    "info_irrational": 1,
+    "eigen": 1,
+    "scale_eig": 1,
+    "csr": 1,
+    "commute": 3,
+}
+ANALYSIS_COUNT_CASES = [c for c in GOLDEN_CASES if c[0] in ANALYSIS_COUNTS]
 
 
 @pytest.mark.parametrize(
     "name,argv,want_code",
-    ONE_ANALYSIS_CASES,
-    ids=[c[0] for c in ONE_ANALYSIS_CASES],
+    ANALYSIS_COUNT_CASES,
+    ids=[c[0] for c in ANALYSIS_COUNT_CASES],
 )
 def test_one_spectral_analysis_per_command(monkeypatch, name, argv, want_code):
     calls = _count_analyses(monkeypatch)
     _report, code = _run(argv)
     assert code == want_code
-    assert len(calls) == 1
+    assert len(calls) == ANALYSIS_COUNTS[name]
 
 
 def test_nachtigall_one_spectral_analysis_per_round(monkeypatch):
@@ -297,6 +303,19 @@ def test_mean_below_float_range_is_a_mode_refusal(tmp_path, command):
     assert "overflows the float range" in report["results"]["error"]
     _report, code = run_command(["info", str(path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["info", "star", "eigen"])
+def test_float_overflow_at_parse_is_a_mode_refusal(tmp_path, command):
+    # 1e400 has no float value: a typed refusal naming the token's
+    # position (exit 3), never an OverflowError traceback (exit 1)
+    path = tmp_path / "huge.mx"
+    path.write_text("maxtimes 2 float\n1 1e400\n1 1\n")
+    report, code = run_command([command, str(path)])
+    assert code == 3
+    assert report["results"]["error"].startswith(f"{path}:2:3: '1e400'")
+    _report, code = run_command([command, str(path), "--exact"])
+    assert code in (0, 1)
 
 
 def test_mode_override_flags():

@@ -30,6 +30,8 @@ from maxalg import (
     semiring_convert,
 )
 
+from maxalg.commuting import common_saturation_pair
+
 from helpers import fmat, polynomial_pair, unit_lambda_irreducible
 
 
@@ -223,6 +225,24 @@ def test_polynomial_pairs_pipeline():
         c1, c2 = commuting_cycle_witness(pair)
         _check_cycle(c1, pair.g1, scc(pair.g2).nontrivial_nodes())
         _check_cycle(c2, pair.g2, scc(pair.g1).nontrivial_nodes())
+
+
+def test_common_saturation_pair_matches_the_two_steps():
+    rng = random.Random(733)
+    cases = []
+    for _ in range(12):
+        p, q, _base = polynomial_pair(rng, rng.randint(2, 5))
+        pf, qf = (semiring_convert(m, FLOAT_TIMES) for m in (p, q))
+        cases += [(p, q), (pf, qf)]
+    eye = MaxMatrix.identity(3, EXACT_TIMES)
+    b = fmat([[1, 2, 0], [0, 1, 2], [Fraction(1, 4), 0, 1]])
+    cases += [(eye, b), (b, eye), (eye, eye)]
+    for a, b in cases:
+        ce = common_eigenvector(a, b)
+        assert common_saturation_pair(a, b) == (
+            ce,
+            boolean_saturation_pair(a, b, ce.x),
+        )
 
 
 def test_scc_of_critical_equals_scc_of_saturation():

@@ -96,6 +96,109 @@ def test_mat_power_matches_walk_oracle():
         assert grids_equal(walk_table_brute(a, t), mat_power(a, t))
 
 
+# -- differential test of the integer-lifted exact max-times product --------
+
+
+def _reference_otimes(a_rows, b_rows):
+    """Plain triple-loop max-times product on Fractions."""
+    out = []
+    for row in a_rows:
+        out_row = []
+        for j in range(len(b_rows[0])):
+            acc = Fraction(0)
+            for k, x in enumerate(row):
+                acc = max(acc, x * b_rows[k][j])
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _mixed_entry(rng):
+    """Zero, or p/q with q from small, power-of-two, prime and wide ranges."""
+    if rng.random() < 0.3:
+        return Fraction(0)
+    den = rng.choice(
+        [1, rng.randint(1, 9), 2 ** rng.randint(0, 40), 65521, 999983,
+         rng.randint(1, 10**12)]
+    )
+    return Fraction(rng.randint(0, 10**6), den)
+
+
+def _mixed(rng, nrows, ncols):
+    return [[_mixed_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _assert_matches(got, want_rows):
+    assert [list(r) for r in got.rows] == want_rows
+    assert all(type(v) is Fraction for r in got.rows for v in r)
+
+
+def test_lifted_otimes_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for n in (1, 2, 3, 5, 8, 13, 21, 40):
+        a, b = _mixed(rng, n, n), _mixed(rng, n, n)
+        _assert_matches(otimes(fmat(a), fmat(b)), _reference_otimes(a, b))
+        # zero rows and zero columns
+        a[rng.randrange(n)] = [Fraction(0)] * n
+        zero_col = rng.randrange(n)
+        for row in b:
+            row[zero_col] = Fraction(0)
+        _assert_matches(otimes(fmat(a), fmat(b)), _reference_otimes(a, b))
+    a = _mixed(rng, 6, 6)
+    zeros = [[Fraction(0)] * 6 for _ in range(6)]
+    _assert_matches(otimes(fmat(a), fmat(zeros)), zeros)
+    _assert_matches(otimes(fmat(zeros), fmat(a)), zeros)
+
+
+def test_lifted_otimes_rectangular_and_vector():
+    rng = random.Random(7)
+    for n, k in ((7, 1), (9, 3), (12, 5), (3, 12)):
+        a, basis = _mixed(rng, n, n), _mixed(rng, n, k)
+        _assert_matches(
+            otimes(fmat(a), fmat(basis)), _reference_otimes(a, basis)
+        )
+        _assert_matches(
+            otimes(fmat(basis).transpose(), fmat(a)),
+            _reference_otimes([list(c) for c in zip(*basis)], a),
+        )
+        x = [_mixed_entry(rng) for _ in range(n)]
+        got = otimes(fmat(a), fvec(x))
+        assert list(got.entries) == [
+            r[0] for r in _reference_otimes(a, [[v] for v in x])
+        ]
+        assert all(type(v) is Fraction for v in got.entries)
+    assert otimes(fmat(a), fvec([0] * n)).entries == (Fraction(0),) * n
+
+
+def test_lifted_mat_power_matches_fraction_reference():
+    rng = random.Random(11)
+    for n, t in ((4, 9), (10, 6), (25, 3)):
+        a = _mixed(rng, n, n)
+        want = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for _ in range(t):
+            want = _reference_otimes(want, a)
+        _assert_matches(mat_power(fmat(a), t), want)
+
+
+def test_lifted_otimes_pairwise_coprime_denominators():
+    # every entry has its own prime denominator near 2^17, so one lcm
+    # over the whole matrix would be a product of 900 primes
+    primes = [
+        p
+        for p in range(131101, 150000)
+        if all(p % d for d in range(2, int(p**0.5) + 1))
+    ]
+    rng = random.Random(3)
+    dens = iter(primes[:900])
+    a = [
+        [Fraction(rng.randint(1, 2**17), next(dens)) for _ in range(30)]
+        for _ in range(30)
+    ]
+    square = _reference_otimes(a, a)
+    _assert_matches(otimes(fmat(a), fmat(a)), square)
+    _assert_matches(mat_power(fmat(a), 4), _reference_otimes(square, square))
+
+
 def test_power_in_additive_domain():
     a = MaxMatrix([[0, "-inf"], [Fraction(3, 2), 0]], EXACT_PLUS)
     sq = otimes(a, a)

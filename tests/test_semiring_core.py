@@ -13,6 +13,7 @@ from maxalg import (
     FLOAT_TIMES,
     NEG_INF,
     ExactnessError,
+    MaxMatrix,
     ModeError,
     Semiring,
     gmean_cmp,
@@ -20,6 +21,7 @@ from maxalg import (
     gmean_eq,
     gmean_float,
     gmean_value,
+    max_cycle_gmean,
 )
 
 ALL_MODES = (EXACT_TIMES, FLOAT_TIMES, EXACT_PLUS, FLOAT_PLUS)
@@ -184,6 +186,32 @@ def test_gmean_value_rational_and_irrational():
     assert math.isclose(
         gmean_value(FLOAT_TIMES, (6.0, 2)), math.sqrt(6.0)
     )
+
+
+def test_gmean_float_of_weights_outside_the_float_range():
+    # the weights underflow or overflow a float, their means do not
+    tiny = MaxMatrix([[0, Fraction(1, 10**300)], [Fraction(1, 10**300), 0]])
+    assert math.isclose(max_cycle_gmean(tiny).float_value(), 1e-300)
+    huge = MaxMatrix([[0, Fraction(10**300)], [Fraction(10**300, 3), 0]])
+    assert math.isclose(
+        max_cycle_gmean(huge).float_value(), 1e300 / math.sqrt(3)
+    )
+    # a mean outside the float range is a typed refusal
+    for w in (Fraction(1, 10**700), Fraction(10**700, 3)):
+        with pytest.raises(ModeError):
+            gmean_float(EXACT_TIMES, (w, 2))
+
+
+def test_is_zero_matches_equality_with_zero():
+    values = {
+        EXACT_TIMES: [Fraction(0), Fraction(1, 10**400), Fraction(3, 7), 0],
+        FLOAT_TIMES: [0.0, -0.0, 5e-324, 1.0, math.nan],
+        EXACT_PLUS: [NEG_INF, Fraction(0), Fraction(-10**400)],
+        FLOAT_PLUS: [NEG_INF, 0.0, -1e308, math.nan],
+    }
+    for sr, vs in values.items():
+        for v in vs:
+            assert sr.is_zero(v) == (v == sr.zero), (sr, v)
 
 
 def test_gmean_value_large_exact_roots():
