@@ -237,12 +237,19 @@ def _parse_token(tok, sr, path, lineno, col, allow_negative):
     if sr.exact:
         return value
     try:
-        return float(value)
+        result = float(value)
     except OverflowError:
         raise ModeError(
             f"{path}:{lineno}:{col}: {tok!r} overflows the float range; "
             "use exact mode"
         ) from None
+    if sr.domain == TIMES and value and not result:
+        # in max-times 0.0 is the semiring zero: the edge would be lost
+        raise ModeError(
+            f"{path}:{lineno}:{col}: {tok!r} underflows the float range; "
+            "use exact mode"
+        )
+    return result
 
 
 def serialize_matrix(a):

@@ -352,9 +352,10 @@ def closure_rows(rows, ops):
 
     ``ops`` supplies ``add``, ``mul`` and ``is_zero``: a Semiring, or any
     scalar representation with the same three operations (the spectral
-    layer passes symbolic multiples of an irrational mean). Zero factors
-    are skipped on both sides: in float max-times an overflowed inf times
-    zero is nan, which would overwrite the real path weights.
+    layer passes exact rationals as unreduced int pairs, and symbolic
+    multiples of an irrational mean). Zero factors are skipped on both
+    sides: in float max-times an overflowed inf times zero is nan, which
+    would overwrite the real path weights.
     """
     add, mul, is_zero = ops.add, ops.mul, ops.is_zero
     d = [list(row) for row in rows]

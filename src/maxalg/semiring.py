@@ -366,15 +366,25 @@ def gmean_value(sr, pair):
 def gmean_float(sr, pair):
     """Float approximation of a mean pair, for reports.
 
-    An exact max-times weight outside the normal float range goes through
-    its integer logarithms, so only a mean that is itself outside the
-    float range is refused, with ModeError.
+    An exact weight outside the normal float range is not converted on its
+    own: a max-times weight goes through its integer logarithms, and a
+    max-plus weight is divided by the length before the conversion. Only
+    a mean that is itself outside the float range is refused, with
+    ModeError.
     """
     w, l = pair
     if sr.is_zero(w):
         return sr.to_float(sr.zero)
     if sr.domain != TIMES:
-        return float(w) / l
+        if not sr.exact:
+            return float(w) / l
+        try:
+            return float(Fraction(w) / l)
+        except OverflowError:
+            raise ModeError(
+                f"the mean of a cycle of length {l} lies outside the float "
+                "range"
+            ) from None
     if not sr.exact or sys.float_info.min <= w <= sys.float_info.max:
         return math.exp(math.log(w) / l)
     p, q = log_terms(w)

@@ -12,7 +12,9 @@ cannot decide, so the critical graph itself stays exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .digraph import (
     Digraph,
@@ -39,6 +41,7 @@ from .matrix import (
     otimes,
 )
 from .semiring import (
+    TIMES,
     filtered_sign,
     gmean_cmp,
     gmean_eq,
@@ -100,19 +103,77 @@ class CriticalGraph:
     graph: Digraph
 
 
-def _karp_best_pair(a, comp):
-    """Best cycle-mean pair inside one nontrivial component, via Karp."""
-    sr = a.semiring
+class _Ratios:
+    """Positive rationals as unreduced (numerator, denominator) int pairs.
+
+    The scalars of exact max-times inside the spectral loops. None is the
+    zero. ``mul`` multiplies the ints and never takes a gcd, ``add`` and
+    ``eq`` cross-multiply; ``div`` gives a quotient as a canonical
+    Fraction, which is all that leaves Karp's table. On an exact tie
+    ``add`` keeps the operand with the smaller denominator, so a walk that
+    absorbs a cycle of weight one does not grow its ints.
+    """
+
+    zero = None
+    one = (1, 1)
+    is_zero = staticmethod(operator.not_)
+
+    @staticmethod
+    def lift_rows(rows):
+        return [
+            [(v.numerator, v.denominator) if v else None for v in row]
+            for row in rows
+        ]
+
+    @staticmethod
+    def value(x):
+        """The canonical Fraction of x."""
+        return Fraction(x[0], x[1]) if x else Fraction(0)
+
+    @staticmethod
+    def add(x, y):
+        if x is None:
+            return y
+        if y is None:
+            return x
+        lhs, rhs = x[0] * y[1], y[0] * x[1]
+        if lhs != rhs:
+            return x if lhs > rhs else y
+        return x if x[1] <= y[1] else y
+
+    @staticmethod
+    def mul(x, y):
+        if x is None or y is None:
+            return None
+        return (x[0] * y[0], x[1] * y[1])
+
+    @staticmethod
+    def eq(x, y):
+        return x[0] * y[1] == y[0] * x[1]
+
+    @staticmethod
+    def div(x, y):
+        return Fraction(x[0] * y[1], x[1] * y[0])
+
+
+def _karp_best_pair(sr, ops, rows, comp):
+    """Best cycle-mean pair inside one nontrivial component, via Karp.
+
+    ``rows`` holds the matrix in the representation of ``ops`` (the
+    semiring, or _Ratios in exact max-times); only the final quotients
+    are semiring scalars, compared by gmean_cmp.
+    """
     m = len(comp)
     index = {v: t for t, v in enumerate(comp)}
     in_edges = [[] for _ in comp]
+    is_zero, add, mul = ops.is_zero, ops.add, ops.mul
     for u in comp:
-        for t, w in enumerate(a.rows[u]):
-            if t in index and not sr.is_zero(w):
+        for t, w in enumerate(rows[u]):
+            if t in index and not is_zero(w):
                 in_edges[index[t]].append((index[u], w))
-    zero = sr.zero
+    zero = ops.zero
     d = [zero] * m
-    d[0] = sr.one
+    d[0] = ops.one
     table = [d]
     for _ in range(m):
         prev = table[-1]
@@ -120,20 +181,20 @@ def _karp_best_pair(a, comp):
         for v in range(m):
             acc = zero
             for u, w in in_edges[v]:
-                if not sr.is_zero(prev[u]):
-                    acc = sr.add(acc, sr.mul(prev[u], w))
+                if not is_zero(prev[u]):
+                    acc = add(acc, mul(prev[u], w))
             nxt.append(acc)
         table.append(nxt)
     best = None
     last = table[m]
     for v in range(m):
-        if sr.is_zero(last[v]):
+        if is_zero(last[v]):
             continue
         inner = None
         for k in range(m):
-            if sr.is_zero(table[k][v]):
+            if is_zero(table[k][v]):
                 continue
-            pair = (sr.div(last[v], table[k][v]), m - k)
+            pair = (ops.div(last[v], table[k][v]), m - k)
             if inner is None or gmean_cmp(sr, pair, inner) < 0:
                 inner = pair
         if inner is not None and (best is None or gmean_cmp(sr, inner, best) > 0):
@@ -142,14 +203,19 @@ def _karp_best_pair(a, comp):
 
 
 class _Symbolic:
-    """Scalars (q, m, f) meaning q * lam^(-m) for an irrational lam = w0^(1/l0).
+    """Scalars (p, r, m, f) meaning (p/r) lam^(-m), lam = w0^(1/l0) irrational.
 
-    q is the product of m entries of the matrix and f a float estimate of
-    ln q - m ln lam: each entry's term ln p - ln r - ln lam (entry p/r) is
-    estimated once, and mul adds the estimates. None is the zero. Values
-    compare through filtered_sign, and by exact cross powers only when the
-    estimates cannot decide, so Floyd-Warshall and the critical-edge test
-    run on them exactly. ``rows`` is the matrix in this representation.
+    p/r is the product of m entries of the matrix, kept as an unreduced
+    int pair: mul multiplies the ints without a gcd. f is a float estimate
+    of ln(p/r) - m ln lam: each entry's term ln p - ln r - ln lam is
+    estimated once, from the entry's reduced fraction, and mul adds the
+    estimates. None is the zero. Values compare through filtered_sign, and
+    by exact cross powers only when the estimates cannot decide, so
+    Floyd-Warshall and the critical-edge test run on them exactly. On an
+    exact tie add keeps the value of the shorter path: at an irrational
+    mean many cycles can tie, and a closure that let its paths absorb them
+    would double their length, and the size of every later fallback, in
+    each pass. ``rows`` is the matrix in this representation.
 
     Error bound: comparing x and y, with k = m_x + m_y, sums k entry
     terms. Each reads the two logs of its entry, which sum to at most G
@@ -158,12 +224,16 @@ class _Symbolic:
     k (G + 2 + (G0 + 2)/l0) in filtered_sign's terms. A log passes at most
     3 roundings to become its term (for w0's: difference, division by l0,
     subtraction from the entry's), at most m - 1 in the products and one
-    in the final difference, so depth <= k + 3.
+    in the final difference, so depth <= k + 3. The estimate reads only
+    the entries' logs and m, never the ints p and r (which the unreduced
+    products leave with common factors), so the bound does not depend on
+    how p/r is stored.
     """
 
     def __init__(self, sr, lam_pair, rows):
         self.w0, self.l0 = lam_pair
-        self.one = (sr.one, 0, 0.0)
+        self.p0, self.r0 = self.w0.numerator, self.w0.denominator
+        self.one = (1, 1, 0, 0.0)
         p0, r0 = log_terms(self.w0)
         ln_lam = (p0 - r0) / self.l0
         widest = 0.0
@@ -176,7 +246,7 @@ class _Symbolic:
                     continue
                 p, r = log_terms(v)
                 widest = max(widest, p + r)
-                out.append((v, 1, (p - r) - ln_lam))
+                out.append((v.numerator, v.denominator, 1, (p - r) - ln_lam))
             lifted.append(out)
         self.rows = lifted
         self.unit = widest + 2.0 + (p0 + r0 + 2.0) / self.l0
@@ -186,14 +256,22 @@ class _Symbolic:
 
     def cmp(self, x, y):
         """Three-way compare of two nonzero values."""
-        k = x[1] + y[1]
-        sign = filtered_sign(x[2] - y[2], k * self.unit, k + 3)
+        k = x[2] + y[2]
+        sign = filtered_sign(x[3] - y[3], k * self.unit, k + 3)
         return sign or self._cross_cmp(x, y)
 
     def _cross_cmp(self, x, y):
-        w0, l0 = self.w0, self.l0
-        lhs = x[0] ** l0 * w0 ** y[1]
-        rhs = y[0] ** l0 * w0 ** x[1]
+        """Sign of q_x^l0 w0^(m_y) - q_y^l0 w0^(m_x), in ints."""
+        l0 = self.l0
+        lhs = (x[0] * y[1]) ** l0
+        rhs = (y[0] * x[1]) ** l0
+        d = y[2] - x[2]
+        if d > 0:
+            lhs *= self.p0 ** d
+            rhs *= self.r0 ** d
+        elif d < 0:
+            lhs *= self.r0 ** -d
+            rhs *= self.p0 ** -d
         return (lhs > rhs) - (lhs < rhs)
 
     def add(self, x, y):
@@ -201,12 +279,15 @@ class _Symbolic:
             return y
         if y is None:
             return x
-        return x if self.cmp(x, y) > 0 else y
+        sign = self.cmp(x, y)
+        if sign:
+            return x if sign > 0 else y
+        return x if x[2] <= y[2] else y
 
     def mul(self, x, y):
         if x is None or y is None:
             return None
-        return (x[0] * y[0], x[1] + y[1], x[2] + y[2])
+        return (x[0] * y[0], x[1] * y[1], x[2] + y[2], x[3] + y[3])
 
     def eq(self, x, y):
         return self.cmp(x, y) == 0
@@ -374,15 +455,19 @@ def spectral_analysis(a):
     star. When the mean is irrational in exact max-times mode the
     normalization is carried symbolically, so the critical graph stays
     exact while lam, tilde and star are None. The witness is a cycle of
-    the first critical component.
+    the first critical component. In exact max-times the table and the
+    closures run on _Ratios or _Symbolic int pairs.
     """
     sr = a.semiring
+    fraction_free = sr.exact and sr.domain == TIMES
+    ops = _Ratios if fraction_free else sr
+    rows = _Ratios.lift_rows(a.rows) if fraction_free else a.rows
     dec = scc(digraph_of(a))
     best = None
     for comp, triv in zip(dec.components, dec.trivial):
         if triv:
             continue
-        pair = _karp_best_pair(a, comp)
+        pair = _karp_best_pair(sr, ops, rows, comp)
         if pair is not None and (best is None or gmean_cmp(sr, pair, best) > 0):
             best = pair
     if best is None:
@@ -394,8 +479,8 @@ def spectral_analysis(a):
         ops = _Symbolic(sr, best, a.rows)
         rows = ops.rows
     else:
-        ops = sr
-        rows = _divided_rows(a, lam)
+        tilde = _divided_rows(a, lam)
+        rows = _Ratios.lift_rows(tilde) if fraction_free else tilde
     closure = closure_rows(rows, ops)
     critical = _critical_graph(a, _critical_edges(rows, closure, ops))
     if not critical.components:
@@ -408,19 +493,21 @@ def spectral_analysis(a):
     mean = CycleMean(witness.weight, witness.length, witness, sr)
     if lam is None:
         return SpectralAnalysis(dec, mean, None, None, None, critical)
-    if mean.exact_value() != lam:
+    if fraction_free:
+        closure = [[_Ratios.value(x) for x in row] for row in closure]
+    elif mean.exact_value() != lam:
         # Float rounding: Karp's pair and the witness can round to
         # different scalars; the reported mean is the witness's.
         lam = mean.exact_value()
-        rows = _divided_rows(a, lam)
-        closure = closure_rows(rows, sr)
+        tilde = _divided_rows(a, lam)
+        closure = closure_rows(tilde, sr)
     for i in range(a.n):
         closure[i][i] = sr.add(closure[i][i], sr.one)
     return SpectralAnalysis(
         dec,
         mean,
         lam,
-        MaxMatrix._raw(rows, sr),
+        MaxMatrix._raw(tilde, sr),
         MaxMatrix._raw(closure, sr),
         critical,
     )

@@ -156,6 +156,42 @@ def critical_edges_brute(a):
     return out
 
 
+def symbolic_critical_edges(rows, pair):
+    """Critical edges of a grid for its mean lam = w0^(1/l0), in order.
+
+    A plain Floyd-Warshall on values (q, m) meaning q lam^(-m), compared
+    by cross powers: x < y iff q_x^l0 w0^(m_y) < q_y^l0 w0^(m_x). An edge
+    is critical when it times the best path back is lam^0.
+    """
+    w0, l0 = pair
+    n = len(rows)
+
+    def less(x, y):
+        return x[0] ** l0 * w0 ** y[1] < y[0] ** l0 * w0 ** x[1]
+
+    d = [[(v, 1) if v else None for v in row] for row in rows]
+    for k in range(n):
+        for i in range(n):
+            if d[i][k] is None:
+                continue
+            for j in range(n):
+                if d[k][j] is None:
+                    continue
+                via = (d[i][k][0] * d[k][j][0], d[i][k][1] + d[k][j][1])
+                if d[i][j] is None or less(d[i][j], via):
+                    d[i][j] = via
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            v = rows[i][j]
+            back = (Fraction(1), 0) if i == j else d[j][i]
+            if v and back is not None:
+                q, m = v * back[0], 1 + back[1]
+                if q**l0 == w0**m:
+                    edges.append((i, j))
+    return edges
+
+
 def hadamard_condition_one_brute(rows):
     """Check every cyclic index sequence against the diagonal moduli.
 

@@ -318,6 +318,23 @@ def test_float_overflow_at_parse_is_a_mode_refusal(tmp_path, command):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("command", ["info", "star", "eigen"])
+def test_float_underflow_at_parse_is_a_mode_refusal(tmp_path, command):
+    # 1e-400 rounds to 0.0, the max-times zero: refused with the token's
+    # position (exit 3) rather than read as a missing edge
+    path = tmp_path / "tiny.mx"
+    path.write_text("maxtimes 2 float\n1 1e-400\n1 1\n")
+    report, code = run_command([command, str(path)])
+    assert code == 3
+    assert report["results"]["error"].startswith(f"{path}:2:3: '1e-400'")
+    assert "underflows the float range" in report["results"]["error"]
+    report, code = run_command([command, str(path), "--exact"])
+    assert code == 0
+    if command == "info":
+        assert report["results"]["nonzero_entries"] == 4
+        assert report["results"]["irreducible"] is True
+
+
 def test_mode_override_flags():
     report, code = _run(["info", "data/two_cycle.mx", "--float"])
     assert code == 0

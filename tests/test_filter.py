@@ -14,7 +14,7 @@ import maxalg.semiring as semiring
 import maxalg.spectral as spectral
 from maxalg import EXACT_TIMES, gmean_cmp, spectral_analysis
 
-from helpers import fmat, random_irreducible
+from helpers import fmat, random_irreducible, symbolic_critical_edges
 
 # weights whose logs agree with 1, or with each other, to the last bit
 NEAR_ONE = [
@@ -93,14 +93,25 @@ def symbolic_case(draw):
     return ops, x, y
 
 
+def symbolic_value(x):
+    """(q, m) of a _Symbolic value (p, r, m, f), meaning (p/r) lam^(-m)."""
+    p, r, m, _estimate = x
+    return Fraction(p, r), m
+
+
 @settings(max_examples=200, deadline=None)
 @given(symbolic_case())
 def test_symbolic_add_and_eq_match_plain_cross_powers(case):
     ops, x, y = case
     w0, l0 = ops.w0, ops.l0
-    lhs = x[0] ** l0 * w0 ** y[1]
-    rhs = y[0] ** l0 * w0 ** x[1]
-    assert ops.add(x, y) is (y if lhs <= rhs else x)
+    (qx, mx), (qy, my) = symbolic_value(x), symbolic_value(y)
+    lhs = qx**l0 * w0**my
+    rhs = qy**l0 * w0**mx
+    if lhs == rhs:  # a tie keeps the shorter path, x on equal lengths
+        want = x if mx <= my else y
+    else:
+        want = x if lhs > rhs else y
+    assert ops.add(x, y) is want
     assert ops.eq(x, y) == (lhs == rhs)
     assert ops.cmp(x, y) == plain_sign(lhs, rhs)
 
@@ -111,39 +122,6 @@ def _loop_free_irreducible(rng, n):
         [[0 if i == j else v for j, v in enumerate(row)]
          for i, row in enumerate(a.rows)]
     )
-
-
-def _reference_critical_edges(a, pair):
-    """Critical edges by a plain (q, m) Floyd-Warshall with cross powers."""
-    w0, l0 = pair
-    n = a.n
-
-    def le(x, y):
-        return x[0] ** l0 * w0 ** y[1] <= y[0] ** l0 * w0 ** x[1]
-
-    d = [[(v, 1) if v else None for v in row] for row in a.rows]
-    for k in range(n):
-        for i in range(n):
-            if d[i][k] is None:
-                continue
-            for j in range(n):
-                if d[k][j] is None:
-                    continue
-                via = (d[i][k][0] * d[k][j][0], d[i][k][1] + d[k][j][1])
-                if d[i][j] is None or le(d[i][j], via):
-                    d[i][j] = via
-    edges = []
-    for i, row in enumerate(a.rows):
-        for j, v in enumerate(row):
-            if i == j and v:
-                q, m = v, 1
-            elif v and d[j][i] is not None:
-                q, m = v * d[j][i][0], 1 + d[j][i][1]
-            else:
-                continue
-            if q**l0 == w0**m:  # q * lam^(-m) == 1
-                edges.append((i, j))
-    return tuple(edges)
 
 
 def test_filtered_analysis_matches_unfiltered_reference(monkeypatch):
@@ -162,8 +140,8 @@ def test_filtered_analysis_matches_unfiltered_reference(monkeypatch):
         assert got.critical.cyclicity == want.critical.cyclicity
         if got.lam is None:
             irrational += 1
-            assert got.critical.edges == _reference_critical_edges(
-                a, got.mean.pair()
+            assert got.critical.edges == tuple(
+                symbolic_critical_edges(a.rows, got.mean.pair())
             )
     assert irrational >= 4
 

@@ -202,6 +202,17 @@ def test_gmean_float_of_weights_outside_the_float_range():
             gmean_float(EXACT_TIMES, (w, 2))
 
 
+def test_gmean_float_max_plus_divides_before_converting():
+    # the weight 3e308 overflows a float, the mean 1.5e308 does not
+    big = MaxMatrix([["-inf", 3 * 10**308], [0, "-inf"]], EXACT_PLUS)
+    assert max_cycle_gmean(big).float_value() == 1.5e308
+    assert gmean_float(EXACT_PLUS, (Fraction(-3 * 10**308), 2)) == -1.5e308
+    # a mean outside the float range is a typed refusal
+    for w in (Fraction(5 * 10**308), Fraction(-5 * 10**308)):
+        with pytest.raises(ModeError):
+            gmean_float(EXACT_PLUS, (w, 2))
+
+
 def test_is_zero_matches_equality_with_zero():
     values = {
         EXACT_TIMES: [Fraction(0), Fraction(1, 10**400), Fraction(3, 7), 0],

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import maxalg.spectral as spectral
 from maxalg import (
     EXACT_TIMES,
     FLOAT_TIMES,
@@ -30,6 +31,7 @@ from helpers import (
     random_matrix,
     unit_lambda_irreducible,
 )
+from maxalg.matrix import closure_rows
 
 
 def test_max_cycle_gmean_hand_values():
@@ -282,3 +284,50 @@ def test_float_mode_agrees_with_exact_on_rational_instances():
         assert math.isclose(got, want, rel_tol=1e-9)
         xf = principal_eigenvector(f)
         assert is_eigenvector(f, xf, max_cycle_gmean(f).float_value())
+
+
+def _all_cycles_critical(k):
+    """K_{k,k}: weight 2 from each node of one half to each of the other,
+    and 1 back. Every cycle alternates halves, so every cycle is critical
+    at the irrational mean sqrt 2."""
+    n = 2 * k
+    rows = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(k, n):
+            rows[i][j], rows[j][i] = 2, 1
+    return fmat(rows)
+
+
+def test_symbolic_closure_when_every_cycle_is_critical():
+    # Every closure compare is an exact tie. Keeping the shorter path on a
+    # tie keeps each closure value a walk of at most n edges; letting the
+    # newer operand win doubles the lengths in each pass, and with them
+    # the size of every exact fallback
+    small = _all_cycles_critical(4)
+    ops = spectral._Symbolic(EXACT_TIMES, (Fraction(2), 2), small.rows)
+    closure = closure_rows(ops.rows, ops)
+    # m, the number of entries multiplied, is a value's second-to-last field
+    assert max(x[-2] for row in closure for x in row) <= small.n
+    a = _all_cycles_critical(12)
+    assert max_cycle_gmean(a).pair() == (2, 2)
+    assert len(critical_graph(a).edges) == 288
+
+
+def test_ratio_closure_keeps_the_smaller_denominator_on_ties():
+    # many cycles of mean one, moved by a diagonal similarity: closure
+    # compares tie everywhere, and a walk that absorbed the unit cycles
+    # would multiply its unreduced denominator by theirs in every pass
+    rng = random.Random(13)
+    for n in (6, 10, 15):
+        a = unit_lambda_irreducible(rng, n, extra_cycles=6)
+        scale = [Fraction(rng.randint(1, 30), rng.choice([1, 3, 7, 64, 99]))
+                 for _ in range(n)]
+        rows = spectral._Ratios.lift_rows(
+            [[v * scale[j] / scale[i] for j, v in enumerate(row)]
+             for i, row in enumerate(a.rows)]
+        )
+        widest = max(x[1].bit_length() for row in rows for x in row if x)
+        closure = closure_rows(rows, spectral._Ratios)
+        assert max(x[1].bit_length() for row in closure for x in row if x) <= (
+            n * widest
+        )
