@@ -17,7 +17,9 @@ facts about the matrix, not just theory.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from .errors import (
     CertificationError,
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .matrix import (
     MaxMatrix,
+    is_max_combination,
     kleene_star,
     mat_power,
     oplus,
@@ -79,20 +82,36 @@ def _scan_periodicity(m, budget):
 def _transient_with_growth(m, budget, gamma):
     """Transient of the powers of m, growing the default budget on demand.
 
+    Returns the scan's (transient, period, powers), powers[t] being m^t.
     gamma is the cyclicity of m's critical graph. An explicit budget is a
     hard cap. The default starts at the usual 3n^2 + 2 gamma and doubles a
     few times, because that figure is only the conjectured magnitude of
     the transient, not a proven bound.
     """
     if budget is not None:
-        return _scan_periodicity(m, budget)[0]
+        return _scan_periodicity(m, budget)
     b = 3 * m.n * m.n + 2 * gamma
     for _ in range(7):
         try:
-            return _scan_periodicity(m, b)[0]
+            return _scan_periodicity(m, b)
         except IterationBudgetError:
             b *= 2
-    return _scan_periodicity(m, b)[0]
+    return _scan_periodicity(m, b)
+
+
+def _periodicity_profile(m, mean, gamma, budget):
+    """Scan the powers of the unit-mean m; mean is reported as lam."""
+    if budget is None:
+        budget = 3 * m.n * m.n + 2 * gamma
+    transient, period, powers = _scan_periodicity(m, budget)
+    return PeriodicityProfile(
+        transient=transient,
+        period=period,
+        predicted_period=gamma,
+        lam=mean,
+        powers=tuple(powers[transient : transient + period + 1]),
+        budget=budget,
+    )
 
 
 def transient_and_period(a, budget=None):
@@ -110,17 +129,18 @@ def transient_and_period(a, budget=None):
             "the power sequence repeats only at maximum cycle mean 1; "
             "divide by the mean first (normalize_to_unit)"
         )
-    gamma = an.critical.cyclicity
-    if budget is None:
-        budget = 3 * a.n * a.n + 2 * gamma
-    transient, period, powers = _scan_periodicity(a, budget)
-    return PeriodicityProfile(
-        transient=transient,
-        period=period,
-        predicted_period=gamma,
-        lam=an.mean,
-        powers=tuple(powers[transient : transient + period + 1]),
-        budget=budget,
+    return _periodicity_profile(a, an.mean, an.critical.cyclicity, budget)
+
+
+def normalized_periodicity(a, budget=None):
+    """transient_and_period of a divided by its mean, from one analysis.
+
+    The scan runs on normalize_to_unit(a)'s matrix, whose critical graph
+    is a's; lam is a's own mean, the one divided out.
+    """
+    an = spectral_analysis(a)
+    return _periodicity_profile(
+        an.normalized(), an.mean, an.critical.cyclicity, budget
     )
 
 
@@ -226,34 +246,33 @@ def csr_decompose(a, budget=None):
     C takes the critical columns of the star of tilde^gamma, R the
     critical rows, and S the critical submatrix of tilde restricted to
     critical edges. The window where both sides are provably periodic is
-    checked exhaustively; failure raises CertificationError.
+    checked exhaustively; failure raises CertificationError. Both the
+    window and the downward onset walk read the powers the two
+    periodicity scans already computed.
     """
     an = spectral_analysis(a)
     c, s, r = _csr_parts(an)
     tilde = an.tilde
     gamma = an.critical.cyclicity
     # every edge of s is critical, so s shares tilde's critical cyclicity
-    start = max(
-        _transient_with_growth(tilde, budget, gamma),
-        _transient_with_growth(s, budget, gamma),
-    )
-    lhs = mat_power(tilde, start)
-    s_pow = mat_power(s, start)
+    t_tilde, _p, lhs_pows = _transient_with_growth(tilde, budget, gamma)
+    t_s, _p, s_pows = _transient_with_growth(s, budget, gamma)
+    start = max(t_tilde, t_s)
+    for pows, m in ((lhs_pows, tilde), (s_pows, s)):
+        while len(pows) < start + gamma:
+            pows.append(otimes(pows[-1], m))
     for t in range(start, start + gamma):
-        rhs = otimes(otimes(c, s_pow), r)
-        if not lhs.allclose(rhs):
+        rhs = otimes(otimes(c, s_pows[t]), r)
+        if not lhs_pows[t].allclose(rhs):
             raise CertificationError(
                 f"power {t} of the normalized matrix disagrees with its "
                 "C S^t R factorization inside the certified window"
             )
-        lhs = otimes(lhs, tilde)
-        s_pow = otimes(s_pow, s)
     onset = start
     while onset > 1:
         t = onset - 1
-        lhs = mat_power(tilde, t)
-        rhs = otimes(otimes(c, mat_power(s, t)), r)
-        if not lhs.allclose(rhs):
+        rhs = otimes(otimes(c, s_pows[t]), r)
+        if not lhs_pows[t].allclose(rhs):
             break
         onset = t
     return CsrTriple(
@@ -351,24 +370,15 @@ def nachtigall_expansion(a, horizon=None):
         dropped = set(crit_orig)
         alive = [v for v in alive if v not in dropped]
     combined = math.lcm(*(t.gamma for t in terms)) if terms else 1
+    # agree[t] says whether A^t equals the expansion at t; it grows across
+    # horizon doublings instead of restarting at t = 1
+    agree = [False]
+    ladder = _agreements(a, terms)
 
     def measure(h):
         """Longest all-agreeing tail of the first h powers, as its onset."""
-        power = a
-        s_pows = [mat_power(t.s, 1) for t in terms]
-        coeffs = [t.coefficient for t in terms]
-        agree = [False]
-        for t in range(1, h + 1):
-            if t > 1:
-                power = otimes(power, a)
-                s_pows = [otimes(p, term.s)
-                          for p, term in zip(s_pows, terms)]
-                coeffs = [sr.mul(cf, term.coefficient)
-                          for cf, term in zip(coeffs, terms)]
-            rhs = MaxMatrix.zeros(n, n, semiring=sr)
-            for term, sp, cf in zip(terms, s_pows, coeffs):
-                rhs = oplus(rhs, otimes(otimes(term.c, sp), term.r).scale(cf))
-            agree.append(power.allclose(rhs))
+        while len(agree) <= h:
+            agree.append(next(ladder))
         v = h + 1
         while v > 1 and agree[v - 1]:
             v -= 1
@@ -398,6 +408,42 @@ def nachtigall_expansion(a, horizon=None):
         n=n,
         semiring=sr,
     )
+
+
+def _csr_products(term):
+    """Yield C (x) S^t (x) R of one term for t = 1, 2, ...
+
+    The last gamma powers of S and their products are kept. Once S^t
+    equals S^(t - gamma) entry for entry, every later power repeats with
+    period gamma, and so does the product: from then on the kept products
+    are cycled and neither S nor the product is multiplied again. Float
+    powers that never repeat bit for bit are multiplied at every step.
+    """
+    window = deque(maxlen=term.gamma)
+    for s_pow in accumulate(repeat(term.s), otimes):
+        if len(window) == term.gamma and window[0][0] == s_pow:
+            break
+        prod = otimes(otimes(term.c, s_pow), term.r)
+        window.append((s_pow, prod))
+        yield prod
+    cycle = [prod for _s_pow, prod in window]
+    while True:
+        yield from cycle
+
+
+def _agreements(a, terms):
+    """Yield, for t = 1, 2, ..., whether A^t equals the expansion at t.
+
+    One ladder: A^t, each coefficient^t and each term's products advance
+    by one step per t.
+    """
+    sr = a.semiring
+    columns = [
+        zip(accumulate(repeat(term.coefficient), sr.mul), _csr_products(term))
+        for term in terms
+    ]
+    for power in accumulate(repeat(a), otimes):
+        yield is_max_combination(power, [next(col) for col in columns])
 
 
 def expansion_power(expansion, t):

@@ -26,8 +26,7 @@ from fractions import Fraction
 from .asymptotics import (
     csr_decompose,
     nachtigall_expansion,
-    normalize_to_unit,
-    transient_and_period,
+    normalized_periodicity,
     transient_bound,
 )
 from .balancing import max_balance
@@ -452,13 +451,12 @@ def _cmd_hadamard(args, inputs):
 def _cmd_powers(args, inputs):
     a, warnings = _load_matrix(args.matrix, args, inputs)
     sr = a.semiring
-    tilde, mean = normalize_to_unit(a)
-    profile = transient_and_period(tilde, budget=args.budget)
+    profile = normalized_periodicity(a, budget=args.budget)
     return {
         "transient": profile.transient,
         "period": profile.period,
         "predicted_period": profile.predicted_period,
-        "lambda_pair": _mean_tokens(mean, sr),
+        "lambda_pair": _mean_tokens(profile.lam, sr),
         "budget": profile.budget,
         "first_repeating_power": _mat_tokens(profile.powers[0]),
     }, warnings

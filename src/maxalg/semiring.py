@@ -36,6 +36,26 @@ def _is_neg_inf(a):
     return a == NEG_INF
 
 
+def _to_float(v, underflow):
+    """float(v) for an int or Fraction, refusing a value it would lose.
+
+    Beyond the float range is a ModeError; so, with ``underflow``, is a
+    nonzero value that rounds to 0.0.
+    """
+    try:
+        result = float(v)
+    except OverflowError:
+        raise ModeError(
+            "a value lies beyond the float range; use exact mode"
+        ) from None
+    if underflow and v and not result:
+        raise ModeError(
+            "a nonzero value rounds to 0.0, the max-times zero, in float "
+            "mode; use exact mode"
+        )
+    return result
+
+
 @dataclass(frozen=True)
 class Semiring:
     """A max semiring in a fixed domain and arithmetic mode.
@@ -77,7 +97,12 @@ class Semiring:
     # -- validation --------------------------------------------------------
 
     def coerce(self, v):
-        """Validate and normalize a scalar into this mode's representation."""
+        """Validate and normalize a scalar into this mode's representation.
+
+        In float mode a value that is not already a float must fit the
+        float range, and in max-times a nonzero one must not round to 0.0,
+        the semiring zero; otherwise ModeError, as for MatrixFile tokens.
+        """
         if isinstance(v, str):
             v = NEG_INF if v == "-inf" else Fraction(v)
         if isinstance(v, float) and math.isnan(v):
@@ -94,8 +119,8 @@ class Semiring:
                         "numeric string"
                     )
                 v = Fraction(v)
-            else:
-                v = float(v)
+            elif not isinstance(v, float):
+                v = _to_float(v, underflow=True)
             if v < 0:
                 raise ValueError(f"negative value {v} in max-times domain")
             return v
@@ -109,7 +134,7 @@ class Semiring:
                     "Fraction, or a numeric string"
                 )
             return v
-        return Fraction(v) if self.exact else float(v)
+        return Fraction(v) if self.exact else _to_float(v, underflow=False)
 
     def coerce_abs(self, v):
         """Coerce the modulus of a signed number (for moduli matrices)."""

@@ -3,11 +3,28 @@
 The oracles work straight from definitions (walk tables, elementary cycle
 enumeration over plain Fractions) so the fast library routines have an
 independent reference. Everything here is exact max-times unless stated.
+The power-asymptotics references at the end work in any mode, and
+count_calls counts the library's internal calls of one function.
 """
 
+import math
+import random
+import sys
 from fractions import Fraction
 
-from maxalg import EXACT_TIMES, MaxMatrix, MaxVector
+from maxalg import (
+    EXACT_TIMES,
+    CertificationError,
+    IterationBudgetError,
+    MaxMatrix,
+    MaxVector,
+    critical_graph,
+    kleene_star,
+    mat_power,
+    normalize_to_unit,
+    oplus,
+    otimes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +371,6 @@ def two_level_planted(rng, n):
 
 def max_polynomial(a, coeffs):
     """c_0 I + c_1 A + c_2 A^2 + ... in the max-times sense."""
-    from maxalg import oplus, otimes
-
     sr = a.semiring
     out = MaxMatrix.zeros(a.n, a.n, semiring=sr)
     power = MaxMatrix.identity(a.n, sr)
@@ -398,3 +413,157 @@ def random_signed(rng, n, density=0.75):
         for i in range(n)
     ]
     return rows
+
+
+def unit_mean_corpus():
+    """The shared 300-matrix unit-mean irreducible corpus of criterion 7."""
+    rng = random.Random(20260815)
+    out = []
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        out.append(unit_lambda_irreducible(rng, n))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# plain references for the power asymptotics: every power from scratch,
+# nothing kept between steps or between horizon doublings
+
+
+def scan_reference(m, budget):
+    """(transient, period) of the first repeat among m^1 .. m^budget.
+
+    Each new power is compared with every earlier one; None when no power
+    repeats within the budget.
+    """
+    powers = [None, m]
+    for t in range(2, budget + 1):
+        powers.append(otimes(powers[-1], m))
+        for p in range(1, t):
+            if powers[t].allclose(powers[t - p]):
+                return t - p, p
+    return None
+
+
+def _transient_reference(m, budget, gamma):
+    """Transient of m's powers; the default budget doubles 7 times."""
+    b = 3 * m.n * m.n + 2 * gamma if budget is None else budget
+    for _ in range(1 if budget is not None else 8):
+        found = scan_reference(m, b)
+        if found is not None:
+            return found[0]
+        b *= 2
+    raise IterationBudgetError("no repeat within the budget")
+
+
+def csr_reference(a, budget=None):
+    """(transient, certified_from, gamma) of csr_decompose(a, budget).
+
+    C, S and R are rebuilt from the public functions, and every power in
+    the certified window and in the downward onset walk is a fresh
+    mat_power.
+    """
+    tilde, _mean = normalize_to_unit(a)
+    sr = tilde.semiring
+    cg = critical_graph(a)
+    gamma = cg.cyclicity
+    crit = cg.nodes
+    n = tilde.n
+    star = kleene_star(mat_power(tilde, gamma))
+    c = star.restrict(range(n), crit)
+    r = star.restrict(crit, range(n))
+    pos = {node: k for k, node in enumerate(crit)}
+    s_rows = [[sr.zero] * len(crit) for _ in crit]
+    for i, j, _w in cg.graph.edges:
+        s_rows[pos[i]][pos[j]] = tilde.rows[i][j]
+    s = MaxMatrix(s_rows, sr)
+
+    def agrees(t):
+        rhs = otimes(otimes(c, mat_power(s, t)), r)
+        return mat_power(tilde, t).allclose(rhs)
+
+    start = max(
+        _transient_reference(tilde, budget, gamma),
+        _transient_reference(s, budget, gamma),
+    )
+    for t in range(start, start + gamma):
+        if not agrees(t):
+            raise CertificationError(f"window disagrees at {t}")
+    onset = start
+    while onset > 1 and agrees(onset - 1):
+        onset -= 1
+    return onset, start, gamma
+
+
+def expansion_onset_reference(a, terms, horizon=None):
+    """(validity_start, horizon) of nachtigall_expansion from its terms.
+
+    Each horizon restarts at t = 1, and at every t each term rebuilds
+    C S^t R and the full right-hand side is summed with scale and oplus.
+    """
+    sr = a.semiring
+    n = a.n
+    combined = math.lcm(*(t.gamma for t in terms)) if terms else 1
+
+    def measure(h):
+        power = a
+        s_pows = [t.s for t in terms]
+        coeffs = [t.coefficient for t in terms]
+        agree = [False]
+        for t in range(1, h + 1):
+            if t > 1:
+                power = otimes(power, a)
+                s_pows = [otimes(p, term.s) for p, term in zip(s_pows, terms)]
+                coeffs = [
+                    sr.mul(cf, term.coefficient)
+                    for cf, term in zip(coeffs, terms)
+                ]
+            rhs = MaxMatrix.zeros(n, n, semiring=sr)
+            for term, sp, cf in zip(terms, s_pows, coeffs):
+                prod = otimes(otimes(term.c, sp), term.r)
+                rhs = oplus(rhs, prod.scale(cf))
+            agree.append(power.allclose(rhs))
+        v = h + 1
+        while v > 1 and agree[v - 1]:
+            v -= 1
+        return v
+
+    explicit = horizon is not None
+    h = horizon if explicit else 3 * n * n + 2 * combined
+    for _ in range(1 if explicit else 8):
+        v = measure(h)
+        if v <= h - 2 * combined:
+            return v, h
+        if not explicit:
+            h *= 2
+    return None, h
+
+
+# ---------------------------------------------------------------------------
+# call counting
+
+
+def count_calls(monkeypatch, name):
+    """Route every maxalg module's ``name`` through a counting wrapper.
+
+    Returns the list of argument tuples of the calls made, in order. Every
+    module binding the same function is patched, so calls from inside the
+    library count too.
+    """
+    modules = [
+        mod for key, mod in list(sys.modules.items())
+        if key == "maxalg" or key.startswith("maxalg.")
+    ]
+    original = next(
+        getattr(mod, name) for mod in modules if hasattr(mod, name)
+    )
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -76,6 +76,7 @@ from helpers import (
     star_brute,
     two_level_planted,
     unit_lambda_irreducible,
+    unit_mean_corpus,
 )
 
 METRICS_PATH = Path(__file__).with_name("acceptance_metrics.txt")
@@ -97,16 +98,6 @@ def _record(line):
     METRICS_PATH.write_text(
         "".join(f"{x}\n" for x in sorted(kept + [line], key=_criterion))
     )
-
-
-def _criterion_seven_corpus():
-    """The shared 300-matrix unit-mean irreducible corpus, regenerated."""
-    rng = random.Random(20260815)
-    out = []
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        out.append(unit_lambda_irreducible(rng, n))
-    return out
 
 
 def test_criterion_01_fp_scaling_matches_cycle_oracle():
@@ -338,7 +329,7 @@ def test_criterion_06_hadamard_moduli_decision():
 
 def test_criterion_07_cyclicity_theorem():
     minimal_checked = 0
-    for a in _criterion_seven_corpus():
+    for a in unit_mean_corpus():
         prof = transient_and_period(a, budget=600)
         gamma = critical_graph(a).cyclicity
         assert prof.period == gamma
@@ -359,7 +350,7 @@ def test_criterion_07_cyclicity_theorem():
 
 
 def test_criterion_08_csr_theorem():
-    for a in _criterion_seven_corpus():
+    for a in unit_mean_corpus():
         trip = csr_decompose(a)
         t0, g = trip.transient, trip.gamma
         for t in range(t0, t0 + 3 * g + 1):
@@ -413,7 +404,7 @@ def test_criterion_10_nachtigall_expansion():
         for t in range(exp.validity_start, exp.validity_start + 2 * g1 + 1):
             assert expansion_power(exp, t) == mat_power(a, t)
     computable = skipped = unknown = within = 0
-    for a in _criterion_seven_corpus():
+    for a in unit_mean_corpus():
         n = a.n
         try:
             exp = nachtigall_expansion(a)

@@ -3,7 +3,6 @@
 import json
 import os
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from maxalg.cli import (
 )
 from maxalg.errors import ParseError
 
-from helpers import random_matrix
+from helpers import count_calls, random_matrix
 
 HERE = Path(__file__).parent
 
@@ -111,25 +110,6 @@ def test_golden_reports(name, argv, want_code):
     assert text == path.read_text()
 
 
-def _count_analyses(monkeypatch):
-    """Route every module's spectral_analysis through a counting wrapper."""
-    from maxalg import spectral
-
-    original = spectral.spectral_analysis
-    calls = []
-
-    def counting(a):
-        calls.append(a)
-        return original(a)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("maxalg") and (
-            getattr(mod, "spectral_analysis", None) is original
-        ):
-            monkeypatch.setattr(mod, "spectral_analysis", counting)
-    return calls
-
-
 # one analysis per matrix a command analyses: commute reads two and
 # builds a third, the cone matrix of the common eigenvector
 ANALYSIS_COUNTS = {
@@ -137,6 +117,7 @@ ANALYSIS_COUNTS = {
     "info_irrational": 1,
     "eigen": 1,
     "scale_eig": 1,
+    "powers": 1,
     "csr": 1,
     "commute": 3,
 }
@@ -149,14 +130,14 @@ ANALYSIS_COUNT_CASES = [c for c in GOLDEN_CASES if c[0] in ANALYSIS_COUNTS]
     ids=[c[0] for c in ANALYSIS_COUNT_CASES],
 )
 def test_one_spectral_analysis_per_command(monkeypatch, name, argv, want_code):
-    calls = _count_analyses(monkeypatch)
+    calls = count_calls(monkeypatch, "spectral_analysis")
     _report, code = _run(argv)
     assert code == want_code
     assert len(calls) == ANALYSIS_COUNTS[name]
 
 
 def test_nachtigall_one_spectral_analysis_per_round(monkeypatch):
-    calls = _count_analyses(monkeypatch)
+    calls = count_calls(monkeypatch, "spectral_analysis")
     report, code = _run(["nachtigall", "data/diag_half.mx", "--json"])
     assert code == 0
     assert 1 <= len(calls) <= len(report["results"]["terms"]) + 1

@@ -23,14 +23,17 @@ from maxalg import (
     otimes,
     semiring_convert,
 )
+from maxalg.matrix import closure_rows
 
 from helpers import (
+    cycles_brute,
     fmat,
     fvec,
     grids_equal,
     has_cycle_above_one_brute,
     random_matrix,
     star_brute,
+    unit_lambda_irreducible,
     walk_table_brute,
 )
 
@@ -237,6 +240,16 @@ def test_kleene_star_overflow_is_no_divergence():
     assert star.rows[2] == (0.0, 0.0, 1.0)
 
 
+def test_float_star_divergence_is_found_before_overflow():
+    # pivoting past the heavy loops would square the walks up to inf,
+    # which the tolerant float comparison reads as equal to one, and an
+    # all-inf star would come back
+    a = MaxMatrix([[2.0] * 9 for _ in range(9)], FLOAT_TIMES)
+    with pytest.raises(DivergenceError) as info:
+        kleene_star(a)
+    assert info.value.witness.weight == 2.0
+
+
 def test_divergence_witness_is_a_heavy_cycle():
     a = fmat([[0, 4], [1, 0]])
     with pytest.raises(DivergenceError) as info:
@@ -263,6 +276,33 @@ def test_divergence_witness_is_a_heavy_cycle():
             w *= Fraction(a.rows[u][v])
         assert w == cycle.weight
         assert w > 1
+
+
+def test_divergent_closure_stops_at_a_heavy_cycle():
+    # Pivoting past a heavy cycle squares the walks around it at every
+    # later pivot (exact entries of about 170,000 bits at n = 11). The
+    # closure stops before the pivot at the smallest largest node of a
+    # heavy cycle, where the diagonal entry is still that cycle's weight.
+    rng = random.Random(37)
+    one = EXACT_TIMES.one
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        a = unit_lambda_irreducible(rng, n).scale(
+            Fraction(rng.randint(5, 9), 4))
+        heavy = [(max(nodes), w) for nodes, w in cycles_brute(a) if w > 1]
+        seen = []
+
+        def diverges(v):
+            seen.append(v)
+            return EXACT_TIMES.lt(one, v)
+
+        assert closure_rows(a.rows, EXACT_TIMES, diverges) is None
+        stop = min(top for top, _w in heavy)
+        assert len(seen) == stop + 1
+        assert seen[-1] == max(w for top, w in heavy if top == stop)
+        with pytest.raises(DivergenceError) as info:
+            kleene_star(a)
+        assert info.value.witness.weight > 1
 
 
 def test_entrywise_div():

@@ -1,0 +1,210 @@
+"""One power ladder: the power asymptotics against plain references.
+
+csr_decompose reads the powers its periodicity scans computed, and
+nachtigall_expansion keeps one ladder of powers across horizon doublings
+and cycles each term's C S^t R products once S^t repeats. These tests
+compare both with the references in helpers.py, which compute every power
+afresh, in exact, float max-times and float max-plus; they count the
+products made; and they check the fraction-free agreement test against
+the scale / oplus / allclose combination it replaces.
+"""
+
+import random
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxalg import (
+    EXACT_TIMES,
+    FLOAT_PLUS,
+    FLOAT_TIMES,
+    DimensionError,
+    MaxMatrix,
+    csr_decompose,
+    nachtigall_expansion,
+    normalize_to_unit,
+    oplus,
+    semiring_convert,
+    transient_and_period,
+)
+from maxalg.asymptotics import normalized_periodicity
+from maxalg.matrix import is_max_combination
+
+from helpers import (
+    count_calls,
+    csr_reference,
+    expansion_onset_reference,
+    two_level_planted,
+    unit_mean_corpus,
+)
+
+MODES = {
+    "exact": EXACT_TIMES,
+    "float-times": FLOAT_TIMES,
+    "float-plus": FLOAT_PLUS,
+}
+
+
+def _in_mode(a, mode):
+    return semiring_convert(a, MODES[mode])
+
+
+def _outcome(f, *args, **kwargs):
+    """f's result, or the name of the exception it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc).__name__
+
+
+def _csr_summary(a):
+    trip = csr_decompose(a)
+    return trip.transient, trip.certified_from, trip.gamma
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_csr_decompose_matches_mat_power_reference(mode):
+    for a in unit_mean_corpus():
+        m = _in_mode(a, mode)
+        assert _outcome(_csr_summary, m) == _outcome(csr_reference, m)
+
+
+def _profile_summary(profile):
+    return (
+        profile.transient,
+        profile.period,
+        profile.predicted_period,
+        profile.budget,
+        profile.powers[0],
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_normalized_periodicity_matches_two_analyses(mode):
+    rng = random.Random(5)
+    for a in unit_mean_corpus():
+        m = _in_mode(a.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))),
+                     mode)
+
+        def two_analyses():
+            tilde, mean = normalize_to_unit(m)
+            return _profile_summary(transient_and_period(tilde)), mean
+
+        def one_analysis():
+            profile = normalized_periodicity(m)
+            return _profile_summary(profile), profile.lam
+
+        assert _outcome(one_analysis) == _outcome(two_analyses)
+
+
+def _planted(count, seed):
+    rng = random.Random(seed)
+    return [two_level_planted(rng, rng.randint(3, 6))[0] for _ in range(count)]
+
+
+@pytest.mark.parametrize("horizon", [None, 2, 7])
+@pytest.mark.parametrize("mode", MODES)
+def test_nachtigall_matches_restarting_reference(mode, horizon):
+    for a in _planted(40, 410):
+        m = _in_mode(a, mode)
+        e = nachtigall_expansion(m, horizon=horizon)
+        want = expansion_onset_reference(m, e.terms, horizon)
+        assert (e.validity_start, e.horizon) == want
+
+
+def test_nachtigall_makes_one_product_per_power(monkeypatch):
+    rng = random.Random(6)
+    a, _l1, _l2 = two_level_planted(rng, 6)
+    calls = count_calls(monkeypatch, "otimes")
+    e = nachtigall_expansion(a)
+    assert e.validity_start is not None
+    assert e.horizon >= 3 * 6 * 6
+    # the ladder of A^t, plus each term's S powers and products until S
+    # repeats; restarting per doubling and rebuilding every product took
+    # about 7 products per power
+    assert len(calls) <= e.horizon + 20
+
+
+def test_csr_decompose_reads_the_scanned_powers(monkeypatch):
+    calls = count_calls(monkeypatch, "mat_power")
+    for a in unit_mean_corpus()[:40]:
+        calls.clear()
+        trip = csr_decompose(a)
+        # the only power taken from scratch is tilde^gamma, for the star
+        assert calls
+        assert all(t <= trip.gamma for _m, t in calls)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free agreement test
+
+
+def _combination(terms, shape):
+    zeros = MaxMatrix.zeros(*shape, semiring=EXACT_TIMES)
+    return reduce(oplus, (prod.scale(coef) for coef, prod in terms), zeros)
+
+
+_DENOMINATORS = [1, 2, 3, 4, 5, 7, 11, 13]
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(1, 12), st.sampled_from(_DENOMINATORS)),
+)
+_coefs = st.builds(
+    Fraction, st.integers(1, 12), st.sampled_from(_DENOMINATORS)
+)
+
+
+@st.composite
+def _cases(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+
+    def matrix():
+        return MaxMatrix(
+            draw(st.lists(
+                st.lists(_entries, min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            )),
+            EXACT_TIMES,
+        )
+
+    terms = [(draw(_coefs), matrix())]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            # a term tying the first one entry for entry
+            coef = draw(_coefs)
+            terms.append((coef, terms[0][1].scale(terms[0][0] / coef)))
+        else:
+            terms.append((draw(_coefs), matrix()))
+    kind = draw(st.sampled_from(["equal", "nudged", "random"]))
+    if kind == "random":
+        return matrix(), terms
+    rows = [list(row) for row in _combination(terms, shape).rows]
+    if kind == "nudged":
+        i = draw(st.integers(0, shape[0] - 1))
+        j = draw(st.integers(0, shape[1] - 1))
+        rows[i][j] = draw(_entries)
+    return MaxMatrix(rows, EXACT_TIMES), terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cases())
+def test_exact_agreement_equals_scale_oplus_allclose(case):
+    m, terms = case
+    want = m.allclose(_combination(terms, m.shape))
+    assert is_max_combination(m, terms) == want
+
+
+def test_exact_agreement_zero_target_and_shapes():
+    one = MaxMatrix([[1, 0]], EXACT_TIMES)
+    zero = MaxMatrix([[0, 0]], EXACT_TIMES)
+    assert is_max_combination(zero, [(Fraction(3), zero)])
+    assert not is_max_combination(zero, [(Fraction(3), one)])
+    assert is_max_combination(one, [(Fraction(1, 2), one.scale(2))])
+    assert is_max_combination(zero, [])
+    assert not is_max_combination(one, [])
+    with pytest.raises(DimensionError):
+        is_max_combination(one, [(1, MaxMatrix([[1], [0]], EXACT_TIMES))])

@@ -76,6 +76,34 @@ def test_coerce_plus_and_float():
     assert FLOAT_PLUS.coerce(NEG_INF) == NEG_INF
 
 
+@pytest.mark.parametrize("sr", [FLOAT_TIMES, FLOAT_PLUS])
+@pytest.mark.parametrize(
+    "value",
+    ["1e400", "-1e400", Fraction(10**400), 10**400],
+    ids=["str", "negative-str", "fraction", "int"],
+)
+def test_float_coerce_refuses_values_beyond_the_range(sr, value):
+    with pytest.raises(ModeError):
+        sr.coerce(value)
+
+
+def test_float_max_times_coerce_never_loses_an_edge():
+    for value in ("1e-400", Fraction(1, 10**400)):
+        with pytest.raises(ModeError):
+            FLOAT_TIMES.coerce(value)
+        with pytest.raises(ModeError):
+            MaxMatrix([[1, value], [1, 1]], FLOAT_TIMES)
+    # the smallest subnormal still fits, and a float is taken as it is
+    assert FLOAT_TIMES.coerce("5e-324") == 5e-324
+    assert FLOAT_TIMES.coerce(5e-324) == 5e-324
+    assert FLOAT_TIMES.coerce(0) == 0.0
+    # in max-plus a tiny weight is a real edge of weight ~0, not the zero
+    assert FLOAT_PLUS.coerce("1e-400") == 0.0
+    # exact mode keeps every value
+    assert EXACT_TIMES.coerce("1e-400") == Fraction(1, 10**400)
+    assert EXACT_PLUS.coerce("1e400") == Fraction(10**400)
+
+
 def test_coerce_abs_is_times_only():
     assert EXACT_TIMES.coerce_abs(Fraction(-3, 4)) == Fraction(3, 4)
     assert EXACT_TIMES.coerce_abs("-2") == Fraction(2)
