@@ -84,19 +84,14 @@ def _transient_with_growth(m, budget, gamma):
 
     Returns the scan's (transient, period, powers), powers[t] being m^t.
     gamma is the cyclicity of m's critical graph. An explicit budget is a
-    hard cap. The default starts at the usual 3n^2 + 2 gamma and doubles a
-    few times, because that figure is only the conjectured magnitude of
-    the transient, not a proven bound.
+    hard cap. The default is 2^7 times the usual 3n^2 + 2 gamma, because
+    that figure is only the conjectured magnitude of the transient, not a
+    proven bound; the scan stops at the first repeat, so a larger cap
+    costs nothing when the repeat comes early.
     """
-    if budget is not None:
-        return _scan_periodicity(m, budget)
-    b = 3 * m.n * m.n + 2 * gamma
-    for _ in range(7):
-        try:
-            return _scan_periodicity(m, b)
-        except IterationBudgetError:
-            b *= 2
-    return _scan_periodicity(m, b)
+    if budget is None:
+        budget = (3 * m.n * m.n + 2 * gamma) << 7
+    return _scan_periodicity(m, budget)
 
 
 def _periodicity_profile(m, mean, gamma, budget):

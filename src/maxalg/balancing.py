@@ -126,13 +126,7 @@ def _balance_component(sub, sr):
         for c, mult in enumerate(x_cur):
             for p in members[c]:
                 x_local[p] = sr.mul(x_local[p], mult)
-        scaled = [
-            [
-                sr.div(sr.mul(v, x_cur[j]), x_cur[i])
-                for j, v in enumerate(row)
-            ]
-            for i, row in enumerate(cur.rows)
-        ]
+        scaled = DiagonalScaling(MaxVector._raw(x_cur, sr)).apply(cur).rows
         groups = sorted(
             list(an.critical.components)
             + [(k,) for k in range(cur.n) if k not in crit_nodes],

@@ -254,10 +254,7 @@ def _parse_token(tok, sr, path, lineno, col, allow_negative):
 def serialize_matrix(a):
     """Write a matrix back into MatrixFile text."""
     sr = a.semiring
-    header = (
-        f"{_DOMAIN_NAMES[sr.domain]} {a.n} "
-        f"{'exact' if sr.exact else 'float'}"
-    )
+    header = f"{_DOMAIN_NAMES[sr.domain]} {a.n} {sr.mode_name}"
     body = [" ".join(_tok(v, sr) for v in row) for row in a.rows]
     return "\n".join([header] + body) + "\n"
 
@@ -295,7 +292,7 @@ def _cmd_info(args, inputs):
     mean = an.mean
     results = {
         "domain": _DOMAIN_NAMES[sr.domain],
-        "mode": "exact" if sr.exact else "float",
+        "mode": sr.mode_name,
         "n": a.n,
         "nonzero_entries": nonzero,
         "irreducible": an.is_irreducible,

@@ -34,7 +34,7 @@ from .matrix import (
 )
 from .scaling import saturation_graph
 from .semiring import Semiring
-from .spectral import is_irreducible, spectral_analysis
+from .spectral import is_eigenvector, is_irreducible, spectral_analysis
 
 
 def commutes(a, b):
@@ -89,11 +89,11 @@ def _common_core(a, b, an_a, an_b):
     x = otimes(v, an_k.checked_star().col(an_k.critical.nodes[0]))
     if not x.is_positive():
         raise CertificationError("lifted common eigenvector is not positive")
-    if not otimes(a, x).allclose(x.scale(lam_a)):
+    if not is_eigenvector(a, x, lam_a):
         raise CertificationError(
             "candidate vector fails the first eigen-equation"
         )
-    if not otimes(b, x).allclose(x.scale(lam_b)):
+    if not is_eigenvector(b, x, lam_b):
         raise CertificationError(
             "candidate vector fails the second eigen-equation"
         )
@@ -142,7 +142,7 @@ def _common_eigenvector(a, b):
         an = spectral_analysis(other)
         x = an.principal_eigenvector()
         lam = an.lam
-        if not otimes(other, x).allclose(x.scale(lam)):
+        if not is_eigenvector(other, x, lam):
             raise CertificationError(
                 "candidate vector fails its eigen-equation"
             )

@@ -20,6 +20,7 @@ from .digraph import Digraph
 from .errors import (
     CertificationError,
     DimensionError,
+    DivergenceError,
     HadamardFailsError,
     ModeError,
     NoScalingError,
@@ -69,12 +70,19 @@ class DiagonalScaling:
         )
 
 
+def _as_vector(x, sr):
+    """The diagonal of x: a DiagonalScaling's, a MaxVector, or raw entries."""
+    if isinstance(x, DiagonalScaling):
+        return x.x
+    if isinstance(x, MaxVector):
+        return x
+    return MaxVector(x, sr)
+
+
 def as_scaling(x, semiring=None):
     if isinstance(x, DiagonalScaling):
         return x
-    if not isinstance(x, MaxVector):
-        x = MaxVector(x, semiring or EXACT_TIMES)
-    return DiagonalScaling(x)
+    return DiagonalScaling(_as_vector(x, semiring or EXACT_TIMES))
 
 
 def apply_scaling(a, x):
@@ -82,55 +90,41 @@ def apply_scaling(a, x):
     return as_scaling(x, a.semiring).apply(a)
 
 
+def _within_one(a, b, strict=False):
+    """Is every entry of the scaled b on a's support at most (below) one?"""
+    sr = a.semiring
+    one = sr.one
+    test = sr.lt if strict else sr.le
+    return all(
+        sr.is_zero(v) or test(w, one)
+        for row, scaled in zip(a.rows, b.rows)
+        for v, w in zip(row, scaled)
+    )
+
+
 def is_fp_scaling(a, x, strict=False):
     """Does x scale every entry of a to at most one (strictly below, if asked)?
 
     Non-positive x never qualifies. Float mode compares with tolerance.
     """
-    sr = a.semiring
-    if not isinstance(x, MaxVector):
-        if isinstance(x, DiagonalScaling):
-            x = x.x
-        else:
-            x = MaxVector(x, sr)
+    x = _as_vector(x, a.semiring)
     if len(x) != a.n or not x.is_positive():
         return False
-    one = sr.one
-    test = sr.lt if strict else sr.le
-    for i, row in enumerate(a.rows):
-        for j, v in enumerate(row):
-            if sr.is_zero(v):
-                continue
-            if not test(sr.div(sr.mul(v, x[j]), x[i]), one):
-                return False
-    return True
+    return _within_one(a, DiagonalScaling(x).apply(a), strict)
 
 
 def fp_scaling(a, u=None):
     """A scaling of a with all entries at most one, or a negative answer.
 
-    Exists iff no cycle weight exceeds one; the solution is star(A) (x) u
-    for a positive vector u (all ones by default), and ranges over the
-    whole solution set as u varies. NoScalingError carries a witness cycle
-    of weight above one.
+    Exists iff star(A) converges, that is, iff no cycle weight exceeds
+    one; the solution is star(A) (x) u for a positive vector u (all ones
+    by default), and ranges over the whole solution set as u varies.
+    NoScalingError carries the star's witness, a cycle of weight above one.
     """
-    sr = a.semiring
-    mean = max_cycle_gmean(a)
-    if mean.cmp_one() > 0:
-        raise NoScalingError(
-            "no scaling reaches entries <= 1: a cycle has weight above one",
-            witness=mean.witness,
-        )
-    star = kleene_star(a)
-    if u is None:
-        u = MaxVector.ones(a.n, sr)
-    elif not isinstance(u, MaxVector):
-        u = MaxVector(u, sr)
-    if not u.is_positive():
-        raise ValueError("the combining vector u must be positive")
-    x = otimes(star, u)
-    scaling = DiagonalScaling(x)
-    if not is_fp_scaling(a, x):
+    scaling = _family(
+        a, "no scaling reaches entries <= 1: a cycle has weight above one"
+    ).sample(u)
+    if not is_fp_scaling(a, scaling):
         raise CertificationError("computed scaling failed its own check")
     return scaling
 
@@ -175,17 +169,17 @@ def saturation_graph(a, x):
     """The subgraph of entries scaled exactly to one by the scaling x."""
     sr = a.semiring
     scaling = as_scaling(x, sr)
-    if not is_fp_scaling(a, scaling.x):
+    if len(scaling) != a.n or not _within_one(a, b := scaling.apply(a)):
         raise NotAnFpScalingError(
             "the vector does not scale all entries to at most one"
         )
-    xv = scaling.x.entries
     one = sr.one
-    edges = []
-    for i, row in enumerate(a.rows):
-        for j, v in enumerate(row):
-            if not sr.is_zero(v) and sr.eq(sr.div(sr.mul(v, xv[j]), xv[i]), one):
-                edges.append((i, j, one))
+    edges = [
+        (i, j, one)
+        for i, (row, scaled) in enumerate(zip(a.rows, b.rows))
+        for j, (v, w) in enumerate(zip(row, scaled))
+        if not sr.is_zero(v) and sr.eq(w, one)
+    ]
     return SaturationGraph(Digraph(a.n, edges, sr), scaling)
 
 
@@ -238,12 +232,22 @@ class ScalingFamily:
 
     def contains(self, x):
         """Membership test: x solves the problem iff q_star (x) x == x."""
-        sr = self.q_star.semiring
-        if not isinstance(x, MaxVector):
-            x = x.x if isinstance(x, DiagonalScaling) else MaxVector(x, sr)
+        x = _as_vector(x, self.q_star.semiring)
         if not x.is_positive():
             return False
         return otimes(self.q_star, x).allclose(x)
+
+
+def _family(q, reason):
+    """The solutions of q (x) x <= x, or NoScalingError when star(q) diverges.
+
+    The refusal carries the star's own witness, a cycle of q of weight
+    above one.
+    """
+    try:
+        return ScalingFamily(q, kleene_star(q))
+    except DivergenceError as exc:
+        raise NoScalingError(reason, witness=exc.witness) from None
 
 
 def row_col_maxima_scalings(a):
@@ -269,15 +273,11 @@ def row_col_maxima_scalings(a):
                 for j, v in enumerate(row)
             ]
         )
-    q = MaxMatrix._raw(rows, sr)
-    mean = max_cycle_gmean(q)
-    if mean.cmp_one() > 0:
-        raise NoScalingError(
-            "no scaling puts the maxima on the diagonal: the constraint "
-            "matrix has a cycle of weight above one",
-            witness=mean.witness,
-        )
-    return ScalingFamily(q, kleene_star(q))
+    return _family(
+        MaxMatrix._raw(rows, sr),
+        "no scaling puts the maxima on the diagonal: the constraint matrix "
+        "has a cycle of weight above one",
+    )
 
 
 def has_rowcol_maxima_diagonal(b):
@@ -328,14 +328,11 @@ def sandwich_scalings(triples):
         q = oplus(
             q, entrywise_div(lo.transpose(), mid.transpose())
         )
-    mean = max_cycle_gmean(q)
-    if mean.cmp_one() > 0:
-        raise NoScalingError(
-            "no scaling fits between the bounds: the constraint matrix has "
-            "a cycle of weight above one",
-            witness=mean.witness,
-        )
-    return ScalingFamily(q, kleene_star(q))
+    return _family(
+        q,
+        "no scaling fits between the bounds: the constraint matrix has a "
+        "cycle of weight above one",
+    )
 
 
 def satisfies_sandwich(triples, x):
@@ -392,12 +389,10 @@ def hadamard_scaling_test(rows, semiring=EXACT_TIMES):
             "a cyclic product of moduli exceeds its diagonal product",
             witness=exc.witness,
         ) from None
-    x = scaling.x.entries
+    scaled = scaling.apply(MaxMatrix._raw(mod, sr)).rows
     for i in range(n):
         for j in range(n):
-            if i != j and not sr.le(
-                sr.div(sr.mul(mod[i][j], x[j]), x[i]), mod[i][i]
-            ):
+            if i != j and not sr.le(scaled[i][j], mod[i][i]):
                 raise CertificationError(
                     "scaled moduli do not sit below the diagonal"
                 )

@@ -232,6 +232,57 @@ def hadamard_condition_one_brute(rows):
     return True
 
 
+def rowcol_constraints_brute(rows):
+    """The matrix q with: x puts every maximum on the diagonal iff q x <= x.
+
+    Straight from the definition: a[i][j] x[j] / x[i] <= a[i][i] and
+    <= a[j][j] give q[i][j] = max(a[i][j] / a[i][i], a[i][j] / a[j][j]).
+    Plain max-times arithmetic on the entries, exact or float.
+    """
+    n = len(rows)
+    return [
+        [
+            max(rows[i][j] / rows[i][i], rows[i][j] / rows[j][j])
+            if rows[i][j] else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def sandwich_constraints_brute(triples):
+    """The matrix q with: x fits every (lower, middle, upper) iff q x <= x.
+
+    middle[i][j] x[j] / x[i] <= upper[i][j] bounds q[i][j] by
+    middle / upper, and lower[i][j] <= middle[i][j] x[j] / x[i] bounds
+    q[j][i] by lower / middle; a zero numerator adds no constraint.
+    """
+    n = triples[0][1].n
+    q = [[0] * n for _ in range(n)]
+    for lo, mid, up in triples:
+        for i in range(n):
+            for j in range(n):
+                if mid.rows[i][j]:
+                    q[i][j] = max(q[i][j], mid.rows[i][j] / up.rows[i][j])
+                if lo.rows[i][j]:
+                    q[j][i] = max(q[j][i], lo.rows[i][j] / mid.rows[i][j])
+    return q
+
+
+def assert_heavy_cycle(cycle, rows):
+    """cycle is a closed elementary walk of the max-times grid rows whose
+    edge product is its weight, and that weight is above one."""
+    nodes = cycle.nodes
+    assert nodes[0] == nodes[-1]
+    assert len(set(nodes[:-1])) == len(nodes) - 1
+    w = 1
+    for u, v in zip(nodes, nodes[1:]):
+        assert rows[u][v]
+        w *= rows[u][v]
+    assert w == cycle.weight
+    assert w > 1
+
+
 def is_balanced_cut_brute(b):
     """Exhaustive subset check of maximum in- vs out-weight, small n."""
     grid = grid_of(b)

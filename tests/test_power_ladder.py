@@ -37,6 +37,7 @@ from helpers import (
     count_calls,
     csr_reference,
     expansion_onset_reference,
+    scan_reference,
     two_level_planted,
     unit_mean_corpus,
 )
@@ -136,6 +137,27 @@ def test_csr_decompose_reads_the_scanned_powers(monkeypatch):
         # the only power taken from scratch is tilde^gamma, for the star
         assert calls
         assert all(t <= trip.gamma for _m, t in calls)
+
+
+def test_csr_decompose_scans_once_past_the_default_budget(monkeypatch):
+    # the first repeat among the powers of these two corpus matrices lies
+    # past the default budget 3n^2 + 2 gamma; a grown budget must not
+    # restart the scan at t = 1, so each power of tilde and of S is made
+    # once, by one product with the matrix itself (one more is allowed for
+    # the power tilde^gamma that the star of C and R is taken from)
+    corpus = unit_mean_corpus()
+    calls = count_calls(monkeypatch, "otimes")
+    for k in (130, 183):
+        a = corpus[k]
+        tilde, _mean = normalize_to_unit(a)
+        calls.clear()
+        trip = csr_decompose(a)
+        t, p = scan_reference(tilde, 1000)
+        assert t + p > 3 * a.n * a.n + 2 * trip.gamma
+        for m in (tilde, trip.s):
+            t, p = scan_reference(m, 1000)
+            made = sum(1 for _left, right in calls if right == m)
+            assert made <= max(t + p, trip.certified_from + trip.gamma)
 
 
 # ---------------------------------------------------------------------------

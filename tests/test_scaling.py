@@ -8,8 +8,10 @@ import pytest
 from maxalg import (
     EXACT_PLUS,
     EXACT_TIMES,
+    FLOAT_TIMES,
     DiagonalScaling,
     HadamardFailsError,
+    MaxMatrix,
     MaxVector,
     ModeError,
     NoScalingError,
@@ -30,6 +32,8 @@ from maxalg import (
 )
 
 from helpers import (
+    assert_heavy_cycle,
+    count_calls,
     fmat,
     fvec,
     hadamard_condition_one_brute,
@@ -37,6 +41,8 @@ from helpers import (
     best_gmean_pair_brute,
     random_matrix,
     random_signed,
+    rowcol_constraints_brute,
+    sandwich_constraints_brute,
 )
 
 
@@ -71,13 +77,96 @@ def test_fp_scaling_worked_example():
     assert all(w <= 1 for row in scaled.rows for w in row)
 
 
+def _refusals(rng, count):
+    """count refused instances of each star-decided solver.
+
+    Yields (solve, q): solve() raises NoScalingError, and q is the grid,
+    built from the definitions, whose heavy cycle its witness must be.
+    """
+    seen = {"fp": 0, "rowcol": 0, "sandwich": 0}
+    while min(seen.values()) < count:
+        n = rng.randint(2, 6)
+        a = random_matrix(rng, n, density=0.5)
+        if seen["fp"] < count and has_cycle_above_one_brute(a):
+            seen["fp"] += 1
+            yield (lambda a=a: fp_scaling(a)), a.rows
+        rows = [list(r) for r in a.rows]
+        for i in range(n):
+            rows[i][i] = Fraction(rng.randint(1, 8), rng.randint(1, 8))
+        d = fmat(rows)
+        q = rowcol_constraints_brute(d.rows)
+        if seen["rowcol"] < count and has_cycle_above_one_brute(fmat(q)):
+            seen["rowcol"] += 1
+            yield (lambda d=d: row_col_maxima_scalings(d)), q
+        lo = a.scale(Fraction(rng.randint(1, 6)))
+        triple = [(lo, a, a.scale(Fraction(rng.randint(1, 6))))]
+        q = sandwich_constraints_brute(triple)
+        if seen["sandwich"] < count and has_cycle_above_one_brute(fmat(q)):
+            seen["sandwich"] += 1
+            yield (lambda t=triple: sandwich_scalings(t)), q
+
+
 def test_fp_scaling_negative_case_carries_witness():
+    # the refusal's witness is the heavy cycle of the star that diverged:
+    # of a itself for fp_scaling, of the constraint matrix for the row and
+    # column maxima and the sandwich families
     a = fmat([[0, 4], [1, 0]])
-    with pytest.raises(NoScalingError) as info:
-        fp_scaling(a)
-    cycle = info.value.witness
-    assert cycle.nodes[0] == cycle.nodes[-1]
-    assert cycle.weight > 1
+    b = fmat([[1, 4], [1, 1]])
+    triple = [(fmat([[0, 4], [4, 0]]), fmat([[0, 1], [1, 0]]),
+               fmat([[0, 1], [1, 0]]))]
+    cases = [
+        (lambda: fp_scaling(a), a.rows),
+        (lambda: row_col_maxima_scalings(b), rowcol_constraints_brute(b.rows)),
+        (lambda: sandwich_scalings(triple),
+         sandwich_constraints_brute(triple)),
+    ]
+    for solve, q in cases + list(_refusals(random.Random(41), 25)):
+        with pytest.raises(NoScalingError) as info:
+            solve()
+        assert_heavy_cycle(info.value.witness, q)
+
+
+# a 2-cycle of weight 1 + 1.5e-9: its mean is within the 1e-9 tolerance of
+# one, its weight is not, and the star diverges
+_BAND = [[0, 1.0], [1 + 1.5e-9, 0]]
+_BAND_DIAG = [[1.0, 1.0], [1 + 1.5e-9, 1.0]]
+_BAND_CASES = {
+    "fp": (lambda: fp_scaling(MaxMatrix(_BAND, FLOAT_TIMES)),
+           NoScalingError, _BAND),
+    "rowcol": (lambda: row_col_maxima_scalings(
+        MaxMatrix(_BAND_DIAG, FLOAT_TIMES)),
+        NoScalingError, rowcol_constraints_brute(_BAND_DIAG)),
+    "hadamard": (lambda: hadamard_scaling_test(_BAND_DIAG, FLOAT_TIMES),
+                 HadamardFailsError, _BAND),
+}
+
+
+@pytest.mark.parametrize("solver", _BAND_CASES)
+def test_float_tolerance_band_refusal_is_typed(solver):
+    # each solver answers with its own negative answer and the star's
+    # witness, not with the star's DivergenceError
+    solve, error, q = _BAND_CASES[solver]
+    with pytest.raises(error) as info:
+        solve()
+    assert_heavy_cycle(info.value.witness, q)
+
+
+_TRIPLE = [(fmat([[0, 1], [1, 0]]), fmat([[0, 2], [2, 0]]),
+            fmat([[0, 4], [4, 0]]))]
+_FEASIBLE = {
+    "fp": lambda: fp_scaling(fmat([[0, 2], [Fraction(1, 4), 0]])),
+    "rowcol": lambda: row_col_maxima_scalings(fmat([[2, 1], [4, 2]])),
+    "sandwich": lambda: sandwich_scalings(_TRIPLE),
+    "hadamard": lambda: hadamard_scaling_test([[2, 1], [1, 2]]),
+}
+
+
+@pytest.mark.parametrize("solver", _FEASIBLE)
+def test_feasible_scaling_builds_no_spectral_analysis(monkeypatch, solver):
+    # the star's own divergence check decides feasibility
+    calls = count_calls(monkeypatch, "spectral_analysis")
+    _FEASIBLE[solver]()
+    assert calls == []
 
 
 def test_fp_scaling_seeded_vector_changes_solution():
