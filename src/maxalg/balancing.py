@@ -49,27 +49,37 @@ class BalancingCertificate:
 
 
 def is_max_balanced_cyclecover(b):
-    """Every nonzero b[i][j] closes into a cycle of edges weighing >= it."""
+    """Every nonzero b[i][j] closes into a cycle of edges weighing >= it.
+
+    One Floyd-Warshall max-min (bottleneck) closure decides all entries at
+    once, in O(n^3): b[i][j] = w is covered when some path from j back to
+    i has its lightest edge x with sr.ge(x, w). The closure runs on the
+    ranks of the distinct entry values, as ints. Zero entries take part:
+    in float max-times a weight w <= tol counts them as edges. Under a
+    float tolerance below one sr.ge(x, w) is monotone in x, so the path
+    with the heaviest lightest edge decides (Pollack 1960). Above one,
+    max-plus comparisons are no longer monotone and a path of lighter
+    edges may pass where this check fails. A nan entry is no edge.
+    """
     sr = b.semiring
-    n = b.n
-    for i in range(n):
-        for j in range(n):
-            w = b.rows[i][j]
-            if sr.is_zero(w) or i == j:
+    rows = b.rows
+    vals = sorted({v for row in rows for v in row if v == v})
+    rank = {v: r for r, v in enumerate(vals, 1)}
+    best = [[rank.get(v, 0) for v in row] for row in rows]
+    for k, bk in enumerate(best):
+        for bi in best:
+            bik = bi[k]
+            for j, y in enumerate(bk):
+                if y > bik:
+                    y = bik
+                if y > bi[j]:
+                    bi[j] = y
+    for i, row in enumerate(rows):
+        for j, w in enumerate(row):
+            if i == j or sr.is_zero(w):
                 continue
-            seen = {j}
-            stack = [j]
-            found = False
-            while stack:
-                u = stack.pop()
-                if u == i:
-                    found = True
-                    break
-                for v in range(n):
-                    if v not in seen and sr.ge(b.rows[u][v], w):
-                        seen.add(v)
-                        stack.append(v)
-            if not found:
+            r = best[j][i]
+            if not (r and sr.ge(vals[r - 1], w)):
                 return False
     return True
 

@@ -415,9 +415,13 @@ def closure_rows(rows, ops, diverges=None):
     largest node, before any entry holds a walk around it; pivoting on
     would square such walks at every later pivot (exact entries of about
     170,000 bits at n = 11).
+
+    A float semiring runs _float_closure, the same loop on plain floats.
     """
-    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
     d = [list(row) for row in rows]
+    if isinstance(ops, Semiring) and not ops.exact:
+        return _float_closure(d, ops.domain == TIMES, diverges)
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
     n = len(d)
     for k in range(n):
         dk = d[k]
@@ -431,6 +435,38 @@ def closure_rows(rows, ops, diverges=None):
             di = d[i]
             for j in support:
                 di[j] = add(di[j], mul(dik, dk[j]))
+    return d
+
+
+def _float_closure(d, times, diverges):
+    """closure_rows on float rows d, in place, with inline * or + and max.
+
+    ``if not p < x: x = p`` is Semiring.add's tie rule, the new operand
+    winning, which decides whether -0.0 or 0.0 stays in max-plus. The
+    pivot row is read live: when i == k it updates itself, and a float
+    diagonal entry can round above one.
+    """
+    for k, dk in enumerate(d):
+        if diverges is not None and diverges(dk[k]):
+            return None
+        if times:
+            support = [j for j, v in enumerate(dk) if v]
+            for di in d:
+                dik = di[k]
+                if dik:
+                    for j in support:
+                        p = dik * dk[j]
+                        if not p < di[j]:
+                            di[j] = p
+        else:
+            support = [j for j, v in enumerate(dk) if v != NEG_INF]
+            for di in d:
+                dik = di[k]
+                if dik != NEG_INF:
+                    for j in support:
+                        p = dik + dk[j]
+                        if not p < di[j]:
+                            di[j] = p
     return d
 
 

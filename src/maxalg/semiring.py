@@ -23,6 +23,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import ExactnessError, ModeError
 
@@ -34,6 +35,27 @@ NEG_INF = float("-inf")
 
 def _is_neg_inf(a):
     return a == NEG_INF
+
+
+# The per-domain scalar operations a Semiring picks in __post_init__. They
+# are module-level functions, or partials of them, so that a Semiring
+# pickles and deep-copies.
+
+
+def _plus_mul(a, b):
+    if a == NEG_INF or b == NEG_INF:
+        return NEG_INF
+    return a + b
+
+
+def _float_eq(tol, a, b):
+    if a == NEG_INF or b == NEG_INF:
+        return a == b
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _float_le(tol, a, b):
+    return a <= b or _float_eq(tol, a, b)
 
 
 def _to_float(v, underflow):
@@ -67,11 +89,14 @@ class Semiring:
     domain: str = TIMES
     exact: bool = True
     tol: float = 1e-9
-    # the constants and the zero test are built once; they take no part in
-    # ==, hash or repr
+    # the constants, the zero test, mul, eq and le are chosen once per
+    # instance; they take no part in ==, hash or repr
     zero: object = field(init=False, compare=False, repr=False)
     one: object = field(init=False, compare=False, repr=False)
     is_zero: object = field(init=False, compare=False, repr=False)
+    mul: object = field(init=False, compare=False, repr=False)
+    eq: object = field(init=False, compare=False, repr=False)
+    le: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.domain not in (TIMES, PLUS):
@@ -82,13 +107,26 @@ class Semiring:
             # `not a` equals `a == 0` for every Fraction and float,
             # -0.0 and nan included, without Fraction.__eq__'s type checks
             is_zero = operator.not_
+            mul = operator.mul
         else:
             zero = NEG_INF
             one = Fraction(0) if self.exact else 0.0
             is_zero = _is_neg_inf
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(self, "is_zero", is_zero)
+            mul = _plus_mul
+        if self.exact:
+            eq, le = operator.eq, operator.le
+        else:
+            eq = partial(_float_eq, self.tol)
+            le = partial(_float_le, self.tol)
+        for name, value in (
+            ("zero", zero),
+            ("one", one),
+            ("is_zero", is_zero),
+            ("mul", mul),
+            ("eq", eq),
+            ("le", le),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def mode_name(self):
@@ -150,13 +188,6 @@ class Semiring:
         """Semiring addition, i.e. max."""
         return a if b < a else b
 
-    def mul(self, a, b):
-        if self.domain == TIMES:
-            return a * b
-        if a == NEG_INF or b == NEG_INF:
-            return NEG_INF
-        return a + b
-
     def div(self, a, b):
         """Semiring division a (x) b^-1; b must be nonzero."""
         if self.is_zero(b):
@@ -181,17 +212,9 @@ class Semiring:
 
     # -- comparisons ---------------------------------------------------------
 
-    def eq(self, a, b):
-        if self.exact:
-            return a == b
-        if a == NEG_INF or b == NEG_INF:
-            return a == b
-        return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))
-
-    def le(self, a, b):
-        if self.exact:
-            return a <= b
-        return a <= b or self.eq(a, b)
+    # eq(a, b): equality, under the tolerance in float mode, where a and b
+    # are equal iff |a - b| <= tol * max(1, |a|, |b|); le(a, b): a <= b or
+    # eq(a, b). Both, and mul, are fields set in __post_init__.
 
     def lt(self, a, b):
         return not self.le(b, a)

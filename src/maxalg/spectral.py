@@ -41,6 +41,7 @@ from .matrix import (
     otimes,
 )
 from .semiring import (
+    NEG_INF,
     TIMES,
     filtered_sign,
     gmean_cmp,
@@ -161,7 +162,8 @@ def _karp_best_pair(sr, ops, rows, comp):
 
     ``rows`` holds the matrix in the representation of ``ops`` (the
     semiring, or _Ratios in exact max-times); only the final quotients
-    are semiring scalars, compared by gmean_cmp.
+    are semiring scalars, compared by gmean_cmp. Float semirings run
+    _float_karp.
     """
     m = len(comp)
     index = {v: t for t, v in enumerate(comp)}
@@ -171,6 +173,8 @@ def _karp_best_pair(sr, ops, rows, comp):
         for t, w in enumerate(rows[u]):
             if t in index and not is_zero(w):
                 in_edges[index[t]].append((index[u], w))
+    if not sr.exact:
+        return _float_karp(sr, in_edges)
     zero = ops.zero
     d = [zero] * m
     d[0] = ops.one
@@ -200,6 +204,80 @@ def _karp_best_pair(sr, ops, rows, comp):
         if inner is not None and (best is None or gmean_cmp(sr, inner, best) > 0):
             best = inner
     return best
+
+
+def _float_karp(sr, in_edges):
+    """_karp_best_pair's table and min/max on plain floats.
+
+    The table runs matrix._float_closure's inline loop and tie rule. The
+    min/max takes each quotient's float mean once, with gmean_cmp's
+    formula, and decides as gmean_cmp does (see _float_mean_cmp).
+    """
+    times = sr.domain == TIMES
+    m = len(in_edges)
+    zero = sr.zero
+    d = [zero] * m
+    d[0] = sr.one
+    table = [d]
+    for _ in range(m):
+        prev = d
+        d = []
+        for edges in in_edges:
+            acc = zero
+            if times:
+                for u, w in edges:
+                    x = prev[u]
+                    if x:
+                        p = x * w
+                        if not p < acc:
+                            acc = p
+            else:
+                for u, w in edges:
+                    x = prev[u]
+                    if x != NEG_INF:
+                        p = x + w
+                        if not p < acc:
+                            acc = p
+            d.append(acc)
+        table.append(d)
+    tol, is_zero = sr.tol, sr.is_zero
+    best = best_mean = None
+    for v, top in enumerate(d):
+        if is_zero(top):
+            continue
+        inner = inner_mean = None
+        for k in range(m):
+            below = table[k][v]
+            if is_zero(below):
+                continue
+            length = m - k
+            if times:
+                w = top / below
+                mean = math.exp(math.log(w) / length) if w else None
+            else:
+                w = top - below
+                mean = None if w == NEG_INF else w / length
+            if inner is None or _float_mean_cmp(tol, mean, inner_mean) < 0:
+                inner, inner_mean = (w, length), mean
+        if inner is not None and (
+            best is None or _float_mean_cmp(tol, inner_mean, best_mean) > 0
+        ):
+            best, best_mean = inner, inner_mean
+    return best
+
+
+def _float_mean_cmp(tol, a, b):
+    """gmean_cmp on float means taken beforehand, None for a zero weight.
+
+    No mean is -inf, so Semiring.eq's tolerant test is written out.
+    """
+    if a is None or b is None:
+        if a is None and b is None:
+            return 0
+        return -1 if a is None else 1
+    if abs(a - b) <= tol * max(1.0, abs(a), abs(b)):
+        return 0
+    return -1 if a < b else 1
 
 
 class _Symbolic:

@@ -3,8 +3,10 @@
 The oracles work straight from definitions (walk tables, elementary cycle
 enumeration over plain Fractions) so the fast library routines have an
 independent reference. Everything here is exact max-times unless stated.
-The power-asymptotics references at the end work in any mode, and
-count_calls counts the library's internal calls of one function.
+The power-asymptotics references and the kernel references (the
+semiring-generic closure and Karp loops, the cycle-cover DFS) work in any
+mode, and count_calls counts the library's internal calls of one
+function.
 """
 
 import math
@@ -19,6 +21,7 @@ from maxalg import (
     MaxMatrix,
     MaxVector,
     critical_graph,
+    gmean_cmp,
     kleene_star,
     mat_power,
     normalize_to_unit,
@@ -588,6 +591,103 @@ def expansion_onset_reference(a, terms, horizon=None):
         if not explicit:
             h *= 2
     return None, h
+
+
+# ---------------------------------------------------------------------------
+# kernel references: the semiring-generic loops the float engine replaced
+
+
+def closure_reference(rows, ops, diverges=None):
+    """Floyd-Warshall closure folding ops.add and ops.mul, zeros skipped.
+
+    The generic loop of matrix.closure_rows, which float semirings no
+    longer run; same contract.
+    """
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    d = [list(row) for row in rows]
+    n = len(d)
+    for k in range(n):
+        dk = d[k]
+        if diverges is not None and diverges(dk[k]):
+            return None
+        support = [j for j, v in enumerate(dk) if not is_zero(v)]
+        for i in range(n):
+            dik = d[i][k]
+            if is_zero(dik):
+                continue
+            di = d[i]
+            for j in support:
+                di[j] = add(di[j], mul(dik, dk[j]))
+    return d
+
+
+def karp_reference(sr, rows, comp):
+    """Karp's best mean pair on one component, folding the semiring's ops
+    and comparing every quotient with gmean_cmp; the generic loop of
+    spectral._karp_best_pair with ops = sr."""
+    m = len(comp)
+    index = {v: t for t, v in enumerate(comp)}
+    in_edges = [[] for _ in comp]
+    for u in comp:
+        for t, w in enumerate(rows[u]):
+            if t in index and not sr.is_zero(w):
+                in_edges[index[t]].append((index[u], w))
+    table = [[sr.one] + [sr.zero] * (m - 1)]
+    for _ in range(m):
+        prev = table[-1]
+        nxt = []
+        for v in range(m):
+            acc = sr.zero
+            for u, w in in_edges[v]:
+                if not sr.is_zero(prev[u]):
+                    acc = sr.add(acc, sr.mul(prev[u], w))
+            nxt.append(acc)
+        table.append(nxt)
+    best = None
+    last = table[m]
+    for v in range(m):
+        if sr.is_zero(last[v]):
+            continue
+        inner = None
+        for k in range(m):
+            if sr.is_zero(table[k][v]):
+                continue
+            pair = (sr.div(last[v], table[k][v]), m - k)
+            if inner is None or gmean_cmp(sr, pair, inner) < 0:
+                inner = pair
+        if inner is not None and (
+            best is None or gmean_cmp(sr, inner, best) > 0
+        ):
+            best = inner
+    return best
+
+
+def cyclecover_reference(b):
+    """is_max_balanced_cyclecover by one DFS per entry, O(n^4): from j,
+    follow every edge u -> v with sr.ge(b[u][v], w), zero entries
+    included, and look for i."""
+    sr = b.semiring
+    n = b.n
+    for i in range(n):
+        for j in range(n):
+            w = b.rows[i][j]
+            if sr.is_zero(w) or i == j:
+                continue
+            seen = {j}
+            stack = [j]
+            found = False
+            while stack:
+                u = stack.pop()
+                if u == i:
+                    found = True
+                    break
+                for v in range(n):
+                    if v not in seen and sr.ge(b.rows[u][v], w):
+                        seen.add(v)
+                        stack.append(v)
+            if not found:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

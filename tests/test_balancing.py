@@ -7,10 +7,15 @@ from fractions import Fraction
 import pytest
 
 from maxalg import (
+    EXACT_PLUS,
     EXACT_TIMES,
     FLOAT_TIMES,
+    NEG_INF,
+    PLUS,
+    TIMES,
     MaxMatrix,
     NoScalingError,
+    Semiring,
     SizeLimitError,
     apply_scaling,
     gmean_cmp,
@@ -19,7 +24,13 @@ from maxalg import (
     max_balance,
 )
 
-from helpers import fmat, is_balanced_cut_brute, random_irreducible, random_matrix
+from helpers import (
+    cyclecover_reference,
+    fmat,
+    is_balanced_cut_brute,
+    random_irreducible,
+    random_matrix,
+)
 
 
 def test_predicates_on_hand_matrices():
@@ -166,3 +177,115 @@ def test_max_balance_block_diagonal():
         [0, 0, Fraction(1, 2), 0],
     ])
     assert len(cert.levels) == 2
+
+
+def _cover_grids(rng, domain, exact, n):
+    """The semiring and rows of a max-balanced matrix and of a perturbation.
+
+    Balanced: max_balance of a random irreducible matrix (in float mode
+    when an exact max-times level is irrational), or a symmetric matrix,
+    whose entries each close a 2-cycle with their mirror. Perturbed: a
+    few entries moved up or down, zeroed or filled in, by steps that
+    float mode sees (1e-1) or does not (1e-12, inside the tolerance).
+    """
+    sr = Semiring(domain, exact)
+    if exact:
+        value = lambda: Fraction(rng.randint(1, 16), rng.randint(1, 8))
+    else:
+        value = lambda: rng.uniform(0.05, 4.0)
+    if domain == PLUS:
+        draw = value
+        value = lambda: draw() - 4
+        shift = lambda v, s: v + s
+    else:
+        shift = lambda v, s: v * (1 + s)
+    rows = [[sr.zero] * n for _ in range(n)]
+    if rng.random() < 0.5:
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    rows[i][j] = rows[j][i] = value()
+    else:
+        order = list(range(n))
+        rng.shuffle(order)
+        for u, v in zip(order, order[1:] + order[:1]):
+            rows[u][v] = value()
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.3:
+                    rows[i][j] = value()
+        balanced = max_balance(MaxMatrix._raw(rows, sr)).balanced
+        sr, rows = balanced.semiring, [list(r) for r in balanced.rows]
+    if sr.exact:
+        steps = [Fraction(1, 8), -Fraction(1, 8)]
+    else:
+        value = lambda draw=value: float(draw())
+        steps = [1e-1, -1e-1, 1e-12, -1e-12]
+    perturbed = [list(row) for row in rows]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        v = perturbed[i][j]
+        if rng.random() < 0.2:
+            perturbed[i][j] = sr.zero
+        elif sr.is_zero(v):
+            perturbed[i][j] = value()
+        else:
+            perturbed[i][j] = shift(v, rng.choice(steps))
+    return sr, [rows, perturbed]
+
+
+def test_cyclecover_matches_dfs_reference():
+    rng = random.Random(1107)
+    outcomes = {True: 0, False: 0}
+    sizes = [2, 3, 4, 5, 6, 8, 10, 12] * 3 + [20, 30]
+    for domain in (TIMES, PLUS):
+        for exact in (True, False):
+            for n in sizes:
+                sr, grids = _cover_grids(rng, domain, exact, n)
+                tols = (sr.tol,) if sr.exact else (1e-9, 0.0)
+                for rows in grids:
+                    for tol in tols:
+                        b = MaxMatrix._raw(rows, Semiring(domain, sr.exact, tol))
+                        got = is_max_balanced_cyclecover(b)
+                        assert got == cyclecover_reference(b), (b.semiring, rows)
+                        outcomes[got] += 1
+    assert min(outcomes.values()) > 60
+
+
+def test_cyclecover_zero_entries_are_edges_below_tolerance():
+    # in float max-times sr.ge(0.0, w) holds for w <= tol, so the zero
+    # entry (1, 0) closes the cycle of the weight-1e-10 entry (0, 1)
+    rows = [[0.0, 1e-10], [0.0, 0.0]]
+    for tol, want in ((1e-9, True), (0.0, False)):
+        b = MaxMatrix._raw(rows, Semiring(TIMES, False, tol))
+        assert is_max_balanced_cyclecover(b) is want
+        assert cyclecover_reference(b) is want
+
+
+def test_cyclecover_tolerance_covers_a_slightly_lighter_cycle():
+    rows = [[0.0, 1.0], [1.0 - 1e-12, 0.0]]
+    for tol, want in ((1e-9, True), (0.0, False)):
+        b = MaxMatrix._raw(rows, Semiring(TIMES, False, tol))
+        assert is_max_balanced_cyclecover(b) is want
+        assert cyclecover_reference(b) is want
+    # exact mode and max-plus -inf zeros
+    assert not is_max_balanced_cyclecover(
+        fmat([[0, 1], [Fraction(10**12 - 1, 10**12), 0]])
+    )
+    assert is_max_balanced_cyclecover(
+        MaxMatrix([[NEG_INF, 3, 1], [3, NEG_INF, NEG_INF], [1, 1, 0]], EXACT_PLUS)
+    )
+
+
+def test_cyclecover_nan_entry_is_no_edge():
+    # float products can hold nan (an overflowed inf times a zero); the
+    # comparisons fail on it both as an edge and as a weight
+    nan = float("nan")
+    for rows, want in (
+        ([[2.0, 1.0], [nan, 2.0]], False),
+        ([[nan, 1.0], [1.0, 0.0]], True),
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, nan], [1.0, 1.0, 0.0]], False),
+    ):
+        b = MaxMatrix._raw(rows, FLOAT_TIMES)
+        assert is_max_balanced_cyclecover(b) is want
+        assert cyclecover_reference(b) is want

@@ -12,6 +12,7 @@ from maxalg import (
     FLOAT_PLUS,
     FLOAT_TIMES,
     NEG_INF,
+    TIMES,
     ExactnessError,
     MaxMatrix,
     ModeError,
@@ -259,3 +260,52 @@ def test_gmean_value_large_exact_roots():
     for k in (2, 3, 7):
         assert gmean_value(sr, (base ** k, k)) == base
         assert gmean_value(sr, (base ** k + 1, k)) is None
+
+
+def test_semiring_identity_survives_per_instance_ops():
+    # mul, eq and le are chosen per instance; they must stay out of ==,
+    # hash and repr, and travel through pickle, deepcopy and replace
+    import copy
+    import dataclasses
+    import pickle
+
+    from maxalg.cli import parse_matrix_text
+
+    cli_built = parse_matrix_text("maxplus 2 float\n0 1\n1 0\n", tol=0.0)[0]
+    modes = {
+        "Semiring(domain='max-times', exact=True, tol=1e-09)": EXACT_TIMES,
+        "Semiring(domain='max-times', exact=False, tol=1e-09)": FLOAT_TIMES,
+        "Semiring(domain='max-plus', exact=True, tol=1e-09)": EXACT_PLUS,
+        "Semiring(domain='max-plus', exact=False, tol=1e-09)": FLOAT_PLUS,
+        "Semiring(domain='max-plus', exact=False, tol=0.0)": cli_built.semiring,
+    }
+    probes = [(1, 2), (2, 2), (NEG_INF, 1), (NEG_INF, NEG_INF)]
+    for text, sr in modes.items():
+        assert repr(sr) == text
+        assert sr == Semiring(sr.domain, sr.exact, sr.tol)
+        assert hash(sr) == hash((sr.domain, sr.exact, sr.tol))
+        copies = [
+            pickle.loads(pickle.dumps(sr)),
+            copy.deepcopy(sr),
+            copy.copy(sr),
+            dataclasses.replace(sr),
+        ]
+        for other in copies:
+            assert other == sr and hash(other) == hash(sr)
+            assert repr(other) == text
+            for a, b in probes:
+                if sr.domain == TIMES and NEG_INF in (a, b):
+                    continue
+                a, b = sr.coerce(a), sr.coerce(b)
+                assert other.mul(a, b) == sr.mul(a, b)
+                assert other.eq(a, b) == sr.eq(a, b)
+                assert other.le(a, b) == sr.le(a, b)
+        for op in (sr.mul, sr.eq, sr.le, sr.is_zero):
+            pickle.dumps(op)
+    # replace chooses the ops again from the new fields
+    loose = dataclasses.replace(FLOAT_PLUS, tol=0.5)
+    assert loose.eq(1.0, 1.4) and not FLOAT_PLUS.eq(1.0, 1.4)
+    assert loose != FLOAT_PLUS
+    assert dataclasses.replace(FLOAT_PLUS, domain=TIMES) == FLOAT_TIMES
+    assert dataclasses.replace(FLOAT_PLUS, domain=TIMES).mul(2.0, 3.0) == 6.0
+    assert {FLOAT_TIMES: 1}[Semiring(TIMES, False)] == 1
