@@ -25,6 +25,7 @@ from .errors import (
     CertificationError,
     InapplicableError,
     IterationBudgetError,
+    ModeError,
     NotNormalizedError,
 )
 from .matrix import (
@@ -256,20 +257,19 @@ def csr_decompose(a, budget=None):
     for pows, m in ((lhs_pows, tilde), (s_pows, s)):
         while len(pows) < start + gamma:
             pows.append(otimes(pows[-1], m))
+
+    def agrees(t):
+        return lhs_pows[t].allclose(otimes(otimes(c, s_pows[t]), r))
+
     for t in range(start, start + gamma):
-        rhs = otimes(otimes(c, s_pows[t]), r)
-        if not lhs_pows[t].allclose(rhs):
+        if not agrees(t):
             raise CertificationError(
                 f"power {t} of the normalized matrix disagrees with its "
                 "C S^t R factorization inside the certified window"
             )
     onset = start
-    while onset > 1:
-        t = onset - 1
-        rhs = otimes(otimes(c, s_pows[t]), r)
-        if not lhs_pows[t].allclose(rhs):
-            break
-        onset = t
+    while onset > 1 and agrees(onset - 1):
+        onset -= 1
     return CsrTriple(
         lam=an.lam,
         lam_pair=an.mean.pair(),
@@ -329,8 +329,12 @@ def nachtigall_expansion(a, horizon=None):
     safety margin of twice the combined period. With no explicit horizon
     the default one is doubled a few times as needed; if the onset still
     cannot be certified the expansion is returned with validity_start
-    None instead of raising.
+    None instead of raising. An explicit horizon below 1 is refused.
     """
+    if horizon is not None and horizon < 1:
+        raise IterationBudgetError(
+            f"the horizon must be at least 1, got {horizon}"
+        )
     sr = a.semiring
     n = a.n
     alive = list(range(n))
@@ -473,7 +477,8 @@ def transient_bound(a):
     the log-gap of the two leading expansion coefficients, evaluated in
     float arithmetic; the onset itself is measured in the matrix's own
     mode. Raises InapplicableError when the expansion has fewer than two
-    terms, since then there is no gap to measure.
+    terms, since then there is no gap to measure, and ModeError when the
+    gap rounds to zero in float arithmetic.
     """
     sr = a.semiring
     expansion = nachtigall_expansion(a)
@@ -487,10 +492,7 @@ def transient_bound(a):
             "the expansion onset could not be certified within the "
             "horizon, so there is no measured value to report"
         )
-    if sr.exact:
-        f = semiring_convert(a, Semiring(sr.domain, exact=False))
-    else:
-        f = a
+    f = semiring_convert(a, Semiring(sr.domain, exact=False))
     fsr = f.semiring
     lam1 = fsr.to_float(expansion.terms[0].coefficient)
     lam2 = fsr.to_float(expansion.terms[1].coefficient)
@@ -502,6 +504,11 @@ def transient_bound(a):
             math.log(v) for row in f.rows for v in row if not fsr.is_zero(v)
         ]
         gap = math.log(lam1) - math.log(lam2)
+    if not gap > 0:
+        raise ModeError(
+            "the gap between the two leading coefficients vanishes in "
+            "float arithmetic"
+        )
     spread = max(logs) - min(logs)
     n = f.n
     return TransientBound(

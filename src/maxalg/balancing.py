@@ -22,6 +22,7 @@ from .digraph import digraph_of, scc
 from .errors import (
     CertificationError,
     ExactnessError,
+    ModeError,
     NoScalingError,
     SizeLimitError,
 )
@@ -133,6 +134,9 @@ def _balance_component(sub, sr):
         levels.append(an.mean.pair())
         crit_nodes = an.critical.nodes
         x_cur = _eigen_combination(star, crit_nodes, sr)
+        if any(sr.is_zero(v) for v in x_cur):
+            # a float max-times normalized entry can underflow to zero
+            raise ModeError("a balancing scale underflows the float range")
         for c, mult in enumerate(x_cur):
             for p in members[c]:
                 x_local[p] = sr.mul(x_local[p], mult)

@@ -53,7 +53,7 @@ from .scaling import (
     saturation_graph,
     strong_fp_scaling,
 )
-from .semiring import PLUS, TIMES, Semiring
+from .semiring import PLUS, TIMES, Semiring, checked_float
 from .spectral import spectral_analysis
 
 REPORT_SCHEMA = {
@@ -124,8 +124,7 @@ def parse_matrix_text(text, path="<input>", mode_override=None, tol=None):
     grid, sr, warnings = _parse_grid(
         text, path, mode_override, tol, allow_negative=False
     )
-    rows = [[sr.coerce(v) for v in row] for row in grid]
-    return MaxMatrix._raw(rows, sr), warnings
+    return MaxMatrix._raw(grid, sr), warnings
 
 
 def parse_signed_text(text, path="<input>", mode_override=None, tol=None):
@@ -181,9 +180,12 @@ def _parse_grid(text, path, mode_override, tol, allow_negative):
         warnings.append(
             f"mode overridden from {mode_tok} to {mode} by command flag"
         )
-    sr = Semiring(
-        domain, exact=(mode == "exact"), tol=(1e-9 if tol is None else tol)
-    )
+    try:
+        sr = Semiring(
+            domain, exact=(mode == "exact"), tol=(1e-9 if tol is None else tol)
+        )
+    except ValueError as exc:
+        raise ParseError(f"--tol: {exc}") from None
     body = lines[1:]
     if len(body) != n:
         raise ParseError(
@@ -235,20 +237,9 @@ def _parse_token(tok, sr, path, lineno, col, allow_negative):
         )
     if sr.exact:
         return value
-    try:
-        result = float(value)
-    except OverflowError:
-        raise ModeError(
-            f"{path}:{lineno}:{col}: {tok!r} overflows the float range; "
-            "use exact mode"
-        ) from None
-    if sr.domain == TIMES and value and not result:
-        # in max-times 0.0 is the semiring zero: the edge would be lost
-        raise ModeError(
-            f"{path}:{lineno}:{col}: {tok!r} underflows the float range; "
-            "use exact mode"
-        )
-    return result
+    return checked_float(
+        value, sr.domain == TIMES, f"{path}:{lineno}:{col}: {tok!r}"
+    )
 
 
 def serialize_matrix(a):
@@ -276,10 +267,7 @@ def _read_file(path, inputs):
 
 def _load_matrix(path, args, inputs):
     text = _read_file(path, inputs)
-    a, warnings = parse_matrix_text(
-        text, path, mode_override=args.mode, tol=args.tol
-    )
-    return a, warnings
+    return parse_matrix_text(text, path, mode_override=args.mode, tol=args.tol)
 
 
 def _cmd_info(args, inputs):
@@ -536,11 +524,7 @@ def _cmd_threshold(args, inputs):
             {
                 "theta": _tok(theta, sr),
                 "nontrivial_nodes": sorted(dec.nontrivial_nodes()),
-                "components": [
-                    list(c)
-                    for c, triv in zip(dec.components, dec.trivial)
-                    if not triv
-                ],
+                "components": [list(c) for c in dec.nontrivial_components],
             }
             for theta, dec in levels
         ]

@@ -220,9 +220,7 @@ def common_saturation_pair(a, b):
 def _saturation_pair(ta, tb, x):
     sat_a = saturation_graph(ta, x)
     sat_b = saturation_graph(tb, x)
-    m1 = _bool_matrix(sat_a.graph)
-    m2 = _bool_matrix(sat_b.graph)
-    if not otimes(m1, m2).allclose(otimes(m2, m1)):
+    if not commutes(_bool_matrix(sat_a.graph), _bool_matrix(sat_b.graph)):
         raise NotCommutingError(
             "the Boolean saturation matrices do not commute; x is not a "
             "common eigenvector of a commuting pair"
@@ -236,14 +234,13 @@ def _cycle_within(g, allowed, label):
     sub = g.subgraph(
         (i, j) for i, j, _w in g.edges if i in allowed and j in allowed
     )
-    dec = scc(sub)
-    for comp, triv in zip(dec.components, dec.trivial):
-        if not triv:
-            return component_cycle(sub, comp)
-    raise WitnessNotFoundError(
-        f"no cycle of {label} stays inside the strongly connected "
-        "territory of the other graph; a precondition must be violated"
-    )
+    components = scc(sub).nontrivial_components
+    if not components:
+        raise WitnessNotFoundError(
+            f"no cycle of {label} stays inside the strongly connected "
+            "territory of the other graph; a precondition must be violated"
+        )
+    return component_cycle(sub, components[0])
 
 
 def commuting_cycle_witness(pair):
@@ -262,11 +259,10 @@ def commuting_cycle_witness(pair):
                 raise PatternViolationError(
                     f"node {v} of {label} has no outgoing edge"
                 )
-    if not pair.verified_commuting:
-        m1 = _bool_matrix(g1)
-        m2 = _bool_matrix(g2)
-        if not otimes(m1, m2).allclose(otimes(m2, m1)):
-            raise NotCommutingError("the paired digraphs do not commute")
+    if not pair.verified_commuting and not commutes(
+        _bool_matrix(g1), _bool_matrix(g2)
+    ):
+        raise NotCommutingError("the paired digraphs do not commute")
     n2 = set(scc(g2).nontrivial_nodes())
     n1 = set(scc(g1).nontrivial_nodes())
     cycle1 = _cycle_within(g1, n2, "the first graph")

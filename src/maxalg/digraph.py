@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AcyclicNodeError, SizeLimitError
-from .semiring import EXACT_TIMES, Semiring
+from .semiring import EXACT_TIMES
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,18 @@ class SccDecomposition:
             object.__setattr__(self, "_index", idx)
         return self._index[node]
 
-    def nontrivial_nodes(self):
-        return frozenset(
-            v
+    @property
+    def nontrivial_components(self):
+        """The components that contain a cycle, in component order."""
+        return tuple(
+            comp
             for comp, triv in zip(self.components, self.trivial)
             if not triv
-            for v in comp
+        )
+
+    def nontrivial_nodes(self):
+        return frozenset(
+            v for comp in self.nontrivial_components for v in comp
         )
 
     @property
@@ -267,7 +273,7 @@ def enumerate_cycles(g, max_len=None, node_limit=8):
     return tuple(cycles)
 
 
-def _component_gcd(g, comp):
+def component_gcd(g, comp):
     """gcd of all cycle lengths inside one strongly connected component."""
     comp_set = set(comp)
     root = comp[0]
@@ -300,10 +306,7 @@ def graph_cyclicity(g):
             raise AcyclicNodeError(
                 f"node {comp[0]} lies on no cycle; cyclicity is undefined"
             )
-    result = 1
-    for comp in dec.components:
-        result = math.lcm(result, _component_gcd(g, comp))
-    return result
+    return math.lcm(*(component_gcd(g, comp) for comp in dec.components))
 
 
 def threshold_digraph(a, theta):

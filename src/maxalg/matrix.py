@@ -265,7 +265,9 @@ def otimes(a, b):
     """Semiring matrix product; the right factor may be a vector.
 
     Exact max-times products run on integers (see _lifted_products); every
-    other mode folds the semiring's own add and mul.
+    other mode folds the semiring's own add and mul, skipping zero factors
+    as closure_rows does: in float max-times an overflowed inf times zero
+    is nan, which would win the max.
     """
     _check_same_semiring(a, b)
     sr = a.semiring
@@ -283,14 +285,20 @@ def otimes(a, b):
     if sr.exact and sr.domain == TIMES:
         out = _lifted_products(a.rows, cols)
     else:
-        add, mul, zero = sr.add, sr.mul, sr.zero
+        add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
+        col_supports = [
+            [(k, y) for k, y in enumerate(col) if not is_zero(y)]
+            for col in cols
+        ]
         out = []
         for row in a.rows:
             out_row = []
-            for col in cols:
+            for support in col_supports:
                 acc = zero
-                for x, y in zip(row, col):
-                    acc = add(acc, mul(x, y))
+                for k, y in support:
+                    x = row[k]
+                    if not is_zero(x):
+                        acc = add(acc, mul(x, y))
                 out_row.append(acc)
             out.append(out_row)
     if vector:
@@ -336,7 +344,8 @@ def is_max_combination(m, terms):
     ``terms`` is a sequence of (coef, prod) pairs, prod of m's shape. In
     exact max-times every entry is decided fraction-free (see
     _lifted_combination); every other mode builds the combination with
-    scale and oplus and compares it under the mode's tolerance.
+    scale and oplus and compares it under the mode's tolerance. A float
+    coefficient that has overflowed to inf is a ModeError.
     """
     sr = m.semiring
     if sr.exact and sr.domain == TIMES:
@@ -351,6 +360,10 @@ def is_max_combination(m, terms):
         )
     rhs = MaxMatrix.zeros(m.nrows, m.ncols, semiring=sr)
     for coef, prod in terms:
+        if coef == math.inf:
+            raise ModeError(
+                "a coefficient overflows the float range; use exact mode"
+            )
         rhs = oplus(rhs, prod.scale(coef))
     return m.allclose(rhs)
 
@@ -624,7 +637,8 @@ def semiring_convert(a, target, base=None):
     exact mode, entries must be integer powers of ``base`` (default 2) and
     the conversion is a bijection on those; in float mode the natural
     logarithm is used unless a base is given. Converting float values into
-    an exact target across domains is refused as lossy.
+    an exact target across domains is refused as lossy; within a domain,
+    target.coerce refuses an exact value that float mode would lose.
     """
     src = a.semiring
     if not isinstance(target, Semiring):
@@ -638,7 +652,7 @@ def semiring_convert(a, target, base=None):
                 for row in a.rows
             ]
         else:
-            rows = [[src.to_float(v) for v in row] for row in a.rows]
+            rows = [[target.coerce(v) for v in row] for row in a.rows]
         return MaxMatrix._raw(rows, target)
 
     to_plus = target.domain == PLUS

@@ -58,22 +58,22 @@ def _float_le(tol, a, b):
     return a <= b or _float_eq(tol, a, b)
 
 
-def _to_float(v, underflow):
+def checked_float(v, underflow, what="a value"):
     """float(v) for an int or Fraction, refusing a value it would lose.
 
     Beyond the float range is a ModeError; so, with ``underflow``, is a
-    nonzero value that rounds to 0.0.
+    nonzero value that rounds to 0.0, the max-times zero. ``what`` names
+    the value at the head of the message.
     """
     try:
         result = float(v)
     except OverflowError:
         raise ModeError(
-            "a value lies beyond the float range; use exact mode"
+            f"{what} overflows the float range; use exact mode"
         ) from None
     if underflow and v and not result:
         raise ModeError(
-            "a nonzero value rounds to 0.0, the max-times zero, in float "
-            "mode; use exact mode"
+            f"{what} underflows the float range; use exact mode"
         )
     return result
 
@@ -83,7 +83,9 @@ class Semiring:
     """A max semiring in a fixed domain and arithmetic mode.
 
     ``tol`` is the relative tolerance for float comparisons: a and b are
-    considered equal iff |a - b| <= tol * max(1, |a|, |b|).
+    considered equal iff |a - b| <= tol * max(1, |a|, |b|). It must lie
+    in [0, 1): below zero nothing equals itself, and from one on max-plus
+    comparisons stop being monotone.
     """
 
     domain: str = TIMES
@@ -101,6 +103,8 @@ class Semiring:
     def __post_init__(self):
         if self.domain not in (TIMES, PLUS):
             raise ValueError(f"unknown domain {self.domain!r}")
+        if not 0 <= self.tol < 1:
+            raise ValueError(f"tolerance {self.tol!r} is not in [0, 1)")
         if self.domain == TIMES:
             zero = Fraction(0) if self.exact else 0.0
             one = Fraction(1) if self.exact else 1.0
@@ -158,7 +162,7 @@ class Semiring:
                     )
                 v = Fraction(v)
             elif not isinstance(v, float):
-                v = _to_float(v, underflow=True)
+                v = checked_float(v, underflow=True)
             if v < 0:
                 raise ValueError(f"negative value {v} in max-times domain")
             return v
@@ -172,7 +176,7 @@ class Semiring:
                     "Fraction, or a numeric string"
                 )
             return v
-        return Fraction(v) if self.exact else _to_float(v, underflow=False)
+        return Fraction(v) if self.exact else checked_float(v, underflow=False)
 
     def coerce_abs(self, v):
         """Coerce the modulus of a signed number (for moduli matrices)."""
@@ -247,8 +251,6 @@ class Semiring:
 
     def to_float(self, a):
         """Numeric value of a scalar, for display and for log-domain bounds."""
-        if a == NEG_INF:
-            return NEG_INF
         return float(a)
 
 

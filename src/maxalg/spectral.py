@@ -21,8 +21,8 @@ from .digraph import (
     Path,
     SccDecomposition,
     component_cycle,
+    component_gcd,
     digraph_of,
-    graph_cyclicity,
     scc,
 )
 from .errors import (
@@ -387,32 +387,21 @@ def _critical_edges(rows, closure, ops):
 
 def _critical_graph(a, crit):
     """The CriticalGraph of a spanned by the critical edge list crit."""
-    sr = a.semiring
-    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], sr)
-    dec = scc(sub)
-    components = tuple(
-        comp
-        for comp, triv in zip(dec.components, dec.trivial)
-        if not triv
-    )
+    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], a.semiring)
+    components = scc(sub).nontrivial_components
     nodes = tuple(sorted(v for comp in components for v in comp))
-    renum = {v: t for t, v in enumerate(nodes)}
+    on_cycle = set(nodes)
     for i, j in crit:
-        if i not in renum or j not in renum:
+        if i not in on_cycle or j not in on_cycle:
             # float rounding under a very tight tolerance
             raise CertificationError(
                 f"critical edge ({i}, {j}) lies on no critical cycle"
             )
-    induced = Digraph(
-        len(nodes),
-        [(renum[i], renum[j], sr.one) for (i, j) in crit],
-        sr,
-    )
     return CriticalGraph(
         nodes=nodes,
         edges=tuple(sorted(crit)),
         components=components,
-        cyclicity=graph_cyclicity(induced),
+        cyclicity=math.lcm(*(component_gcd(sub, c) for c in components)),
         graph=sub,
     )
 
@@ -542,9 +531,7 @@ def spectral_analysis(a):
     rows = _Ratios.lift_rows(a.rows) if fraction_free else a.rows
     dec = scc(digraph_of(a))
     best = None
-    for comp, triv in zip(dec.components, dec.trivial):
-        if triv:
-            continue
+    for comp in dec.nontrivial_components:
         pair = _karp_best_pair(sr, ops, rows, comp)
         if pair is not None and (best is None or gmean_cmp(sr, pair, best) > 0):
             best = pair

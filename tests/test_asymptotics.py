@@ -7,10 +7,14 @@ from fractions import Fraction
 import pytest
 
 from maxalg import (
+    EXACT_PLUS,
     EXACT_TIMES,
+    FLOAT_TIMES,
+    NEG_INF,
     InapplicableError,
     IterationBudgetError,
     MaxMatrix,
+    ModeError,
     critical_graph,
     critical_matrix,
     csr_decompose,
@@ -284,6 +288,30 @@ def test_transient_bound_worked_example():
 def test_transient_bound_inapplicable_single_term():
     a = fmat([[0, 1], [1, 0]])
     with pytest.raises(InapplicableError):
+        transient_bound(a)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_nachtigall_refuses_a_horizon_below_one(horizon):
+    a = fmat([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    with pytest.raises(IterationBudgetError, match="horizon"):
+        nachtigall_expansion(a, horizon=horizon)
+    assert nachtigall_expansion(a, horizon=1).horizon == 1
+
+
+def test_float_expansion_whose_coefficient_power_overflows_is_refused():
+    # the top coefficient is about 2.2e153, so its cube overflows
+    a = MaxMatrix([[0.5, 1e308], [0.5, 2.0]], FLOAT_TIMES)
+    with pytest.raises(ModeError, match="overflows the float range"):
+        nachtigall_expansion(a)
+    with pytest.raises(ModeError, match="overflows the float range"):
+        transient_bound(a)
+
+
+def test_transient_bound_refuses_a_gap_that_rounds_to_zero():
+    # exact coefficients 1e-400 and 0 are both 0.0 as floats
+    a = MaxMatrix([[Fraction(1, 10**400), NEG_INF], [2, 0]], EXACT_PLUS)
+    with pytest.raises(ModeError, match="gap"):
         transient_bound(a)
 
 

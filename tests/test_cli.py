@@ -14,6 +14,7 @@ from maxalg import (
     EXACT_TIMES,
     FLOAT_PLUS,
     FLOAT_TIMES,
+    Semiring,
     semiring_convert,
 )
 from maxalg.cli import (
@@ -314,6 +315,101 @@ def test_float_underflow_at_parse_is_a_mode_refusal(tmp_path, command):
     if command == "info":
         assert report["results"]["nonzero_entries"] == 4
         assert report["results"]["irreducible"] is True
+
+
+@pytest.mark.parametrize(
+    "tol,want_code",
+    [("-1", 2), ("nan", 2), ("1", 2), ("1.5", 2), ("inf", 2)]
+    + [("0", 0), ("1e-9", 0), ("0.5", 0)],
+)
+def test_tolerance_must_lie_in_zero_to_one(tol, want_code):
+    report, code = _run(["info", "data/two_cycle.mx", "--float", "--tol", tol])
+    assert code == want_code
+    if want_code == 2:
+        assert report["results"]["error"].startswith("--tol: tolerance")
+
+
+# inputs that once ended in a traceback or a junk answer: each now ends
+# in a typed refusal with a message
+TYPED_REFUSALS = [
+    (
+        "nachtigall_coefficient_power_overflows",
+        ["nachtigall", "M"],
+        "maxtimes 2 float\n1/2 1e308\n1/2 2\n",
+        3,
+        "overflows the float range",
+    ),
+    (
+        "bound_coefficient_power_overflows",
+        ["bound", "M"],
+        "maxtimes 2 float\n1/2 1e308\n1/2 2\n",
+        3,
+        "overflows the float range",
+    ),
+    (
+        "bound_exact_entry_beyond_float",
+        ["bound", "M"],
+        "maxtimes 2 exact\n1e200 1e400\n0 1e308\n",
+        3,
+        "overflows the float range",
+    ),
+    (
+        "bound_gap_underflows",
+        ["bound", "M"],
+        "maxplus 2 exact\n1e-400 -inf\n2 0\n",
+        3,
+        "gap",
+    ),
+    (
+        "nachtigall_negative_horizon",
+        ["nachtigall", "M", "--budget", "-1"],
+        "maxtimes 2 exact\n1 .\n. 1/2\n",
+        2,
+        "horizon",
+    ),
+    (
+        "balance_float_restart_scale_underflows",
+        ["scale", "balance", "M"],
+        "maxtimes 2 exact\n1/2 1e-300\n3/7 1e200\n",
+        3,
+        "underflows the float range",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,argv,text,want_code,fragment",
+    TYPED_REFUSALS,
+    ids=[c[0] for c in TYPED_REFUSALS],
+)
+def test_typed_refusals(tmp_path, name, argv, text, want_code, fragment):
+    path = tmp_path / f"{name}.mx"
+    path.write_text(text)
+    report, code = run_command([str(path) if t == "M" else t for t in argv])
+    assert code == want_code
+    assert fragment in report["results"]["error"]
+
+
+def test_parse_matrix_text_coerces_no_entry_again(monkeypatch):
+    # _parse_token validates each entry once; the matrix is built from
+    # its grid without a second Semiring.coerce pass
+    calls = []
+    original = Semiring.coerce
+
+    def counting(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(Semiring, "coerce", counting)
+    for text in (
+        "maxtimes 2 exact\n1/2 .\n3 1\n",
+        "maxtimes 2 float\n1/2 .\n3 1e-300\n",
+        "maxplus 2 exact\n-1/2 -inf\n3 0\n",
+        "maxplus 2 float\n-1/2 -inf\n3 1e-400\n",
+    ):
+        a, _w = parse_matrix_text(text)
+        assert a.n == 2
+    assert calls == []
 
 
 def test_mode_override_flags():

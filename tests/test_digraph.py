@@ -92,6 +92,9 @@ def test_scc_matches_brute_force_on_random_graphs():
         for comp, triv in zip(dec.components, dec.trivial):
             want_triv = len(comp) == 1 and (comp[0], comp[0]) not in g.edge_set()
             assert triv == want_triv
+        assert dec.nontrivial_components == tuple(
+            c for c, triv in zip(dec.components, dec.trivial) if not triv
+        )
         for node in range(n):
             assert node in dec.components[dec.component_of(node)]
         covered = sorted(x for c in dec.components for x in c)
@@ -113,6 +116,7 @@ def test_nontrivial_nodes_and_is_single():
     a = fmat([[0, 1, 0], [1, 0, 0], [0, 1, 0]])
     dec = scc(digraph_of(a))
     assert set(dec.nontrivial_nodes()) == {0, 1}
+    assert dec.nontrivial_components == ((0, 1),)
     assert not dec.is_single
     assert is_strongly_connected(digraph_of(fmat([[0, 1], [1, 0]])))
 

@@ -14,6 +14,7 @@ from maxalg import (
     DimensionError,
     DivergenceError,
     MaxMatrix,
+    ModeError,
     MaxVector,
     entrywise_div,
     kleene_star,
@@ -378,6 +379,33 @@ def test_semiring_convert_rejects_inexact_logs():
         semiring_convert(a, EXACT_PLUS, base=2)
     fp = semiring_convert(a, FLOAT_PLUS, base=2)
     assert fp.rows[0][1] == pytest.approx(1.584962500721156)
+
+
+def test_semiring_convert_into_float_refuses_values_it_would_lose():
+    # a tiny max-times entry would become 0.0, the zero, and lose its edge
+    tiny = fmat([[1, Fraction(1, 10**400)], [1, 1]])
+    with pytest.raises(ModeError, match="underflows the float range"):
+        semiring_convert(tiny, FLOAT_TIMES)
+    huge = fmat([[1, Fraction(10**400)], [1, 1]])
+    with pytest.raises(ModeError, match="overflows the float range"):
+        semiring_convert(huge, FLOAT_TIMES)
+    # in max-plus the same tiny value is a real weight of about 0
+    plus = MaxMatrix([[Fraction(1, 10**400), NEG_INF], [2, 0]], EXACT_PLUS)
+    assert semiring_convert(plus, FLOAT_PLUS).rows == ((0.0, NEG_INF), (2.0, 0.0))
+    with pytest.raises(ModeError, match="overflows the float range"):
+        semiring_convert(
+            MaxMatrix([[Fraction(10**400)]], EXACT_PLUS), FLOAT_PLUS
+        )
+
+
+def test_float_products_skip_zero_factors():
+    # an overflowed inf times a zero entry is nan, which would win the max
+    a = MaxMatrix([[1e200, 0], [0, 1e200]], FLOAT_TIMES)
+    inf = float("inf")
+    assert mat_power(a, 4).rows == ((inf, 0.0), (0.0, inf))
+    assert otimes(a, a).rows == ((inf, 0.0), (0.0, inf))
+    x = otimes(mat_power(a, 2), MaxVector([1.0, 0.0], FLOAT_TIMES))
+    assert x.entries == (inf, 0.0)
 
 
 def test_allclose_in_float_mode():

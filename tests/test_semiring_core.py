@@ -1,5 +1,6 @@
 """Scalar layer: the four modes, coercion rules, and mean-pair compares."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from maxalg import (
     FLOAT_PLUS,
     FLOAT_TIMES,
     NEG_INF,
+    PLUS,
     TIMES,
     ExactnessError,
     MaxMatrix,
@@ -24,6 +26,7 @@ from maxalg import (
     gmean_value,
     max_cycle_gmean,
 )
+from maxalg.semiring import checked_float
 
 ALL_MODES = (EXACT_TIMES, FLOAT_TIMES, EXACT_PLUS, FLOAT_PLUS)
 
@@ -103,6 +106,35 @@ def test_float_max_times_coerce_never_loses_an_edge():
     # exact mode keeps every value
     assert EXACT_TIMES.coerce("1e-400") == Fraction(1, 10**400)
     assert EXACT_PLUS.coerce("1e400") == Fraction(10**400)
+
+
+def test_checked_float_names_the_value_it_refuses():
+    assert checked_float(Fraction(1, 3), underflow=True) == 1 / 3
+    with pytest.raises(ModeError, match="^'1e400' overflows the float range"):
+        checked_float(Fraction(10**400), underflow=False, what="'1e400'")
+    with pytest.raises(ModeError, match="^a value underflows the float range"):
+        checked_float(Fraction(1, 10**400), underflow=True)
+    # without the underflow check a tiny value is a real max-plus weight
+    assert checked_float(Fraction(1, 10**400), underflow=False) == 0.0
+
+
+@pytest.mark.parametrize(
+    "tol", [-1, math.nan, 1, 1.5, math.inf], ids=str
+)
+def test_semiring_refuses_a_tolerance_outside_zero_to_one(tol):
+    for domain in (TIMES, PLUS):
+        for exact in (True, False):
+            with pytest.raises(ValueError, match="tolerance"):
+                Semiring(domain, exact, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        dataclasses.replace(FLOAT_PLUS, tol=tol)
+
+
+def test_semiring_accepts_the_tolerances_in_use():
+    for tol in (0, 0.0, 1e-9, 0.5):
+        sr = Semiring(PLUS, False, tol)
+        assert sr.tol == tol
+        assert sr.eq(1.0, 1.0)
 
 
 def test_coerce_abs_is_times_only():

@@ -25,6 +25,7 @@ from maxalg import (
 
 from helpers import (
     best_gmean_pair_brute,
+    count_calls,
     critical_edges_brute,
     fmat,
     random_irreducible,
@@ -262,6 +263,23 @@ def test_float_normalization_divides_by_the_reported_mean():
         f = semiring_convert(a, FLOAT_TIMES)
         tilde, mean = normalize_to_unit(f)
         assert tilde == f.scale(1.0 / mean.exact_value())
+
+
+def test_spectral_analysis_runs_two_scc_passes(monkeypatch):
+    # one on the matrix's digraph and one on the critical edges, whose
+    # components also give the cyclicity
+    calls = count_calls(monkeypatch, "scc")
+    a = fmat([
+        [0, 1, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 1, 0],
+        [0, 0, 0, 0, 1],
+        [0, 0, 1, 0, 0],
+    ])
+    critical = spectral.spectral_analysis(a).critical
+    assert len(calls) == 2
+    assert critical.components == ((0, 1), (2, 3, 4))
+    assert critical.cyclicity == 6
 
 
 def test_is_eigenvector_rejects_wrong_pairs():
