@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 from .errors import (
     CertificationError,
@@ -35,6 +35,7 @@ from .matrix import (
     mat_power,
     oplus,
     otimes,
+    right_multiplier,
     semiring_convert,
 )
 from .semiring import PLUS, Semiring
@@ -59,18 +60,31 @@ class PeriodicityProfile:
     budget: int
 
 
-def _scan_periodicity(m, budget):
-    """First repeat among the powers of m: (transient, period, powers).
+def _powers(m):
+    """Yield m, m^2, m^3, ..., each power one product after the last.
 
-    Scans exponents upward, comparing each power against all earlier
-    ones; the first repeat pins down the minimal eventual period and the
-    minimal transient for it, since one equality propagates forever by
+    One ladder: m is lifted once for all its products (right_multiplier).
+    """
+    times_m = right_multiplier(m)
+    power = m
+    while True:
+        yield power
+        power = times_m(power)
+
+
+def _scan_periodicity(ladder, budget):
+    """First repeat among a ladder's powers: (transient, period, powers).
+
+    ``ladder`` yields m, m^2, ... (_powers); powers[t] is m^t. Scans
+    exponents upward, comparing each power against all earlier ones; the
+    first repeat pins down the minimal eventual period and the minimal
+    transient for it, since one equality propagates forever by
     multiplicativity. Raises IterationBudgetError when no repeat shows up
     within the budget.
     """
-    powers = [None, m]
+    powers = [None, next(ladder)]
     for t in range(2, budget + 1):
-        powers.append(otimes(powers[-1], m))
+        powers.append(next(ladder))
         for p in range(1, t):
             if powers[t].allclose(powers[t - p]):
                 return t - p, p, powers
@@ -83,23 +97,26 @@ def _scan_periodicity(m, budget):
 def _transient_with_growth(m, budget, gamma):
     """Transient of the powers of m, growing the default budget on demand.
 
-    Returns the scan's (transient, period, powers), powers[t] being m^t.
-    gamma is the cyclicity of m's critical graph. An explicit budget is a
-    hard cap. The default is 2^7 times the usual 3n^2 + 2 gamma, because
-    that figure is only the conjectured magnitude of the transient, not a
+    Returns (transient, powers, ladder): powers[t] is m^t, and the ladder
+    goes on with the powers after the last one kept. gamma is the
+    cyclicity of m's critical graph. An explicit budget is a hard cap.
+    The default is 2^7 times the usual 3n^2 + 2 gamma, because that
+    figure is only the conjectured magnitude of the transient, not a
     proven bound; the scan stops at the first repeat, so a larger cap
     costs nothing when the repeat comes early.
     """
     if budget is None:
         budget = (3 * m.n * m.n + 2 * gamma) << 7
-    return _scan_periodicity(m, budget)
+    ladder = _powers(m)
+    transient, _period, powers = _scan_periodicity(ladder, budget)
+    return transient, powers, ladder
 
 
 def _periodicity_profile(m, mean, gamma, budget):
     """Scan the powers of the unit-mean m; mean is reported as lam."""
     if budget is None:
         budget = 3 * m.n * m.n + 2 * gamma
-    transient, period, powers = _scan_periodicity(m, budget)
+    transient, period, powers = _scan_periodicity(_powers(m), budget)
     return PeriodicityProfile(
         transient=transient,
         period=period,
@@ -200,9 +217,7 @@ def strong_path_table(a, t):
         ]
         for i in range(n)
     ]
-    power = tilde
-    for _step in range(2, t + 1):
-        power = otimes(power, tilde)
+    for power in islice(_powers(tilde), 1, t):
         f = otimes(tilde, MaxMatrix._raw(f, sr)).rows
         f = [
             list(power.rows[i]) if i in crit else list(f[i])
@@ -251,15 +266,17 @@ def csr_decompose(a, budget=None):
     tilde = an.tilde
     gamma = an.critical.cyclicity
     # every edge of s is critical, so s shares tilde's critical cyclicity
-    t_tilde, _p, lhs_pows = _transient_with_growth(tilde, budget, gamma)
-    t_s, _p, s_pows = _transient_with_growth(s, budget, gamma)
+    t_tilde, lhs_pows, lhs_ladder = _transient_with_growth(
+        tilde, budget, gamma)
+    t_s, s_pows, s_ladder = _transient_with_growth(s, budget, gamma)
     start = max(t_tilde, t_s)
-    for pows, m in ((lhs_pows, tilde), (s_pows, s)):
+    for pows, ladder in ((lhs_pows, lhs_ladder), (s_pows, s_ladder)):
         while len(pows) < start + gamma:
-            pows.append(otimes(pows[-1], m))
+            pows.append(next(ladder))
+    times_r = right_multiplier(r)
 
     def agrees(t):
-        return lhs_pows[t].allclose(otimes(otimes(c, s_pows[t]), r))
+        return lhs_pows[t].allclose(times_r(otimes(c, s_pows[t])))
 
     for t in range(start, start + gamma):
         if not agrees(t):
@@ -419,10 +436,11 @@ def _csr_products(term):
     powers that never repeat bit for bit are multiplied at every step.
     """
     window = deque(maxlen=term.gamma)
-    for s_pow in accumulate(repeat(term.s), otimes):
+    times_r = right_multiplier(term.r)
+    for s_pow in _powers(term.s):
         if len(window) == term.gamma and window[0][0] == s_pow:
             break
-        prod = otimes(otimes(term.c, s_pow), term.r)
+        prod = times_r(otimes(term.c, s_pow))
         window.append((s_pow, prod))
         yield prod
     cycle = [prod for _s_pow, prod in window]
@@ -441,7 +459,7 @@ def _agreements(a, terms):
         zip(accumulate(repeat(term.coefficient), sr.mul), _csr_products(term))
         for term in terms
     ]
-    for power in accumulate(repeat(a), otimes):
+    for power in _powers(a):
         yield is_max_combination(power, [next(col) for col in columns])
 
 

@@ -16,6 +16,7 @@ problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -632,11 +633,20 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser run_command uses, built on first use, once per process.
+
+    Parsing reads the parser and never changes it: each parse_args call
+    fills a new namespace from the parser's defaults.
+    """
+    return build_parser()
+
+
 def run_command(argv):
     """Parse argv, run the subcommand, return (report or None, exit code)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return None, int(exc.code or 0)
     inputs = []

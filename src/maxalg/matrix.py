@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import partial
 
 from .digraph import Path
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     NoConstraintError,
     UndefinedDivisionError,
 )
-from .semiring import EXACT_TIMES, NEG_INF, PLUS, TIMES, Semiring
+from .semiring import EXACT_TIMES, NEG_INF, PLUS, TIMES, Semiring, log_terms
 
 
 def _check_same_semiring(a, b):
@@ -283,7 +284,7 @@ def otimes(a, b):
             raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
         cols = list(zip(*b.rows))
     if sr.exact and sr.domain == TIMES:
-        out = _lifted_products(a.rows, cols)
+        out = _lifted_products(a.rows, [_lift(col) for col in cols])
     else:
         add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
         col_supports = [
@@ -315,17 +316,17 @@ def _lift(values):
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _lifted_products(rows, cols):
-    """Exact max-times products of rows and columns, fraction-free.
+def _lifted_products(rows, lifted_cols):
+    """Exact max-times products of rows and lifted columns, fraction-free.
 
     Row i is lifted over the lcm d_i of its own denominators and column j
-    over its own e_j, so entry (i, j) is max_k(r_ik * c_kj) / (d_i * e_j):
-    the inner loop multiplies Python ints and each entry builds one
-    canonical Fraction, equal in value and representation to the Fraction
-    fold. One lcm for the whole matrix would be simpler but can grow far
-    larger: pairwise coprime denominators make it the product of them all.
+    over its own e_j (``lifted_cols`` holds the _lift of each column), so
+    entry (i, j) is max_k(r_ik * c_kj) / (d_i * e_j): the inner loop
+    multiplies Python ints and each entry builds one canonical Fraction,
+    equal in value and representation to the Fraction fold. One lcm for
+    the whole matrix would be simpler but can grow far larger: pairwise
+    coprime denominators make it the product of them all.
     """
-    lifted_cols = [_lift(col) for col in cols]
     out = []
     for row in rows:
         r, d = _lift(row)
@@ -336,6 +337,27 @@ def _lifted_products(rows, cols):
             ]
         )
     return out
+
+
+def right_multiplier(m):
+    """The map x -> x (x) m, for a power ladder that multiplies by m.
+
+    In exact max-times m's columns are lifted once, here, instead of at
+    every product; the lifted columns live as long as the returned map.
+    Every other mode returns plain otimes. The products equal otimes's.
+    """
+    sr = m.semiring
+    if not (sr.exact and sr.domain == TIMES):
+        return lambda x: otimes(x, m)
+    lifted_cols = [_lift(col) for col in zip(*m.rows)]
+
+    def times_m(x):
+        _check_same_semiring(x, m)
+        if x.ncols != m.nrows:
+            raise DimensionError(f"cannot multiply {x.shape} by {m.shape}")
+        return MaxMatrix._raw(_lifted_products(x.rows, lifted_cols), sr)
+
+    return times_m
 
 
 def is_max_combination(m, terms):
@@ -410,6 +432,65 @@ def mat_power(a, t):
         if t:
             base = otimes(base, base)
     return result
+
+
+class Ratios:
+    """Positive rationals as unreduced (numerator, denominator) int pairs.
+
+    The scalars of exact max-times inside the closures and Karp's table:
+    kleene_star and the spectral layer both read them. None is the zero.
+    ``mul`` multiplies the ints and never takes a gcd, ``add`` and ``eq``
+    cross-multiply; ``value`` and ``div`` give a canonical Fraction, which
+    is all that leaves a closure or Karp's table. On an exact tie ``add``
+    keeps the operand with the smaller denominator, so a walk that absorbs
+    a cycle of weight one does not grow its ints.
+    """
+
+    zero = None
+    one = (1, 1)
+    is_zero = staticmethod(operator.not_)
+
+    @staticmethod
+    def lift_rows(rows):
+        return [
+            [(v.numerator, v.denominator) if v else None for v in row]
+            for row in rows
+        ]
+
+    @staticmethod
+    def value(x):
+        """The canonical Fraction of x."""
+        return Fraction(x[0], x[1]) if x else Fraction(0)
+
+    @staticmethod
+    def exceeds_one(x):
+        """True when x is above the unit, without building a Fraction."""
+        return x is not None and x[0] > x[1]
+
+    @staticmethod
+    def add(x, y):
+        if x is None:
+            return y
+        if y is None:
+            return x
+        lhs, rhs = x[0] * y[1], y[0] * x[1]
+        if lhs != rhs:
+            return x if lhs > rhs else y
+        return x if x[1] <= y[1] else y
+
+    @staticmethod
+    def mul(x, y):
+        if x is None or y is None:
+            return None
+        return (x[0] * y[0], x[1] * y[1])
+
+    @staticmethod
+    def eq(x, y):
+        return x[0] * y[1] == y[0] * x[1]
+
+    @staticmethod
+    def div(x, y):
+        return Fraction(x[0] * y[1], x[1] * y[0])
 
 
 def closure_rows(rows, ops, diverges=None):
@@ -487,11 +568,12 @@ def _divergence_witness(a):
     """A cycle of weight above one, found through the power sequence."""
     sr = a.semiring
     n = a.n
+    times_a = right_multiplier(a)
     powers = [MaxMatrix.identity(n, sr), a]
     hit = None
     for length in range(1, n + 1):
         if len(powers) <= length:
-            powers.append(otimes(powers[-1], a))
+            powers.append(times_a(powers[-1]))
         p = powers[length]
         for i in range(n):
             if sr.lt(sr.one, p[i, i]):
@@ -548,18 +630,26 @@ def kleene_star(a):
 
     Converges exactly when every cycle weight is at most one; otherwise a
     DivergenceError carrying a witness cycle of weight above one is raised.
+    Exact max-times closes on Ratios int pairs and builds one Fraction per
+    star entry at the end.
     """
     sr = a.semiring
     n = a.n
-    one = sr.one
-    closure = closure_rows(a.rows, sr, lambda v: sr.lt(one, v))
-    if closure is None or any(sr.lt(one, closure[i][i]) for i in range(n)):
+    pairs = sr.exact and sr.domain == TIMES
+    if pairs:
+        ops, rows, heavy = Ratios, Ratios.lift_rows(a.rows), Ratios.exceeds_one
+    else:
+        ops, rows, heavy = sr, a.rows, partial(sr.lt, sr.one)
+    closure = closure_rows(rows, ops, heavy)
+    if closure is None or any(heavy(closure[i][i]) for i in range(n)):
         raise DivergenceError(
             "the star diverges: a cycle has weight above one",
             witness=_divergence_witness(a),
         )
     for i in range(n):
-        closure[i][i] = sr.add(closure[i][i], one)
+        closure[i][i] = ops.add(closure[i][i], ops.one)
+    if pairs:
+        closure = [[Ratios.value(x) for x in row] for row in closure]
     return MaxMatrix._raw(closure, sr)
 
 
@@ -639,6 +729,9 @@ def semiring_convert(a, target, base=None):
     logarithm is used unless a base is given. Converting float values into
     an exact target across domains is refused as lossy; within a domain,
     target.coerce refuses an exact value that float mode would lose.
+    Across domains into float mode, a log is taken from the ints of a
+    value beyond the float range, and an exp that leaves the float range
+    is a ModeError.
     """
     src = a.semiring
     if not isinstance(target, Semiring):
@@ -697,8 +790,46 @@ def semiring_convert(a, target, base=None):
             if src.is_zero(v):
                 out.append(target.zero)
             elif to_plus:
-                out.append(math.log(src.to_float(v)) / log_base)
+                out.append(_float_log(v) / log_base)
             else:
-                out.append(math.exp(src.to_float(v) * log_base))
+                out.append(_float_exp(v, log_base))
         rows.append(out)
     return MaxMatrix._raw(rows, target)
+
+
+def _float_log(v):
+    """ln v of a positive max-times scalar, beyond the float range too.
+
+    An exact value that float() would overflow or round to 0.0 takes its
+    log from numerator and denominator (log_terms); every other value is
+    math.log(float(v)).
+    """
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if isinstance(v, Fraction) and (x == math.inf or not x):
+        num, den = log_terms(v)
+        return num - den
+    return math.log(x)
+
+
+def _float_exp(v, log_base):
+    """exp(v * log_base) for a finite max-plus scalar v, as a float.
+
+    An image beyond the float range, or one that rounds to 0.0, the
+    max-times zero, is a ModeError.
+    """
+    try:
+        x = math.exp(v * log_base)
+    except OverflowError:
+        x = math.inf if (v > 0) == (log_base > 0) else 0.0
+    if x == math.inf:
+        raise ModeError(
+            "the exp of an entry overflows the float range; use exact mode"
+        )
+    if not x:
+        raise ModeError(
+            "the exp of an entry underflows the float range; use exact mode"
+        )
+    return x

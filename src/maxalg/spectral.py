@@ -12,9 +12,7 @@ cannot decide, so the critical graph itself stays exact.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .digraph import (
     Digraph,
@@ -35,6 +33,7 @@ from .errors import (
 from .matrix import (
     MaxMatrix,
     MaxVector,
+    Ratios,
     closure_rows,
     kleene_star,
     oplus,
@@ -104,64 +103,11 @@ class CriticalGraph:
     graph: Digraph
 
 
-class _Ratios:
-    """Positive rationals as unreduced (numerator, denominator) int pairs.
-
-    The scalars of exact max-times inside the spectral loops. None is the
-    zero. ``mul`` multiplies the ints and never takes a gcd, ``add`` and
-    ``eq`` cross-multiply; ``div`` gives a quotient as a canonical
-    Fraction, which is all that leaves Karp's table. On an exact tie
-    ``add`` keeps the operand with the smaller denominator, so a walk that
-    absorbs a cycle of weight one does not grow its ints.
-    """
-
-    zero = None
-    one = (1, 1)
-    is_zero = staticmethod(operator.not_)
-
-    @staticmethod
-    def lift_rows(rows):
-        return [
-            [(v.numerator, v.denominator) if v else None for v in row]
-            for row in rows
-        ]
-
-    @staticmethod
-    def value(x):
-        """The canonical Fraction of x."""
-        return Fraction(x[0], x[1]) if x else Fraction(0)
-
-    @staticmethod
-    def add(x, y):
-        if x is None:
-            return y
-        if y is None:
-            return x
-        lhs, rhs = x[0] * y[1], y[0] * x[1]
-        if lhs != rhs:
-            return x if lhs > rhs else y
-        return x if x[1] <= y[1] else y
-
-    @staticmethod
-    def mul(x, y):
-        if x is None or y is None:
-            return None
-        return (x[0] * y[0], x[1] * y[1])
-
-    @staticmethod
-    def eq(x, y):
-        return x[0] * y[1] == y[0] * x[1]
-
-    @staticmethod
-    def div(x, y):
-        return Fraction(x[0] * y[1], x[1] * y[0])
-
-
 def _karp_best_pair(sr, ops, rows, comp):
     """Best cycle-mean pair inside one nontrivial component, via Karp.
 
     ``rows`` holds the matrix in the representation of ``ops`` (the
-    semiring, or _Ratios in exact max-times); only the final quotients
+    semiring, or Ratios in exact max-times); only the final quotients
     are semiring scalars, compared by gmean_cmp. Float semirings run
     _float_karp.
     """
@@ -523,12 +469,12 @@ def spectral_analysis(a):
     normalization is carried symbolically, so the critical graph stays
     exact while lam, tilde and star are None. The witness is a cycle of
     the first critical component. In exact max-times the table and the
-    closures run on _Ratios or _Symbolic int pairs.
+    closures run on Ratios or _Symbolic int pairs.
     """
     sr = a.semiring
     fraction_free = sr.exact and sr.domain == TIMES
-    ops = _Ratios if fraction_free else sr
-    rows = _Ratios.lift_rows(a.rows) if fraction_free else a.rows
+    ops = Ratios if fraction_free else sr
+    rows = Ratios.lift_rows(a.rows) if fraction_free else a.rows
     dec = scc(digraph_of(a))
     best = None
     for comp in dec.nontrivial_components:
@@ -545,7 +491,7 @@ def spectral_analysis(a):
         rows = ops.rows
     else:
         tilde = _divided_rows(a, lam)
-        rows = _Ratios.lift_rows(tilde) if fraction_free else tilde
+        rows = Ratios.lift_rows(tilde) if fraction_free else tilde
     closure = closure_rows(rows, ops)
     critical = _critical_graph(a, _critical_edges(rows, closure, ops))
     if not critical.components:
@@ -559,7 +505,7 @@ def spectral_analysis(a):
     if lam is None:
         return SpectralAnalysis(dec, mean, None, None, None, critical)
     if fraction_free:
-        closure = [[_Ratios.value(x) for x in row] for row in closure]
+        closure = [[Ratios.value(x) for x in row] for row in closure]
     elif mean.exact_value() != lam:
         # Float rounding: Karp's pair and the witness can round to
         # different scalars; the reported mean is the witness's.

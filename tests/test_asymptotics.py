@@ -30,6 +30,7 @@ from maxalg import (
 )
 
 from helpers import (
+    count_calls,
     fmat,
     power_two_dominant,
     two_level_planted,
@@ -70,6 +71,17 @@ def test_transient_and_period_minimality():
         # the transient is minimal for this period
         if t > 1:
             assert mat_power(a, t - 1 + p) != mat_power(a, t - 1)
+
+
+def test_power_ladder_lifts_its_right_factor_once(monkeypatch):
+    # each product lifts only its left factor's n rows; the right factor's
+    # n columns are lifted once for the whole scan, not at every product
+    a = fmat([[1, 1], [Fraction(1, 2), Fraction(199, 200)]])
+    lifts = count_calls(monkeypatch, "_lift")
+    prof = transient_and_period(a, budget=1000)
+    assert (prof.transient, prof.period) == (139, 1)
+    n, products = a.n, prof.transient + prof.period - 1
+    assert len(lifts) == (products + 1) * n
 
 
 def test_transient_budget_error_on_never_periodic():

@@ -1,8 +1,11 @@
 """CLI layer: file format round-trips, golden reports, exit codes, schema."""
 
+import argparse
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from maxalg.cli import (
     run_command,
     serialize_matrix,
 )
+from maxalg import cli
 from maxalg.errors import ParseError
 
 from helpers import count_calls, random_matrix
@@ -213,6 +217,76 @@ def test_help_exits_zero(capsys):
     assert report is None
     assert code == 0
     assert "usage" in capsys.readouterr().out
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def _count_parsers(monkeypatch):
+    """Count every ArgumentParser built from now on, subparsers included."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import maxalg.cli\n"
+        "print(len(built))\n"
+    )
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "0"
+
+
+def test_run_command_builds_one_parser_tree(monkeypatch):
+    built = _count_parsers(monkeypatch)
+    cli.build_parser()
+    tree = len(built)
+    assert tree > 1  # the root parser and one per subcommand
+    built.clear()
+    cli._shared_parser.cache_clear()
+    for k in range(20):
+        _run(["info", "data/contract.mx"] + (["--float"] if k % 2 else []))
+    assert len(built) == tree
+
+
+def test_shared_parser_carries_no_state_between_calls(monkeypatch):
+    # each report equals the one a freshly built parser gives, so a
+    # --seed, --tol or mode never carries over to the next call
+    argvs = [
+        ["scale", "fp", "data/contract.mx", "--seed", "3"],
+        ["scale", "fp", "data/contract.mx"],
+        ["nosuch", "data/contract.mx"],
+        ["info", "data/contract.mx", "--tol", "-1"],
+        ["info", "data/contract.mx", "--float"],
+        ["info", "data/contract.mx"],
+    ] * 2
+    shared = [_run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [_run(argv) for argv in argvs]
+    assert shared == fresh
+    assert [code for _report, code in shared] == [0, 0, 2, 2, 0, 0] * 2
+    results = [report and report["results"] for report, _code in shared]
+    assert results[0] != results[1]
+    assert results[4] != results[5]
 
 
 def test_parse_additive_float_matrix():

@@ -1,9 +1,12 @@
 """Matrix layer: algebra, Kleene star vs the walk oracle, residuation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+
+import maxalg.matrix as matrix
 
 from maxalg import (
     EXACT_PLUS,
@@ -24,10 +27,11 @@ from maxalg import (
     otimes,
     semiring_convert,
 )
-from maxalg.matrix import closure_rows
+from maxalg.matrix import Ratios, closure_rows
 
 from helpers import (
     assert_heavy_cycle,
+    closure_reference,
     cycles_brute,
     fmat,
     fvec,
@@ -299,6 +303,86 @@ def test_divergent_closure_stops_at_a_heavy_cycle():
         assert info.value.witness.weight > 1
 
 
+# -- differential test of the exact star on Ratios pairs ---------------------
+
+
+def _star_reference(a):
+    """The Fraction closure of a over EXACT_TIMES, plus the identity."""
+    closure = closure_reference(a.rows, EXACT_TIMES)
+    for i in range(a.n):
+        closure[i][i] = EXACT_TIMES.add(closure[i][i], EXACT_TIMES.one)
+    return closure
+
+
+def test_pair_star_matches_the_fraction_closure():
+    rng = random.Random(20261101)
+    for n in (10, 25, 40):
+        unit = unit_lambda_irreducible(rng, n)
+        for a in (unit, unit.scale(Fraction(rng.randint(1, 7), 8))):
+            star = kleene_star(a)
+            want = _star_reference(a)
+            assert [list(r) for r in star.rows] == want
+            assert [[repr(v) for v in r] for r in star.rows] == [
+                [repr(v) for v in r] for r in want
+            ]
+
+
+def test_pair_star_diverges_at_the_fraction_pivot(monkeypatch):
+    # the pair closure stops at the same pivot as the Fraction closure,
+    # on the same diagonal value, and the witness is the one the power
+    # walk finds with a plain otimes per product
+    rng = random.Random(20261102)
+    one = EXACT_TIMES.one
+    for n in (10, 25, 40):
+        a = unit_lambda_irreducible(rng, n).scale(
+            Fraction(rng.randint(5, 9), 4))
+        want = []
+
+        def fraction_diverges(v):
+            want.append(v)
+            return EXACT_TIMES.lt(one, v)
+
+        assert closure_reference(a.rows, EXACT_TIMES, fraction_diverges) is None
+        seen = []
+
+        def recording(rows, ops, diverges):
+            def counted(v):
+                seen.append(v)
+                return diverges(v)
+
+            return closure_rows(rows, ops, counted)
+
+        monkeypatch.setattr(matrix, "closure_rows", recording)
+        with pytest.raises(DivergenceError) as info:
+            kleene_star(a)
+        monkeypatch.undo()
+        assert [Ratios.value(v) for v in seen] == want
+        monkeypatch.setattr(
+            matrix, "right_multiplier", lambda m: lambda x: otimes(x, m))
+        assert info.value.witness == matrix._divergence_witness(a)
+        monkeypatch.undo()
+        assert_heavy_cycle(info.value.witness, a.rows)
+
+
+def test_pair_star_builds_one_fraction_per_entry(monkeypatch):
+    rng = random.Random(20261103)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for n in (10, 25):
+        a = unit_lambda_irreducible(rng, n)
+        want = kleene_star(a)
+        built.clear()
+        monkeypatch.setattr(matrix, "Fraction", counting)
+        star = kleene_star(a)
+        monkeypatch.undo()
+        assert len(built) == n * n
+        assert star == want
+
+
 def test_entrywise_div():
     b = fmat([[2, 4], [0, 1]])
     c = fmat([[1, 2], [5, 2]])
@@ -396,6 +480,31 @@ def test_semiring_convert_into_float_refuses_values_it_would_lose():
         semiring_convert(
             MaxMatrix([[Fraction(10**400)]], EXACT_PLUS), FLOAT_PLUS
         )
+
+
+def test_semiring_convert_logs_a_huge_exact_value_from_its_ints():
+    f = semiring_convert(fmat([[10**400, 1], [1, 1]]), FLOAT_PLUS)
+    assert f.rows[0][0] == pytest.approx(400 * math.log(10), rel=1e-15)
+    # in-range values keep math.log(float(v))
+    g = semiring_convert(fmat([[3, Fraction(1, 7)], [1, 1]]), FLOAT_PLUS)
+    assert g.rows[0] == (math.log(3.0), math.log(float(Fraction(1, 7))))
+
+
+def test_semiring_convert_logs_a_tiny_exact_value_from_its_ints():
+    f = semiring_convert(fmat([[Fraction(1, 10**400), 1], [1, 1]]), FLOAT_PLUS)
+    assert f.rows[0][0] == pytest.approx(-400 * math.log(10), rel=1e-15)
+    assert f.rows[0][1] == 0.0
+
+
+def test_semiring_convert_refuses_an_exp_beyond_the_float_range():
+    with pytest.raises(ModeError, match="overflows the float range"):
+        semiring_convert(MaxMatrix([[1000, 0], [0, 0]], EXACT_PLUS), FLOAT_TIMES)
+    # a finite exponent whose exp rounds to 0.0 would lose its edge
+    with pytest.raises(ModeError, match="underflows the float range"):
+        semiring_convert(MaxMatrix([[-1000, 0], [0, 0]], EXACT_PLUS), FLOAT_TIMES)
+    with pytest.raises(ModeError, match="underflows the float range"):
+        semiring_convert(
+            MaxMatrix([[-(10**400), 0], [0, 0]], EXACT_PLUS), FLOAT_TIMES)
 
 
 def test_float_products_skip_zero_factors():

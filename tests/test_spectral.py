@@ -32,7 +32,7 @@ from helpers import (
     random_matrix,
     unit_lambda_irreducible,
 )
-from maxalg.matrix import closure_rows
+from maxalg.matrix import Ratios, closure_rows
 
 
 def test_max_cycle_gmean_hand_values():
@@ -340,12 +340,12 @@ def test_ratio_closure_keeps_the_smaller_denominator_on_ties():
         a = unit_lambda_irreducible(rng, n, extra_cycles=6)
         scale = [Fraction(rng.randint(1, 30), rng.choice([1, 3, 7, 64, 99]))
                  for _ in range(n)]
-        rows = spectral._Ratios.lift_rows(
+        rows = Ratios.lift_rows(
             [[v * scale[j] / scale[i] for j, v in enumerate(row)]
              for i, row in enumerate(a.rows)]
         )
         widest = max(x[1].bit_length() for row in rows for x in row if x)
-        closure = closure_rows(rows, spectral._Ratios)
+        closure = closure_rows(rows, Ratios)
         assert max(x[1].bit_length() for row in closure for x in row if x) <= (
             n * widest
         )
