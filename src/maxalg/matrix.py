@@ -21,7 +21,15 @@ from .errors import (
     NoConstraintError,
     UndefinedDivisionError,
 )
-from .semiring import EXACT_TIMES, NEG_INF, PLUS, TIMES, Semiring, log_terms
+from .semiring import (
+    EXACT_TIMES,
+    NEG_INF,
+    PLUS,
+    TIMES,
+    Semiring,
+    float_range_error,
+    log_terms,
+)
 
 
 def _check_same_semiring(a, b):
@@ -270,6 +278,30 @@ def otimes(a, b):
     as closure_rows does: in float max-times an overflowed inf times zero
     is nan, which would win the max.
     """
+    return _multiply(a, b, _columns(b))
+
+
+def _fraction_free(sr):
+    """True in exact max-times, where products run on lifted ints."""
+    return sr.exact and sr.domain == TIMES
+
+
+def _columns(b):
+    """b's columns as _multiply takes them, prepared once per factor.
+
+    Exact max-times columns are lifted (_lift); every other mode keeps
+    each column's nonzero (k, value) pairs.
+    """
+    sr = b.semiring
+    cols = [b.entries] if isinstance(b, MaxVector) else list(zip(*b.rows))
+    if _fraction_free(sr):
+        return [_lift(col) for col in cols]
+    return [[(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
+            for col in cols]
+
+
+def _multiply(a, b, cols):
+    """a (x) b, where ``cols`` is _columns(b); every product runs here."""
     _check_same_semiring(a, b)
     sr = a.semiring
     vector = isinstance(b, MaxVector)
@@ -278,23 +310,16 @@ def otimes(a, b):
             raise DimensionError(
                 f"cannot multiply {a.shape} by length-{len(b)} vector"
             )
-        cols = [b.entries]
-    else:
-        if a.ncols != b.nrows:
-            raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-        cols = list(zip(*b.rows))
-    if sr.exact and sr.domain == TIMES:
-        out = _lifted_products(a.rows, [_lift(col) for col in cols])
+    elif a.ncols != b.nrows:
+        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
+    if _fraction_free(sr):
+        out = _lifted_products(a.rows, cols)
     else:
         add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
-        col_supports = [
-            [(k, y) for k, y in enumerate(col) if not is_zero(y)]
-            for col in cols
-        ]
         out = []
         for row in a.rows:
             out_row = []
-            for support in col_supports:
+            for support in cols:
                 acc = zero
                 for k, y in support:
                     x = row[k]
@@ -342,22 +367,12 @@ def _lifted_products(rows, lifted_cols):
 def right_multiplier(m):
     """The map x -> x (x) m, for a power ladder that multiplies by m.
 
-    In exact max-times m's columns are lifted once, here, instead of at
-    every product; the lifted columns live as long as the returned map.
-    Every other mode returns plain otimes. The products equal otimes's.
+    m's columns are prepared once, here, instead of at every product (in
+    exact max-times that is the lift); they live as long as the returned
+    map. The products equal otimes's.
     """
-    sr = m.semiring
-    if not (sr.exact and sr.domain == TIMES):
-        return lambda x: otimes(x, m)
-    lifted_cols = [_lift(col) for col in zip(*m.rows)]
-
-    def times_m(x):
-        _check_same_semiring(x, m)
-        if x.ncols != m.nrows:
-            raise DimensionError(f"cannot multiply {x.shape} by {m.shape}")
-        return MaxMatrix._raw(_lifted_products(x.rows, lifted_cols), sr)
-
-    return times_m
+    cols = _columns(m)
+    return lambda x: _multiply(x, m, cols)
 
 
 def is_max_combination(m, terms):
@@ -370,7 +385,7 @@ def is_max_combination(m, terms):
     coefficient that has overflowed to inf is a ModeError.
     """
     sr = m.semiring
-    if sr.exact and sr.domain == TIMES:
+    if _fraction_free(sr):
         for _coef, prod in terms:
             _check_same_semiring(m, prod)
             if prod.shape != m.shape:
@@ -383,9 +398,7 @@ def is_max_combination(m, terms):
     rhs = MaxMatrix.zeros(m.nrows, m.ncols, semiring=sr)
     for coef, prod in terms:
         if coef == math.inf:
-            raise ModeError(
-                "a coefficient overflows the float range; use exact mode"
-            )
+            raise float_range_error("a coefficient")
         rhs = oplus(rhs, prod.scale(coef))
     return m.allclose(rhs)
 
@@ -635,7 +648,7 @@ def kleene_star(a):
     """
     sr = a.semiring
     n = a.n
-    pairs = sr.exact and sr.domain == TIMES
+    pairs = _fraction_free(sr)
     if pairs:
         ops, rows, heavy = Ratios, Ratios.lift_rows(a.rows), Ratios.exceeds_one
     else:
@@ -824,12 +837,6 @@ def _float_exp(v, log_base):
         x = math.exp(v * log_base)
     except OverflowError:
         x = math.inf if (v > 0) == (log_base > 0) else 0.0
-    if x == math.inf:
-        raise ModeError(
-            "the exp of an entry overflows the float range; use exact mode"
-        )
-    if not x:
-        raise ModeError(
-            "the exp of an entry underflows the float range; use exact mode"
-        )
+    if x == math.inf or not x:
+        raise float_range_error("the exp of an entry", overflow=bool(x))
     return x

@@ -58,6 +58,16 @@ def _float_le(tol, a, b):
     return a <= b or _float_eq(tol, a, b)
 
 
+def float_range_error(what, overflow=True):
+    """The ModeError refusing a value that leaves the float range.
+
+    ``what`` names the value at the head of the message; ``overflow``
+    tells beyond the range from rounding to 0.0.
+    """
+    leaves = "overflows" if overflow else "underflows"
+    return ModeError(f"{what} {leaves} the float range; use exact mode")
+
+
 def checked_float(v, underflow, what="a value"):
     """float(v) for an int or Fraction, refusing a value it would lose.
 
@@ -68,13 +78,9 @@ def checked_float(v, underflow, what="a value"):
     try:
         result = float(v)
     except OverflowError:
-        raise ModeError(
-            f"{what} overflows the float range; use exact mode"
-        ) from None
+        raise float_range_error(what) from None
     if underflow and v and not result:
-        raise ModeError(
-            f"{what} underflows the float range; use exact mode"
-        )
+        raise float_range_error(what, overflow=False)
     return result
 
 

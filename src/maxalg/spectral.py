@@ -27,7 +27,6 @@ from .errors import (
     AcyclicMatrixError,
     CertificationError,
     ExactnessError,
-    ModeError,
     NotIrreducibleError,
 )
 from .matrix import (
@@ -42,6 +41,7 @@ from .matrix import (
 from .semiring import (
     NEG_INF,
     TIMES,
+    float_range_error,
     filtered_sign,
     gmean_cmp,
     gmean_eq,
@@ -391,9 +391,9 @@ class SpectralAnalysis:
             )
         sr = self.tilde.semiring
         if sr.div(sr.one, self.lam) == math.inf:
-            raise ModeError(
+            raise float_range_error(
                 f"the maximum cycle mean {self.lam!r} is so small that its "
-                "inverse overflows the float range; use exact mode"
+                "inverse"
             )
         return self.tilde
 
