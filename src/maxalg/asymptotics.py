@@ -35,7 +35,6 @@ from .matrix import (
     mat_power,
     oplus,
     otimes,
-    right_multiplier,
     semiring_convert,
 )
 from .semiring import PLUS, Semiring
@@ -61,15 +60,11 @@ class PeriodicityProfile:
 
 
 def _powers(m):
-    """Yield m, m^2, m^3, ..., each power one product after the last.
-
-    One ladder: m is lifted once for all its products (right_multiplier).
-    """
-    times_m = right_multiplier(m)
+    """Yield m, m^2, m^3, ..., each power one product after the last."""
     power = m
     while True:
         yield power
-        power = times_m(power)
+        power = otimes(power, m)
 
 
 def _scan_periodicity(ladder, budget):
@@ -273,10 +268,9 @@ def csr_decompose(a, budget=None):
     for pows, ladder in ((lhs_pows, lhs_ladder), (s_pows, s_ladder)):
         while len(pows) < start + gamma:
             pows.append(next(ladder))
-    times_r = right_multiplier(r)
 
     def agrees(t):
-        return lhs_pows[t].allclose(times_r(otimes(c, s_pows[t])))
+        return lhs_pows[t].allclose(otimes(otimes(c, s_pows[t]), r))
 
     for t in range(start, start + gamma):
         if not agrees(t):
@@ -436,11 +430,10 @@ def _csr_products(term):
     powers that never repeat bit for bit are multiplied at every step.
     """
     window = deque(maxlen=term.gamma)
-    times_r = right_multiplier(term.r)
     for s_pow in _powers(term.s):
         if len(window) == term.gamma and window[0][0] == s_pow:
             break
-        prod = times_r(otimes(term.c, s_pow))
+        prod = otimes(otimes(term.c, s_pow), term.r)
         window.append((s_pow, prod))
         yield prod
     cycle = [prod for _s_pow, prod in window]

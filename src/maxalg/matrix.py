@@ -3,6 +3,13 @@
 Everything here is immutable and pure: operations return new objects. The
 Kleene star is computed by Floyd-Warshall closure and reports divergence
 with a witness cycle, so this layer never needs the spectral machinery.
+
+Every matrix product runs in _multiply. A MaxMatrix has two private
+slots, _row_lifts and _cols, that the product core fills lazily the
+first time the matrix is a left or right factor (or an
+is_max_combination operand), so a matrix that takes part in many
+products is prepared once. They are caches of the entries, not state:
+==, hash, repr, pickling and copies ignore them.
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ class MaxMatrix:
     rectangular inputs.
     """
 
-    __slots__ = ("semiring", "rows", "nrows", "ncols")
+    __slots__ = ("semiring", "rows", "nrows", "ncols", "_row_lifts", "_cols")
 
     def __init__(self, rows, semiring=EXACT_TIMES):
         self.semiring = semiring
@@ -213,6 +220,9 @@ class MaxMatrix:
     def __hash__(self):
         return hash((self.semiring, self.rows))
 
+    def __reduce__(self):
+        return MaxMatrix._raw, (self.rows, self.semiring)
+
     def __repr__(self):
         body = [list(r) for r in self.rows]
         return f"MaxMatrix({body!r})"
@@ -273,7 +283,7 @@ def oplus(a, b):
 def otimes(a, b):
     """Semiring matrix product; the right factor may be a vector.
 
-    Exact max-times products run on integers (see _lifted_products); every
+    Exact max-times products run on integers (see _multiply); every
     other mode folds the semiring's own add and mul, skipping zero factors
     as closure_rows does: in float max-times an overflowed inf times zero
     is nan, which would win the max.
@@ -287,21 +297,50 @@ def _fraction_free(sr):
 
 
 def _columns(b):
-    """b's columns as _multiply takes them, prepared once per factor.
+    """b's columns as _multiply takes them, prepared once per matrix.
 
     Exact max-times columns are lifted (_lift); every other mode keeps
-    each column's nonzero (k, value) pairs.
+    each column's nonzero (k, value) pairs. A matrix keeps them in its
+    _cols slot from its first use as a right factor on; a vector's are
+    prepared at each product.
     """
-    sr = b.semiring
-    cols = [b.entries] if isinstance(b, MaxVector) else list(zip(*b.rows))
-    if _fraction_free(sr):
-        return [_lift(col) for col in cols]
-    return [[(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
-            for col in cols]
+    cols = getattr(b, "_cols", None)
+    if cols is None:
+        sr = b.semiring
+        cols = [b.entries] if isinstance(b, MaxVector) else zip(*b.rows)
+        if _fraction_free(sr):
+            cols = [_lift(col) for col in cols]
+        else:
+            cols = [[(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
+                    for col in cols]
+        if isinstance(b, MaxMatrix):
+            b._cols = cols
+    return cols
+
+
+def _row_lifts(m):
+    """The _lift of each row of an exact max-times matrix, made once.
+
+    m keeps them in its _row_lifts slot from the first product or
+    is_max_combination that reads them on.
+    """
+    lifts = getattr(m, "_row_lifts", None)
+    if lifts is None:
+        lifts = m._row_lifts = [_lift(row) for row in m.rows]
+    return lifts
 
 
 def _multiply(a, b, cols):
-    """a (x) b, where ``cols`` is _columns(b); every product runs here."""
+    """a (x) b, where ``cols`` is _columns(b); every product runs here.
+
+    Exact max-times runs fraction-free: row i of a is lifted over the lcm
+    d_i of its own denominators and column j of b over its own e_j, so
+    entry (i, j) is max_k(r_ik * c_kj) / (d_i * e_j). The inner loop
+    multiplies Python ints and each entry builds one canonical Fraction,
+    equal in value and representation to the Fraction fold. One lcm for
+    the whole matrix would be simpler but can grow far larger: pairwise
+    coprime denominators make it the product of them all.
+    """
     _check_same_semiring(a, b)
     sr = a.semiring
     vector = isinstance(b, MaxVector)
@@ -313,7 +352,10 @@ def _multiply(a, b, cols):
     elif a.ncols != b.nrows:
         raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
     if _fraction_free(sr):
-        out = _lifted_products(a.rows, cols)
+        out = [
+            [Fraction(max(map(operator.mul, r, c)), d * e) for c, e in cols]
+            for r, d in _row_lifts(a)
+        ]
     else:
         add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
         out = []
@@ -341,40 +383,6 @@ def _lift(values):
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _lifted_products(rows, lifted_cols):
-    """Exact max-times products of rows and lifted columns, fraction-free.
-
-    Row i is lifted over the lcm d_i of its own denominators and column j
-    over its own e_j (``lifted_cols`` holds the _lift of each column), so
-    entry (i, j) is max_k(r_ik * c_kj) / (d_i * e_j): the inner loop
-    multiplies Python ints and each entry builds one canonical Fraction,
-    equal in value and representation to the Fraction fold. One lcm for
-    the whole matrix would be simpler but can grow far larger: pairwise
-    coprime denominators make it the product of them all.
-    """
-    out = []
-    for row in rows:
-        r, d = _lift(row)
-        out.append(
-            [
-                Fraction(max(map(operator.mul, r, c)), d * e)
-                for c, e in lifted_cols
-            ]
-        )
-    return out
-
-
-def right_multiplier(m):
-    """The map x -> x (x) m, for a power ladder that multiplies by m.
-
-    m's columns are prepared once, here, instead of at every product (in
-    exact max-times that is the lift); they live as long as the returned
-    map. The products equal otimes's.
-    """
-    cols = _columns(m)
-    return lambda x: _multiply(x, m, cols)
-
-
 def is_max_combination(m, terms):
     """True when m equals the max-combination of coef (x) prod over terms.
 
@@ -393,7 +401,7 @@ def is_max_combination(m, terms):
                     f"shapes differ: {m.shape} vs {prod.shape}"
                 )
         return _lifted_combination(
-            m.rows, [(sr.coerce(coef), prod.rows) for coef, prod in terms]
+            m, [(sr.coerce(coef), prod) for coef, prod in terms]
         )
     rhs = MaxMatrix.zeros(m.nrows, m.ncols, semiring=sr)
     for coef, prod in terms:
@@ -403,25 +411,29 @@ def is_max_combination(m, terms):
     return m.allclose(rhs)
 
 
-def _lifted_combination(rows, terms):
-    """Exact max-times m == max_k c_k * P_k by integer cross-multiplication.
+def _lifted_combination(m, terms):
+    """Exact max-times m == max_k c_k * P_k on the row lifts (_row_lifts).
 
-    An entry p/q of m holds when no term a/b * x/y exceeds it, that is
-    a x q <= p b y, and one term meets it with equality. A zero product
-    entry is skipped, so a zero target holds only when every term is
-    zero there. No Fraction is built.
+    With row i of m lifted as P/Q, row i of a product as X/Y and its
+    coefficient a/b, an entry holds when no term's a X_j / (b Y) exceeds
+    P_j / Q, that is (a Q) X_j <= (b Y) P_j, and one term meets it with
+    equality. a Q and b Y are made once per row and term, so each entry
+    costs two int products per term. A zero product entry is skipped, so
+    a zero target holds only when every term is zero there. No Fraction
+    is built.
     """
-    lifted = [(c.numerator, c.denominator, prod) for c, prod in terms]
-    for i, row in enumerate(rows):
-        for j, target in enumerate(row):
-            p, q = target.numerator, target.denominator
+    lifted = [(c.numerator, c.denominator, _row_lifts(prod))
+              for c, prod in terms]
+    for i, (target, q) in enumerate(_row_lifts(m)):
+        row_terms = [(a * q, b * lifts[i][1], lifts[i][0])
+                     for a, b, lifts in lifted]
+        for j, p in enumerate(target):
             met = False
-            for a, b, prod in lifted:
-                x = prod[i][j]
+            for aq, by, xs in row_terms:
+                x = xs[j]
                 if not x:
                     continue
-                lhs = a * x.numerator * q
-                rhs = p * b * x.denominator
+                lhs, rhs = aq * x, by * p
                 if lhs > rhs:
                     return False
                 met = met or lhs == rhs
@@ -581,12 +593,11 @@ def _divergence_witness(a):
     """A cycle of weight above one, found through the power sequence."""
     sr = a.semiring
     n = a.n
-    times_a = right_multiplier(a)
     powers = [MaxMatrix.identity(n, sr), a]
     hit = None
     for length in range(1, n + 1):
         if len(powers) <= length:
-            powers.append(times_a(powers[-1]))
+            powers.append(otimes(powers[-1], a))
         p = powers[length]
         for i in range(n):
             if sr.lt(sr.one, p[i, i]):
@@ -739,8 +750,10 @@ def semiring_convert(a, target, base=None):
     Cross-domain conversion is entrywise log/exp with zero <-> -inf. In
     exact mode, entries must be integer powers of ``base`` (default 2) and
     the conversion is a bijection on those; in float mode the natural
-    logarithm is used unless a base is given. Converting float values into
-    an exact target across domains is refused as lossy; within a domain,
+    logarithm is used unless a base is given. A given base must satisfy
+    1 < base < inf in both modes (ValueError otherwise, nan included).
+    Converting float values into an exact target across domains is
+    refused as lossy; within a domain,
     target.coerce refuses an exact value that float mode would lose.
     Across domains into float mode, a log is taken from the ints of a
     value beyond the float range, and an exp that leaves the float range
@@ -762,14 +775,14 @@ def semiring_convert(a, target, base=None):
         return MaxMatrix._raw(rows, target)
 
     to_plus = target.domain == PLUS
+    if base is not None and not 1 < base < math.inf:
+        raise ValueError("base must exceed 1")
     if target.exact:
         if not src.exact:
             raise ExactnessError(
                 "cross-domain conversion from float into exact mode is lossy"
             )
         base = Fraction(2) if base is None else Fraction(base)
-        if base <= 1:
-            raise ValueError("base must exceed 1")
         rows = []
         for row in a.rows:
             out = []

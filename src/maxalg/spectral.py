@@ -12,7 +12,7 @@ cannot decide, so the critical graph itself stays exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .digraph import (
     Digraph,
@@ -362,7 +362,8 @@ class SpectralAnalysis:
     matrix divided by it and ``star`` the closure of ``tilde`` plus the
     identity; these three are None when the matrix is acyclic or its mean
     is irrational in exact mode. ``critical`` is the CriticalGraph, None
-    for acyclic matrices.
+    for acyclic matrices. ``_drops_an_edge`` is True when a float division
+    by lam rounded a nonzero entry to the zero in ``tilde``.
     """
 
     components: SccDecomposition
@@ -371,6 +372,7 @@ class SpectralAnalysis:
     tilde: MaxMatrix
     star: MaxMatrix
     critical: CriticalGraph
+    _drops_an_edge: bool = field(default=False, compare=False, repr=False)
 
     @property
     def is_irreducible(self):
@@ -380,7 +382,8 @@ class SpectralAnalysis:
         """``tilde``, after the checks that it exists and is usable.
 
         Raises when the matrix is acyclic, when lam is irrational, and
-        (ModeError) when 1/lam overflows the float range.
+        (ModeError) when 1/lam overflows the float range or the division
+        by lam rounds a nonzero entry to the zero, losing its edge.
         """
         if self.mean.is_zero:
             raise AcyclicMatrixError("cannot normalize an acyclic matrix")
@@ -394,6 +397,10 @@ class SpectralAnalysis:
             raise float_range_error(
                 f"the maximum cycle mean {self.lam!r} is so small that its "
                 "inverse"
+            )
+        if self._drops_an_edge:
+            raise float_range_error(
+                "an entry divided by the maximum cycle mean", overflow=False
             )
         return self.tilde
 
@@ -475,7 +482,8 @@ def spectral_analysis(a):
     fraction_free = sr.exact and sr.domain == TIMES
     ops = Ratios if fraction_free else sr
     rows = Ratios.lift_rows(a.rows) if fraction_free else a.rows
-    dec = scc(digraph_of(a))
+    g = digraph_of(a)
+    dec = scc(g)
     best = None
     for comp in dec.nontrivial_components:
         pair = _karp_best_pair(sr, ops, rows, comp)
@@ -521,6 +529,10 @@ def spectral_analysis(a):
         MaxMatrix._raw(tilde, sr),
         MaxMatrix._raw(closure, sr),
         critical,
+        # dividing by lam keeps every zero, so fewer nonzero entries than
+        # a has edges mean a lost edge
+        not sr.exact
+        and a.n * a.n - sum(r.count(sr.zero) for r in tilde) < len(g.edges),
     )
 
 

@@ -84,6 +84,57 @@ def test_power_ladder_lifts_its_right_factor_once(monkeypatch):
     assert len(lifts) == (products + 1) * n
 
 
+def _recording_analyses(monkeypatch):
+    """Record every analysis that maxalg.asymptotics builds."""
+    import maxalg.asymptotics as asymptotics
+
+    made = []
+    original = asymptotics.spectral_analysis
+
+    def recording(a):
+        made.append(original(a))
+        return made[-1]
+
+    monkeypatch.setattr(asymptotics, "spectral_analysis", recording)
+    return made
+
+
+def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):
+    # tilde is the fixed left factor of every step: its rows are lifted
+    # once per call, whatever t; each step lifts one power's rows and the
+    # columns of the walk table, and tilde's columns are lifted once
+    a = unit_lambda_irreducible(random.Random(5), 6)
+    made = _recording_analyses(monkeypatch)
+    lifts = count_calls(monkeypatch, "_lift")
+    n = a.n
+    for t in (2, 10, 60):
+        made.clear()
+        lifts.clear()
+        strong_path_table(a, t)
+        (an,) = made
+        rows = an.tilde.rows
+        assert sum(1 for (v,) in lifts if any(v is r for r in rows)) == n
+        assert len(lifts) == n * (2 * t - 1)
+
+
+def test_csr_decompose_lifts_the_rows_of_c_once(monkeypatch):
+    # every product C (x) S^t of the window and the onset walk reads the
+    # row lifts that C made at its first product
+    rng = random.Random(41)
+    lifts = count_calls(monkeypatch, "_lift")
+    checks = 0
+    for _ in range(20):
+        a = unit_lambda_irreducible(rng, rng.randint(3, 7))
+        lifts.clear()
+        trip = csr_decompose(a)
+        rows = trip.c.rows
+        c_lifts = sum(1 for (v,) in lifts if any(v is r for r in rows))
+        assert c_lifts == len(rows)
+        checks += trip.certified_from + trip.gamma - trip.transient > 1
+    # most of these run more than one product with C
+    assert checks >= 10
+
+
 def test_transient_budget_error_on_never_periodic():
     shrink = fmat([[1, 0], [0, Fraction(1, 2)]])
     with pytest.raises(IterationBudgetError):

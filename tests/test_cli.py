@@ -448,6 +448,34 @@ TYPED_REFUSALS = [
         3,
         "underflows the float range",
     ),
+    (
+        "powers_normalization_drops_an_edge",
+        ["powers", "M"],
+        "maxtimes 2 float\n1/2 1e-300\n3/7 1e200\n",
+        3,
+        "underflows the float range",
+    ),
+    (
+        "csr_normalization_drops_an_edge",
+        ["csr", "M"],
+        "maxtimes 2 float\n1/2 1e-300\n3/7 1e200\n",
+        3,
+        "underflows the float range",
+    ),
+    (
+        "eigen_normalization_drops_an_edge",
+        ["eigen", "M"],
+        "maxtimes 2 float\n1/2 1e-300\n3/7 1e200\n",
+        3,
+        "underflows the float range",
+    ),
+    (
+        "scale_eig_normalization_drops_an_edge",
+        ["scale", "eig", "M"],
+        "maxtimes 2 float\n1/2 1e-300\n3/7 1e200\n",
+        3,
+        "underflows the float range",
+    ),
 ]
 
 

@@ -189,6 +189,32 @@ def test_lifted_mat_power_matches_fraction_reference():
         _assert_matches(mat_power(fmat(a), t), want)
 
 
+@pytest.mark.parametrize("target", [EXACT_TIMES, FLOAT_TIMES, FLOAT_PLUS],
+                         ids=["exact", "float", "float_plus"])
+def test_product_caches_leave_value_semantics_alone(target):
+    # a matrix keeps its row lifts and prepared columns after its first
+    # products; ==, hash, repr, pickle and copies see only its entries
+    import copy
+    import pickle
+
+    a = semiring_convert(
+        unit_lambda_irreducible(random.Random(7), 5), target, base=2)
+    fresh = MaxMatrix._raw(a.rows, a.semiring)
+    square = otimes(a, a)
+    filled = ("_row_lifts", "_cols") if target.exact else ("_cols",)
+    assert all(hasattr(a, slot) for slot in filled)
+    assert not any(hasattr(fresh, slot) for slot in filled)
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert pickle.dumps(a) == pickle.dumps(fresh)
+    for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(c) is MaxMatrix and c is not a
+        assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
+        assert not any(hasattr(c, slot) for slot in filled)
+        assert otimes(c, c) == square
+        assert otimes(c, a) == square and otimes(a, c) == square
+        assert matrix.is_max_combination(square, [(target.one, otimes(c, c))])
+
+
 def test_lifted_otimes_pairwise_coprime_denominators():
     # every entry has its own prime denominator near 2^17, so one lcm
     # over the whole matrix would be a product of 900 primes
@@ -357,10 +383,7 @@ def test_pair_star_diverges_at_the_fraction_pivot(monkeypatch):
             kleene_star(a)
         monkeypatch.undo()
         assert [Ratios.value(v) for v in seen] == want
-        monkeypatch.setattr(
-            matrix, "right_multiplier", lambda m: lambda x: otimes(x, m))
         assert info.value.witness == matrix._divergence_witness(a)
-        monkeypatch.undo()
         assert_heavy_cycle(info.value.witness, a.rows)
 
 
@@ -463,6 +486,20 @@ def test_semiring_convert_rejects_inexact_logs():
         semiring_convert(a, EXACT_PLUS, base=2)
     fp = semiring_convert(a, FLOAT_PLUS, base=2)
     assert fp.rows[0][1] == pytest.approx(1.584962500721156)
+
+
+@pytest.mark.parametrize("base", [1, 0.5, math.inf, math.nan],
+                         ids=["one", "half", "inf", "nan"])
+def test_semiring_convert_checks_the_base_for_float_targets(base):
+    # exact targets always refused a base <= 1; a float target used to give
+    # an untyped ZeroDivisionError (1), a reversed order (0.5), all-zero
+    # logs (inf) or nan entries (nan)
+    times = fmat([[2, 1], [1, 1]])
+    plus = MaxMatrix([[1, 0], [0, NEG_INF]], EXACT_PLUS)
+    for a, target in ((times, FLOAT_PLUS), (plus, FLOAT_TIMES),
+                      (times, EXACT_PLUS), (plus, EXACT_TIMES)):
+        with pytest.raises(ValueError, match="base must exceed 1"):
+            semiring_convert(a, target, base=base)
 
 
 def test_semiring_convert_into_float_refuses_values_it_would_lose():

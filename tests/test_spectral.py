@@ -232,6 +232,23 @@ def test_mean_below_float_range_keeps_its_critical_graph():
     assert critical_graph(a).edges == ((0, 1), (1, 0))
 
 
+def test_float_normalization_refuses_to_drop_an_edge():
+    # 1e-300 / 1e200 rounds to 0.0: the normalized matrix would lose edge
+    # (0, 1), so normalized() refuses, while the mean and the critical
+    # graph still answer
+    from maxalg import MaxMatrix, ModeError
+
+    a = MaxMatrix([[0.5, 1e-300], [3 / 7, 1e200]], FLOAT_TIMES)
+    an = spectral.spectral_analysis(a)
+    assert an.mean.pair() == (1e200, 1)
+    assert critical_graph(a).edges == ((1, 1),)
+    with pytest.raises(ModeError, match="underflows the float range"):
+        an.normalized()
+    # an entry that only shrinks stays an edge
+    b = MaxMatrix([[0.5, 1e-100], [3 / 7, 1e200]], FLOAT_TIMES)
+    assert spectral.spectral_analysis(b).normalized().rows[0][1] > 0.0
+
+
 def test_tight_tolerance_stray_critical_edge_is_a_certification_error():
     # under tol=0 float rounding marks as critical an edge that lies on no
     # critical cycle; the analysis refuses instead of failing on a lookup
