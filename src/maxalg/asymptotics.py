@@ -112,12 +112,17 @@ def _periodicity_profile(m, mean, gamma, budget):
     if budget is None:
         budget = 3 * m.n * m.n + 2 * gamma
     transient, period, powers = _scan_periodicity(_powers(m), budget)
+    window = tuple(powers[transient : transient + period + 1])
+    for power in window:
+        # the ladder's exact powers have no Fraction rows until read;
+        # build the ones handed to the caller here
+        power.rows
     return PeriodicityProfile(
         transient=transient,
         period=period,
         predicted_period=gamma,
         lam=mean,
-        powers=tuple(powers[transient : transient + period + 1]),
+        powers=window,
         budget=budget,
     )
 

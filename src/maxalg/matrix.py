@@ -9,7 +9,17 @@ slots, _row_lifts and _cols, that the product core fills lazily the
 first time the matrix is a left or right factor (or an
 is_max_combination operand), so a matrix that takes part in many
 products is prepared once. They are caches of the entries, not state:
-==, hash, repr, pickling and copies ignore them.
+==, hash, repr, pickling and copies see only the entries.
+
+In exact max-times the row lifts are canonical: row i is (ints, d) with
+d the lcm of the row's reduced denominators, exactly _lift of its
+Fractions, so two matrices are equal exactly when their row lifts are.
+An exact max-times product is born lifted: _multiply fills _row_lifts
+and leaves ``rows`` unset, and MaxMatrix.__getattr__ builds the Fraction
+rows on the first read of ``rows``. A ladder of products, with allclose
+comparing row lifts, therefore builds no Fraction. Fractions are still
+built on the first read of a product's ``rows``, for the entries of a
+product with a vector, and by Ratios.value.
 """
 
 from __future__ import annotations
@@ -141,6 +151,31 @@ class MaxMatrix:
         return m
 
     @classmethod
+    def _lifted(cls, lifts, ncols, semiring):
+        """An exact max-times matrix given by its canonical row lifts."""
+        m = object.__new__(cls)
+        m.semiring = semiring
+        m._row_lifts = lifts
+        m.nrows = len(lifts)
+        m.ncols = ncols
+        return m
+
+    def __getattr__(self, name):
+        """Build ``rows`` from the row lifts on its first read.
+
+        Python calls this only for an unset slot: ``rows`` of a matrix
+        born lifted (_lifted), or a cache slot not yet filled.
+        """
+        if name != "rows":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        rows = self.rows = tuple(
+            tuple([Fraction(x, d) for x in ints]) for ints, d in self._row_lifts
+        )
+        return rows
+
+    @classmethod
     def identity(cls, n, semiring=EXACT_TIMES):
         one, zero = semiring.one, semiring.zero
         return cls._raw(
@@ -211,11 +246,14 @@ class MaxMatrix:
         )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MaxMatrix)
-            and self.semiring == other.semiring
-            and self.rows == other.rows
-        )
+        if not (isinstance(other, MaxMatrix) and self.semiring == other.semiring):
+            return False
+        # canonical row lifts decide equality without building rows
+        mine = getattr(self, "_row_lifts", None)
+        theirs = getattr(other, "_row_lifts", None)
+        if mine is not None and theirs is not None:
+            return mine == theirs
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash((self.semiring, self.rows))
@@ -237,11 +275,16 @@ class MaxMatrix:
         return mat_power(self, t)
 
     def allclose(self, other):
-        """Entrywise equality under the mode's tolerance."""
+        """Entrywise equality under the mode's tolerance.
+
+        Exact max-times compares the canonical row lifts (_row_lifts).
+        """
         _check_same_semiring(self, other)
         if self.shape != other.shape:
             return False
         sr = self.semiring
+        if _fraction_free(sr):
+            return _row_lifts(self) == _row_lifts(other)
         return all(
             sr.eq(a, b)
             for ra, rb in zip(self.rows, other.rows)
@@ -299,22 +342,48 @@ def _fraction_free(sr):
 def _columns(b):
     """b's columns as _multiply takes them, prepared once per matrix.
 
-    Exact max-times columns are lifted (_lift); every other mode keeps
-    each column's nonzero (k, value) pairs. A matrix keeps them in its
-    _cols slot from its first use as a right factor on; a vector's are
-    prepared at each product.
+    Exact max-times columns are lifted (_lift): from the row lifts when
+    the matrix has them (_transposed_lifts), so a matrix born lifted
+    builds no Fraction rows for it, and from the entries otherwise.
+    Every other mode keeps each column's nonzero (k, value) pairs. A
+    matrix keeps them in its _cols slot from its first use as a right
+    factor on; a vector's are prepared at each product.
     """
     cols = getattr(b, "_cols", None)
     if cols is None:
         sr = b.semiring
-        cols = [b.entries] if isinstance(b, MaxVector) else zip(*b.rows)
-        if _fraction_free(sr):
-            cols = [_lift(col) for col in cols]
+        vector = isinstance(b, MaxVector)
+        lifts = None if vector else getattr(b, "_row_lifts", None)
+        if lifts is not None:
+            cols = _transposed_lifts(lifts)
         else:
-            cols = [[(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
-                    for col in cols]
-        if isinstance(b, MaxMatrix):
+            cols = [b.entries] if vector else zip(*b.rows)
+            if _fraction_free(sr):
+                cols = [_lift(col) for col in cols]
+            else:
+                cols = [
+                    [(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
+                    for col in cols
+                ]
+        if not vector:
             b._cols = cols
+    return cols
+
+
+def _transposed_lifts(lifts):
+    """The _lift of each column of a matrix with the given row lifts.
+
+    Entry (i, j) is x_ij / d_i, reduced to p / q by g = gcd(x_ij, d_i);
+    column j is lifted over the lcm e_j of its q's, as p * (e_j / q). No
+    Fraction is built.
+    """
+    gcd = math.gcd
+    dens = [d for _ints, d in lifts]
+    cols = []
+    for xs in zip(*[ints for ints, _d in lifts]):
+        reduced = [(x // (g := gcd(x, d)), d // g) for x, d in zip(xs, dens)]
+        e = math.lcm(*[q for _p, q in reduced])
+        cols.append(([p * (e // q) for p, q in reduced], e))
     return cols
 
 
@@ -335,11 +404,17 @@ def _multiply(a, b, cols):
 
     Exact max-times runs fraction-free: row i of a is lifted over the lcm
     d_i of its own denominators and column j of b over its own e_j, so
-    entry (i, j) is max_k(r_ik * c_kj) / (d_i * e_j). The inner loop
-    multiplies Python ints and each entry builds one canonical Fraction,
-    equal in value and representation to the Fraction fold. One lcm for
-    the whole matrix would be simpler but can grow far larger: pairwise
-    coprime denominators make it the product of them all.
+    entry (i, j) is x / y = max_k(r_ik * c_kj) / (d_i * e_j). The inner
+    loop multiplies Python ints. One gcd reduces the entry to p / q, the
+    numerator and denominator of its Fraction, and the row is lifted over
+    the lcm of the q's: that is _lift of the row's Fractions, without
+    building them.
+    A matrix product is returned lifted (MaxMatrix._lifted), its Fraction
+    rows built only when read; a vector product builds its Fractions at
+    once. Per-entry reduction keeps the ints small where a common
+    denominator would not: one lcm for the whole left factor, or one for
+    the right factor's columns, is the product of them all when the
+    denominators are pairwise coprime.
     """
     _check_same_semiring(a, b)
     sr = a.semiring
@@ -352,23 +427,32 @@ def _multiply(a, b, cols):
     elif a.ncols != b.nrows:
         raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
     if _fraction_free(sr):
-        out = [
-            [Fraction(max(map(operator.mul, r, c)), d * e) for c, e in cols]
-            for r, d in _row_lifts(a)
-        ]
-    else:
-        add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
-        out = []
-        for row in a.rows:
-            out_row = []
-            for support in cols:
-                acc = zero
-                for k, y in support:
-                    x = row[k]
-                    if not is_zero(x):
-                        acc = add(acc, mul(x, y))
-                out_row.append(acc)
-            out.append(out_row)
+        mul, gcd = operator.mul, math.gcd
+        lifts = []
+        for r, d in _row_lifts(a):
+            reduced = []
+            for c, e in cols:
+                x = max(map(mul, r, c))
+                y = d * e
+                g = gcd(x, y)
+                reduced.append((x // g, y // g))
+            den = math.lcm(*[q for _p, q in reduced])
+            lifts.append(([p * (den // q) for p, q in reduced], den))
+        if vector:
+            return MaxVector._raw([Fraction(x, d) for (x,), d in lifts], sr)
+        return MaxMatrix._lifted(lifts, b.ncols, sr)
+    add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
+    out = []
+    for row in a.rows:
+        out_row = []
+        for support in cols:
+            acc = zero
+            for k, y in support:
+                x = row[k]
+                if not is_zero(x):
+                    acc = add(acc, mul(x, y))
+            out_row.append(acc)
+        out.append(out_row)
     if vector:
         return MaxVector._raw([r[0] for r in out], sr)
     return MaxMatrix._raw(out, sr)

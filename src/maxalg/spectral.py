@@ -157,7 +157,10 @@ def _float_karp(sr, in_edges):
 
     The table runs matrix._float_closure's inline loop and tie rule. The
     min/max takes each quotient's float mean once, with gmean_cmp's
-    formula, and decides as gmean_cmp does (see _float_mean_cmp).
+    formula, and decides as gmean_cmp does (see _float_mean_cmp). A walk
+    weight that overflows to inf is a ModeError: every node of the
+    component has a successor in it, so an inf in any row of the table
+    leaves one in the last.
     """
     times = sr.domain == TIMES
     m = len(in_edges)
@@ -186,6 +189,8 @@ def _float_karp(sr, in_edges):
                             acc = p
             d.append(acc)
         table.append(d)
+    if math.inf in d:
+        raise float_range_error("a walk weight in Karp's table")
     tol, is_zero = sr.tol, sr.is_zero
     best = best_mean = None
     for v, top in enumerate(d):
@@ -362,8 +367,10 @@ class SpectralAnalysis:
     matrix divided by it and ``star`` the closure of ``tilde`` plus the
     identity; these three are None when the matrix is acyclic or its mean
     is irrational in exact mode. ``critical`` is the CriticalGraph, None
-    for acyclic matrices. ``_drops_an_edge`` is True when a float division
-    by lam rounded a nonzero entry to the zero in ``tilde``.
+    for acyclic matrices. ``_range_loss`` is None unless a float division
+    by lam left the float range in ``tilde``: then it is True when an
+    entry overflowed to inf and False when a nonzero entry rounded to the
+    zero (float_range_error's ``overflow``).
     """
 
     components: SccDecomposition
@@ -372,7 +379,7 @@ class SpectralAnalysis:
     tilde: MaxMatrix
     star: MaxMatrix
     critical: CriticalGraph
-    _drops_an_edge: bool = field(default=False, compare=False, repr=False)
+    _range_loss: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_irreducible(self):
@@ -383,7 +390,8 @@ class SpectralAnalysis:
 
         Raises when the matrix is acyclic, when lam is irrational, and
         (ModeError) when 1/lam overflows the float range or the division
-        by lam rounds a nonzero entry to the zero, losing its edge.
+        by lam overflows an entry to inf or rounds a nonzero entry to the
+        zero, losing its edge.
         """
         if self.mean.is_zero:
             raise AcyclicMatrixError("cannot normalize an acyclic matrix")
@@ -398,9 +406,10 @@ class SpectralAnalysis:
                 f"the maximum cycle mean {self.lam!r} is so small that its "
                 "inverse"
             )
-        if self._drops_an_edge:
+        if self._range_loss is not None:
             raise float_range_error(
-                "an entry divided by the maximum cycle mean", overflow=False
+                "an entry divided by the maximum cycle mean",
+                overflow=self._range_loss,
             )
         return self.tilde
 
@@ -529,11 +538,21 @@ def spectral_analysis(a):
         MaxMatrix._raw(tilde, sr),
         MaxMatrix._raw(closure, sr),
         critical,
-        # dividing by lam keeps every zero, so fewer nonzero entries than
-        # a has edges mean a lost edge
-        not sr.exact
-        and a.n * a.n - sum(r.count(sr.zero) for r in tilde) < len(g.edges),
+        None if sr.exact else _range_loss(tilde, sr, len(g.edges)),
     )
+
+
+def _range_loss(tilde, sr, edges):
+    """SpectralAnalysis._range_loss of the float rows ``tilde``.
+
+    ``edges`` counts the edges of the matrix divided by lam. Dividing
+    keeps every zero, so fewer nonzero entries than that mean a lost edge.
+    """
+    if any(math.inf in row for row in tilde):
+        return True
+    if len(tilde) ** 2 - sum(row.count(sr.zero) for row in tilde) < edges:
+        return False
+    return None
 
 
 def max_cycle_gmean(a):

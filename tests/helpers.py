@@ -28,6 +28,7 @@ from maxalg import (
     oplus,
     otimes,
 )
+from maxalg.semiring import float_range_error
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +625,9 @@ def closure_reference(rows, ops, diverges=None):
 def karp_reference(sr, rows, comp):
     """Karp's best mean pair on one component, folding the semiring's ops
     and comparing every quotient with gmean_cmp; the generic loop of
-    spectral._karp_best_pair with ops = sr."""
+    spectral._karp_best_pair with ops = sr. A float walk weight that
+    overflows to inf in the last row of the table is refused with the
+    library's float-range ModeError."""
     m = len(comp)
     index = {v: t for t, v in enumerate(comp)}
     in_edges = [[] for _ in comp]
@@ -645,6 +648,8 @@ def karp_reference(sr, rows, comp):
         table.append(nxt)
     best = None
     last = table[m]
+    if not sr.exact and math.inf in last:
+        raise float_range_error("a walk weight in Karp's table")
     for v in range(m):
         if sr.is_zero(last[v]):
             continue

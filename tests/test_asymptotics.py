@@ -23,6 +23,7 @@ from maxalg import (
     mat_power,
     nachtigall_expansion,
     normalize_to_unit,
+    otimes,
     strong_path_table,
     strong_path_weight,
     transient_and_period,
@@ -74,14 +75,14 @@ def test_transient_and_period_minimality():
 
 
 def test_power_ladder_lifts_its_right_factor_once(monkeypatch):
-    # each product lifts only its left factor's n rows; the right factor's
-    # n columns are lifted once for the whole scan, not at every product
+    # the right factor's n columns are lifted once for the whole scan, and
+    # so are a's n rows at the first product; every later power is born
+    # lifted, so the count does not grow with the transient
     a = fmat([[1, 1], [Fraction(1, 2), Fraction(199, 200)]])
     lifts = count_calls(monkeypatch, "_lift")
     prof = transient_and_period(a, budget=1000)
     assert (prof.transient, prof.period) == (139, 1)
-    n, products = a.n, prof.transient + prof.period - 1
-    assert len(lifts) == (products + 1) * n
+    assert len(lifts) == 2 * a.n
 
 
 def _recording_analyses(monkeypatch):
@@ -101,8 +102,9 @@ def _recording_analyses(monkeypatch):
 
 def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):
     # tilde is the fixed left factor of every step: its rows are lifted
-    # once per call, whatever t; each step lifts one power's rows and the
-    # columns of the walk table, and tilde's columns are lifted once
+    # once per call, whatever t, and so are its columns for the ladder;
+    # the powers are born lifted, so each step lifts only the columns of
+    # the walk table
     a = unit_lambda_irreducible(random.Random(5), 6)
     made = _recording_analyses(monkeypatch)
     lifts = count_calls(monkeypatch, "_lift")
@@ -114,7 +116,7 @@ def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):
         (an,) = made
         rows = an.tilde.rows
         assert sum(1 for (v,) in lifts if any(v is r for r in rows)) == n
-        assert len(lifts) == n * (2 * t - 1)
+        assert len(lifts) == n * (t + 1)
 
 
 def test_csr_decompose_lifts_the_rows_of_c_once(monkeypatch):
@@ -133,6 +135,29 @@ def test_csr_decompose_lifts_the_rows_of_c_once(monkeypatch):
         checks += trip.certified_from + trip.gamma - trip.transient > 1
     # most of these run more than one product with C
     assert checks >= 10
+
+
+def test_returned_matrices_have_their_rows_built():
+    # exact products are born lifted, with no Fraction rows until read;
+    # every matrix that the asymptotics hand back already has them
+    def built(m):
+        try:
+            object.__getattribute__(m, "rows")  # skips MaxMatrix.__getattr__
+        except AttributeError:
+            return False
+        return True
+
+    rng = random.Random(43)
+    a = unit_lambda_irreducible(rng, 4)
+    assert not built(otimes(a, a)) and built(a)
+    for _ in range(6):
+        a = unit_lambda_irreducible(rng, rng.randint(3, 6))
+        prof = transient_and_period(a)
+        trip = csr_decompose(a)
+        terms = nachtigall_expansion(two_level_planted(rng, 4)[0]).terms
+        mats = [*prof.powers, trip.c, trip.s, trip.r]
+        mats += [m for term in terms for m in (term.c, term.s, term.r)]
+        assert all(built(m) for m in mats)
 
 
 def test_transient_budget_error_on_never_periodic():

@@ -476,6 +476,27 @@ TYPED_REFUSALS = [
         3,
         "underflows the float range",
     ),
+    (
+        "powers_normalization_overflows_an_entry",
+        ["powers", "M"],
+        "maxtimes 3 float\n. 1e-150 1e200\n1e-150 . .\n. . .\n",
+        3,
+        "overflows the float range",
+    ),
+    (
+        "info_float_plus_karp_overflows",
+        ["info", "M"],
+        "maxplus 2 float\n1e308 -1e300\n0 0\n",
+        3,
+        "overflows the float range",
+    ),
+    (
+        "info_float_times_karp_overflows",
+        ["info", "M"],
+        "maxtimes 3 float\n1e300 1 .\n1 . 1\n1 . .\n",
+        3,
+        "overflows the float range",
+    ),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Module boundaries: no library module imports a sibling's private names."""
+"""Module boundaries: no library module reaches into a sibling's privates."""
 
 import ast
 from pathlib import Path
@@ -20,4 +20,22 @@ def test_no_private_names_imported_between_modules():
                 for alias in node.names
                 if alias.name.startswith("_")
             )
+    assert offenders == []
+
+
+def test_only_the_product_core_touches_the_lifted_form():
+    # a MaxMatrix's _row_lifts and _cols slots hold the exact product
+    # core's integer form; no other module reads or writes them, by
+    # attribute or by name
+    private = {"_row_lifts", "_cols"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in private:
+                offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert offenders == []

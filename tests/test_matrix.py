@@ -4,7 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import maxalg.matrix as matrix
 
@@ -232,6 +236,88 @@ def test_lifted_otimes_pairwise_coprime_denominators():
     square = _reference_otimes(a, a)
     _assert_matches(otimes(fmat(a), fmat(a)), square)
     _assert_matches(mat_power(fmat(a), 4), _reference_otimes(square, square))
+
+
+# distinct primes: with coprime=True every entry of a case gets its own
+PRIMES = [
+    p for p in range(1009, 2000)
+    if all(p % d for d in range(2, int(p**0.5) + 1))
+]
+SMALL_DENS = [1, 2, 3, 4, 6, 9, 2**20, 65521, 999983]
+
+
+@st.composite
+def exact_products(draw):
+    """Factors (a, b), a target row list near a (x) b, and a vector x.
+
+    Shapes are rectangular up to 6, a may get a zero row and b a zero
+    column, and with ``coprime`` every entry has its own prime
+    denominator. The target equals the product or differs in one entry.
+    """
+    m, k, n = (draw(st.integers(min_value=1, max_value=6)) for _ in "mkn")
+    coprime = draw(st.booleans())
+    primes = iter(PRIMES)
+
+    def entry():
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            return Fraction(0)
+        den = next(primes) if coprime else draw(st.sampled_from(SMALL_DENS))
+        return Fraction(draw(st.integers(min_value=1, max_value=10**6)), den)
+
+    a = [[entry() for _ in range(k)] for _ in range(m)]
+    b = [[entry() for _ in range(n)] for _ in range(k)]
+    if draw(st.booleans()):
+        a[draw(st.integers(min_value=0, max_value=m - 1))] = [Fraction(0)] * k
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        for row in b:
+            row[j] = Fraction(0)
+    target = _reference_otimes(a, b)
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=m - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        target[i][j] = draw(st.sampled_from(
+            [Fraction(0), target[i][j] * 2, target[i][j] + Fraction(1, 7)]
+        ))
+    x = [entry() for _ in range(k)]
+    return a, b, target, x
+
+
+@seed(1509)
+@settings(max_examples=300, deadline=None)
+@given(exact_products())
+def test_lifted_products_keep_value_semantics(case):
+    # an exact product is born lifted; its row lifts are the canonical
+    # lifts of its Fraction rows, and every reader of the matrix sees what
+    # it sees of the matrix built from those Fractions
+    a, b, target, x = case
+    want = fmat(_reference_otimes(a, b))
+
+    def product():
+        return otimes(fmat(a), fmat(b))
+
+    lifts = matrix._row_lifts(product())
+    assert lifts == [matrix._lift(row) for row in want.rows]
+    _assert_matches(product(), [list(r) for r in want.rows])
+    assert product() == want and want == product() and product() == product()
+    assert hash(product()) == hash(want)
+    assert repr(product()) == repr(want)
+    assert pickle.dumps(product()) == pickle.dumps(want)
+    for c in (copy.copy(product()), copy.deepcopy(product())):
+        assert c == want and repr(c) == repr(want)
+    # lift-based equality agrees with entrywise Fraction equality
+    same = [list(r) for r in want.rows] == target
+    assert product().allclose(fmat(target)) is same
+    assert fmat(target).allclose(product()) is same
+    assert (product() == fmat(target)) is same
+    lifted_target = otimes(fmat(target), MaxMatrix.identity(len(b[0])))
+    assert product().allclose(lifted_target) is same
+    assert (product() == lifted_target) is same
+    got = otimes(fmat(a), fvec(x))
+    assert list(got.entries) == [
+        r[0] for r in _reference_otimes(a, [[v] for v in x])
+    ]
+    assert all(type(v) is Fraction for v in got.entries)
 
 
 def test_power_in_additive_domain():

@@ -249,6 +249,40 @@ def test_float_normalization_refuses_to_drop_an_edge():
     assert spectral.spectral_analysis(b).normalized().rows[0][1] > 0.0
 
 
+def test_float_normalization_refuses_an_entry_that_overflows():
+    # lam is 1e-150, so entry (0, 2) divided by it is 1e350: normalized()
+    # refuses the inf, while the mean and the critical graph still answer
+    from maxalg import MaxMatrix, ModeError
+
+    a = MaxMatrix(
+        [[0, 1e-150, 1e200], [1e-150, 0, 0], [0, 0, 0]], FLOAT_TIMES
+    )
+    an = spectral.spectral_analysis(a)
+    assert an.mean.pair() == (1e-300, 2)
+    assert an.critical.edges == ((0, 1), (1, 0))
+    with pytest.raises(ModeError, match="overflows the float range"):
+        an.normalized()
+
+
+@pytest.mark.parametrize(
+    "domain,rows",
+    [
+        ("max-plus", [[1e308, -1e300], [0, 0]]),
+        ("max-times", [[1e300, 1, 0], [1, 0, 1], [1, 0, 0]]),
+    ],
+    ids=["plus", "times"],
+)
+def test_float_karp_refuses_a_walk_weight_that_overflows(domain, rows):
+    # Karp's table sums (multiplies) walk weights up to length n: 2e308
+    # and 1e900 leave the float range, which is a typed refusal rather
+    # than a mean of inf with no critical edge
+    from maxalg import MaxMatrix, ModeError, Semiring
+
+    a = MaxMatrix(rows, Semiring(domain, exact=False))
+    with pytest.raises(ModeError, match="overflows the float range"):
+        max_cycle_gmean(a)
+
+
 def test_tight_tolerance_stray_critical_edge_is_a_certification_error():
     # under tol=0 float rounding marks as critical an edge that lies on no
     # critical cycle; the analysis refuses instead of failing on a lookup
