@@ -114,8 +114,10 @@ def _periodicity_profile(m, mean, gamma, budget):
     transient, period, powers = _scan_periodicity(_powers(m), budget)
     window = tuple(powers[transient : transient + period + 1])
     for power in window:
-        # the ladder's exact powers have no Fraction rows until read;
-        # build the ones handed to the caller here
+        # exact ladder powers are born without Fraction rows; build the
+        # returned window's here, so their cost falls inside this call
+        # (and perfbench's timed section) rather than in whichever
+        # caller or check reads them first
         power.rows
     return PeriodicityProfile(
         transient=transient,

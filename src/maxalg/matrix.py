@@ -5,21 +5,25 @@ Kleene star is computed by Floyd-Warshall closure and reports divergence
 with a witness cycle, so this layer never needs the spectral machinery.
 
 Every matrix product runs in _multiply. A MaxMatrix has two private
-slots, _row_lifts and _cols, that the product core fills lazily the
-first time the matrix is a left or right factor (or an
+cache slots, _row_lifts and _cols, that the product core fills lazily
+the first time the matrix is a left or right factor (or an
 is_max_combination operand), so a matrix that takes part in many
 products is prepared once. They are caches of the entries, not state:
 ==, hash, repr, pickling and copies see only the entries.
 
 In exact max-times the row lifts are canonical: row i is (ints, d) with
 d the lcm of the row's reduced denominators, exactly _lift of its
-Fractions, so two matrices are equal exactly when their row lifts are.
-An exact max-times product is born lifted: _multiply fills _row_lifts
-and leaves ``rows`` unset, and MaxMatrix.__getattr__ builds the Fraction
-rows on the first read of ``rows``. A ladder of products, with allclose
-comparing row lifts, therefore builds no Fraction. Fractions are still
-built on the first read of a product's ``rows``, for the entries of a
-product with a vector, and by Ratios.value.
+Fractions, so allclose decides equality by comparing row lifts. An
+exact max-times product is born reduced: _multiply stores each row as
+the numerators and the denominators of its Fractions, in lowest terms,
+in a third slot, _reduced, and leaves ``rows`` unset. Its row and
+column lifts are made from that form without a gcd, and
+MaxMatrix.__getattr__ builds the Fraction rows from it on the first
+read of ``rows``, skipping the gcd that the Fraction constructor would
+take again. A ladder of products, with allclose comparing row lifts,
+therefore builds no Fraction. Fractions are still built on the first
+read of a product's ``rows``, for the entries of a product with a
+vector, and by Ratios.value.
 """
 
 from __future__ import annotations
@@ -47,6 +51,13 @@ from .semiring import (
     float_range_error,
     log_terms,
 )
+
+# p / q as a Fraction, for ints already in lowest terms with q > 0,
+# without the constructor's second gcd (Python 3.12 renamed the hook)
+try:
+    _fraction = Fraction._from_coprime_ints
+except AttributeError:
+    _fraction = partial(Fraction, _normalize=False)
 
 
 def _check_same_semiring(a, b):
@@ -127,7 +138,9 @@ class MaxMatrix:
     rectangular inputs.
     """
 
-    __slots__ = ("semiring", "rows", "nrows", "ncols", "_row_lifts", "_cols")
+    __slots__ = (
+        "semiring", "rows", "nrows", "ncols", "_reduced", "_row_lifts", "_cols"
+    )
 
     def __init__(self, rows, semiring=EXACT_TIMES):
         self.semiring = semiring
@@ -151,27 +164,29 @@ class MaxMatrix:
         return m
 
     @classmethod
-    def _lifted(cls, lifts, ncols, semiring):
-        """An exact max-times matrix given by its canonical row lifts."""
+    def _born_reduced(cls, reduced, ncols, semiring):
+        """An exact max-times matrix given as (numerators, denominators)
+        per row, each entry in lowest terms."""
         m = object.__new__(cls)
         m.semiring = semiring
-        m._row_lifts = lifts
-        m.nrows = len(lifts)
+        m._reduced = reduced
+        m.nrows = len(reduced)
         m.ncols = ncols
         return m
 
     def __getattr__(self, name):
-        """Build ``rows`` from the row lifts on its first read.
+        """Build ``rows`` from the reduced form on its first read.
 
         Python calls this only for an unset slot: ``rows`` of a matrix
-        born lifted (_lifted), or a cache slot not yet filled.
+        born reduced (_born_reduced), or a slot not yet filled.
         """
         if name != "rows":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         rows = self.rows = tuple(
-            tuple([Fraction(x, d) for x in ints]) for ints, d in self._row_lifts
+            tuple([_fraction(p, q) for p, q in zip(ps, qs)])
+            for ps, qs in self._reduced
         )
         return rows
 
@@ -246,14 +261,11 @@ class MaxMatrix:
         )
 
     def __eq__(self, other):
-        if not (isinstance(other, MaxMatrix) and self.semiring == other.semiring):
-            return False
-        # canonical row lifts decide equality without building rows
-        mine = getattr(self, "_row_lifts", None)
-        theirs = getattr(other, "_row_lifts", None)
-        if mine is not None and theirs is not None:
-            return mine == theirs
-        return self.rows == other.rows
+        return (
+            isinstance(other, MaxMatrix)
+            and self.semiring == other.semiring
+            and self.rows == other.rows
+        )
 
     def __hash__(self):
         return hash((self.semiring, self.rows))
@@ -342,20 +354,24 @@ def _fraction_free(sr):
 def _columns(b):
     """b's columns as _multiply takes them, prepared once per matrix.
 
-    Exact max-times columns are lifted (_lift): from the row lifts when
-    the matrix has them (_transposed_lifts), so a matrix born lifted
-    builds no Fraction rows for it, and from the entries otherwise.
-    Every other mode keeps each column's nonzero (k, value) pairs. A
-    matrix keeps them in its _cols slot from its first use as a right
-    factor on; a vector's are prepared at each product.
+    Exact max-times columns are lifted: from the reduced form of a
+    matrix born reduced (_lift_reduced), so it builds no Fraction rows
+    for them, and from the entries otherwise (_lift). Every other mode
+    keeps each column's nonzero (k, value) pairs. A matrix keeps them in
+    its _cols slot from its first use as a right factor on; a vector's
+    are prepared at each product.
     """
     cols = getattr(b, "_cols", None)
     if cols is None:
         sr = b.semiring
         vector = isinstance(b, MaxVector)
-        lifts = None if vector else getattr(b, "_row_lifts", None)
-        if lifts is not None:
-            cols = _transposed_lifts(lifts)
+        reduced = None
+        if _fraction_free(sr) and not vector:
+            reduced = getattr(b, "_reduced", None)
+        if reduced is not None:
+            nums = zip(*[ps for ps, _qs in reduced])
+            dens = zip(*[qs for _ps, qs in reduced])
+            cols = [_lift_reduced(ps, qs) for ps, qs in zip(nums, dens)]
         else:
             cols = [b.entries] if vector else zip(*b.rows)
             if _fraction_free(sr):
@@ -370,32 +386,21 @@ def _columns(b):
     return cols
 
 
-def _transposed_lifts(lifts):
-    """The _lift of each column of a matrix with the given row lifts.
-
-    Entry (i, j) is x_ij / d_i, reduced to p / q by g = gcd(x_ij, d_i);
-    column j is lifted over the lcm e_j of its q's, as p * (e_j / q). No
-    Fraction is built.
-    """
-    gcd = math.gcd
-    dens = [d for _ints, d in lifts]
-    cols = []
-    for xs in zip(*[ints for ints, _d in lifts]):
-        reduced = [(x // (g := gcd(x, d)), d // g) for x, d in zip(xs, dens)]
-        e = math.lcm(*[q for _p, q in reduced])
-        cols.append(([p * (e // q) for p, q in reduced], e))
-    return cols
-
-
 def _row_lifts(m):
-    """The _lift of each row of an exact max-times matrix, made once.
+    """The canonical lift of each row of an exact max-times matrix.
 
-    m keeps them in its _row_lifts slot from the first product or
-    is_max_combination that reads them on.
+    Made once, from the reduced form of a matrix born reduced and from
+    the entries otherwise; m keeps them in its _row_lifts slot from the
+    first product, allclose or is_max_combination that reads them on.
     """
     lifts = getattr(m, "_row_lifts", None)
     if lifts is None:
-        lifts = m._row_lifts = [_lift(row) for row in m.rows]
+        reduced = getattr(m, "_reduced", None)
+        if reduced is None:
+            lifts = [_lift(row) for row in m.rows]
+        else:
+            lifts = [_lift_reduced(ps, qs) for ps, qs in reduced]
+        m._row_lifts = lifts
     return lifts
 
 
@@ -406,15 +411,14 @@ def _multiply(a, b, cols):
     d_i of its own denominators and column j of b over its own e_j, so
     entry (i, j) is x / y = max_k(r_ik * c_kj) / (d_i * e_j). The inner
     loop multiplies Python ints. One gcd reduces the entry to p / q, the
-    numerator and denominator of its Fraction, and the row is lifted over
-    the lcm of the q's: that is _lift of the row's Fractions, without
-    building them.
-    A matrix product is returned lifted (MaxMatrix._lifted), its Fraction
-    rows built only when read; a vector product builds its Fractions at
-    once. Per-entry reduction keeps the ints small where a common
-    denominator would not: one lcm for the whole left factor, or one for
-    the right factor's columns, is the product of them all when the
-    denominators are pairwise coprime.
+    numerator and denominator of its Fraction, which is all the Fraction
+    constructor would do. A matrix product is returned in that form
+    (MaxMatrix._born_reduced), lifted or turned into Fractions only when
+    a later product or a reader asks; a vector product builds its
+    Fractions at once. Per-entry reduction keeps the ints small where a
+    common denominator would not: one lcm for the whole left factor, or
+    one for the right factor's columns, is the product of them all when
+    the denominators are pairwise coprime.
     """
     _check_same_semiring(a, b)
     sr = a.semiring
@@ -428,19 +432,21 @@ def _multiply(a, b, cols):
         raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
     if _fraction_free(sr):
         mul, gcd = operator.mul, math.gcd
-        lifts = []
+        reduced = []
         for r, d in _row_lifts(a):
-            reduced = []
+            ps, qs = [], []
             for c, e in cols:
                 x = max(map(mul, r, c))
                 y = d * e
                 g = gcd(x, y)
-                reduced.append((x // g, y // g))
-            den = math.lcm(*[q for _p, q in reduced])
-            lifts.append(([p * (den // q) for p, q in reduced], den))
+                ps.append(x // g)
+                qs.append(y // g)
+            reduced.append((ps, qs))
         if vector:
-            return MaxVector._raw([Fraction(x, d) for (x,), d in lifts], sr)
-        return MaxMatrix._lifted(lifts, b.ncols, sr)
+            return MaxVector._raw(
+                [_fraction(ps[0], qs[0]) for ps, qs in reduced], sr
+            )
+        return MaxMatrix._born_reduced(reduced, b.ncols, sr)
     add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
     out = []
     for row in a.rows:
@@ -465,6 +471,12 @@ def _lift(values):
     """
     d = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _lift_reduced(ps, qs):
+    """_lift of the Fractions ps[k] / qs[k], each in lowest terms."""
+    d = math.lcm(*qs)
+    return [p * (d // q) for p, q in zip(ps, qs)], d
 
 
 def is_max_combination(m, terms):

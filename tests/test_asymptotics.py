@@ -103,7 +103,7 @@ def _recording_analyses(monkeypatch):
 def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):
     # tilde is the fixed left factor of every step: its rows are lifted
     # once per call, whatever t, and so are its columns for the ladder;
-    # the powers are born lifted, so each step lifts only the columns of
+    # the powers are born reduced, so each step lifts only the columns of
     # the walk table
     a = unit_lambda_irreducible(random.Random(5), 6)
     made = _recording_analyses(monkeypatch)
@@ -138,7 +138,7 @@ def test_csr_decompose_lifts_the_rows_of_c_once(monkeypatch):
 
 
 def test_returned_matrices_have_their_rows_built():
-    # exact products are born lifted, with no Fraction rows until read;
+    # exact products are born reduced, with no Fraction rows until read;
     # every matrix that the asymptotics hand back already has them
     def built(m):
         try:

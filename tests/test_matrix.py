@@ -287,9 +287,10 @@ def exact_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(exact_products())
 def test_lifted_products_keep_value_semantics(case):
-    # an exact product is born lifted; its row lifts are the canonical
-    # lifts of its Fraction rows, and every reader of the matrix sees what
-    # it sees of the matrix built from those Fractions
+    # an exact product is born reduced; its row and column lifts are the
+    # canonical lifts of its Fraction rows and columns, and every reader
+    # of the matrix sees what it sees of the matrix built from those
+    # Fractions
     a, b, target, x = case
     want = fmat(_reference_otimes(a, b))
 
@@ -298,6 +299,8 @@ def test_lifted_products_keep_value_semantics(case):
 
     lifts = matrix._row_lifts(product())
     assert lifts == [matrix._lift(row) for row in want.rows]
+    cols = matrix._columns(product())
+    assert cols == [matrix._lift(col) for col in zip(*want.rows)]
     _assert_matches(product(), [list(r) for r in want.rows])
     assert product() == want and want == product() and product() == product()
     assert hash(product()) == hash(want)
