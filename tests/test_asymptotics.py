@@ -77,7 +77,8 @@ def test_transient_and_period_minimality():
 def test_power_ladder_lifts_its_right_factor_once(monkeypatch):
     # the right factor's n columns are lifted once for the whole scan, and
     # so are a's n rows at the first product; every later power is born
-    # lifted, so the count does not grow with the transient
+    # reduced and lifted from that form, so the count does not grow with
+    # the transient
     a = fmat([[1, 1], [Fraction(1, 2), Fraction(199, 200)]])
     lifts = count_calls(monkeypatch, "_lift")
     prof = transient_and_period(a, budget=1000)
