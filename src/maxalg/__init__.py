@@ -117,7 +117,6 @@ from .semiring import (
     gmean_cmp_one,
     gmean_eq,
     gmean_float,
-    gmean_le,
     gmean_value,
 )
 from .spectral import (

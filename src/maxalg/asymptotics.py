@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 
 from .errors import (
     CertificationError,
@@ -67,51 +67,40 @@ def _powers(m):
         power = otimes(power, m)
 
 
-def _scan_periodicity(ladder, budget):
-    """First repeat among a ladder's powers: (transient, period, powers).
+def _default_budget(n, gamma):
+    """3n^2 + 2 gamma: the usual magnitude of a transient on n nodes."""
+    return 3 * n * n + 2 * gamma
 
-    ``ladder`` yields m, m^2, ... (_powers); powers[t] is m^t. Scans
-    exponents upward, comparing each power against all earlier ones; the
-    first repeat pins down the minimal eventual period and the minimal
+
+def _scan_periodicity(m, budget):
+    """First repeat among m's powers: (transient, period, powers, ladder).
+
+    powers[t] is m^t for t up to the repeat, and the ladder (_powers)
+    goes on with the powers after the last one kept. Scans exponents
+    upward, comparing each power against all earlier ones; the first
+    repeat pins down the minimal eventual period and the minimal
     transient for it, since one equality propagates forever by
     multiplicativity. Raises IterationBudgetError when no repeat shows up
     within the budget.
     """
+    ladder = _powers(m)
     powers = [None, next(ladder)]
     for t in range(2, budget + 1):
         powers.append(next(ladder))
         for p in range(1, t):
             if powers[t].allclose(powers[t - p]):
-                return t - p, p, powers
+                return t - p, p, powers, ladder
     raise IterationBudgetError(
         f"no repetition among the first {budget} powers; raise the budget "
         "or check that the matrix really has ultimately periodic powers"
     )
 
 
-def _transient_with_growth(m, budget, gamma):
-    """Transient of the powers of m, growing the default budget on demand.
-
-    Returns (transient, powers, ladder): powers[t] is m^t, and the ladder
-    goes on with the powers after the last one kept. gamma is the
-    cyclicity of m's critical graph. An explicit budget is a hard cap.
-    The default is 2^7 times the usual 3n^2 + 2 gamma, because that
-    figure is only the conjectured magnitude of the transient, not a
-    proven bound; the scan stops at the first repeat, so a larger cap
-    costs nothing when the repeat comes early.
-    """
-    if budget is None:
-        budget = (3 * m.n * m.n + 2 * gamma) << 7
-    ladder = _powers(m)
-    transient, _period, powers = _scan_periodicity(ladder, budget)
-    return transient, powers, ladder
-
-
 def _periodicity_profile(m, mean, gamma, budget):
     """Scan the powers of the unit-mean m; mean is reported as lam."""
     if budget is None:
-        budget = 3 * m.n * m.n + 2 * gamma
-    transient, period, powers = _scan_periodicity(_powers(m), budget)
+        budget = _default_budget(m.n, gamma)
+    transient, period, powers, _ladder = _scan_periodicity(m, budget)
     window = tuple(powers[transient : transient + period + 1])
     for power in window:
         # exact ladder powers are born without Fraction rows; build the
@@ -204,28 +193,28 @@ def strong_path_table(a, t):
     t edges in the normalized matrix that visit at least one critical
     node (endpoints count); zero when no such walk exists. For large t
     this equals C (x) S^t (x) R entry by entry.
+
+    Such walks are walks on two copies of the nodes: node v while the
+    walk has met no critical node, node n + v once it has. A step leaves
+    the first copy for the second when either of its ends is critical,
+    so the table is the upper right block of one power of that 2n x 2n
+    matrix.
     """
     if t < 1:
         raise ValueError("walk length must be at least 1")
     sr = a.semiring
     n = a.n
     an = spectral_analysis(a)
-    tilde = an.normalized()
+    tilde = an.normalized().rows
     crit = set(an.critical.nodes)
-    f = [
-        [
-            tilde.rows[i][j] if (i in crit or j in crit) else sr.zero
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    for power in islice(_powers(tilde), 1, t):
-        f = otimes(tilde, MaxMatrix._raw(f, sr)).rows
-        f = [
-            list(power.rows[i]) if i in crit else list(f[i])
-            for i in range(n)
-        ]
-    return MaxMatrix._raw([list(row) for row in f], sr)
+    zeros = [sr.zero] * n
+    two_copies = [
+        [sr.zero if i in crit or j in crit else v for j, v in enumerate(row)]
+        + [v if i in crit or j in crit else sr.zero for j, v in enumerate(row)]
+        for i, row in enumerate(tilde)
+    ] + [zeros + list(row) for row in tilde]
+    walks = mat_power(MaxMatrix._raw(two_copies, sr), t)
+    return walks.restrict(range(n), range(n, 2 * n))
 
 
 def strong_path_weight(a, i, j, t):
@@ -267,10 +256,20 @@ def csr_decompose(a, budget=None):
     c, s, r = _csr_parts(an)
     tilde = an.tilde
     gamma = an.critical.cyclicity
+
+    def scan(m):
+        # an explicit budget is a hard cap. The default is 2^7 times the
+        # usual budget, because that figure is only the conjectured
+        # magnitude of the transient, not a proven bound; the scan stops
+        # at the first repeat, so a larger cap costs nothing when the
+        # repeat comes early
+        if budget is None:
+            return _scan_periodicity(m, _default_budget(m.n, gamma) << 7)
+        return _scan_periodicity(m, budget)
+
     # every edge of s is critical, so s shares tilde's critical cyclicity
-    t_tilde, lhs_pows, lhs_ladder = _transient_with_growth(
-        tilde, budget, gamma)
-    t_s, s_pows, s_ladder = _transient_with_growth(s, budget, gamma)
+    t_tilde, _p, lhs_pows, lhs_ladder = scan(tilde)
+    t_s, _p, s_pows, s_ladder = scan(s)
     start = max(t_tilde, t_s)
     for pows, ladder in ((lhs_pows, lhs_ladder), (s_pows, s_ladder)):
         while len(pows) < start + gamma:
@@ -340,11 +339,12 @@ class Expansion:
 def nachtigall_expansion(a, horizon=None):
     """Expand powers of a into CSR terms of successively lighter cycles.
 
-    Each round factors the current submatrix around its critical nodes,
-    embeds the factors back into full size, then deletes those nodes and
-    repeats until no cycles remain. The validity onset is measured by
-    comparing against directly computed powers up to the horizon, with a
-    safety margin of twice the combined period. With no explicit horizon
+    Each round factors the current matrix around its critical nodes, then
+    sets the rows and columns of those nodes to zero and repeats until no
+    cycles remain. The matrix keeps a's size, so every round's C, R and
+    critical nodes are in a's own indices. The validity onset is measured
+    by comparing against directly computed powers up to the horizon, with
+    a safety margin of twice the combined period. With no explicit horizon
     the default one is doubled a few times as needed; if the onset still
     cannot be certified the expansion is returned with validity_start
     None instead of raising. An explicit horizon below 1 is refused.
@@ -355,37 +355,30 @@ def nachtigall_expansion(a, horizon=None):
         )
     sr = a.semiring
     n = a.n
-    alive = list(range(n))
+    dropped = set()
     terms = []
-    while alive:
-        sub = a.restrict(alive)
-        an = spectral_analysis(sub)
+    while True:
+        rows = [
+            [sr.zero if i in dropped or j in dropped else v
+             for j, v in enumerate(row)]
+            for i, row in enumerate(a.rows)
+        ]
+        an = spectral_analysis(MaxMatrix._raw(rows, sr))
         if an.mean.is_zero:
             break
         c, s, r = _csr_parts(an)
-        crit_local = an.critical.nodes
-        crit_orig = tuple(alive[i] for i in crit_local)
-        k = len(crit_local)
-        c_rows = [[sr.zero] * k for _ in range(n)]
-        r_rows = [[sr.zero] * n for _ in range(k)]
-        for local, orig in enumerate(alive):
-            for col in range(k):
-                c_rows[orig][col] = c.rows[local][col]
-            for row in range(k):
-                r_rows[row][orig] = r.rows[row][local]
         terms.append(
             CsrTerm(
                 coefficient=an.lam,
                 pair=an.mean.pair(),
-                c=MaxMatrix._raw(c_rows, sr),
+                c=c,
                 s=s,
-                r=MaxMatrix._raw(r_rows, sr),
+                r=r,
                 gamma=an.critical.cyclicity,
-                critical_nodes=crit_orig,
+                critical_nodes=an.critical.nodes,
             )
         )
-        dropped = set(crit_orig)
-        alive = [v for v in alive if v not in dropped]
+        dropped.update(an.critical.nodes)
     combined = math.lcm(*(t.gamma for t in terms)) if terms else 1
     # agree[t] says whether A^t equals the expansion at t; it grows across
     # horizon doublings instead of restarting at t = 1
@@ -402,7 +395,7 @@ def nachtigall_expansion(a, horizon=None):
         return v
 
     explicit = horizon is not None
-    h = horizon if explicit else 3 * n * n + 2 * combined
+    h = horizon if explicit else _default_budget(n, combined)
     attempts = 1 if explicit else 8
     for _ in range(attempts):
         v = measure(h)

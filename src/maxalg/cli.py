@@ -665,7 +665,7 @@ def run_command(argv):
         return report(results, warnings), 0
     except NegativeAnswer as exc:
         results = {"answer": "negative", "reason": str(exc)}
-        witness = getattr(exc, "witness", None)
+        witness = exc.witness
         if witness is not None:
             results["witness"] = {
                 "nodes": list(witness.nodes),
@@ -683,8 +683,6 @@ def _scalar_token(value):
     """Token for a scalar of unknown semiring; cycle weights are nonzero."""
     if isinstance(value, Fraction):
         return str(value)
-    if value == float("-inf"):
-        return "-inf"
     return repr(float(value))
 
 

@@ -88,9 +88,14 @@ class ParseError(MaxAlgebraError):
 
 
 class NegativeAnswer(Exception):
-    """Base class for negative mathematical answers (not errors)."""
+    """Base class for negative mathematical answers (not errors).
 
-    witness = None
+    ``witness`` is the cycle that certifies the answer, where one exists.
+    """
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class NoScalingError(NegativeAnswer):
@@ -100,25 +105,13 @@ class NoScalingError(NegativeAnswer):
     provides one.
     """
 
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
 
 class DivergenceError(NegativeAnswer):
     """The Kleene star diverges; ``witness`` is a cycle of weight above one."""
 
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
 
 class HadamardFailsError(NegativeAnswer):
     """The cycle test on moduli fails; ``witness`` breaks the inequality."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 class NotCommutingError(NegativeAnswer):

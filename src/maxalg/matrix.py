@@ -539,20 +539,25 @@ def _lifted_combination(m, terms):
 
 
 def mat_power(a, t):
-    """t-th semiring power by repeated squaring, with a^0 the identity."""
+    """t-th semiring power by repeated squaring, with a^0 the identity.
+
+    Exact mode starts from the first factor taken. Float mode multiplies
+    the identity in, since that product turns a -0.0 entry into 0.0.
+    """
     n = a.n
     if t < 0 or t != int(t):
         raise ValueError("matrix powers need an integer exponent >= 0")
     t = int(t)
-    result = MaxMatrix.identity(n, a.semiring)
+    sr = a.semiring
+    result = None if sr.exact else MaxMatrix.identity(n, sr)
     base = a
     while t:
         if t & 1:
-            result = otimes(result, base)
+            result = base if result is None else otimes(result, base)
         t >>= 1
         if t:
             base = otimes(base, base)
-    return result
+    return MaxMatrix.identity(n, sr) if result is None else result
 
 
 class Ratios:

@@ -371,10 +371,6 @@ def gmean_eq(sr, pair_a, pair_b):
     return gmean_cmp(sr, pair_a, pair_b) == 0
 
 
-def gmean_le(sr, pair_a, pair_b):
-    return gmean_cmp(sr, pair_a, pair_b) <= 0
-
-
 def gmean_cmp_one(sr, pair):
     """Three-way compare a mean pair against the semiring unit."""
     return gmean_cmp(sr, pair, (sr.one, 1))

@@ -44,6 +44,7 @@ from .semiring import (
     float_range_error,
     filtered_sign,
     gmean_cmp,
+    gmean_cmp_one,
     gmean_eq,
     gmean_float,
     gmean_value,
@@ -80,7 +81,7 @@ class CycleMean:
 
     def cmp_one(self):
         """-1, 0, or 1 against the semiring unit."""
-        return gmean_cmp(self.semiring, self.pair(), (self.semiring.one, 1))
+        return gmean_cmp_one(self.semiring, self.pair())
 
     def cmp(self, other):
         return gmean_cmp(self.semiring, self.pair(), other.pair())

@@ -86,38 +86,24 @@ def test_power_ladder_lifts_its_right_factor_once(monkeypatch):
     assert len(lifts) == 2 * a.n
 
 
-def _recording_analyses(monkeypatch):
-    """Record every analysis that maxalg.asymptotics builds."""
-    import maxalg.asymptotics as asymptotics
-
-    made = []
-    original = asymptotics.spectral_analysis
-
-    def recording(a):
-        made.append(original(a))
-        return made[-1]
-
-    monkeypatch.setattr(asymptotics, "spectral_analysis", recording)
-    return made
-
-
 def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):
-    # tilde is the fixed left factor of every step: its rows are lifted
-    # once per call, whatever t, and so are its columns for the ladder;
-    # the powers are born reduced, so each step lifts only the columns of
-    # the walk table
+    # the table is one power of a 2n x 2n matrix: its 2n rows and 2n
+    # columns are lifted at the first squaring, whatever t, and every
+    # later power is born reduced
     a = unit_lambda_irreducible(random.Random(5), 6)
-    made = _recording_analyses(monkeypatch)
     lifts = count_calls(monkeypatch, "_lift")
-    n = a.n
-    for t in (2, 10, 60):
-        made.clear()
+    for t in (2, 10, 60, 200):
         lifts.clear()
         strong_path_table(a, t)
-        (an,) = made
-        rows = an.tilde.rows
-        assert sum(1 for (v,) in lifts if any(v is r for r in rows)) == n
-        assert len(lifts) == n * (t + 1)
+        assert len(lifts) == 4 * a.n
+
+
+def test_strong_path_table_takes_logarithmically_many_products(monkeypatch):
+    a = unit_lambda_irreducible(random.Random(5), 6)
+    products = count_calls(monkeypatch, "_multiply")
+    t = 1000
+    strong_path_table(a, t)
+    assert len(products) <= 2 * math.ceil(math.log2(t)) + 1
 
 
 def test_csr_decompose_lifts_the_rows_of_c_once(monkeypatch):

@@ -589,3 +589,24 @@ def test_human_format_and_main(capsys):
         assert "irreducible" in err
     finally:
         os.chdir(cwd)
+
+
+def test_main_prints_aligned_matrices_json_and_warnings(capsys):
+    # the human report right-aligns each column of a matrix of tokens,
+    # --json prints the report itself, and warnings close the human report
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        assert main(["star", "data/contract.mx"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == ["star:", "    1  2", "  1/4  1"]
+        assert main(["star", "data/contract.mx", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["star"] == [["1", "2"], ["1/4", "1"]]
+        assert main(["info", "data/contract.mx", "--float"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == (
+            "warning: mode overridden from exact to float by command flag"
+        )
+    finally:
+        os.chdir(cwd)

@@ -39,3 +39,128 @@ def test_only_the_product_core_touches_the_lifted_form():
             elif isinstance(node, ast.Constant) and node.value in private:
                 offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert offenders == []
+
+
+# the public names, submodules included: a name that leaves or arrives
+# changes this list on purpose
+PUBLIC_NAMES = [
+    "AcyclicMatrixError",
+    "AcyclicNodeError",
+    "BalancingCertificate",
+    "BooleanDigraphPair",
+    "CertificationError",
+    "CommonEigenvector",
+    "CriticalGraph",
+    "CsrTerm",
+    "CsrTriple",
+    "CycleMean",
+    "DiagonalScaling",
+    "Digraph",
+    "DimensionError",
+    "DivergenceError",
+    "EXACT_PLUS",
+    "EXACT_TIMES",
+    "ExactnessError",
+    "Expansion",
+    "FLOAT_PLUS",
+    "FLOAT_TIMES",
+    "HadamardFailsError",
+    "InapplicableError",
+    "IterationBudgetError",
+    "MaxAlgebraError",
+    "MaxMatrix",
+    "MaxVector",
+    "ModeError",
+    "NEG_INF",
+    "NegativeAnswer",
+    "NoConstraintError",
+    "NoScalingError",
+    "NotAnFpScalingError",
+    "NotCommutingError",
+    "NotIrreducibleError",
+    "PLUS",
+    "ParseError",
+    "Path",
+    "PatternViolationError",
+    "PeriodicityProfile",
+    "SaturationGraph",
+    "ScalingFamily",
+    "SccDecomposition",
+    "Semiring",
+    "SizeLimitError",
+    "SpectralAnalysis",
+    "TIMES",
+    "TransientBound",
+    "UndefinedDivisionError",
+    "WitnessNotFoundError",
+    "ZeroDiagonalError",
+    "apply_scaling",
+    "as_scaling",
+    "asymptotics",
+    "balancing",
+    "boolean_saturation_pair",
+    "common_eigenvector",
+    "commutes",
+    "commuting",
+    "commuting_cycle_witness",
+    "critical_graph",
+    "critical_matrix",
+    "csr_decompose",
+    "csr_power",
+    "digraph",
+    "digraph_of",
+    "eigenspace_basis",
+    "entrywise_div",
+    "enumerate_cycles",
+    "errors",
+    "expansion_power",
+    "fp_scaling",
+    "gmean_cmp",
+    "gmean_cmp_one",
+    "gmean_eq",
+    "gmean_float",
+    "gmean_value",
+    "graph_cyclicity",
+    "hadamard_scaling_test",
+    "has_rowcol_maxima_diagonal",
+    "is_eigenvector",
+    "is_fp_scaling",
+    "is_irreducible",
+    "is_max_balanced_cut",
+    "is_max_balanced_cyclecover",
+    "is_strongly_connected",
+    "kleene_star",
+    "left_residual",
+    "mat_power",
+    "matrix",
+    "max_balance",
+    "max_cycle_gmean",
+    "nachtigall_expansion",
+    "normalize_to_unit",
+    "oplus",
+    "otimes",
+    "principal_eigenvector",
+    "row_col_maxima_scalings",
+    "sandwich_scalings",
+    "satisfies_sandwich",
+    "saturation_graph",
+    "scaling",
+    "scc",
+    "semiring",
+    "semiring_convert",
+    "spectral",
+    "spectral_analysis",
+    "strong_fp_scaling",
+    "strong_path_table",
+    "strong_path_weight",
+    "threshold_digraph",
+    "threshold_spectrum",
+    "transient_and_period",
+    "transient_bound",
+]
+
+
+def test_public_names_are_pinned():
+    import maxalg
+
+    assert sorted(maxalg.__all__) == PUBLIC_NAMES

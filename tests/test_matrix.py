@@ -36,6 +36,7 @@ from maxalg.matrix import Ratios, closure_rows
 from helpers import (
     assert_heavy_cycle,
     closure_reference,
+    count_calls,
     cycles_brute,
     fmat,
     fvec,
@@ -108,6 +109,33 @@ def test_mat_power_matches_walk_oracle():
         t = rng.randint(1, 6)
         assert grids_equal(walk_table_brute(a, t), mat_power(a, t))
 
+
+
+def test_exact_mat_power_multiplies_no_identity_in(monkeypatch):
+    # a^4 is two squarings; the identity is only the answer at t = 0
+    products = count_calls(monkeypatch, "_multiply")
+    for a in (fmat([[0, 2], [Fraction(1, 4), 1]]),
+              MaxMatrix([[0, 2], [-1, "-inf"]], EXACT_PLUS)):
+        products.clear()
+        power = mat_power(a, 4)
+        assert len(products) == 2
+        assert power == otimes(otimes(a, a), otimes(a, a))
+        assert mat_power(a, 0) == MaxMatrix.identity(2, a.semiring)
+
+
+def test_float_mat_power_keeps_the_identity_product():
+    # the product with the identity turns -0.0 into 0.0, in every power
+    a = MaxMatrix([[-0.0, "-inf"], [1.0, -0.0]], FLOAT_PLUS)
+    b = MaxMatrix([[-0.0, 2.0], [0.5, -0.0]], FLOAT_TIMES)
+    want_a = "MaxMatrix([[0.0, -inf], [1.0, 0.0]])"
+    want_b = {
+        1: "MaxMatrix([[0.0, 2.0], [0.5, 0.0]])",
+        2: "MaxMatrix([[1.0, 0.0], [0.0, 1.0]])",
+        3: "MaxMatrix([[0.0, 2.0], [0.5, 0.0]])",
+    }
+    for t in (1, 2, 3):
+        assert repr(mat_power(a, t)) == want_a
+        assert repr(mat_power(b, t)) == want_b[t]
 
 # -- differential test of the integer-lifted exact max-times product --------
 
