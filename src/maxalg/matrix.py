@@ -253,12 +253,29 @@ class MaxMatrix:
         )
 
     def scale(self, c):
-        """Entrywise semiring product with the scalar c."""
+        """Entrywise semiring product with the scalar c.
+
+        An exact max-times result is born reduced: one gcd per entry
+        gives its numerator and denominator, and no Fraction is built
+        until ``rows`` is read.
+        """
         sr = self.semiring
         c = sr.coerce(c)
-        return MaxMatrix._raw(
-            [[sr.mul(c, v) for v in row] for row in self.rows], sr
-        )
+        if not _fraction_free(sr):
+            return MaxMatrix._raw(
+                [[sr.mul(c, v) for v in row] for row in self.rows], sr
+            )
+        p, q, gcd = c.numerator, c.denominator, math.gcd
+        reduced = []
+        for row in self.rows:
+            ps, qs = [], []
+            for v in row:
+                x, y = v.numerator * p, v.denominator * q
+                g = gcd(x, y)
+                ps.append(x // g)
+                qs.append(y // g)
+            reduced.append((ps, qs))
+        return MaxMatrix._born_reduced(reduced, self.ncols, sr)
 
     def __eq__(self, other):
         return (
@@ -563,13 +580,13 @@ def mat_power(a, t):
 class Ratios:
     """Positive rationals as unreduced (numerator, denominator) int pairs.
 
-    The scalars of exact max-times inside the closures and Karp's table:
-    kleene_star and the spectral layer both read them. None is the zero.
-    ``mul`` multiplies the ints and never takes a gcd, ``add`` and ``eq``
-    cross-multiply; ``value`` and ``div`` give a canonical Fraction, which
-    is all that leaves a closure or Karp's table. On an exact tie ``add``
-    keeps the operand with the smaller denominator, so a walk that absorbs
-    a cycle of weight one does not grow its ints.
+    The scalars of exact max-times inside kleene_star's closure and in
+    the spectral certificate of a rational mean. None is the zero.
+    ``mul`` multiplies the ints and never takes a gcd, ``add`` and ``cmp``
+    cross-multiply; ``value`` gives a canonical Fraction, which is all
+    that leaves a closure. On an exact tie ``add`` keeps the operand with
+    the smaller denominator, so a walk that absorbs a cycle of weight one
+    does not grow its ints.
     """
 
     zero = None
@@ -611,23 +628,20 @@ class Ratios:
         return (x[0] * y[0], x[1] * y[1])
 
     @staticmethod
-    def eq(x, y):
-        return x[0] * y[1] == y[0] * x[1]
-
-    @staticmethod
-    def div(x, y):
-        return Fraction(x[0] * y[1], x[1] * y[0])
+    def cmp(x, y):
+        """Three-way compare of two nonzero pairs."""
+        lhs, rhs = x[0] * y[1], y[0] * x[1]
+        return (lhs > rhs) - (lhs < rhs)
 
 
 def closure_rows(rows, ops, diverges=None):
     """Floyd-Warshall closure of a square grid: best path weights, no identity.
 
     ``ops`` supplies ``add``, ``mul`` and ``is_zero``: a Semiring, or any
-    scalar representation with the same three operations (the spectral
-    layer passes exact rationals as unreduced int pairs, and symbolic
-    multiples of an irrational mean). Zero factors are skipped on both
-    sides: in float max-times an overflowed inf times zero is nan, which
-    would overwrite the real path weights.
+    scalar representation with the same three operations (kleene_star
+    passes exact max-times rationals as unreduced int pairs). Zero
+    factors are skipped on both sides: in float max-times an overflowed
+    inf times zero is nan, which would overwrite the real path weights.
 
     ``diverges``, if given, is tested on each pivot's diagonal entry just
     before that pivot is used; the first entry it holds for ends the
@@ -755,14 +769,23 @@ def kleene_star(a):
 
     Converges exactly when every cycle weight is at most one; otherwise a
     DivergenceError carrying a witness cycle of weight above one is raised.
-    Exact max-times closes on Ratios int pairs and builds one Fraction per
-    star entry at the end.
+    Exact max-times closes on Ratios int pairs, read from the reduced
+    form of a matrix born reduced, and builds one Fraction per star entry
+    at the end.
     """
     sr = a.semiring
     n = a.n
     pairs = _fraction_free(sr)
     if pairs:
-        ops, rows, heavy = Ratios, Ratios.lift_rows(a.rows), Ratios.exceeds_one
+        reduced = getattr(a, "_reduced", None)
+        if reduced is None:
+            rows = Ratios.lift_rows(a.rows)
+        else:
+            rows = [
+                [(p, q) if p else None for p, q in zip(ps, qs)]
+                for ps, qs in reduced
+            ]
+        ops, heavy = Ratios, Ratios.exceeds_one
     else:
         ops, rows, heavy = sr, a.rows, partial(sr.lt, sr.one)
     closure = closure_rows(rows, ops, heavy)

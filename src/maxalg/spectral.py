@@ -1,18 +1,34 @@
 """Maximum cycle geometric mean, critical graph, and eigenvectors.
 
-The mean is computed per strongly connected component with Karp's
-recurrence, kept as a (weight, length) pair so exact mode never touches an
-irrational root. Critical edges are detected on the normalized matrix; when
-the mean is irrational in exact max-times mode the normalization is carried
-symbolically as pairs (q, m) meaning q * mean^(-m), compared by a float
-filter with a proven error bound and by exact cross powers where the filter
-cannot decide, so the critical graph itself stays exact.
+Exact mode certifies the mean of each strongly connected component with a
+subeigenvector. Howard's policy iteration, run in floats on the logs of
+the entries, proposes a policy (one successor per node); its best cycle is
+the candidate mean lam, kept as a (weight, length) pair. Exact potentials
+x along the policy graph then satisfy a_ij x_j <= lam x_i with equality on
+the policy's edges, and the inequality is checked on every edge of the
+component. When it holds, x proves that no cycle has a mean above lam;
+an edge that breaks it starts a round of exact policy improvement. The
+tight edges (equality) contain every critical cycle, and every cycle made
+of them has mean lam, so the critical edges are the tight edges inside
+the nontrivial components of the tight graph.
+
+When the mean is irrational in exact max-times mode the potentials are
+symbolic values (p/r) lam^(-m), compared by a float filter with a proven
+error bound and by exact cross powers where the filter cannot decide, so
+the critical graph itself stays exact. The normalized matrix and its
+star, one closure, are built when they are first read.
+
+Float mode runs Karp's recurrence for the mean and one Floyd-Warshall
+closure of the normalized matrix, which gives the critical edges and the
+star.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 from .digraph import (
     Digraph,
@@ -104,132 +120,239 @@ class CriticalGraph:
     graph: Digraph
 
 
-def _karp_best_pair(sr, ops, rows, comp):
-    """Best cycle-mean pair inside one nontrivial component, via Karp.
+# -- exact mode: Howard's proposal and its certificate -----------------------
 
-    ``rows`` holds the matrix in the representation of ``ops`` (the
-    semiring, or Ratios in exact max-times); only the final quotients
-    are semiring scalars, compared by gmean_cmp. Float semirings run
-    _float_karp.
+# Rounds of the float proposal. Each move raises the policy's potentials
+# by more than the tolerance, so the rounds end by themselves; the cap
+# only bounds what float rounding could prolong. The exact rounds that
+# follow finish from any policy.
+_HOWARD_ROUNDS = 64
+# tolerance of the float proposal, relative to the component's size and
+# widest log
+_HOWARD_TOL = 1e-12
+# float stand-in for an exact max-plus entry beyond the float range
+_FLOAT_CAP = 2.0 ** 960
+
+
+def _float_weight(sr, v):
+    """The float weight Howard reads for the exact entry v.
+
+    ln v in max-times, from the logs of its numerator and denominator,
+    which never leave the float range; v itself in max-plus, clamped to
+    +-2^960. Only the proposal reads it.
     """
-    m = len(comp)
-    index = {v: t for t, v in enumerate(comp)}
-    in_edges = [[] for _ in comp]
-    is_zero, add, mul = ops.is_zero, ops.add, ops.mul
-    for u in comp:
-        for t, w in enumerate(rows[u]):
-            if t in index and not is_zero(w):
-                in_edges[index[t]].append((index[u], w))
-    if not sr.exact:
-        return _float_karp(sr, in_edges)
-    zero = ops.zero
-    d = [zero] * m
-    d[0] = ops.one
-    table = [d]
-    for _ in range(m):
-        prev = table[-1]
-        nxt = []
-        for v in range(m):
-            acc = zero
-            for u, w in in_edges[v]:
-                if not is_zero(prev[u]):
-                    acc = add(acc, mul(prev[u], w))
-            nxt.append(acc)
-        table.append(nxt)
-    best = None
-    last = table[m]
-    for v in range(m):
-        if is_zero(last[v]):
-            continue
-        inner = None
-        for k in range(m):
-            if is_zero(table[k][v]):
-                continue
-            pair = (ops.div(last[v], table[k][v]), m - k)
-            if inner is None or gmean_cmp(sr, pair, inner) < 0:
-                inner = pair
-        if inner is not None and (best is None or gmean_cmp(sr, inner, best) > 0):
-            best = inner
-    return best
+    if sr.domain == TIMES:
+        p, r = log_terms(v)
+        return p - r
+    try:
+        return float(v)
+    except OverflowError:
+        return _FLOAT_CAP if v > 0 else -_FLOAT_CAP
 
 
-def _float_karp(sr, in_edges):
-    """_karp_best_pair's table and min/max on plain floats.
+def _policy_cycles(succ, policy):
+    """The cycles of a policy graph, each from its first node reached."""
+    k = len(succ)
+    state = [0] * k  # 0 unseen, 1 on the current walk, 2 done
+    cycles = []
+    for start in range(k):
+        walk = []
+        u = start
+        while not state[u]:
+            state[u] = 1
+            walk.append(u)
+            u = succ[u][policy[u]][0]
+        if state[u] == 1:
+            cycles.append(walk[walk.index(u):])
+        for c in walk:
+            state[c] = 2
+    return cycles
 
-    The table runs matrix._float_closure's inline loop and tie rule. The
-    min/max takes each quotient's float mean once, with gmean_cmp's
-    formula, and decides as gmean_cmp does (see _float_mean_cmp). A walk
-    weight that overflows to inf is a ModeError: every node of the
-    component has a successor in it, so an inf in any row of the table
-    leaves one in the last.
+
+def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
+    """Howard's policy iteration on one component; moves ``policy``.
+
+    ``succ[u]`` lists the edges (v, w) out of u in local indices and
+    ``pred[v]`` the pairs (u, t) with succ[u][t] leading to v;
+    ``policy[u]`` is the index of the edge u follows. Each round takes the
+    best cycle of the policy graph (``mean_of`` its list of weights,
+    compared by ``better``), points every node whose policy does not
+    reach that cycle at a node that does, builds the potentials x
+    backwards from the cycle with x_u = (w_uv / lam) x_v along the
+    policy, in the form normalized(mean) = (one, mul, cmp, entries)
+    gives, and checks w_uv x_v <= lam x_u on every edge. A node with a
+    violated edge moves to its most violated one. A move either closes a
+    new cycle of a higher mean, or leaves the best cycle in place and
+    raises the potentials, so no policy repeats.
+
+    Ends after a round without a move, or after ``limit`` rounds. Returns
+    the last round's (mean, potentials, tight), ``tight`` being the
+    edges (u, v) where equality holds.
     """
-    times = sr.domain == TIMES
-    m = len(in_edges)
-    zero = sr.zero
-    d = [zero] * m
-    d[0] = sr.one
-    table = [d]
-    for _ in range(m):
-        prev = d
-        d = []
-        for edges in in_edges:
-            acc = zero
-            if times:
-                for u, w in edges:
-                    x = prev[u]
-                    if x:
-                        p = x * w
-                        if not p < acc:
-                            acc = p
-            else:
-                for u, w in edges:
-                    x = prev[u]
-                    if x != NEG_INF:
-                        p = x + w
-                        if not p < acc:
-                            acc = p
-            d.append(acc)
-        table.append(d)
-    if math.inf in d:
-        raise float_range_error("a walk weight in Karp's table")
-    tol, is_zero = sr.tol, sr.is_zero
-    best = best_mean = None
-    for v, top in enumerate(d):
-        if is_zero(top):
-            continue
-        inner = inner_mean = None
-        for k in range(m):
-            below = table[k][v]
-            if is_zero(below):
-                continue
-            length = m - k
-            if times:
-                w = top / below
-                mean = math.exp(math.log(w) / length) if w else None
-            else:
-                w = top - below
-                mean = None if w == NEG_INF else w / length
-            if inner is None or _float_mean_cmp(tol, mean, inner_mean) < 0:
-                inner, inner_mean = (w, length), mean
-        if inner is not None and (
-            best is None or _float_mean_cmp(tol, inner_mean, best_mean) > 0
-        ):
-            best, best_mean = inner, inner_mean
-    return best
+    k = len(succ)
+    rounds = 0
+    chosen = None
+    while limit is None or rounds < limit:
+        rounds += 1
+        best = None
+        for cycle in _policy_cycles(succ, policy):
+            mean = mean_of([succ[c][policy[c]][1] for c in cycle])
+            if best is None or better(mean, best[0]):
+                best = (mean, cycle)
+        mean, cycle = best
+        if cycle != chosen:
+            chosen = cycle
+            one, mul, cmp, entries = normalized(mean)
+        x = [None] * k
+        x[cycle[0]] = one
+        for c in reversed(cycle[1:]):
+            t = policy[c]
+            x[c] = mul(entries[c][t], x[succ[c][t][0]])
+        # the policy's own trees first, so that only nodes that cannot
+        # reach the cycle through the policy are pointed elsewhere
+        ppred = [[] for _ in range(k)]
+        for u in range(k):
+            ppred[succ[u][policy[u]][0]].append(u)
+        order = list(cycle)
+        for v in order:
+            for u in ppred[v]:
+                if x[u] is None:
+                    x[u] = mul(entries[u][policy[u]], x[v])
+                    order.append(u)
+        if len(order) < k:
+            for v in order:
+                for u, t in pred[v]:
+                    if x[u] is None:
+                        policy[u] = t
+                        x[u] = mul(entries[u][t], x[v])
+                        order.append(u)
+        tight = []
+        moved = False
+        for u, out in enumerate(entries):
+            xu, own = x[u], policy[u]
+            move = heaviest = None
+            for t, e in enumerate(out):
+                v = succ[u][t][0]
+                if t == own:  # tight by the construction of x
+                    tight.append((u, v))
+                    continue
+                y = mul(e, x[v])
+                sign = cmp(y, xu)
+                if sign == 0:
+                    tight.append((u, v))
+                elif sign > 0 and (move is None or cmp(y, heaviest) > 0):
+                    move, heaviest = t, y
+            if move is not None:
+                policy[u] = move
+                moved = True
+        if not moved:
+            break
+    return mean, x, tight
 
 
-def _float_mean_cmp(tol, a, b):
-    """gmean_cmp on float means taken beforehand, None for a zero weight.
+def _float_mean(weights):
+    return math.fsum(weights) / len(weights)
 
-    No mean is -inf, so Semiring.eq's tolerant test is written out.
+
+def _float_proposal(sr, succ, pred):
+    """Howard's policy for one component, run in floats on the logs.
+
+    The first policy follows each node's heaviest edge; a move must win
+    by more than the tolerance.
     """
-    if a is None or b is None:
-        if a is None and b is None:
-            return 0
-        return -1 if a is None else 1
-    if abs(a - b) <= tol * max(1.0, abs(a), abs(b)):
-        return 0
-    return -1 if a < b else 1
+    logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
+    tol = _HOWARD_TOL * len(succ) * (
+        1.0 + max(abs(w) for out in logs for _v, w in out)
+    )
+
+    def cmp(x, y):
+        return 0 if abs(x - y) <= tol else (1 if x > y else -1)
+
+    def normalized(mean):
+        return 0.0, operator.add, cmp, [
+            [w - mean for _v, w in out] for out in logs
+        ]
+
+    policy = [max(range(len(out)), key=lambda t: out[t][1]) for out in logs]
+    _improve(
+        logs, pred, policy, _float_mean, operator.gt, normalized,
+        _HOWARD_ROUNDS,
+    )
+    return policy
+
+
+def _plain_cmp(x, y):
+    return (x > y) - (x < y)
+
+
+def _normalized_entries(sr, succ, pair):
+    """(one, mul, cmp, entries) of a component divided by the mean ``pair``.
+
+    ``entries[u][t]`` is a_uv / lam for the edge succ[u][t] = (v, a_uv):
+    a Fraction a_uv - lam in max-plus, a Ratios pair in max-times when
+    lam is rational, and a _Symbolic value when it is irrational.
+    """
+    lam = gmean_value(sr, pair)
+    if sr.domain != TIMES:
+        return (
+            sr.one,
+            sr.mul,
+            _plain_cmp,
+            [[a - lam for _v, a in out] for out in succ],
+        )
+    if lam is None:
+        ops = _Symbolic(sr, pair, [[a for _v, a in out] for out in succ])
+        return ops.one, ops.mul, ops.cmp, ops.rows
+    p, q = lam.numerator, lam.denominator
+    return (
+        Ratios.one,
+        Ratios.mul,
+        Ratios.cmp,
+        [[(a.numerator * q, a.denominator * p) for _v, a in out]
+         for out in succ],
+    )
+
+
+def _component(g, comp):
+    """(succ, pred) of one component of g in local indices; see _improve."""
+    index = {v: s for s, v in enumerate(comp)}
+    succ = [
+        [(index[v], a) for v, a in g.successors(u) if v in index]
+        for u in comp
+    ]
+    pred = [[] for _ in comp]
+    for u, out in enumerate(succ):
+        for t, (v, _a) in enumerate(out):
+            pred[v].append((u, t))
+    return succ, pred
+
+
+def _certificate(sr, g, comp):
+    """The certified mean of one nontrivial component, with its evidence.
+
+    Returns (pair, potentials, tight). ``pair`` is the (weight, length)
+    pair of a cycle of the component whose mean no cycle of it exceeds;
+    ``potentials[s]`` is x at comp[s], in the form of
+    _normalized_entries, with a_uv x_v <= lam x_u on every edge of the
+    component; ``tight`` lists the edges (u, v), in original node ids,
+    where equality holds. Howard's float policy is the start, and exact
+    rounds of _improve, comparing cycles by gmean_cmp, finish it.
+    """
+    succ, pred = _component(g, comp)
+    policy = _float_proposal(sr, succ, pred)
+
+    def mean_of(weights):
+        w = sr.one
+        for a in weights:
+            w = sr.mul(w, a)
+        return (w, len(weights))
+
+    pair, x, tight = _improve(
+        succ, pred, policy, mean_of,
+        lambda p, q: gmean_cmp(sr, p, q) > 0,
+        partial(_normalized_entries, sr, succ),
+    )
+    return pair, x, [(comp[u], comp[v]) for u, v in tight]
 
 
 class _Symbolic:
@@ -240,12 +363,10 @@ class _Symbolic:
     of ln(p/r) - m ln lam: each entry's term ln p - ln r - ln lam is
     estimated once, from the entry's reduced fraction, and mul adds the
     estimates. None is the zero. Values compare through filtered_sign, and
-    by exact cross powers only when the estimates cannot decide, so
-    Floyd-Warshall and the critical-edge test run on them exactly. On an
-    exact tie add keeps the value of the shorter path: at an irrational
-    mean many cycles can tie, and a closure that let its paths absorb them
-    would double their length, and the size of every later fallback, in
-    each pass. ``rows`` is the matrix in this representation.
+    by exact cross powers only when the estimates cannot decide, so the
+    potentials of an irrational mean are checked exactly. On an exact tie
+    add keeps the value of the shorter path. ``rows`` holds the lifted
+    entries of ``rows``, row by row; the rows need not be square.
 
     Error bound: comparing x and y, with k = m_x + m_y, sums k entry
     terms. Each reads the two logs of its entry, which sum to at most G
@@ -323,6 +444,96 @@ class _Symbolic:
         return self.cmp(x, y) == 0
 
 
+# -- float mode: Karp and the closure ----------------------------------------
+
+
+def _karp_best_pair(sr, ops, rows, comp):
+    """Best cycle-mean pair inside one nontrivial component of a float
+    matrix, via Karp's table on plain floats.
+
+    ``ops`` gives the zero test of ``rows``. The table runs
+    matrix._float_closure's inline loop and tie rule. The min/max takes
+    each quotient's float mean once, with gmean_cmp's formula, and
+    decides as gmean_cmp does (see _float_mean_cmp). A walk weight that
+    overflows to inf is a ModeError: every node of the component has a
+    successor in it, so an inf in any row of the table leaves one in the
+    last.
+    """
+    m = len(comp)
+    index = {v: t for t, v in enumerate(comp)}
+    in_edges = [[] for _ in comp]
+    for u in comp:
+        for t, w in enumerate(rows[u]):
+            if t in index and not ops.is_zero(w):
+                in_edges[index[t]].append((index[u], w))
+    times = sr.domain == TIMES
+    zero = sr.zero
+    d = [zero] * m
+    d[0] = sr.one
+    table = [d]
+    for _ in range(m):
+        prev = d
+        d = []
+        for edges in in_edges:
+            acc = zero
+            if times:
+                for u, w in edges:
+                    x = prev[u]
+                    if x:
+                        p = x * w
+                        if not p < acc:
+                            acc = p
+            else:
+                for u, w in edges:
+                    x = prev[u]
+                    if x != NEG_INF:
+                        p = x + w
+                        if not p < acc:
+                            acc = p
+            d.append(acc)
+        table.append(d)
+    if math.inf in d:
+        raise float_range_error("a walk weight in Karp's table")
+    tol, is_zero = sr.tol, sr.is_zero
+    best = best_mean = None
+    for v, top in enumerate(d):
+        if is_zero(top):
+            continue
+        inner = inner_mean = None
+        for k in range(m):
+            below = table[k][v]
+            if is_zero(below):
+                continue
+            length = m - k
+            if times:
+                w = top / below
+                mean = math.exp(math.log(w) / length) if w else None
+            else:
+                w = top - below
+                mean = None if w == NEG_INF else w / length
+            if inner is None or _float_mean_cmp(tol, mean, inner_mean) < 0:
+                inner, inner_mean = (w, length), mean
+        if inner is not None and (
+            best is None or _float_mean_cmp(tol, inner_mean, best_mean) > 0
+        ):
+            best, best_mean = inner, inner_mean
+    return best
+
+
+def _float_mean_cmp(tol, a, b):
+    """gmean_cmp on float means taken beforehand, None for a zero weight.
+
+    No mean is -inf, so Semiring.eq's tolerant test is written out.
+    """
+    if a is None or b is None:
+        if a is None and b is None:
+            return 0
+        return -1 if a is None else 1
+    if abs(a - b) <= tol * max(1.0, abs(a), abs(b)):
+        return 0
+    return -1 if a < b else 1
+
+
 def _critical_edges(rows, closure, ops):
     """Edges (i, j) of a unit-mean grid with edge (x) best path back == one."""
     one = ops.one
@@ -337,25 +548,60 @@ def _critical_edges(rows, closure, ops):
     return crit
 
 
-def _critical_graph(a, crit):
-    """The CriticalGraph of a spanned by the critical edge list crit."""
-    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], a.semiring)
-    components = scc(sub).nontrivial_components
-    nodes = tuple(sorted(v for comp in components for v in comp))
-    on_cycle = set(nodes)
-    for i, j in crit:
-        if i not in on_cycle or j not in on_cycle:
-            # float rounding under a very tight tolerance
-            raise CertificationError(
-                f"critical edge ({i}, {j}) lies on no critical cycle"
-            )
+# -- the analysis ------------------------------------------------------------
+
+
+def _critical_graph(a, edges, exact):
+    """The CriticalGraph of a from the edge list ``edges``.
+
+    Exact: ``edges`` are the tight edges of a certificate, and the
+    critical ones are those whose ends lie in one strongly connected
+    component of the graph they span. Float: ``edges`` are the critical
+    edges the closure found, and one that lies on no critical cycle is a
+    CertificationError.
+    """
+    sr = a.semiring
+    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in edges], sr)
+    dec = scc(sub)
+    components = dec.nontrivial_components
+    if exact:
+        crit = [
+            (i, j) for i, j in edges
+            if dec.component_of(i) == dec.component_of(j)
+        ]
+        if len(crit) < len(edges):
+            sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], sr)
+    else:
+        crit = edges
+        on_cycle = dec.nontrivial_nodes()
+        for i, j in crit:
+            if i not in on_cycle or j not in on_cycle:
+                # float rounding under a very tight tolerance
+                raise CertificationError(
+                    f"critical edge ({i}, {j}) lies on no critical cycle"
+                )
     return CriticalGraph(
-        nodes=nodes,
+        nodes=tuple(sorted(v for comp in components for v in comp)),
         edges=tuple(sorted(crit)),
         components=components,
         cyclicity=math.lcm(*(component_gcd(sub, c) for c in components)),
         graph=sub,
     )
+
+
+def _witness_mean(sr, critical, best):
+    """The CycleMean of a cycle of the first critical component.
+
+    It is re-checked against the mean pair ``best`` it must attain.
+    """
+    if not critical.components:
+        raise CertificationError("no cycle found in the critical edge set")
+    witness = component_cycle(critical.graph, critical.components[0])
+    if not gmean_eq(sr, witness.gmean_pair(), best):
+        raise CertificationError(
+            "witness cycle mean disagrees with the computed maximum"
+        )
+    return CycleMean(witness.weight, witness.length, witness, sr)
 
 
 @dataclass(frozen=True)
@@ -367,20 +613,38 @@ class SpectralAnalysis:
     mean with its witness. ``lam`` is that mean as a scalar, ``tilde`` the
     matrix divided by it and ``star`` the closure of ``tilde`` plus the
     identity; these three are None when the matrix is acyclic or its mean
-    is irrational in exact mode. ``critical`` is the CriticalGraph, None
-    for acyclic matrices. ``_range_loss`` is None unless a float division
-    by lam left the float range in ``tilde``: then it is True when an
-    entry overflowed to inf and False when a nonzero entry rounded to the
-    zero (float_range_error's ``overflow``).
+    is irrational in exact mode. In exact mode ``tilde`` and ``star`` are
+    built when first read, ``star`` by kleene_star's one closure, whether
+    through ``star`` or ``checked_star()``; float mode passes in the ones
+    its analysis computed. ``critical`` is the CriticalGraph, None for
+    acyclic matrices. ``_range_loss`` is None unless a float division by
+    lam left the float range in ``tilde``: then it is True when an entry
+    overflowed to inf and False when a nonzero entry rounded to the zero
+    (float_range_error's ``overflow``).
     """
 
     components: SccDecomposition
     mean: CycleMean
     lam: object
-    tilde: MaxMatrix
-    star: MaxMatrix
     critical: CriticalGraph
+    _matrix: MaxMatrix = field(default=None, compare=False, repr=False)
     _range_loss: object = field(default=None, compare=False, repr=False)
+    _tilde: MaxMatrix = field(default=None, compare=False, repr=False)
+    _star: MaxMatrix = field(default=None, compare=False, repr=False)
+
+    @property
+    def tilde(self):
+        if self._tilde is None and self.lam is not None:
+            sr = self.mean.semiring
+            tilde = self._matrix.scale(sr.div(sr.one, self.lam))
+            object.__setattr__(self, "_tilde", tilde)
+        return self._tilde
+
+    @property
+    def star(self):
+        if self._star is None and self.lam is not None:
+            object.__setattr__(self, "_star", kleene_star(self.tilde))
+        return self._star
 
     @property
     def is_irreducible(self):
@@ -480,51 +744,62 @@ def _divided_rows(a, lam):
 def spectral_analysis(a):
     """The SpectralAnalysis of a square matrix.
 
-    Karp's recurrence gives the mean per component; one Floyd-Warshall
-    closure of the normalized matrix gives the critical edges and the
-    star. When the mean is irrational in exact max-times mode the
-    normalization is carried symbolically, so the critical graph stays
-    exact while lam, tilde and star are None. The witness is a cycle of
-    the first critical component. In exact max-times the table and the
-    closures run on Ratios or _Symbolic int pairs.
+    Exact mode certifies each nontrivial component's mean with a
+    subeigenvector (see _certificate) and reads the critical edges off
+    the tight edges of the components at the top mean: one scc pass on
+    the matrix's digraph and one on the tight graph. No closure runs;
+    tilde and the star are built when first read. When the mean is
+    irrational in exact max-times mode the potentials are symbolic, so
+    the critical graph stays exact while lam, tilde and star are None.
+    Float mode runs Karp's recurrence per component and one
+    Floyd-Warshall closure of the normalized matrix for the critical
+    edges and the star. The witness is a cycle of the first critical
+    component.
     """
     sr = a.semiring
-    fraction_free = sr.exact and sr.domain == TIMES
-    ops = Ratios if fraction_free else sr
-    rows = Ratios.lift_rows(a.rows) if fraction_free else a.rows
     g = digraph_of(a)
     dec = scc(g)
+    if not sr.exact:
+        return _float_analysis(a, dec, len(g.edges))
+    best = None
+    tight = []
+    for comp in dec.nontrivial_components:
+        pair, _x, edges = _certificate(sr, g, comp)
+        sign = 1 if best is None else gmean_cmp(sr, pair, best)
+        if sign > 0:
+            best, tight = pair, edges
+        elif sign == 0:
+            tight += edges
+    if best is None:
+        return SpectralAnalysis(
+            dec, CycleMean(sr.zero, 1, None, sr), None, None
+        )
+    critical = _critical_graph(a, tight, exact=True)
+    mean = _witness_mean(sr, critical, best)
+    return SpectralAnalysis(dec, mean, gmean_value(sr, best), critical, a)
+
+
+def _float_analysis(a, dec, edges):
+    """spectral_analysis of a float matrix with SCC decomposition ``dec``
+    and ``edges`` nonzero entries."""
+    sr = a.semiring
     best = None
     for comp in dec.nontrivial_components:
-        pair = _karp_best_pair(sr, ops, rows, comp)
+        pair = _karp_best_pair(sr, sr, a.rows, comp)
         if pair is not None and (best is None or gmean_cmp(sr, pair, best) > 0):
             best = pair
     if best is None:
         return SpectralAnalysis(
-            dec, CycleMean(sr.zero, 1, None, sr), None, None, None, None
+            dec, CycleMean(sr.zero, 1, None, sr), None, None
         )
     lam = gmean_value(sr, best)
-    if lam is None:
-        ops = _Symbolic(sr, best, a.rows)
-        rows = ops.rows
-    else:
-        tilde = _divided_rows(a, lam)
-        rows = Ratios.lift_rows(tilde) if fraction_free else tilde
-    closure = closure_rows(rows, ops)
-    critical = _critical_graph(a, _critical_edges(rows, closure, ops))
-    if not critical.components:
-        raise CertificationError("no cycle found in the critical edge set")
-    witness = component_cycle(critical.graph, critical.components[0])
-    if not gmean_eq(sr, witness.gmean_pair(), best):
-        raise CertificationError(
-            "witness cycle mean disagrees with the computed maximum"
-        )
-    mean = CycleMean(witness.weight, witness.length, witness, sr)
-    if lam is None:
-        return SpectralAnalysis(dec, mean, None, None, None, critical)
-    if fraction_free:
-        closure = [[Ratios.value(x) for x in row] for row in closure]
-    elif mean.exact_value() != lam:
+    tilde = _divided_rows(a, lam)
+    closure = closure_rows(tilde, sr)
+    critical = _critical_graph(
+        a, _critical_edges(tilde, closure, sr), exact=False
+    )
+    mean = _witness_mean(sr, critical, best)
+    if mean.exact_value() != lam:
         # Float rounding: Karp's pair and the witness can round to
         # different scalars; the reported mean is the witness's.
         lam = mean.exact_value()
@@ -536,10 +811,11 @@ def spectral_analysis(a):
         dec,
         mean,
         lam,
+        critical,
+        a,
+        _range_loss(tilde, sr, edges),
         MaxMatrix._raw(tilde, sr),
         MaxMatrix._raw(closure, sr),
-        critical,
-        None if sr.exact else _range_loss(tilde, sr, len(g.edges)),
     )
 
 

@@ -677,3 +677,19 @@ def test_allclose_in_float_mode():
     assert a.allclose(b)
     c = MaxMatrix([[1.001, 0.5], [0.25, 1.0]], FLOAT_TIMES)
     assert not a.allclose(c)
+
+
+def test_exact_scale_is_born_reduced_and_its_star_builds_no_rows():
+    a = fmat([[1, 2, 0], [Fraction(1, 4), Fraction(1, 3), 5],
+              [Fraction(1, 9), 0, Fraction(3, 7)]])
+    c = Fraction(2, 15)
+    m = a.scale(c)
+    star = kleene_star(m)
+    # the Fraction rows of m are built only on their first read
+    with pytest.raises(AttributeError):
+        MaxMatrix.rows.__get__(m, MaxMatrix)
+    want = tuple(tuple(c * v for v in row) for row in a.rows)
+    assert m.rows == want
+    assert all(type(v) is Fraction for row in m.rows for v in row)
+    assert star == kleene_star(fmat(want))
+    assert m.scale(Fraction(0)).rows == ((0, 0, 0),) * 3

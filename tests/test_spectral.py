@@ -13,6 +13,7 @@ from maxalg import (
     ExactnessError,
     NotIrreducibleError,
     critical_graph,
+    digraph_of,
     eigenspace_basis,
     gmean_cmp,
     is_eigenvector,
@@ -21,6 +22,7 @@ from maxalg import (
     otimes,
     principal_eigenvector,
     semiring_convert,
+    spectral_analysis,
 )
 
 from helpers import (
@@ -368,15 +370,16 @@ def _all_cycles_critical(k):
 
 
 def test_symbolic_closure_when_every_cycle_is_critical():
-    # Every closure compare is an exact tie. Keeping the shorter path on a
-    # tie keeps each closure value a walk of at most n edges; letting the
-    # newer operand win doubles the lengths in each pass, and with them
-    # the size of every exact fallback
+    # Every potential compare is an exact tie. A potential multiplies the
+    # entries of a policy path to the policy's cycle, so it is a walk of
+    # at most n - 1 edges, and the exact fallbacks stay that small
     small = _all_cycles_critical(4)
-    ops = spectral._Symbolic(EXACT_TIMES, (Fraction(2), 2), small.rows)
-    closure = closure_rows(ops.rows, ops)
+    pair, potentials, _tight = spectral._certificate(
+        EXACT_TIMES, digraph_of(small), tuple(range(small.n))
+    )
+    assert pair == (2, 2)
     # m, the number of entries multiplied, is a value's second-to-last field
-    assert max(x[-2] for row in closure for x in row) <= small.n
+    assert max(x[-2] for x in potentials) <= small.n - 1
     a = _all_cycles_critical(12)
     assert max_cycle_gmean(a).pair() == (2, 2)
     assert len(critical_graph(a).edges) == 288
@@ -400,3 +403,67 @@ def test_ratio_closure_keeps_the_smaller_denominator_on_ties():
         assert max(x[1].bit_length() for row in closure for x in row if x) <= (
             n * widest
         )
+
+
+def test_exact_improvement_finishes_a_float_tie():
+    # the loops weigh 1 and the 2-cycle has mean 1 + 10^-20: in floats
+    # ln 2 and ln 1/2 cancel, Howard's policy ends on the loop at 1, and
+    # only the exact check of the potentials finds the heavier cycle
+    near = 1 + Fraction(1, 10**20)
+    a = fmat([[1, 2 * near], [near / 2, 1]])
+    succ, pred = spectral._component(digraph_of(a), (0, 1))
+    policy = spectral._float_proposal(EXACT_TIMES, succ, pred)
+    assert [succ[u][policy[u]][0] for u in range(2)] == [1, 1]
+    assert max_cycle_gmean(a).pair() == best_gmean_pair_brute(a)
+    assert max_cycle_gmean(a).pair() == (near**2, 2)
+    assert set(critical_graph(a).edges) == critical_edges_brute(a)
+
+
+def test_exact_improvement_on_a_reducible_matrix():
+    # class {0, 1}: loops of weight 1 - 10^-20 and a 2-cycle of mean 1,
+    # which float Howard misses as above. Class {2, 3}: one 2-cycle of
+    # the irrational mean sqrt(1 - 10^-20), between the two. Trusting
+    # the float policy would report the lower class's mean
+    low = 1 - Fraction(1, 10**20)
+    a = fmat([
+        [low, 2, 0, 0],
+        [Fraction(1, 2), low, 1, 0],
+        [0, 0, 0, 3],
+        [0, 0, low / 3, 0],
+    ])
+    analysis = spectral_analysis(a)
+    assert analysis.mean.pair() == best_gmean_pair_brute(a) == (1, 2)
+    assert analysis.lam == 1
+    assert set(analysis.critical.edges) == critical_edges_brute(a)
+    # the lower class is certified at its own mean
+    pair, _x, tight = spectral._certificate(EXACT_TIMES, digraph_of(a), (2, 3))
+    assert pair == (low, 2) and gmean_cmp(EXACT_TIMES, pair, (1, 2)) < 0
+    assert sorted(tight) == [(2, 3), (3, 2)]
+
+
+def test_exact_analyses_close_only_when_the_star_is_read(monkeypatch):
+    closures = count_calls(monkeypatch, "closure_rows")
+    planted = unit_lambda_irreducible(random.Random(61), 8)
+    max_cycle_gmean(planted)
+    critical_graph(planted)
+    assert closures == []
+    irrational = spectral_analysis(fmat([[0, 2], [3, 0]]))
+    assert irrational.star is None
+    assert closures == []
+    principal_eigenvector(planted)
+    assert len(closures) == 1
+    analysis = spectral_analysis(planted)
+    assert analysis.star is analysis.checked_star() is analysis.star
+    assert len(closures) == 2
+
+
+def test_float_analyses_keep_their_closures(monkeypatch):
+    closures = count_calls(monkeypatch, "closure_rows")
+    planted = unit_lambda_irreducible(random.Random(61), 8)
+    f = semiring_convert(planted, FLOAT_TIMES)
+    max_cycle_gmean(f)
+    assert len(closures) == 1
+    critical_graph(f)
+    assert len(closures) == 2
+    principal_eigenvector(f)
+    assert len(closures) == 3

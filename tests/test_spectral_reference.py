@@ -1,8 +1,9 @@
 """Exact spectral analysis against a plain-Fraction reference.
 
-maxalg runs Karp's table and the normalized closures of exact max-times on
-unreduced int pairs. The reference here is the textbook algorithms in
-plain Fraction arithmetic, written independently: Karp's theorem over all
+maxalg certifies exact means with subeigenvectors on unreduced int pairs
+and reads the critical edges off their tight edges. The reference here
+is the textbook algorithms in plain Fraction arithmetic, written
+independently: Karp's theorem over all
 start nodes, Floyd-Warshall on the normalized matrix, and for an
 irrational mean a Floyd-Warshall on (q, m) values compared by cross
 powers. mean pair and witness, critical edges and cyclicity, and for a
@@ -262,3 +263,24 @@ def test_loop_free_irrational_means():
         ]
         kinds.append(assert_matches_reference(fmat(rows)))
     assert kinds.count("irrational") >= 4
+
+
+def test_certificates_past_n_28():
+    # past the sizes above: at n = 32 and 40, a loop-free matrix with an
+    # irrational mean and a planted one with a rational mean
+    rng = random.Random(41)
+    for n in (32, 40):
+        a = random_irreducible(rng, n, density=0.1, entry=mixed_entry)
+        rows = [
+            [0 if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(a.rows)
+        ]
+        assert assert_matches_reference(fmat(rows)) == "irrational"
+        b = unit_lambda_irreducible(rng, n, extra_cycles=6)
+        scale = [mixed_entry(rng) for _ in range(n)]
+        lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        rows = [
+            [lam * v * scale[j] / scale[i] for j, v in enumerate(row)]
+            for i, row in enumerate(b.rows)
+        ]
+        assert assert_matches_reference(fmat(rows)) == "rational"
