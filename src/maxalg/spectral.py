@@ -1,26 +1,29 @@
 """Maximum cycle geometric mean, critical graph, and eigenvectors.
 
-Exact mode certifies the mean of each strongly connected component with a
-subeigenvector. Howard's policy iteration, run in floats on the logs of
-the entries, proposes a policy (one successor per node); its best cycle is
-the candidate mean lam, kept as a (weight, length) pair. Exact potentials
-x along the policy graph then satisfy a_ij x_j <= lam x_i with equality on
-the policy's edges, and the inequality is checked on every edge of the
-component. When it holds, x proves that no cycle has a mean above lam;
-an edge that breaks it starts a round of exact policy improvement. The
-tight edges (equality) contain every critical cycle, and every cycle made
-of them has mean lam, so the critical edges are the tight edges inside
-the nontrivial components of the tight graph.
+The mean of each strongly connected component is certified with a
+subeigenvector, in both arithmetic modes. Howard's policy iteration runs
+on the float logs of the entries (ln a in max-times, a itself in
+max-plus) and moves a policy, one successor per node; the best cycle of
+the policy graph is the candidate mean lam. Potentials x along the policy
+graph satisfy a_ij x_j <= lam x_i with equality on the policy's edges, and
+the inequality is checked on every edge of the component; a node whose
+edge breaks it moves to that edge and starts another round. When it holds
+everywhere, x proves that no cycle has a mean above lam. The tight edges
+(equality) contain every critical cycle, and every cycle made of them has
+mean lam, so the critical edges are the tight edges inside the nontrivial
+components of the tight graph.
 
-When the mean is irrational in exact max-times mode the potentials are
-symbolic values (p/r) lam^(-m), compared by a float filter with a proven
-error bound and by exact cross powers where the filter cannot decide, so
-the critical graph itself stays exact. The normalized matrix and its
-star, one closure, are built when they are first read.
+Float mode stops there, comparing under the semiring's tolerance; the
+mean is the weight of the best policy cycle, and a weight that leaves the
+float range is refused. Exact mode takes the float policy as its start
+and finishes with exact rounds of the same loop. When the mean is
+irrational in exact max-times mode the potentials are symbolic values
+(p/r) lam^(-m), compared by a float filter with a proven error bound and
+by exact cross powers where the filter cannot decide, so the critical
+graph itself stays exact.
 
-Float mode runs Karp's recurrence for the mean and one Floyd-Warshall
-closure of the normalized matrix, which gives the critical edges and the
-star.
+In both modes the normalized matrix and its star, one closure, are built
+when they are first read.
 """
 
 from __future__ import annotations
@@ -120,28 +123,33 @@ class CriticalGraph:
     graph: Digraph
 
 
-# -- exact mode: Howard's proposal and its certificate -----------------------
+# -- Howard's policy iteration and its certificate ---------------------------
 
-# Rounds of the float proposal. Each move raises the policy's potentials
-# by more than the tolerance, so the rounds end by themselves; the cap
-# only bounds what float rounding could prolong. The exact rounds that
-# follow finish from any policy.
+# Rounds of the float proposal in exact mode. Each move raises the
+# policy's potentials by more than the tolerance, so the rounds end by
+# themselves; the cap only bounds what float rounding could prolong. The
+# exact rounds that follow finish from any policy.
 _HOWARD_ROUNDS = 64
 # tolerance of the float proposal, relative to the component's size and
 # widest log
 _HOWARD_TOL = 1e-12
+# Rounds of a float analysis, which has no exact rounds after it: one
+# that still moves after them is a CertificationError.
+_FLOAT_ROUNDS = 1024
 # float stand-in for an exact max-plus entry beyond the float range
 _FLOAT_CAP = 2.0 ** 960
 
 
 def _float_weight(sr, v):
-    """The float weight Howard reads for the exact entry v.
+    """The float weight Howard reads for the entry v.
 
-    ln v in max-times, from the logs of its numerator and denominator,
-    which never leave the float range; v itself in max-plus, clamped to
-    +-2^960. Only the proposal reads it.
+    ln v in max-times, for an exact v from the logs of its numerator and
+    denominator, so it never leaves the float range; v itself in
+    max-plus, an exact v clamped to +-2^960.
     """
     if sr.domain == TIMES:
+        if not sr.exact:
+            return math.log(v)
         p, r = log_terms(v)
         return p - r
     try:
@@ -179,15 +187,17 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
     compared by ``better``), points every node whose policy does not
     reach that cycle at a node that does, builds the potentials x
     backwards from the cycle with x_u = (w_uv / lam) x_v along the
-    policy, in the form normalized(mean) = (one, mul, cmp, entries)
-    gives, and checks w_uv x_v <= lam x_u on every edge. A node with a
-    violated edge moves to its most violated one. A move either closes a
-    new cycle of a higher mean, or leaves the best cycle in place and
-    raises the potentials, so no policy repeats.
+    policy, in the form normalized(mean) = (one, mul, entries, check)
+    gives, and checks w_uv x_v <= lam x_u on every edge with
+    check(x, policy) (see _check). A node with a violated edge moves to
+    its most violated one. A move either closes a new cycle of a higher
+    mean, or leaves the best cycle in place and raises the potentials, so
+    no policy repeats.
 
-    Ends after a round without a move, or after ``limit`` rounds. Returns
-    the last round's (mean, potentials, tight), ``tight`` being the
-    edges (u, v) where equality holds.
+    Returns the (mean, cycle, potentials, tight) of the first round
+    without a move, ``cycle`` being the best cycle's nodes and ``tight``
+    the edges (u, v) where equality holds; None when ``limit`` rounds
+    all moved.
     """
     k = len(succ)
     rounds = 0
@@ -202,7 +212,7 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
         mean, cycle = best
         if cycle != chosen:
             chosen = cycle
-            one, mul, cmp, entries = normalized(mean)
+            one, mul, entries, check = normalized(mean)
         x = [None] * k
         x[cycle[0]] = one
         for c in reversed(cycle[1:]):
@@ -226,6 +236,22 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
                         policy[u] = t
                         x[u] = mul(entries[u][t], x[v])
                         order.append(u)
+        tight, moved = check(x, policy)
+        if not moved:
+            return mean, cycle, x, tight
+    return None
+
+
+def _check(succ, entries, mul, cmp):
+    """The check of _improve for potentials that mul and cmp handle.
+
+    check(x, policy) compares entries[u][t] x_v with x_u on every edge
+    (u, v) = succ[u][t], moves ``policy`` at each node with a violated
+    edge to its most violated one, and returns (tight, moved): the edges
+    where equality holds, and whether a node moved.
+    """
+
+    def check(x, policy):
         tight = []
         moved = False
         for u, out in enumerate(entries):
@@ -245,40 +271,101 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
             if move is not None:
                 policy[u] = move
                 moved = True
-        if not moved:
-            break
-    return mean, x, tight
+        return tight, moved
+
+    return check
+
+
+def _float_check(succ, entries, tol, seen):
+    """_check for float log potentials, where equality is within ``tol``.
+
+    The slack of an edge is e + (x_v - x_u): the potentials are
+    subtracted first, so that a small e is not lost in a large x_v.
+    ``seen`` collects the policies checked. Rounding can make the moves
+    of a tie come back to a policy already checked; that policy is then
+    final, and check moves nothing.
+    """
+
+    def check(x, policy):
+        key = tuple(policy)
+        final = key in seen
+        seen.add(key)
+        tight = []
+        moves = []
+        for u, out in enumerate(entries):
+            xu, own = x[u], policy[u]
+            move = heaviest = None
+            for t, e in enumerate(out):
+                v = succ[u][t][0]
+                if t == own:  # tight by the construction of x
+                    tight.append((u, v))
+                    continue
+                d = e + (x[v] - xu)
+                if d > tol:
+                    if move is None or d - heaviest > tol:
+                        move, heaviest = t, d
+                elif d >= -tol:
+                    tight.append((u, v))
+            if move is not None:
+                moves.append((u, move))
+        if final:
+            return tight, False
+        for u, t in moves:
+            policy[u] = t
+        return tight, bool(moves)
+
+    return check
 
 
 def _float_mean(weights):
     return math.fsum(weights) / len(weights)
 
 
-def _float_proposal(sr, succ, pred):
-    """Howard's policy for one component, run in floats on the logs.
+def _howard(logs, pred, tol, limit):
+    """Howard's policy iteration in floats on one component's logs.
 
-    The first policy follows each node's heaviest edge; a move must win
-    by more than the tolerance.
+    ``logs`` is succ with _float_weight's weights. The first policy
+    follows each node's heaviest edge; an edge is tight within ``tol``,
+    and a move must win by more than that (see _float_check). Returns
+    (policy, _improve's result).
     """
-    logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
-    tol = _HOWARD_TOL * len(succ) * (
-        1.0 + max(abs(w) for out in logs for _v, w in out)
-    )
-
-    def cmp(x, y):
-        return 0 if abs(x - y) <= tol else (1 if x > y else -1)
+    seen = set()
 
     def normalized(mean):
-        return 0.0, operator.add, cmp, [
-            [w - mean for _v, w in out] for out in logs
-        ]
+        entries = [[w - mean for _v, w in out] for out in logs]
+        return 0.0, operator.add, entries, _float_check(
+            logs, entries, tol, seen
+        )
 
     policy = [max(range(len(out)), key=lambda t: out[t][1]) for out in logs]
-    _improve(
-        logs, pred, policy, _float_mean, operator.gt, normalized,
-        _HOWARD_ROUNDS,
+    return policy, _improve(
+        logs, pred, policy, _float_mean, operator.gt, normalized, limit
     )
-    return policy
+
+
+def _float_logs(sr, succ):
+    """(logs, widest, scale): succ with _float_weight's weights.
+
+    ``widest`` is the largest modulus of a weight. The weights are scaled
+    by ``scale``: 1, unless ``widest`` exceeds 2^960, which only a float
+    max-plus entry can; then 2^-64, exact on normal floats, so that sums
+    along n edges, and with them the potentials, stay in the float range.
+    """
+    logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
+    widest = max(abs(w) for out in logs for _v, w in out)
+    if widest <= _FLOAT_CAP:
+        return logs, widest, 1.0
+    scale = 2.0 ** -64
+    return [[(v, w * scale) for v, w in out] for out in logs], widest, scale
+
+
+def _float_proposal(sr, succ, pred):
+    """Exact mode's start: Howard's policy after at most _HOWARD_ROUNDS
+    float rounds, under _HOWARD_TOL relative to the component's size and
+    widest log."""
+    logs, widest, _scale = _float_logs(sr, succ)
+    tol = _HOWARD_TOL * len(logs) * (1.0 + widest)
+    return _howard(logs, pred, tol, _HOWARD_ROUNDS)[0]
 
 
 def _plain_cmp(x, y):
@@ -286,7 +373,7 @@ def _plain_cmp(x, y):
 
 
 def _normalized_entries(sr, succ, pair):
-    """(one, mul, cmp, entries) of a component divided by the mean ``pair``.
+    """_improve's (one, mul, entries, check) for the mean ``pair``.
 
     ``entries[u][t]`` is a_uv / lam for the edge succ[u][t] = (v, a_uv):
     a Fraction a_uv - lam in max-plus, a Ratios pair in max-times when
@@ -294,23 +381,19 @@ def _normalized_entries(sr, succ, pair):
     """
     lam = gmean_value(sr, pair)
     if sr.domain != TIMES:
-        return (
-            sr.one,
-            sr.mul,
-            _plain_cmp,
-            [[a - lam for _v, a in out] for out in succ],
-        )
-    if lam is None:
+        one, mul, cmp = sr.one, sr.mul, _plain_cmp
+        entries = [[a - lam for _v, a in out] for out in succ]
+    elif lam is None:
         ops = _Symbolic(sr, pair, [[a for _v, a in out] for out in succ])
-        return ops.one, ops.mul, ops.cmp, ops.rows
-    p, q = lam.numerator, lam.denominator
-    return (
-        Ratios.one,
-        Ratios.mul,
-        Ratios.cmp,
-        [[(a.numerator * q, a.denominator * p) for _v, a in out]
-         for out in succ],
-    )
+        one, mul, cmp, entries = ops.one, ops.mul, ops.cmp, ops.rows
+    else:
+        p, q = lam.numerator, lam.denominator
+        one, mul, cmp = Ratios.one, Ratios.mul, Ratios.cmp
+        entries = [
+            [(a.numerator * q, a.denominator * p) for _v, a in out]
+            for out in succ
+        ]
+    return one, mul, entries, _check(succ, entries, mul, cmp)
 
 
 def _component(g, comp):
@@ -327,31 +410,67 @@ def _component(g, comp):
     return succ, pred
 
 
+def _cycle_pair(sr, weights):
+    """The (weight, length) pair of a cycle with the given edge weights."""
+    w = sr.one
+    for a in weights:
+        w = sr.mul(w, a)
+    return (w, len(weights))
+
+
+def _in_float_range(sr, pair, nodes):
+    """``pair``, after the check that a float cycle weight kept its range.
+
+    A weight of inf (or -inf in max-plus) overflowed, and a max-times
+    weight of 0.0, made of nonzero entries, underflowed: either is the
+    float_range_error ModeError. ``nodes`` names the cycle.
+    """
+    w = pair[0]
+    if w in (math.inf, NEG_INF):
+        raise float_range_error(f"the weight of the cycle {nodes}")
+    if sr.domain == TIMES and not w:
+        raise float_range_error(
+            f"the weight of the cycle {nodes}", overflow=False
+        )
+    return pair
+
+
 def _certificate(sr, g, comp):
     """The certified mean of one nontrivial component, with its evidence.
 
     Returns (pair, potentials, tight). ``pair`` is the (weight, length)
     pair of a cycle of the component whose mean no cycle of it exceeds;
-    ``potentials[s]`` is x at comp[s], in the form of
-    _normalized_entries, with a_uv x_v <= lam x_u on every edge of the
-    component; ``tight`` lists the edges (u, v), in original node ids,
-    where equality holds. Howard's float policy is the start, and exact
-    rounds of _improve, comparing cycles by gmean_cmp, finish it.
+    ``potentials[s]`` is x at comp[s], with a_uv x_v <= lam x_u on every
+    edge of the component; ``tight`` lists the edges (u, v), in original
+    node ids, where equality holds. In float mode Howard's iteration on
+    the logs is the whole certificate, comparing under the semiring's
+    tolerance, and the potentials are logs. In exact mode its policy is
+    the start, and exact rounds of _improve, comparing cycles by
+    gmean_cmp, finish it with potentials in the form of
+    _normalized_entries.
     """
     succ, pred = _component(g, comp)
-    policy = _float_proposal(sr, succ, pred)
-
-    def mean_of(weights):
-        w = sr.one
-        for a in weights:
-            w = sr.mul(w, a)
-        return (w, len(weights))
-
-    pair, x, tight = _improve(
-        succ, pred, policy, mean_of,
-        lambda p, q: gmean_cmp(sr, p, q) > 0,
-        partial(_normalized_entries, sr, succ),
-    )
+    if not sr.exact:
+        logs, _widest, scale = _float_logs(sr, succ)
+        policy, settled = _howard(logs, pred, sr.tol * scale, _FLOAT_ROUNDS)
+        if settled is None:
+            raise CertificationError(
+                f"Howard's policy iteration still moved after "
+                f"{_FLOAT_ROUNDS} rounds"
+            )
+        _mean, cycle, x, tight = settled
+        pair = _in_float_range(
+            sr,
+            _cycle_pair(sr, [succ[c][policy[c]][1] for c in cycle]),
+            tuple(comp[c] for c in cycle + cycle[:1]),
+        )
+    else:
+        policy = _float_proposal(sr, succ, pred)
+        pair, _cycle, x, tight = _improve(
+            succ, pred, policy, partial(_cycle_pair, sr),
+            lambda p, q: gmean_cmp(sr, p, q) > 0,
+            partial(_normalized_entries, sr, succ),
+        )
     return pair, x, [(comp[u], comp[v]) for u, v in tight]
 
 
@@ -364,9 +483,9 @@ class _Symbolic:
     estimated once, from the entry's reduced fraction, and mul adds the
     estimates. None is the zero. Values compare through filtered_sign, and
     by exact cross powers only when the estimates cannot decide, so the
-    potentials of an irrational mean are checked exactly. On an exact tie
-    add keeps the value of the shorter path. ``rows`` holds the lifted
-    entries of ``rows``, row by row; the rows need not be square.
+    potentials of an irrational mean are checked exactly. ``rows`` holds
+    the lifted entries of ``rows``, row by row; the rows need not be
+    square.
 
     Error bound: comparing x and y, with k = m_x + m_y, sums k entry
     terms. Each reads the two logs of its entry, which sum to at most G
@@ -425,161 +544,31 @@ class _Symbolic:
             rhs *= self.p0 ** -d
         return (lhs > rhs) - (lhs < rhs)
 
-    def add(self, x, y):
-        if x is None:
-            return y
-        if y is None:
-            return x
-        sign = self.cmp(x, y)
-        if sign:
-            return x if sign > 0 else y
-        return x if x[2] <= y[2] else y
-
     def mul(self, x, y):
         if x is None or y is None:
             return None
         return (x[0] * y[0], x[1] * y[1], x[2] + y[2], x[3] + y[3])
 
-    def eq(self, x, y):
-        return self.cmp(x, y) == 0
-
-
-# -- float mode: Karp and the closure ----------------------------------------
-
-
-def _karp_best_pair(sr, ops, rows, comp):
-    """Best cycle-mean pair inside one nontrivial component of a float
-    matrix, via Karp's table on plain floats.
-
-    ``ops`` gives the zero test of ``rows``. The table runs
-    matrix._float_closure's inline loop and tie rule. The min/max takes
-    each quotient's float mean once, with gmean_cmp's formula, and
-    decides as gmean_cmp does (see _float_mean_cmp). A walk weight that
-    overflows to inf is a ModeError: every node of the component has a
-    successor in it, so an inf in any row of the table leaves one in the
-    last.
-    """
-    m = len(comp)
-    index = {v: t for t, v in enumerate(comp)}
-    in_edges = [[] for _ in comp]
-    for u in comp:
-        for t, w in enumerate(rows[u]):
-            if t in index and not ops.is_zero(w):
-                in_edges[index[t]].append((index[u], w))
-    times = sr.domain == TIMES
-    zero = sr.zero
-    d = [zero] * m
-    d[0] = sr.one
-    table = [d]
-    for _ in range(m):
-        prev = d
-        d = []
-        for edges in in_edges:
-            acc = zero
-            if times:
-                for u, w in edges:
-                    x = prev[u]
-                    if x:
-                        p = x * w
-                        if not p < acc:
-                            acc = p
-            else:
-                for u, w in edges:
-                    x = prev[u]
-                    if x != NEG_INF:
-                        p = x + w
-                        if not p < acc:
-                            acc = p
-            d.append(acc)
-        table.append(d)
-    if math.inf in d:
-        raise float_range_error("a walk weight in Karp's table")
-    tol, is_zero = sr.tol, sr.is_zero
-    best = best_mean = None
-    for v, top in enumerate(d):
-        if is_zero(top):
-            continue
-        inner = inner_mean = None
-        for k in range(m):
-            below = table[k][v]
-            if is_zero(below):
-                continue
-            length = m - k
-            if times:
-                w = top / below
-                mean = math.exp(math.log(w) / length) if w else None
-            else:
-                w = top - below
-                mean = None if w == NEG_INF else w / length
-            if inner is None or _float_mean_cmp(tol, mean, inner_mean) < 0:
-                inner, inner_mean = (w, length), mean
-        if inner is not None and (
-            best is None or _float_mean_cmp(tol, inner_mean, best_mean) > 0
-        ):
-            best, best_mean = inner, inner_mean
-    return best
-
-
-def _float_mean_cmp(tol, a, b):
-    """gmean_cmp on float means taken beforehand, None for a zero weight.
-
-    No mean is -inf, so Semiring.eq's tolerant test is written out.
-    """
-    if a is None or b is None:
-        if a is None and b is None:
-            return 0
-        return -1 if a is None else 1
-    if abs(a - b) <= tol * max(1.0, abs(a), abs(b)):
-        return 0
-    return -1 if a < b else 1
-
-
-def _critical_edges(rows, closure, ops):
-    """Edges (i, j) of a unit-mean grid with edge (x) best path back == one."""
-    one = ops.one
-    crit = []
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if ops.is_zero(v):
-                continue
-            back = one if i == j else closure[j][i]
-            if not ops.is_zero(back) and ops.eq(ops.mul(v, back), one):
-                crit.append((i, j))
-    return crit
-
 
 # -- the analysis ------------------------------------------------------------
 
 
-def _critical_graph(a, edges, exact):
-    """The CriticalGraph of a from the edge list ``edges``.
+def _critical_graph(a, tight):
+    """The CriticalGraph of a from the tight edges of its certificates.
 
-    Exact: ``edges`` are the tight edges of a certificate, and the
-    critical ones are those whose ends lie in one strongly connected
-    component of the graph they span. Float: ``edges`` are the critical
-    edges the closure found, and one that lies on no critical cycle is a
-    CertificationError.
+    The critical edges are those whose ends lie in one strongly connected
+    component of the graph the tight edges span.
     """
     sr = a.semiring
-    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in edges], sr)
+    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in tight], sr)
     dec = scc(sub)
     components = dec.nontrivial_components
-    if exact:
-        crit = [
-            (i, j) for i, j in edges
-            if dec.component_of(i) == dec.component_of(j)
-        ]
-        if len(crit) < len(edges):
-            sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], sr)
-    else:
-        crit = edges
-        on_cycle = dec.nontrivial_nodes()
-        for i, j in crit:
-            if i not in on_cycle or j not in on_cycle:
-                # float rounding under a very tight tolerance
-                raise CertificationError(
-                    f"critical edge ({i}, {j}) lies on no critical cycle"
-                )
+    crit = [
+        (i, j) for i, j in tight
+        if dec.component_of(i) == dec.component_of(j)
+    ]
+    if len(crit) < len(tight):
+        sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], sr)
     return CriticalGraph(
         nodes=tuple(sorted(v for comp in components for v in comp)),
         edges=tuple(sorted(crit)),
@@ -592,12 +581,16 @@ def _critical_graph(a, edges, exact):
 def _witness_mean(sr, critical, best):
     """The CycleMean of a cycle of the first critical component.
 
-    It is re-checked against the mean pair ``best`` it must attain.
+    It is re-checked against the mean pair ``best`` it must attain, and a
+    float weight against the float range.
     """
     if not critical.components:
         raise CertificationError("no cycle found in the critical edge set")
     witness = component_cycle(critical.graph, critical.components[0])
-    if not gmean_eq(sr, witness.gmean_pair(), best):
+    pair = witness.gmean_pair()
+    if not sr.exact:
+        _in_float_range(sr, pair, witness.nodes)
+    if not gmean_eq(sr, pair, best):
         raise CertificationError(
             "witness cycle mean disagrees with the computed maximum"
         )
@@ -613,12 +606,13 @@ class SpectralAnalysis:
     mean with its witness. ``lam`` is that mean as a scalar, ``tilde`` the
     matrix divided by it and ``star`` the closure of ``tilde`` plus the
     identity; these three are None when the matrix is acyclic or its mean
-    is irrational in exact mode. In exact mode ``tilde`` and ``star`` are
-    built when first read, ``star`` by kleene_star's one closure, whether
-    through ``star`` or ``checked_star()``; float mode passes in the ones
-    its analysis computed. ``critical`` is the CriticalGraph, None for
-    acyclic matrices. ``_range_loss`` is None unless a float division by
-    lam left the float range in ``tilde``: then it is True when an entry
+    is irrational in exact mode. ``tilde`` and ``star`` are built when
+    first read, ``star`` by one closure, whether through ``star`` or
+    ``checked_star()``: in exact mode kleene_star's, in float mode a
+    closure with no divergence check, which ``checked_star()`` makes.
+    ``critical`` is the CriticalGraph, None for acyclic matrices.
+    ``_range_loss``, set with a float ``tilde``, is None unless the
+    division by lam left the float range: then it is True when an entry
     overflowed to inf and False when a nonzero entry rounded to the zero
     (float_range_error's ``overflow``).
     """
@@ -635,15 +629,31 @@ class SpectralAnalysis:
     @property
     def tilde(self):
         if self._tilde is None and self.lam is not None:
-            sr = self.mean.semiring
-            tilde = self._matrix.scale(sr.div(sr.one, self.lam))
+            a, sr = self._matrix, self.mean.semiring
+            if sr.exact:
+                tilde = a.scale(sr.div(sr.one, self.lam))
+            else:
+                rows = _divided_rows(a, self.lam)
+                object.__setattr__(
+                    self, "_range_loss", _range_loss(a.rows, rows, sr)
+                )
+                tilde = MaxMatrix._raw(rows, sr)
             object.__setattr__(self, "_tilde", tilde)
         return self._tilde
 
     @property
     def star(self):
         if self._star is None and self.lam is not None:
-            object.__setattr__(self, "_star", kleene_star(self.tilde))
+            tilde = self.tilde
+            sr = tilde.semiring
+            if sr.exact:
+                star = kleene_star(tilde)
+            else:
+                closure = closure_rows(tilde.rows, sr)
+                for i, row in enumerate(closure):
+                    row[i] = sr.add(row[i], sr.one)
+                star = MaxMatrix._raw(closure, sr)
+            object.__setattr__(self, "_star", star)
         return self._star
 
     @property
@@ -731,36 +741,51 @@ class SpectralAnalysis:
 
 
 def _divided_rows(a, lam):
-    """Rows of a divided by lam.
+    """Rows of a float matrix divided by lam.
 
-    Unlike a.scale this does not check the range of 1/lam, so a float mean
-    below the normal range still yields its critical graph.
+    Unlike a.scale this does not coerce 1/lam, which refuses inf, so
+    reading ``tilde`` never raises; normalized() reports the range loss
+    as a ModeError instead.
     """
     sr = a.semiring
     inv = sr.div(sr.one, lam)
     return [[sr.mul(inv, v) for v in row] for row in a.rows]
 
 
+def _range_loss(rows, tilde, sr):
+    """SpectralAnalysis._range_loss of the float ``rows`` divided by lam.
+
+    Dividing keeps every zero, so more zeros in ``tilde`` than in ``rows``
+    mean a lost edge.
+    """
+    if any(math.inf in row for row in tilde):
+        return True
+    zero = sr.zero
+    if sum(r.count(zero) for r in tilde) > sum(r.count(zero) for r in rows):
+        return False
+    return None
+
+
 def spectral_analysis(a):
     """The SpectralAnalysis of a square matrix.
 
-    Exact mode certifies each nontrivial component's mean with a
-    subeigenvector (see _certificate) and reads the critical edges off
-    the tight edges of the components at the top mean: one scc pass on
-    the matrix's digraph and one on the tight graph. No closure runs;
-    tilde and the star are built when first read. When the mean is
-    irrational in exact max-times mode the potentials are symbolic, so
-    the critical graph stays exact while lam, tilde and star are None.
-    Float mode runs Karp's recurrence per component and one
-    Floyd-Warshall closure of the normalized matrix for the critical
-    edges and the star. The witness is a cycle of the first critical
-    component.
+    Each nontrivial component's mean is certified with a subeigenvector
+    (see _certificate), and the critical edges are read off the tight
+    edges of the components at the top mean: one scc pass on the matrix's
+    digraph and one on the tight graph. No closure runs; tilde and the
+    star are built when first read. When the mean is irrational in exact
+    max-times mode the potentials are symbolic, so the critical graph
+    stays exact while lam, tilde and star are None. The witness is a
+    cycle of the first critical component, and lam is its mean: in float
+    mode it can differ in the last bits from the best policy cycle's.
     """
-    sr = a.semiring
     g = digraph_of(a)
-    dec = scc(g)
-    if not sr.exact:
-        return _float_analysis(a, dec, len(g.edges))
+    return _analysis(a, g, scc(g))
+
+
+def _analysis(a, g, dec):
+    """spectral_analysis of a with digraph g and SCC decomposition dec."""
+    sr = a.semiring
     best = None
     tight = []
     for comp in dec.nontrivial_components:
@@ -774,62 +799,9 @@ def spectral_analysis(a):
         return SpectralAnalysis(
             dec, CycleMean(sr.zero, 1, None, sr), None, None
         )
-    critical = _critical_graph(a, tight, exact=True)
+    critical = _critical_graph(a, tight)
     mean = _witness_mean(sr, critical, best)
-    return SpectralAnalysis(dec, mean, gmean_value(sr, best), critical, a)
-
-
-def _float_analysis(a, dec, edges):
-    """spectral_analysis of a float matrix with SCC decomposition ``dec``
-    and ``edges`` nonzero entries."""
-    sr = a.semiring
-    best = None
-    for comp in dec.nontrivial_components:
-        pair = _karp_best_pair(sr, sr, a.rows, comp)
-        if pair is not None and (best is None or gmean_cmp(sr, pair, best) > 0):
-            best = pair
-    if best is None:
-        return SpectralAnalysis(
-            dec, CycleMean(sr.zero, 1, None, sr), None, None
-        )
-    lam = gmean_value(sr, best)
-    tilde = _divided_rows(a, lam)
-    closure = closure_rows(tilde, sr)
-    critical = _critical_graph(
-        a, _critical_edges(tilde, closure, sr), exact=False
-    )
-    mean = _witness_mean(sr, critical, best)
-    if mean.exact_value() != lam:
-        # Float rounding: Karp's pair and the witness can round to
-        # different scalars; the reported mean is the witness's.
-        lam = mean.exact_value()
-        tilde = _divided_rows(a, lam)
-        closure = closure_rows(tilde, sr)
-    for i in range(a.n):
-        closure[i][i] = sr.add(closure[i][i], sr.one)
-    return SpectralAnalysis(
-        dec,
-        mean,
-        lam,
-        critical,
-        a,
-        _range_loss(tilde, sr, edges),
-        MaxMatrix._raw(tilde, sr),
-        MaxMatrix._raw(closure, sr),
-    )
-
-
-def _range_loss(tilde, sr, edges):
-    """SpectralAnalysis._range_loss of the float rows ``tilde``.
-
-    ``edges`` counts the edges of the matrix divided by lam. Dividing
-    keeps every zero, so fewer nonzero entries than that mean a lost edge.
-    """
-    if any(math.inf in row for row in tilde):
-        return True
-    if len(tilde) ** 2 - sum(row.count(sr.zero) for row in tilde) < edges:
-        return False
-    return None
+    return SpectralAnalysis(dec, mean, mean.exact_value(), critical, a)
 
 
 def max_cycle_gmean(a):
@@ -859,10 +831,12 @@ def is_irreducible(a):
 def _irreducible_analysis(a):
     # irreducibility is checked before the analysis is built, so that a
     # reducible float matrix whose critical cycles fail to certify is still
-    # reported as reducible
-    if not is_irreducible(a):
+    # reported as reducible; the analysis reuses the digraph and its SCCs
+    g = digraph_of(a)
+    dec = scc(g)
+    if not dec.is_single:
         raise NotIrreducibleError("eigenvectors need an irreducible matrix")
-    return spectral_analysis(a)
+    return _analysis(a, g, dec)
 
 
 def eigenspace_basis(a):

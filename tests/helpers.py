@@ -2,7 +2,8 @@
 
 The oracles work straight from definitions (walk tables, elementary cycle
 enumeration over plain Fractions) so the fast library routines have an
-independent reference. Everything here is exact max-times unless stated.
+independent reference. Everything here is exact max-times unless stated;
+the cycle oracles read max-plus matrices too.
 The power-asymptotics references and the kernel references (the
 semiring-generic closure and Karp loops, the cycle-cover DFS) work in any
 mode, and count_calls counts the library's internal calls of one
@@ -10,12 +11,14 @@ function.
 """
 
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
 
 from maxalg import (
     EXACT_TIMES,
+    PLUS,
     CertificationError,
     IterationBudgetError,
     MaxMatrix,
@@ -121,12 +124,14 @@ def cycles_brute(a, max_len=None):
 
     Depth-first from each root over the nonzero pattern, visiting only
     nodes above the root so each cycle is listed once, rooted at its
-    smallest node.
+    smallest node. Weights multiply, or add in max-plus.
     """
     grid = grid_of(a)
     n = a.n
     if max_len is None:
         max_len = n
+    plus = a.semiring.domain == PLUS
+    step = operator.add if plus else operator.mul
     found = []
 
     def dfs(root, u, path, weight, onpath):
@@ -135,14 +140,14 @@ def cycles_brute(a, max_len=None):
             if w is None:
                 continue
             if v == root:
-                found.append((path + (root,), weight * w))
+                found.append((path + (root,), step(weight, w)))
             elif v > root and v not in onpath and len(path) <= max_len - 1:
                 onpath.add(v)
-                dfs(root, v, path + (v,), weight * w, onpath)
+                dfs(root, v, path + (v,), step(weight, w), onpath)
                 onpath.remove(v)
 
     for root in range(n):
-        dfs(root, root, (root,), Fraction(1), {root})
+        dfs(root, root, (root,), Fraction(0 if plus else 1), {root})
     return found
 
 
@@ -150,17 +155,25 @@ def has_cycle_above_one_brute(a):
     return any(w > 1 for _nodes, w in cycles_brute(a))
 
 
-def best_gmean_pair_brute(a):
-    """(weight, length) of the heaviest cycle geometric mean, or None.
+def mean_diff_brute(a, pair, other):
+    """A number with the sign of pair's mean minus other's, exactly.
 
-    Pairs compare by cross powers: (w1, l1) beats (w2, l2) iff
-    w1^l2 > w2^l1, which is exact on Fractions.
+    Cross powers w1^l2 - w2^l1 of the (weight, length) pairs, or cross
+    products w1 l2 - w2 l1 in max-plus, on Fractions.
     """
+    (w, l), (w2, l2) = pair, other
+    if a.semiring.domain == PLUS:
+        return w * l2 - w2 * l
+    return w ** l2 - w2 ** l
+
+
+def best_gmean_pair_brute(a):
+    """(weight, length) of the heaviest cycle geometric mean, or None."""
     best = None
     for nodes, w in cycles_brute(a):
-        length = len(nodes) - 1
-        if best is None or w ** best[1] > best[0] ** length:
-            best = (w, length)
+        pair = (w, len(nodes) - 1)
+        if best is None or mean_diff_brute(a, pair, best) > 0:
+            best = pair
     return best
 
 
@@ -171,8 +184,7 @@ def critical_edges_brute(a):
         return set()
     out = set()
     for nodes, w in cycles_brute(a):
-        length = len(nodes) - 1
-        if w ** best[1] == best[0] ** length:
+        if mean_diff_brute(a, (w, len(nodes) - 1), best) == 0:
             out.update(zip(nodes, nodes[1:]))
     return out
 
@@ -624,10 +636,10 @@ def closure_reference(rows, ops, diverges=None):
 
 def karp_reference(sr, rows, comp):
     """Karp's best mean pair on one component, folding the semiring's ops
-    and comparing every quotient with gmean_cmp; the generic loop of
-    spectral._karp_best_pair with ops = sr. A float walk weight that
-    overflows to inf in the last row of the table is refused with the
-    library's float-range ModeError."""
+    and comparing every quotient with gmean_cmp; the float mean of the
+    library before Howard's certificate replaced it. A float walk weight
+    that overflows to inf in the last row of the table is refused with
+    the library's float-range ModeError."""
     m = len(comp)
     index = {v: t for t, v in enumerate(comp)}
     in_edges = [[] for _ in comp]

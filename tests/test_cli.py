@@ -484,16 +484,16 @@ TYPED_REFUSALS = [
         "overflows the float range",
     ),
     (
-        "info_float_plus_karp_overflows",
+        "info_float_cycle_weight_underflows",
         ["info", "M"],
-        "maxplus 2 float\n1e308 -1e300\n0 0\n",
+        "maxtimes 3 float\n. 1e-200 .\n. . 1e-200\n1e-200 . .\n",
         3,
-        "overflows the float range",
+        "underflows the float range",
     ),
     (
-        "info_float_times_karp_overflows",
+        "info_float_cycle_weight_overflows",
         ["info", "M"],
-        "maxtimes 3 float\n1e300 1 .\n1 . 1\n1 . .\n",
+        "maxtimes 2 float\n. 1e200\n1e200 .\n",
         3,
         "overflows the float range",
     ),
@@ -511,6 +511,31 @@ def test_typed_refusals(tmp_path, name, argv, text, want_code, fragment):
     report, code = run_command([str(path) if t == "M" else t for t in argv])
     assert code == want_code
     assert fragment in report["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "text,weight",
+    [
+        ("maxplus 2 float\n1e308 -1e300\n0 0\n", 1e308),
+        ("maxtimes 3 float\n1e300 1 .\n1 . 1\n1 . .\n", 1e300),
+    ],
+    ids=["info_float_plus_walks_overflow", "info_float_times_walks_overflow"],
+)
+def test_float_mean_when_walks_overflow(tmp_path, text, weight):
+    # walks of length n leave the float range, but the mean is a loop at
+    # node 0 of weight 1e308 or 1e300, as in exact mode
+    path = tmp_path / "M.mx"
+    path.write_text(text)
+    report, code = run_command(["info", str(path)])
+    assert code == 0
+    assert report["results"]["lambda"]["weight"] == repr(weight)
+    assert report["results"]["lambda"]["length"] == 1
+    exact, code = run_command(["--exact", "info", str(path)])
+    assert code == 0
+    assert float(Fraction(exact["results"]["lambda"]["value"])) == weight
+    assert float(report["results"]["lambda"]["value"]) == pytest.approx(
+        weight
+    )
 
 
 def test_parse_matrix_text_coerces_no_entry_again(monkeypatch):

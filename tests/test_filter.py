@@ -101,19 +101,14 @@ def symbolic_value(x):
 
 @settings(max_examples=200, deadline=None)
 @given(symbolic_case())
-def test_symbolic_add_and_eq_match_plain_cross_powers(case):
+def test_symbolic_cmp_matches_plain_cross_powers(case):
     ops, x, y = case
     w0, l0 = ops.w0, ops.l0
     (qx, mx), (qy, my) = symbolic_value(x), symbolic_value(y)
     lhs = qx**l0 * w0**my
     rhs = qy**l0 * w0**mx
-    if lhs == rhs:  # a tie keeps the shorter path, x on equal lengths
-        want = x if mx <= my else y
-    else:
-        want = x if lhs > rhs else y
-    assert ops.add(x, y) is want
-    assert ops.eq(x, y) == (lhs == rhs)
     assert ops.cmp(x, y) == plain_sign(lhs, rhs)
+    assert ops.cmp(y, x) == plain_sign(rhs, lhs)
 
 
 def _loop_free_irreducible(rng, n):
@@ -177,9 +172,9 @@ def test_near_ties_reach_the_exact_fallback(monkeypatch):
         EXACT_TIMES, (r**3, 3), [[r, r * NEAR_ONE[0], Fraction(5)]]
     )
     near, above, far = ops.rows[0]
-    assert ops.add(near, far) is far and ops.eq(near, far) is False
+    assert ops.cmp(near, far) == -1
     assert sym == []
-    assert ops.eq(ops.mul(near, near), ops.one)  # r^2 against lam^2: a tie
-    assert ops.add(near, above) is above  # last-bit difference
-    assert ops.eq(ops.mul(near, above), ops.mul(above, near))
+    assert ops.cmp(ops.mul(near, near), ops.one) == 0  # r^2 against lam^2
+    assert ops.cmp(near, above) == -1  # last-bit difference
+    assert ops.cmp(ops.mul(near, above), ops.mul(above, near)) == 0
     assert len(sym) == 3

@@ -1,18 +1,28 @@
-"""Float engine kernels against the semiring-generic loops they replaced.
+"""Float engine kernels against the semiring-generic loops they replaced,
+and float spectra against Karp's table and brute force.
 
-closure_rows and Karp's table run dedicated inner loops in float mode.
-They must give the generic fold's answer bit for bit (compared by repr,
-which tells -0.0 from 0.0 and shows inf and nan), in float max-times and
-float max-plus, at the default tolerance and at tolerance 0.
+closure_rows runs a dedicated inner loop in float mode. It must give the
+generic fold's answer bit for bit (compared by repr, which tells -0.0
+from 0.0 and shows inf and nan), in float max-times and float max-plus,
+at the default tolerance and at tolerance 0.
+
+Float spectral_analysis certifies its mean with Howard's policy
+iteration on the logs of the entries. On the same grids and in the same
+four modes, check_spectra compares it with helpers.karp_reference, the
+old float mean, and with brute force over the elementary cycles of the
+entries read as exact Fractions.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from maxalg import (
+    FLOAT_PLUS,
+    FLOAT_TIMES,
     NEG_INF,
     PLUS,
     TIMES,
@@ -21,14 +31,24 @@ from maxalg import (
     ModeError,
     Semiring,
     digraph_of,
+    gmean_cmp,
     kleene_star,
+    max_balance,
     scc,
+    semiring_convert,
     spectral_analysis,
 )
 from maxalg.matrix import closure_rows
-from maxalg.spectral import _karp_best_pair
+from maxalg.semiring import log_terms
 
-from helpers import closure_reference, karp_reference
+from helpers import (
+    closure_reference,
+    count_calls,
+    critical_edges_brute,
+    cycles_brute,
+    karp_reference,
+    random_irreducible,
+)
 
 FLOAT_MODES = [
     Semiring(domain, False, tol)
@@ -58,27 +78,102 @@ def float_grids(draw, domain):
 
 
 def kernel_reprs(rows, sr):
-    """repr of the new and the reference answers of both kernels.
-
-    Karp runs on every nontrivial SCC and on the whole node set.
-    """
+    """repr of the new and the reference answers of the closure."""
     diverges = lambda v: sr.lt(sr.one, v)  # kleene_star's early stop
     new = [closure_rows(rows, sr), closure_rows(rows, sr, diverges)]
     ref = [closure_reference(rows, sr), closure_reference(rows, sr, diverges)]
-    dec = scc(digraph_of(MaxMatrix._raw(rows, sr)))
-    comps = [c for c, triv in zip(dec.components, dec.trivial) if not triv]
-    for comp in comps + [list(range(len(rows)))]:
-        new.append(_outcome(_karp_best_pair, sr, sr, rows, comp))
-        ref.append(_outcome(karp_reference, sr, rows, comp))
     return repr(new), repr(ref)
 
 
-def _outcome(f, *args):
-    """f(*args), or the float-range refusal it raises, as one value."""
+def _log_mean(domain, weight, length):
+    """The mean of an exact cycle weight as a float: w / l in max-plus,
+    ln w / l in max-times, at any size of w."""
+    if domain == PLUS:
+        return float(weight / length)
+    p, q = log_terms(weight)
+    return (p - q) / length
+
+
+def _fits_float(domain, weight):
+    """Whether an exact cycle weight keeps its value as a float."""
     try:
-        return f(*args)
-    except ModeError as exc:
-        return f"ModeError: {exc}"
+        value = float(weight)
+    except OverflowError:
+        return False
+    return domain == PLUS or bool(value)
+
+
+def _karp_mean(rows, sr):
+    """karp_reference's best pair over the nontrivial components, or None
+    when its table has no cycle left or refuses an overflowed walk."""
+    best = None
+    try:
+        dec = scc(digraph_of(MaxMatrix._raw(rows, sr)))
+        for comp in dec.nontrivial_components:
+            pair = karp_reference(sr, rows, comp)
+            if pair is not None and (
+                best is None or gmean_cmp(sr, pair, best) > 0
+            ):
+                best = pair
+    except ModeError:
+        return None
+    return best
+
+
+def check_spectra(rows, sr):
+    """Float spectral_analysis of a grid against Karp's table and the
+    exact cycles of its entries.
+
+    The certificate either refuses with ModeError, and then some cycle at
+    the exact top mean has a weight that leaves the float range, or its
+    mean is the exact top mean. Both are compared under the semiring's
+    tolerance, or 1e-12 at tolerance 0: the float logs round. Karp's
+    table can lose walks to underflow; where its mean is still the top
+    one, the two means agree. Every exactly critical edge is critical in
+    float, and every critical edge lies on a cycle at the top mean.
+    """
+    near = Semiring(sr.domain, False, max(sr.tol, 1e-12))
+    exact_sr = Semiring(sr.domain)
+    exact = MaxMatrix(
+        [[exact_sr.zero if sr.is_zero(v) else Fraction(v) for v in row]
+         for row in rows],
+        exact_sr,
+    )
+    cycles = [
+        (nodes, _log_mean(sr.domain, w, len(nodes) - 1), w)
+        for nodes, w in cycles_brute(exact)
+    ]
+    top = max((m for _nodes, m, _w in cycles), default=None)
+
+    def at_top(m):
+        return abs(m - top) <= near.tol * max(1.0, abs(top))
+
+    try:
+        an = spectral_analysis(MaxMatrix._raw(rows, sr))
+    except ModeError:
+        assert any(
+            at_top(m) and not _fits_float(sr.domain, w)
+            for _nodes, m, w in cycles
+        )
+        return
+    if top is None:
+        assert an.mean.is_zero
+        return
+    mean = an.mean
+    assert at_top(_log_mean(sr.domain, Fraction(mean.weight), mean.length))
+    karp = _karp_mean(rows, sr)
+    if karp is not None and at_top(
+        _log_mean(sr.domain, Fraction(karp[0]), karp[1])
+    ):
+        assert gmean_cmp(near, mean.pair(), karp) == 0
+    edges = set(an.critical.edges)
+    assert critical_edges_brute(exact) <= edges
+    assert edges <= {
+        edge
+        for nodes, m, _w in cycles
+        if at_top(m)
+        for edge in zip(nodes, nodes[1:])
+    }
 
 
 @pytest.mark.parametrize("domain", [TIMES, PLUS])
@@ -91,8 +186,23 @@ def test_float_kernels_match_reference_on_random_grids(domain):
             if sr.domain == domain:
                 new, ref = kernel_reprs(rows, sr)
                 assert new == ref
+                check_spectra(rows, sr)
 
     check()
+
+
+def test_float_max_balance_closes_once_per_level(monkeypatch):
+    # each level reads the star of one spectral analysis; nothing else
+    # closes, and the analyses themselves close nothing
+    closures = count_calls(monkeypatch, "closure_rows")
+    rng = random.Random(1105)
+    for target in (FLOAT_TIMES, FLOAT_PLUS):
+        a = semiring_convert(random_irreducible(rng, 9, density=0.5), target)
+        before = len(closures)
+        cert = max_balance(a)
+        levels = sum(len(seq) for seq in cert.levels)
+        assert levels >= 3
+        assert len(closures) - before == levels
 
 
 def test_float_kernels_match_reference_on_normalized_matrices():

@@ -187,8 +187,8 @@ def test_reducible_matrices_are_rejected_for_eigenvectors():
         principal_eigenvector(fmat([[1, 1], [0, 1]]))
     with pytest.raises(NotIrreducibleError):
         principal_eigenvector(fmat([[0, 1], [0, 0]]))
-    # with no tolerance the critical cycles of this float matrix fail to
-    # certify; it is still reported as reducible first
+    # irreducibility is checked before the analysis, so a reducible float
+    # matrix is reported as such even where its analysis would fail
     from maxalg import MaxMatrix, Semiring
 
     tight = MaxMatrix(
@@ -267,47 +267,77 @@ def test_float_normalization_refuses_an_entry_that_overflows():
 
 
 @pytest.mark.parametrize(
-    "domain,rows",
+    "domain,rows,lam",
     [
-        ("max-plus", [[1e308, -1e300], [0, 0]]),
-        ("max-times", [[1e300, 1, 0], [1, 0, 1], [1, 0, 0]]),
+        ("max-plus", [[1e308, -1e300], [0, 0]], 1e308),
+        ("max-times", [[1e300, 1, 0], [1, 0, 1], [1, 0, 0]], 1e300),
     ],
     ids=["plus", "times"],
 )
-def test_float_karp_refuses_a_walk_weight_that_overflows(domain, rows):
-    # Karp's table sums (multiplies) walk weights up to length n: 2e308
-    # and 1e900 leave the float range, which is a typed refusal rather
-    # than a mean of inf with no critical edge
-    from maxalg import MaxMatrix, ModeError, Semiring
+def test_float_mean_of_a_loop_whose_walks_overflow(domain, rows, lam):
+    # walks of length n weigh 2e308 and 1e900, beyond the float range, but
+    # no cycle does: the mean is the loop at node 0, as in exact mode
+    from maxalg import MaxMatrix, Semiring
 
     a = MaxMatrix(rows, Semiring(domain, exact=False))
-    with pytest.raises(ModeError, match="overflows the float range"):
-        max_cycle_gmean(a)
-
-
-def test_tight_tolerance_stray_critical_edge_is_a_certification_error():
-    # under tol=0 float rounding marks as critical an edge that lies on no
-    # critical cycle; the analysis refuses instead of failing on a lookup
-    from maxalg import CertificationError, MaxMatrix, Semiring
-
-    a = MaxMatrix(
-        [
-            [0, 8.7, 8.4, 0, 4.317, 2.2],
-            [4.625, 0, 8.813, 0, 0, 6.3],
-            [7.9, 1.915, 5.9, 7.526, 0, 0],
-            [4.376, 8.808, 7.44, 4.2, 0, 0.884],
-            [0, 2.8, 4.554, 0, 0, 7.4],
-            [5.565, 6.7, 7.7, 3.137, 0, 0],
-        ],
-        Semiring("max-times", exact=False, tol=0.0),
+    exact = MaxMatrix(
+        [[Fraction(v) for v in row] for row in rows], Semiring(domain)
     )
-    with pytest.raises(CertificationError, match="no critical cycle"):
-        max_cycle_gmean(a)
+    an = spectral_analysis(a)
+    assert an.mean.pair() == (lam, 1)
+    assert an.mean.witness.nodes == (0, 0)
+    assert an.critical.edges == ((0, 0),)
+    assert max_cycle_gmean(exact).pair() == (Fraction(lam), 1)
+    assert critical_graph(exact).edges == an.critical.edges
+
+
+def test_float_range_is_checked_on_the_policy_cycle_and_the_witness():
+    # a loop ties a 2-cycle of weight 1e400 under the tolerance. Here the
+    # best policy cycle is the 2-cycle, and its pair is refused before
+    # any comparison reads an inf weight
+    from maxalg import MaxMatrix, ModeError
+
+    overflow = r"cycle \(0, 1, 0\) overflows the float range"
+    a = MaxMatrix([[1e200, 1.000000000001e200], [1e200, 0]], FLOAT_TIMES)
+    with pytest.raises(ModeError, match=overflow):
+        spectral._certificate(FLOAT_TIMES, digraph_of(a), (0, 1))
+    # here the policy settles on the loop, but the witness, a cycle of
+    # the critical component from its smallest node, is the 2-cycle
+    b = MaxMatrix([[0, 1e200], [1e200, 1.000000000001e200]], FLOAT_TIMES)
+    pair, _x, _tight = spectral._certificate(
+        FLOAT_TIMES, digraph_of(b), (0, 1)
+    )
+    assert pair == (1.000000000001e200, 1)
+    with pytest.raises(ModeError, match=overflow):
+        max_cycle_gmean(b)
+
+
+def test_tight_tolerance_certifies_the_exact_critical_cycle():
+    # under tol=0 the tight edges give the critical cycle of the exact
+    # entries, and no edge off it
+    from maxalg import MaxMatrix, Semiring
+
+    rows = [
+        [0, 8.7, 8.4, 0, 4.317, 2.2],
+        [4.625, 0, 8.813, 0, 0, 6.3],
+        [7.9, 1.915, 5.9, 7.526, 0, 0],
+        [4.376, 8.808, 7.44, 4.2, 0, 0.884],
+        [0, 2.8, 4.554, 0, 0, 7.4],
+        [5.565, 6.7, 7.7, 3.137, 0, 0],
+    ]
+    a = MaxMatrix(rows, Semiring("max-times", exact=False, tol=0.0))
+    exact = fmat([[Fraction(str(v)) for v in row] for row in rows])
+    assert best_gmean_pair_brute(exact) == (Fraction("605.71749"), 3)
+    mean = max_cycle_gmean(a)
+    assert mean.length == 3 and math.isclose(mean.weight, 605.71749)
+    assert critical_graph(a).edges == ((0, 1), (1, 2), (2, 0))
+    assert set(critical_graph(a).edges) == critical_edges_brute(exact)
 
 
 def test_float_normalization_divides_by_the_reported_mean():
-    # Karp's pair and the witness cycle can round to different floats;
-    # the normalized matrix must use the mean max_cycle_gmean reports
+    # the best policy cycle and the witness cycle can round to different
+    # floats; the normalized matrix must use the mean max_cycle_gmean
+    # reports
     from maxalg import normalize_to_unit
 
     rng = random.Random(5)
@@ -457,13 +487,16 @@ def test_exact_analyses_close_only_when_the_star_is_read(monkeypatch):
     assert len(closures) == 2
 
 
-def test_float_analyses_keep_their_closures(monkeypatch):
+def test_float_analyses_close_only_when_the_star_is_read(monkeypatch):
     closures = count_calls(monkeypatch, "closure_rows")
     planted = unit_lambda_irreducible(random.Random(61), 8)
     f = semiring_convert(planted, FLOAT_TIMES)
     max_cycle_gmean(f)
-    assert len(closures) == 1
+    assert closures == []
     critical_graph(f)
-    assert len(closures) == 2
+    assert closures == []
     principal_eigenvector(f)
-    assert len(closures) == 3
+    assert len(closures) == 1
+    analysis = spectral_analysis(f)
+    assert analysis.star is analysis.checked_star() is analysis.star
+    assert len(closures) == 2
