@@ -6,7 +6,10 @@ directed cut the two maximum crossing weights agree. max_balance finds the
 similarity scaling producing such a matrix by repeatedly freezing the
 heaviest cycles: find the top cycle geometric mean, saturate its critical
 edges with an eigenvector scaling, collapse each critical component to a
-point, and recurse on the strictly lighter remainder.
+point, and recurse on the strictly lighter remainder. The scaling of a
+level is the sum of the star columns at its critical nodes, read off one
+best-walk run on the level's spectral certificate, with no closure
+(SpectralAnalysis.star_columns).
 
 Exact max-times inputs whose level means are irrational roots cannot be
 balanced in exact arithmetic; the run restarts in float mode and the
@@ -113,14 +116,6 @@ def is_max_balanced_cut(b, size_limit=14):
     return True
 
 
-def _eigen_combination(star, crit_nodes, sr):
-    cols = star.rows
-    return [
-        reduce(sr.add, [cols[i][v] for v in crit_nodes], sr.zero)
-        for i in range(star.n)
-    ]
-
-
 def _balance_component(sub, sr):
     """Balance one strongly connected block; returns (local scaling, levels)."""
     m = sub.n
@@ -130,10 +125,11 @@ def _balance_component(sub, sr):
     levels = []
     while cur.n > 1:
         an = spectral_analysis(cur)
-        star = an.checked_star()  # an irrational level raises ExactnessError
-        levels.append(an.mean.pair())
         crit_nodes = an.critical.nodes
-        x_cur = _eigen_combination(star, crit_nodes, sr)
+        # the sum of the star columns at the critical nodes, from one
+        # best-walk run; an irrational level raises ExactnessError
+        x_cur = an.star_columns(crit_nodes)
+        levels.append(an.mean.pair())
         if any(sr.is_zero(v) for v in x_cur):
             # a float max-times normalized entry can underflow to zero
             raise ModeError("a balancing scale underflows the float range")

@@ -161,58 +161,67 @@ class SccDecomposition:
         return len(self.components) == 1
 
 
-def scc(g):
-    """Tarjan's strongly connected components, iteratively.
+def strong_components(n, succ):
+    """Tarjan's strongly connected components of int adjacency lists.
 
-    Returns an SccDecomposition with components sorted by smallest node.
+    ``succ[v]`` lists the heads of the edges out of node v, for nodes
+    0..n-1. Returns the components as sorted tuples, ordered by smallest
+    node. Iterative, so deep graphs do not reach the recursion limit.
     """
-    n = g.n
-    index = [None] * n
+    index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack = []
     counter = 0
     components = []
-
     for root in range(n):
-        if index[root] is not None:
+        if index[root] >= 0:
             continue
-        work = [(root, iter([j for j, _ in g.successors(root)]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if index[w] is None:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter([j for j, _ in g.successors(w)])))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comp.sort()
+                    components.append(tuple(comp))
+    components.sort()
+    return components
 
-    components.sort(key=lambda c: c[0])
+
+def scc(g):
+    """Tarjan's strongly connected components of a Digraph.
+
+    Returns an SccDecomposition with components sorted by smallest node.
+    """
+    components = strong_components(
+        g.n, [[j for j, _ in g.successors(i)] for i in range(g.n)]
+    )
     trivial = tuple(
         len(c) == 1 and not g.has_edge(c[0], c[0]) for c in components
     )

@@ -23,7 +23,12 @@ by exact cross powers where the filter cannot decide, so the critical
 graph itself stays exact.
 
 In both modes the normalized matrix and its star, one closure, are built
-when they are first read.
+when they are first read. Eigenvectors and balancing levels need only
+the star's columns at critical nodes, and read no closure: the
+potentials x of an irreducible matrix's certificate make the costs
+-log(a_ij x_j / (lam x_i)) nonnegative, as Johnson's reweighting does,
+so one Dijkstra-ordered run of best walks into the chosen nodes gives
+the sum of their columns, and an O(m) check certifies it (_Walks).
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from heapq import heapify, heappop, heappush
 
 from .digraph import (
     Digraph,
@@ -41,6 +47,7 @@ from .digraph import (
     component_gcd,
     digraph_of,
     scc,
+    strong_components,
 )
 from .errors import (
     AcyclicMatrixError,
@@ -138,6 +145,11 @@ _HOWARD_TOL = 1e-12
 _FLOAT_ROUNDS = 1024
 # float stand-in for an exact max-plus entry beyond the float range
 _FLOAT_CAP = 2.0 ** 960
+# Rounding of a float walk weight per edge, generously: 8 units of 2^-53,
+# relative in max-times and times the widest entry in max-plus. Below n
+# times this, the tolerance cannot absorb the different rounding of a
+# best-walk run and of the closure, so the closure answers.
+_WALK_ROUNDING = 2.0 ** -50
 
 
 def _float_weight(sr, v):
@@ -444,10 +456,10 @@ def _certificate(sr, g, comp):
     edge of the component; ``tight`` lists the edges (u, v), in original
     node ids, where equality holds. In float mode Howard's iteration on
     the logs is the whole certificate, comparing under the semiring's
-    tolerance, and the potentials are logs. In exact mode its policy is
-    the start, and exact rounds of _improve, comparing cycles by
-    gmean_cmp, finish it with potentials in the form of
-    _normalized_entries.
+    tolerance, and the potentials are logs, scaled as _float_logs scales
+    them. In exact mode its policy is the start, and exact rounds of
+    _improve, comparing cycles by gmean_cmp, finish it with potentials
+    in the form of _normalized_entries.
     """
     succ, pred = _component(g, comp)
     if not sr.exact:
@@ -557,24 +569,28 @@ def _critical_graph(a, tight):
     """The CriticalGraph of a from the tight edges of its certificates.
 
     The critical edges are those whose ends lie in one strongly connected
-    component of the graph the tight edges span.
+    component of the graph the tight edges span: one Tarjan pass over
+    int adjacency lists, and one Digraph, of the critical edges.
     """
-    sr = a.semiring
-    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in tight], sr)
-    dec = scc(sub)
-    components = dec.nontrivial_components
-    crit = [
-        (i, j) for i, j in tight
-        if dec.component_of(i) == dec.component_of(j)
-    ]
-    if len(crit) < len(tight):
-        sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], sr)
+    n, rows = a.n, a.rows
+    succ = [[] for _ in range(n)]
+    for i, j in tight:
+        succ[i].append(j)
+    comp_of = [0] * n
+    components = []
+    for k, comp in enumerate(strong_components(n, succ)):
+        for v in comp:
+            comp_of[v] = k
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+            components.append(comp)
+    crit = [(i, j) for i, j in tight if comp_of[i] == comp_of[j]]
+    graph = Digraph(n, [(i, j, rows[i][j]) for i, j in crit], a.semiring)
     return CriticalGraph(
         nodes=tuple(sorted(v for comp in components for v in comp)),
         edges=tuple(sorted(crit)),
-        components=components,
-        cyclicity=math.lcm(*(component_gcd(sub, c) for c in components)),
-        graph=sub,
+        components=tuple(components),
+        cyclicity=math.lcm(*(component_gcd(graph, c) for c in components)),
+        graph=graph,
     )
 
 
@@ -597,6 +613,144 @@ def _witness_mean(sr, critical, best):
     return CycleMean(witness.weight, witness.length, witness, sr)
 
 
+# -- star columns by best walks ----------------------------------------------
+
+
+def _best_walks(steps, sources, zero, one, mul, better, key, once):
+    """Best walk weights into ``sources`` by one run of labels.
+
+    ``steps[v]`` lists the pairs (w, e) by which a walk at v extends to
+    w with a step of weight e: the label of w becomes mul(e, label of v)
+    when that is ``better``. Every source starts at ``one`` and every
+    other node at ``zero``. Labels leave a heap largest ``key(w, label)``
+    first: the float log of label_w / x_w for walks into the sources, of
+    label_w x_w for walks out of them, with x a subeigenvector. Every
+    step then lowers the key or keeps it, which is Dijkstra's order on
+    costs made nonnegative by the potentials, as in Johnson's
+    reweighting. With ``once`` (float mode) each node is
+    settled when it first leaves the heap. Without it a node is
+    relabelled on every exact improvement, so the fixed point is exact
+    whatever the float order, which can only cost extra relaxations; it
+    ends because no cycle weighs more than one.
+    """
+    labels = [zero] * len(steps)
+    heap = []
+    for s in sources:
+        labels[s] = one
+        heap.append((-key(s, one), s, one))
+    heapify(heap)
+    settled = [False] * len(steps)
+    while heap:
+        _k, v, y = heappop(heap)
+        if y is not labels[v] or settled[v]:
+            continue
+        settled[v] = once
+        for w, e in steps[v]:
+            c = mul(e, y)
+            if better(c, labels[w]) and not settled[w]:
+                labels[w] = c
+                heappush(heap, (-key(w, c), w, c))
+    return labels
+
+
+def _ratios_gt(x, y):
+    return x[0] * y[1] > y[0] * x[1]
+
+
+def _ratios_log(x):
+    """The float log of a positive Ratios pair."""
+    return math.log(x[0]) - math.log(x[1])
+
+
+class _Walks:
+    """Columns and rows of the star of tilde, from runs of _best_walks.
+
+    Built from an irreducible analysis's potentials, in the matrix's own
+    arithmetic: Ratios pairs in exact max-times (so no Fraction is built
+    until a label is read), Fractions in exact max-plus, the floats of
+    ``tilde`` in float mode. ``into[v]`` lists the steps (u, tilde_uv)
+    of the walks into v, ``out_of[u]`` the steps (v, tilde_uv).
+    """
+
+    def __init__(self, an):
+        a, sr, lam, x = an._matrix, an.mean.semiring, an.lam, an._potentials
+        self.once = not sr.exact
+        if not sr.exact:
+            rows = an.tilde.rows
+            self.zero, self.one, self.le = sr.zero, sr.one, sr.le
+            self.better, self.value = operator.gt, None
+            # the potentials are unscaled logs: _walks leaves max-plus
+            # entries beyond 2^960 to the closure
+            if sr.domain == TIMES:
+                self.mul, self.flog = operator.mul, math.log
+            else:
+                self.mul, self.flog = operator.add, float
+            self.h = x
+        elif sr.domain == TIMES:
+            p, q = lam.numerator, lam.denominator
+            rows = [
+                [(v.numerator * q, v.denominator * p) if v else None
+                 for v in row]
+                for row in a.rows
+            ]
+            self.zero, self.one, self.mul = (0, 1), Ratios.one, Ratios.mul
+            self.better, self.value = _ratios_gt, Ratios.value
+            self.le = lambda c, y: not _ratios_gt(c, y)
+            self.flog = _ratios_log
+            self.h = [_ratios_log(v) for v in x]
+        else:
+            rows = [[v - lam if v != NEG_INF else v for v in row]
+                    for row in a.rows]
+            self.zero, self.one, self.mul = sr.zero, sr.one, operator.add
+            self.better, self.le, self.value = operator.gt, operator.le, None
+            self.flog = partial(_float_weight, sr)
+            self.h = [self.flog(v) for v in x]
+        is_zero = sr.is_zero  # None, the zero of Ratios, included
+        n = a.n
+        into = [[] for _ in range(n)]
+        out_of = [[] for _ in range(n)]
+        for u, row in enumerate(rows):
+            for v, e in enumerate(row):
+                if not is_zero(e):
+                    into[v].append((u, e))
+                    out_of[u].append((v, e))
+        self.into, self.out_of = into, out_of
+
+    def run(self, steps, sources, sign):
+        """Labels of _best_walks, or None when they fail the certificate.
+
+        ``sign`` is -1 for walks into the sources (key label / x) and 1
+        for walks out of them (key label * x). The certificate is one
+        pass over the steps: no step improves a label, beyond the
+        tolerance in float mode, and every source is at least one. By
+        induction on the length of a walk, each walk into a source then
+        weighs at most the label at its start; each label is the weight
+        of a walk; so the labels are the best walk weights, the sum of
+        the star's columns (or rows) at the sources.
+        """
+        flog, h, le, mul = self.flog, self.h, self.le, self.mul
+        labels = _best_walks(
+            steps, sources, self.zero, self.one, mul, self.better,
+            lambda w, c: flog(c) + sign * h[w], self.once,
+        )
+        one = self.one
+        if not all(le(one, labels[s]) for s in sources):
+            return None
+        for y, out in zip(labels, steps):
+            for w, e in out:
+                if not le(mul(e, y), labels[w]):
+                    return None
+        return labels
+
+    def is_one(self, c):
+        return self.le(c, self.one) and self.le(self.one, c)
+
+    def values(self, labels):
+        if self.value is None:
+            return labels
+        return [self.value(y) for y in labels]
+
+
 @dataclass(frozen=True)
 class SpectralAnalysis:
     """Everything the spectral theory reads off one square matrix.
@@ -614,7 +768,12 @@ class SpectralAnalysis:
     ``_range_loss``, set with a float ``tilde``, is None unless the
     division by lam left the float range: then it is True when an entry
     overflowed to inf and False when a nonzero entry rounded to the zero
-    (float_range_error's ``overflow``).
+    (float_range_error's ``overflow``). ``_potentials``, set only when
+    the matrix is irreducible, are its certificate's potentials x (see
+    _certificate): the Fiedler-Ptak scaling, a subeigenvector of
+    ``tilde``. Star columns at critical nodes, which the eigenvectors and
+    the balancing scales are, come from best-walk runs ordered by them
+    (_Walks), so reading those runs no closure.
     """
 
     components: SccDecomposition
@@ -625,6 +784,7 @@ class SpectralAnalysis:
     _range_loss: object = field(default=None, compare=False, repr=False)
     _tilde: MaxMatrix = field(default=None, compare=False, repr=False)
     _star: MaxMatrix = field(default=None, compare=False, repr=False)
+    _potentials: list = field(default=None, compare=False, repr=False)
 
     @property
     def tilde(self):
@@ -660,6 +820,30 @@ class SpectralAnalysis:
     def is_irreducible(self):
         return self.components.is_single
 
+    def _check_normal(self):
+        """The refusals of normalized(), without building an exact tilde."""
+        if self.mean.is_zero:
+            raise AcyclicMatrixError("cannot normalize an acyclic matrix")
+        if self.lam is None:
+            raise ExactnessError(
+                f"the maximum cycle mean {self.mean.weight}^"
+                f"(1/{self.mean.length}) is irrational; use float mode"
+            )
+        sr = self.mean.semiring
+        if sr.exact:
+            return
+        if sr.div(sr.one, self.lam) == math.inf:
+            raise float_range_error(
+                f"the maximum cycle mean {self.lam!r} is so small that its "
+                "inverse"
+            )
+        # reading tilde sets _range_loss
+        if self.tilde is not None and self._range_loss is not None:
+            raise float_range_error(
+                "an entry divided by the maximum cycle mean",
+                overflow=self._range_loss,
+            )
+
     def normalized(self):
         """``tilde``, after the checks that it exists and is usable.
 
@@ -668,24 +852,7 @@ class SpectralAnalysis:
         by lam overflows an entry to inf or rounds a nonzero entry to the
         zero, losing its edge.
         """
-        if self.mean.is_zero:
-            raise AcyclicMatrixError("cannot normalize an acyclic matrix")
-        if self.tilde is None:
-            raise ExactnessError(
-                f"the maximum cycle mean {self.mean.weight}^"
-                f"(1/{self.mean.length}) is irrational; use float mode"
-            )
-        sr = self.tilde.semiring
-        if sr.div(sr.one, self.lam) == math.inf:
-            raise float_range_error(
-                f"the maximum cycle mean {self.lam!r} is so small that its "
-                "inverse"
-            )
-        if self._range_loss is not None:
-            raise float_range_error(
-                "an entry divided by the maximum cycle mean",
-                overflow=self._range_loss,
-            )
+        self._check_normal()
         return self.tilde
 
     def checked_star(self):
@@ -702,16 +869,87 @@ class SpectralAnalysis:
             return kleene_star(tilde)
         return star
 
+    def star_columns(self, nodes):
+        """The sum of ``star``'s columns at ``nodes``, as a list.
+
+        Entry i is the best walk weight of ``tilde`` from i into a node
+        of ``nodes``. After the checks of ``normalized()``, an irreducible
+        matrix reads it off one best-walk run (see _Walks.run) and builds
+        no closure. A reducible one, a float tolerance too tight for the
+        runs (see _walks), or a run that fails its certificate reads
+        ``checked_star()`` instead, so the refusal and its witness are
+        the closure's.
+        """
+        self._check_normal()
+        walks = self._walks()
+        if walks is not None:
+            labels = walks.run(walks.into, nodes, -1)
+            if labels is not None:
+                return walks.values(labels)
+        sr = self.mean.semiring
+        return [
+            reduce(sr.add, [row[v] for v in nodes])
+            for row in self.checked_star().rows
+        ]
+
     def eigenspace_basis(self):
         """One star column per critical component of ``tilde``.
 
-        The matrix must be irreducible with at least one cycle. Inside a
-        critical component all star columns are proportional; this is
-        verified and each component is represented by its smallest node's
-        column.
+        The matrix must be irreducible with at least one cycle. Each
+        component is represented by its smallest node r's column, from
+        one best-walk run into r, and one run out of r gives row r of the
+        star. Inside a critical component all star columns are
+        proportional, and this is verified in O(k): star[r][v] star[v][r]
+        must be one for every node v of the component. That suffices:
+        joining walks gives star[i][v] >= star[i][r] star[r][v] and
+        star[i][r] >= star[i][v] star[v][r], so star[i][v] >= star[i][r]
+        star[r][v] >= star[i][v] (star[v][r] star[r][v]) = star[i][v],
+        and column v is column r times star[r][v]. When the float
+        tolerance is too tight for the runs (see _walks), a run fails its
+        certificate, or a product is not one, the whole star is read
+        instead (``checked_star()``) and every column is compared, so the
+        answer, or the refusal, is the closure's.
         """
         if not self.is_irreducible:
             raise NotIrreducibleError("eigenvectors need an irreducible matrix")
+        self._check_normal()
+        walks = self._walks()
+        if walks is None:
+            return self._star_basis()
+        sr = self.mean.semiring
+        basis = []
+        for comp in self.critical.components:
+            r = comp[0]
+            col = walks.run(walks.into, (r,), -1)
+            row = walks.run(walks.out_of, (r,), 1)
+            if col is None or row is None or not all(
+                walks.is_one(walks.mul(row[v], col[v])) for v in comp
+            ):
+                return self._star_basis()
+            basis.append(MaxVector._raw(walks.values(col), sr))
+        return tuple(basis)
+
+    def _walks(self):
+        """The _Walks of an irreducible matrix, None when the closure must
+        answer: a reducible matrix, or a float tolerance below the
+        rounding of a walk's weight (see _WALK_ROUNDING)."""
+        if self._potentials is None:
+            return None
+        sr = self.mean.semiring
+        if not sr.exact:
+            rounding = self._matrix.n * _WALK_ROUNDING
+            if sr.domain != TIMES:
+                rounding *= max(
+                    (abs(v) for row in self._matrix.rows for v in row
+                     if v != NEG_INF),
+                    default=1.0,
+                )
+            if sr.tol < rounding:
+                return None
+        return _Walks(self)
+
+    def _star_basis(self):
+        """eigenspace_basis read off the whole checked star."""
         star = self.checked_star()
         sr = star.semiring
         for comp in self.critical.components:
@@ -789,7 +1027,7 @@ def _analysis(a, g, dec):
     best = None
     tight = []
     for comp in dec.nontrivial_components:
-        pair, _x, edges = _certificate(sr, g, comp)
+        pair, potentials, edges = _certificate(sr, g, comp)
         sign = 1 if best is None else gmean_cmp(sr, pair, best)
         if sign > 0:
             best, tight = pair, edges
@@ -801,7 +1039,10 @@ def _analysis(a, g, dec):
         )
     critical = _critical_graph(a, tight)
     mean = _witness_mean(sr, critical, best)
-    return SpectralAnalysis(dec, mean, mean.exact_value(), critical, a)
+    return SpectralAnalysis(
+        dec, mean, mean.exact_value(), critical, a,
+        _potentials=potentials if dec.is_single else None,
+    )
 
 
 def max_cycle_gmean(a):

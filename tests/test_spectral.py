@@ -349,9 +349,10 @@ def test_float_normalization_divides_by_the_reported_mean():
 
 
 def test_spectral_analysis_runs_two_scc_passes(monkeypatch):
-    # one on the matrix's digraph and one on the critical edges, whose
-    # components also give the cyclicity
-    calls = count_calls(monkeypatch, "scc")
+    # one on the matrix's digraph and one on the tight edges, whose
+    # components also give the cyclicity; both are Tarjan passes of
+    # strong_components, the second on int adjacency lists
+    calls = count_calls(monkeypatch, "strong_components")
     a = fmat([
         [0, 1, 0, 0, 0],
         [1, 0, 0, 0, 0],
@@ -480,11 +481,12 @@ def test_exact_analyses_close_only_when_the_star_is_read(monkeypatch):
     irrational = spectral_analysis(fmat([[0, 2], [3, 0]]))
     assert irrational.star is None
     assert closures == []
+    # the eigenvector's star columns come from best-walk runs
     principal_eigenvector(planted)
-    assert len(closures) == 1
+    assert closures == []
     analysis = spectral_analysis(planted)
     assert analysis.star is analysis.checked_star() is analysis.star
-    assert len(closures) == 2
+    assert len(closures) == 1
 
 
 def test_float_analyses_close_only_when_the_star_is_read(monkeypatch):
@@ -496,7 +498,87 @@ def test_float_analyses_close_only_when_the_star_is_read(monkeypatch):
     critical_graph(f)
     assert closures == []
     principal_eigenvector(f)
-    assert len(closures) == 1
+    assert closures == []
     analysis = spectral_analysis(f)
     assert analysis.star is analysis.checked_star() is analysis.star
-    assert len(closures) == 2
+    assert len(closures) == 1
+
+
+def _two_digraph_critical_graph(a, tight):
+    """The critical graph as it was built before strong_components: a
+    Digraph of the tight edges, its scc, then a Digraph of the critical
+    edges."""
+    from maxalg import Digraph, scc
+    from maxalg.digraph import component_gcd
+
+    sr = a.semiring
+    sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in tight], sr)
+    dec = scc(sub)
+    components = dec.nontrivial_components
+    crit = [
+        (i, j) for i, j in tight
+        if dec.component_of(i) == dec.component_of(j)
+    ]
+    if len(crit) < len(tight):
+        sub = Digraph(a.n, [(i, j, a.rows[i][j]) for (i, j) in crit], sr)
+    return spectral.CriticalGraph(
+        nodes=tuple(sorted(v for comp in components for v in comp)),
+        edges=tuple(sorted(crit)),
+        components=components,
+        cyclicity=math.lcm(*(component_gcd(sub, c) for c in components)),
+        graph=sub,
+    )
+
+
+def _critical_graph_corpus():
+    """Criteria 4, 7, 10, 12 and 13 inputs and exact_powers-style ones."""
+    from helpers import polynomial_pair, two_level_planted, unit_mean_corpus
+
+    rng = random.Random(104)
+    for _ in range(80):
+        yield random_matrix(rng, rng.randint(1, 6),
+                            density=rng.uniform(0.2, 0.7))
+    yield from unit_mean_corpus()[::3]
+    rng = random.Random(110)
+    for _ in range(30):
+        yield two_level_planted(rng, rng.randint(3, 6))[0]
+    rng = random.Random(112)
+    for _ in range(80):
+        yield random_irreducible(rng, rng.randint(2, 8))
+    rng = random.Random(113)
+    for _ in range(30):
+        yield from polynomial_pair(rng, rng.randint(2, 5))[:2]
+    rng = random.Random(3)
+    for _ in range(30):
+        yield unit_lambda_irreducible(rng, rng.randint(4, 9))
+        yield two_level_planted(rng, rng.randint(4, 6))[0]
+
+
+def test_critical_graph_matches_the_two_digraph_form(monkeypatch):
+    from maxalg import FLOAT_PLUS
+
+    seen = []
+    original = spectral._critical_graph
+
+    def recording(a, tight):
+        got = original(a, tight)
+        seen.append((a, list(tight), got))
+        return got
+
+    monkeypatch.setattr(spectral, "_critical_graph", recording)
+    compared = brute = 0
+    for a in _critical_graph_corpus():
+        for m in (a, semiring_convert(a, FLOAT_TIMES),
+                  semiring_convert(a, FLOAT_PLUS)):
+            del seen[:]
+            critical = spectral_analysis(m).critical
+            if critical is None:
+                continue
+            (m, tight, got), = seen
+            # field for field, the Digraph of the critical edges included
+            assert got == _two_digraph_critical_graph(m, tight)
+            compared += 1
+            if m is a and a.n <= 6:
+                assert set(critical.edges) == critical_edges_brute(a)
+                brute += 1
+    assert compared >= 800 and brute >= 150
