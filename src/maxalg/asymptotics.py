@@ -9,9 +9,11 @@ factorization yields a finite expansion of A^t as a max-combination of
 such products with strictly decreasing coefficients, valid for all large
 t; the gap between the top two coefficients bounds how large t must be.
 
-Everything here certifies against directly computed powers before
-returning, so the reported transients and validity onsets are observed
-facts about the matrix, not just theory.
+The periodicity and CSR results certify against directly computed
+powers before returning, so their transients are observed facts about
+the matrix, not just theory. An exact expansion's validity onset is
+proven for every power, by induction (nachtigall_expansion); a float
+one is observed on the powers up to a horizon.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .matrix import (
     oplus,
     otimes,
     semiring_convert,
+    unequal_entries,
 )
-from .semiring import PLUS, Semiring
+from .semiring import PLUS, TIMES, Semiring, filtered_sign, log_terms
 from .spectral import critical_graph, spectral_analysis
 
 
@@ -324,9 +327,13 @@ class CsrTerm:
 class Expansion:
     """A^t as a max-combination of CSR terms, valid from validity_start.
 
-    Coefficients decrease strictly; equality with directly computed
-    powers was observed on [validity_start, horizon]. validity_start is
-    None when no onset with a safe margin fit inside the horizon.
+    Coefficients decrease strictly. In exact mode validity_start is the
+    least v with A^t equal to the expansion for every t >= v, proven, and
+    horizon is the cap on the powers of A the proof was allowed to
+    compute; validity_start is None when the onset lies beyond it. In
+    float mode equality with directly computed powers was observed on
+    [validity_start, horizon], and validity_start is None when no onset
+    with a safe margin fit inside the horizon.
     """
 
     terms: tuple
@@ -342,12 +349,25 @@ def nachtigall_expansion(a, horizon=None):
     Each round factors the current matrix around its critical nodes, then
     sets the rows and columns of those nodes to zero and repeats until no
     cycles remain. The matrix keeps a's size, so every round's C, R and
-    critical nodes are in a's own indices. The validity onset is measured
-    by comparing against directly computed powers up to the horizon, with
-    a safety margin of twice the combined period. With no explicit horizon
-    the default one is doubled a few times as needed; if the onset still
-    cannot be certified the expansion is returned with validity_start
-    None instead of raising. An explicit horizon below 1 is refused.
+    critical nodes are in a's own indices.
+
+    The default horizon is 3n^2 + 2L, L the lcm of the terms'
+    cyclicities, doubled up to seven times as needed; an explicit one is
+    a hard cap, and one below 1 is refused. An onset that cannot be
+    settled within the horizon leaves validity_start None instead of
+    raising.
+
+    Exact mode proves the onset (_proven_onset): from each term's
+    periodic products it finds the index v0 from which A (x) E(s) ==
+    E(s + 1) for every s, so that A^v == E(v) at any v >= v0 carries on
+    to every later power by induction, then climbs A's powers from v0 to
+    the first such v. The horizon caps that climb; the default one is
+    doubled only while the onset lies above it. An expansion whose two
+    sides of the induction step can never agree raises
+    CertificationError. Float mode, whose powers need not repeat bit for
+    bit, measures the onset instead: it compares directly computed
+    powers with the expansion up to the horizon and insists on a safety
+    margin of twice L below it.
     """
     if horizon is not None and horizon < 1:
         raise IterationBudgetError(
@@ -380,28 +400,40 @@ def nachtigall_expansion(a, horizon=None):
         )
         dropped.update(an.critical.nodes)
     combined = math.lcm(*(t.gamma for t in terms)) if terms else 1
-    # agree[t] says whether A^t equals the expansion at t; it grows across
-    # horizon doublings instead of restarting at t = 1
-    agree = [False]
-    ladder = _agreements(a, terms)
-
-    def measure(h):
-        """Longest all-agreeing tail of the first h powers, as its onset."""
-        while len(agree) <= h:
-            agree.append(next(ladder))
-        v = h + 1
-        while v > 1 and agree[v - 1]:
-            v -= 1
-        return v
-
     explicit = horizon is not None
     h = horizon if explicit else _default_budget(n, combined)
     attempts = 1 if explicit else 8
+    if sr.exact:
+        # the climb stops at the last horizon tried; the scalar
+        # comparisons of the proof may reach the largest default one
+        onset = _proven_onset(
+            a, terms, combined, h << (attempts - 1),
+            max(h, _default_budget(n, combined) << 7),
+        )
+
+        def found(h):
+            return onset if onset is not None and onset <= h else None
+    else:
+        # agree[t] says whether A^t equals the expansion at t; it grows
+        # across horizon doublings instead of restarting at t = 1
+        agree = [False]
+        ladder = _agreements(a, terms)
+
+        def found(h):
+            """Longest all-agreeing tail of the first h powers, as its
+            onset, when it leaves a safety margin of twice the combined
+            period: a lucky coincidence right at the horizon is never
+            mistaken for the true onset."""
+            while len(agree) <= h:
+                agree.append(next(ladder))
+            v = h + 1
+            while v > 1 and agree[v - 1]:
+                v -= 1
+            return v if v <= h - 2 * combined else None
+
     for _ in range(attempts):
-        v = measure(h)
-        # insist on a safety margin so a lucky coincidence right at the
-        # horizon is never mistaken for the true onset
-        if v <= h - 2 * combined:
+        v = found(h)
+        if v is not None:
             return Expansion(
                 terms=tuple(terms),
                 validity_start=v,
@@ -441,6 +473,279 @@ def _csr_products(term):
         yield from cycle
 
 
+def _periodic_products(term):
+    """(products, start) of one exact term: products[t] is C S^t R.
+
+    The list runs from t = 1 to start + gamma - 1, and from start on the
+    products repeat with period gamma. Exact S powers always repeat: the
+    critical walks of a normalized matrix weigh x_i / x_j for any
+    subeigenvector x, so S^t takes finitely many values. _csr_products
+    then cycles its kept products, which shows here as the same object
+    coming back gamma steps later.
+    """
+    products = [None]
+    for prod in _csr_products(term):
+        t = len(products)
+        if t > term.gamma and prod is products[t - term.gamma]:
+            return products, t - term.gamma
+        products.append(prod)
+
+
+def _proven_onset(a, terms, period, cap, limit):
+    """The least v with A^s == E(s) for every s >= v; None when v > cap.
+
+    E(s) is the expansion max_k c_k^s P_k(s), P_k(s) = C_k S_k^s R_k.
+    The proof is by induction on s. Let v0 be the least index from which
+    A (x) E(s) == E(s + 1) holds for every s >= v0. If A^v == E(v) for
+    some v >= v0, then A^(v+1) = A (x) E(v) = E(v + 1), and so on for
+    every later power. Conversely, from the true onset T on, A (x) E(s) =
+    A^(s+1) = E(s + 1), so v0 <= T and A^T == E(T). Hence T is the least
+    v >= v0 with A^v == E(v): A's powers are climbed from v0 only.
+
+    v0 is found without powers of A. Each term's products are periodic
+    from its start (_periodic_products); past the largest start, with L
+    = period and s running through one residue class mod L, each entry
+    (i, l) of the two sides is an upper envelope of lines of the same
+    slopes c_k, strictly decreasing:
+
+        (A (x) E(s))_il = max_k alpha_k c_k^s,  alpha_k = (A (x) P_k(s))_il
+        E(s + 1)_il     = max_k beta_k c_k^s,   beta_k = c_k P_k(s + 1)_il
+
+    (_last_failure compares the two exactly). The pre-periodic s below
+    the largest start are checked directly, one product each. Scalar
+    comparisons never raise a power beyond ``limit``; where one would
+    have to, the onset counts as beyond the cap. Raises
+    CertificationError when the envelopes never agree, so that the
+    expansion cannot hold for large powers.
+    """
+    sr = a.semiring
+    ladders = [_periodic_products(term) for term in terms]
+    start = max((first for _prods, first in ladders), default=1)
+
+    def product(k, t):
+        prods, first = ladders[k]
+        if t >= len(prods):
+            t = first + (t - first) % terms[k].gamma
+        return prods[t]
+
+    def expansion(t):
+        return [(sr.power(term.coefficient, t), product(k, t))
+                for k, term in enumerate(terms)]
+
+    last = _step_failures(a, terms, product, start, period, limit)
+    if last >= start:
+        v0 = last + 1
+    else:
+        v0 = start
+        while v0 > 1:
+            at = MaxMatrix.zeros(a.n, a.n, semiring=sr)
+            for coef, prod in expansion(v0 - 1):
+                at = oplus(at, prod.scale(coef))
+            if not is_max_combination(otimes(a, at), expansion(v0)):
+                break
+            v0 -= 1
+    if v0 > cap:
+        return None
+    power = mat_power(a, v0)
+    for v in range(v0, cap + 1):
+        if v > v0:
+            power = otimes(power, a)
+        if is_max_combination(power, expansion(v)):
+            return v
+    return None
+
+
+def _step_failures(a, terms, product, start, period, limit):
+    """Largest s >= start with A (x) E(s) != E(s + 1), or start - 1;
+    ``limit`` when a failure may lie past it.
+
+    One residue class of s mod period at a time, entry by entry through
+    _last_failure, which only looks past the failures already found.
+    A (x) P_k(s) is made once per distinct product: sum_k gamma_k
+    products in all.
+    """
+    sr = a.semiring
+    times = sr.domain == TIMES
+    slopes = [term.coefficient for term in terms]
+    left_of = {}
+    last = start - 1
+    for s in range(start, start + period):
+        triples = []
+        for k, coef in enumerate(slopes):
+            prod = product(k, s)
+            if id(prod) not in left_of:
+                left_of[id(prod)] = otimes(a, prod)
+            triples.append((left_of[id(prod)], coef, product(k, s + 1)))
+        for _i, _l, alphas, betas in unequal_entries(triples):
+            floor = max(s, last + 1)
+            floor += (s - floor) % period
+            if floor > limit:
+                return limit
+            u = _last_failure(sr, times, slopes, alphas, betas, floor,
+                              period, limit)
+            if u is not None:
+                last = u
+                if last >= limit:
+                    return last
+    return last
+
+
+def _last_failure(sr, times, slopes, alphas, betas, floor, step, limit):
+    """Largest u = floor + j step with max_k alpha_k c_k^u != max_k
+    beta_k c_k^u, or None; the c_k are the slopes, strictly decreasing.
+
+    A line is (m, c), standing for m c^u (m + u c in max-plus). Let d be
+    the first k with a nonzero alpha_k or beta_k. Unless alpha_d ==
+    beta_d, the two sides differ for every large u: CertificationError.
+    The k with alpha_k == beta_k give shared lines, with upper envelope
+    W(u); each other k gives one one-sided line, max(alpha_k, beta_k),
+    on the side of the larger. Let A(u) and B(u) be the upper envelopes
+    of the one-sided lines of each side. The smaller of alpha_k and
+    beta_k lies below its one-sided line, and so below the other side's
+    envelope; so the two sides differ at u exactly when max(A(u), B(u))
+    > W(u) and A(u) != B(u).
+
+    A one-sided line lies above W at u >= floor only if it lies above
+    line d at floor (line d grows fastest), and then exactly for u in
+    [lo, hi): hi is the least u at which a faster shared line reaches
+    it, lo the least u at which it passes every slower one. Two lines
+    of different slopes meet at most once, so each bound is located by
+    galloping from the float estimate of the crossing, each comparison
+    decided by filtered_sign or exact integer powers (_line_cmp). The
+    largest u of the step inside some [lo, hi) is a failure unless A(u)
+    == B(u) there, which happens at most once per pair of lines of the
+    two sides. A line that reaches past ``limit`` is answered with
+    ``limit``.
+    """
+    zero = sr.is_zero
+    d = next(k for k, (x, y) in enumerate(zip(alphas, betas))
+             if not (zero(x) and zero(y)))
+    if alphas[d] != betas[d]:
+        raise CertificationError(
+            "the expansion's leading term differs on the two sides of "
+            "A (x) E(s) = E(s + 1), so the expansion fails for all large "
+            "powers"
+        )
+    top = (alphas[d], slopes[d])
+    shared = []
+    raised = []
+    for k in range(d + 1, len(slopes)):
+        x, y = alphas[k], betas[k]
+        if x == y:
+            if not zero(x):
+                shared.append((k, (x, slopes[k])))
+        elif _line_cmp(times, (max(x, y), slopes[k]), top, floor) > 0:
+            raised.append((k, (max(x, y), slopes[k]), x > y))
+    if not raised:
+        return None
+    spans = []
+    for k, line, _side in raised:
+        hi = _crossing(times, top, line, False, floor, limit)
+        lo = floor
+        for j, other in shared:
+            if j < k:
+                hi = min(hi, _crossing(times, other, line, False, floor,
+                                       limit))
+            else:
+                lo = max(lo, _crossing(times, line, other, True, floor,
+                                       limit))
+        if hi > limit:
+            return limit
+        if lo < hi:
+            spans.append((lo, hi))
+    bound = limit
+    while True:
+        u = None
+        for lo, hi in spans:
+            top_u = min(hi - 1, bound)
+            cand = top_u - (top_u - floor) % step
+            if cand >= lo and (u is None or cand > u):
+                u = cand
+        if u is None:
+            return None
+        best = {}
+        for _k, line, side in raised:
+            if side not in best or _line_cmp(times, line, best[side], u) > 0:
+                best[side] = line
+        if len(best) < 2 or _line_cmp(times, best[True], best[False], u):
+            return u
+        bound = u - 1
+
+
+def _line_cmp(times, x, y, u):
+    """Three-way compare of lines x = (m, c) and y at u: m c^u vs m' c'^u
+    in max-times, m + u c vs m' + u c' in max-plus, all exact.
+
+    Max-times goes through filtered_sign first; the estimate of ln m -
+    ln m' + u (ln c - ln c') is made with depth 4 (the log difference of
+    each rational, the two differences, the product by u and the sum).
+    """
+    (m1, c1), (m2, c2) = x, y
+    if not times:
+        diff = m1 - m2 + u * (c1 - c2)
+        return (diff > 0) - (diff < 0)
+    (p1, q1), (r1, s1) = log_terms(m1), log_terms(c1)
+    (p2, q2), (r2, s2) = log_terms(m2), log_terms(c2)
+    sign = filtered_sign(
+        (p1 - q1) - (p2 - q2) + u * ((r1 - s1) - (r2 - s2)),
+        p1 + q1 + p2 + q2 + 4.0 + u * (r1 + s1 + r2 + s2 + 4.0),
+        4,
+    )
+    if sign:
+        return sign
+    lhs = (m1.numerator * m2.denominator
+           * (c1.numerator * c2.denominator) ** u)
+    rhs = (m2.numerator * m1.denominator
+           * (c2.numerator * c1.denominator) ** u)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _crossing(times, fast, slow, strict, floor, limit):
+    """Least u in [floor, limit] at which line ``fast`` reaches line
+    ``slow`` (passes it when strict), or limit + 1; fast has the larger
+    slope, so once there it stays there.
+
+    Gallops out from the float estimate of the crossing, then bisects.
+    """
+    (m1, c1), (m2, c2) = fast, slow
+    if times:
+        (p1, q1), (r1, s1) = log_terms(m1), log_terms(c1)
+        (p2, q2), (r2, s2) = log_terms(m2), log_terms(c2)
+        rise = (r1 - s1) - (r2 - s2)
+        guess = ((p2 - q2) - (p1 - q1)) / rise if rise > 0 else floor
+    else:
+        guess = (m2 - m1) / (c1 - c2)
+    guess = min(max(guess, floor), limit)
+    least = 1 if strict else 0
+
+    def holds(u):
+        return _line_cmp(times, fast, slow, u) >= least
+
+    u = math.ceil(guess)
+    if holds(u):
+        hi, gap = u, 1
+        while hi - gap >= floor and holds(hi - gap):
+            hi -= gap
+            gap *= 2
+        lo = max(hi - gap, floor - 1)
+    else:
+        lo, gap = u, 1
+        while True:
+            hi = min(lo + gap, limit)
+            if holds(hi):
+                break
+            if hi == limit:
+                return limit + 1
+            lo, gap = hi, 2 * gap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _agreements(a, terms):
     """Yield, for t = 1, 2, ..., whether A^t equals the expansion at t.
 
@@ -468,9 +773,10 @@ def expansion_power(expansion, t):
 
 @dataclass(frozen=True)
 class TransientBound:
-    """A spectral-gap bound on the expansion onset, with the observed value.
+    """A spectral-gap bound on the expansion onset, with the onset itself.
 
-    bound and the two leading coefficients are reported as floats in the
+    measured is nachtigall_expansion's validity_start. bound and the two
+    leading coefficients are reported as floats in the
     matrix's own domain (multiplicative for max-times, additive for
     max-plus).
     """
@@ -486,10 +792,11 @@ def transient_bound(a):
 
     The bound is 2 n^2 times the log-spread of the positive entries over
     the log-gap of the two leading expansion coefficients, evaluated in
-    float arithmetic; the onset itself is measured in the matrix's own
-    mode. Raises InapplicableError when the expansion has fewer than two
-    terms, since then there is no gap to measure, and ModeError when the
-    gap rounds to zero in float arithmetic.
+    float arithmetic; the onset itself is nachtigall_expansion's, in the
+    matrix's own mode: proven in exact mode, measured in float mode.
+    Raises InapplicableError when the expansion has fewer than two terms,
+    since then there is no gap to measure, and ModeError when the gap
+    rounds to zero in float arithmetic.
     """
     sr = a.semiring
     expansion = nachtigall_expansion(a)

@@ -555,6 +555,50 @@ def _lifted_combination(m, terms):
     return True
 
 
+def unequal_entries(triples):
+    """Yield the entries where some m differs from coef (x) p.
+
+    ``triples`` is a sequence of exact (m, coef, p), all of one shape.
+    For each entry (i, j) at which m_ij != coef (x) p_ij for some triple,
+    in row-major order, yields (i, j, lefts, rights) with lefts[k] the
+    k-th m_ij and rights[k] the k-th coef (x) p_ij. Exact max-times
+    compares on the row lifts, as _lifted_combination does, and builds
+    Fractions only for the entries it yields.
+    """
+    if not triples:
+        return
+    sr = triples[0][0].semiring
+    nrows, ncols = triples[0][0].shape
+    if not _fraction_free(sr):
+        mul = sr.mul
+        grids = [(m.rows, coef, p.rows) for m, coef, p in triples]
+        for i in range(nrows):
+            for j in range(ncols):
+                lefts = [m[i][j] for m, _coef, _p in grids]
+                rights = [mul(coef, p[i][j]) for _m, coef, p in grids]
+                if lefts != rights:
+                    yield i, j, lefts, rights
+        return
+    lifted = [(c.numerator, c.denominator, _row_lifts(m), _row_lifts(p))
+              for m, c, p in triples]
+    for i in range(nrows):
+        # entry j of m is xs[j] / y and of coef (x) p is a zs[j] / (b w):
+        # equal when xs[j] (b w) == zs[j] (a y)
+        row = []
+        for a, b, m_lifts, p_lifts in lifted:
+            (xs, y), (zs, w) = m_lifts[i], p_lifts[i]
+            row.append((xs, y, zs, a, b * w, a * y))
+        for j in range(ncols):
+            if any(xs[j] * bw != zs[j] * ay
+                   for xs, _y, zs, _a, bw, ay in row):
+                yield (
+                    i, j,
+                    [Fraction(xs[j], y) for xs, y, _zs, _a, _bw, _ay in row],
+                    [Fraction(a * zs[j], bw)
+                     for _xs, _y, zs, a, bw, _ay in row],
+                )
+
+
 def mat_power(a, t):
     """t-th semiring power by repeated squaring, with a^0 the identity.
 
@@ -634,12 +678,43 @@ class Ratios:
         return (lhs > rhs) - (lhs < rhs)
 
 
+class PlusInts:
+    """Exact max-plus weights as ints over one common denominator.
+
+    The scalars of exact max-plus inside kleene_star's closure: an int x
+    stands for x / D, with D the lcm of the grid's denominators, and
+    NEG_INF is the zero. closure_rows runs them through the inline loop
+    of float mode: sums and maxima of ints are exact and take no gcd.
+    ``value`` builds the Fraction of an entry once the closure is done.
+    """
+
+    one = 0
+    add = staticmethod(max)
+
+    @staticmethod
+    def lift_rows(rows):
+        """(int rows, D) for a grid of Fractions and NEG_INF."""
+        den = math.lcm(*[v.denominator for row in rows for v in row
+                         if isinstance(v, Fraction)])
+        return [
+            [v.numerator * (den // v.denominator)
+             if isinstance(v, Fraction) else v for v in row]
+            for row in rows
+        ], den
+
+    @staticmethod
+    def value(x, den):
+        """The Fraction x / den, or NEG_INF for the zero."""
+        return Fraction(x, den) if x != NEG_INF else x
+
+
 def closure_rows(rows, ops, diverges=None):
     """Floyd-Warshall closure of a square grid: best path weights, no identity.
 
     ``ops`` supplies ``add``, ``mul`` and ``is_zero``: a Semiring, or any
     scalar representation with the same three operations (kleene_star
-    passes exact max-times rationals as unreduced int pairs). Zero
+    passes exact max-times rationals as unreduced int pairs, Ratios, and
+    exact max-plus weights as ints over a common denominator, PlusInts). Zero
     factors are skipped on both sides: in float max-times an overflowed
     inf times zero is nan, which would overwrite the real path weights.
 
@@ -650,11 +725,14 @@ def closure_rows(rows, ops, diverges=None):
     would square such walks at every later pivot (exact entries of about
     170,000 bits at n = 11).
 
-    A float semiring runs _float_closure, the same loop on plain floats.
+    A float semiring and PlusInts run _inline_closure, the same loop on
+    plain numbers.
     """
     d = [list(row) for row in rows]
+    if ops is PlusInts:
+        return _inline_closure(d, False, diverges)
     if isinstance(ops, Semiring) and not ops.exact:
-        return _float_closure(d, ops.domain == TIMES, diverges)
+        return _inline_closure(d, ops.domain == TIMES, diverges)
     add, mul, is_zero = ops.add, ops.mul, ops.is_zero
     n = len(d)
     for k in range(n):
@@ -672,13 +750,14 @@ def closure_rows(rows, ops, diverges=None):
     return d
 
 
-def _float_closure(d, times, diverges):
-    """closure_rows on float rows d, in place, with inline * or + and max.
+def _inline_closure(d, times, diverges):
+    """closure_rows on rows d of plain numbers, in place, with inline * or
+    + and max: floats, or the ints of PlusInts with NEG_INF as the zero.
 
     ``if not p < x: x = p`` is Semiring.add's tie rule, the new operand
-    winning, which decides whether -0.0 or 0.0 stays in max-plus. The
-    pivot row is read live: when i == k it updates itself, and a float
-    diagonal entry can round above one.
+    winning, which decides whether -0.0 or 0.0 stays in float max-plus.
+    The pivot row is read live: when i == k it updates itself, and a
+    float diagonal entry can round above one.
     """
     for k, dk in enumerate(d):
         if diverges is not None and diverges(dk[k]):
@@ -770,13 +849,13 @@ def kleene_star(a):
     Converges exactly when every cycle weight is at most one; otherwise a
     DivergenceError carrying a witness cycle of weight above one is raised.
     Exact max-times closes on Ratios int pairs, read from the reduced
-    form of a matrix born reduced, and builds one Fraction per star entry
-    at the end.
+    form of a matrix born reduced, and exact max-plus on PlusInts, ints
+    over the lcm of the denominators; both build one Fraction per star
+    entry at the end.
     """
     sr = a.semiring
     n = a.n
-    pairs = _fraction_free(sr)
-    if pairs:
+    if _fraction_free(sr):
         reduced = getattr(a, "_reduced", None)
         if reduced is None:
             rows = Ratios.lift_rows(a.rows)
@@ -786,6 +865,9 @@ def kleene_star(a):
                 for ps, qs in reduced
             ]
         ops, heavy = Ratios, Ratios.exceeds_one
+    elif sr.exact:
+        rows, den = PlusInts.lift_rows(a.rows)
+        ops, heavy = PlusInts, partial(operator.lt, 0)
     else:
         ops, rows, heavy = sr, a.rows, partial(sr.lt, sr.one)
     closure = closure_rows(rows, ops, heavy)
@@ -796,8 +878,10 @@ def kleene_star(a):
         )
     for i in range(n):
         closure[i][i] = ops.add(closure[i][i], ops.one)
-    if pairs:
+    if ops is Ratios:
         closure = [[Ratios.value(x) for x in row] for row in closure]
+    elif ops is PlusInts:
+        closure = [[PlusInts.value(x, den) for x in row] for row in closure]
     return MaxMatrix._raw(closure, sr)
 
 

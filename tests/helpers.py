@@ -17,7 +17,9 @@ import sys
 from fractions import Fraction
 
 from maxalg import (
+    EXACT_PLUS,
     EXACT_TIMES,
+    NEG_INF,
     PLUS,
     CertificationError,
     IterationBudgetError,
@@ -434,6 +436,35 @@ def two_level_planted(rng, n):
                 if i in planted or j in planted or pos[i] < pos[j]:
                     rows[i][j] = cap * Fraction(rng.randint(1, 4), 4)
     return fmat(rows), lam1, lam2
+
+
+def near_tie_planted(n, k, heavy):
+    """A heavy cycle and a lighter loop of mean (k - 1) / k, a near tie.
+
+    Nodes 0 .. n-3 form the heavy cycle, every edge weighing one; node
+    n-2 carries the lighter loop; node n-1 enters it by an edge of weight
+    ``heavy``, so the lighter term leads entry (n-1, n-2) for about
+    k ln(2 heavy) powers. Both cycles reach each other through lighter
+    edges.
+    """
+    m = n - 2
+    light, source = n - 2, n - 1
+    rows = [[0] * n for _ in range(n)]
+    for v in range(m):
+        rows[v][(v + 1) % m] = 1
+    rows[light][light] = Fraction(k - 1, k)
+    rows[source][light] = Fraction(heavy)
+    rows[light][0] = Fraction(1, heavy)
+    rows[source][0] = Fraction(1, 2)
+    rows[m - 1][light] = Fraction(1, 2)
+    return fmat(rows)
+
+
+def additive(a):
+    """The exact max-plus matrix with a's entries as weights, 0 as -inf."""
+    return MaxMatrix(
+        [[v if v else NEG_INF for v in row] for row in a.rows], EXACT_PLUS
+    )
 
 
 def max_polynomial(a, coeffs):

@@ -308,15 +308,22 @@ def test_nachtigall_coupled_example():
 
 
 def test_nachtigall_explicit_horizon_too_small():
-    # a caller-given horizon is a hard cap: no onset with a margin of
-    # twice the combined period fits below it, so validity stays unknown
+    # a caller-given horizon is a hard cap on the proven onset, with no
+    # margin: the onset is reported when it fits below the cap, and stays
+    # unknown when the cap is too small
     a = fmat([[1, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 4)]])
     exp = nachtigall_expansion(a, horizon=2)
-    assert exp.validity_start is None
+    assert exp.validity_start == 1
     assert exp.horizon == 2
     assert [t.coefficient for t in exp.terms] == [
         Fraction(1), Fraction(1, 4)
     ]
+    a = fmat([[Fraction(1, 4), Fraction(1, 2)], [1, 1]])
+    assert nachtigall_expansion(a).validity_start == 2
+    assert mat_power(a, 1) != expansion_power(nachtigall_expansion(a), 1)
+    for horizon, onset in ((1, None), (2, 2), (3, 2)):
+        exp = nachtigall_expansion(a, horizon=horizon)
+        assert (exp.validity_start, exp.horizon) == (onset, horizon)
 
 
 def test_nachtigall_terms_structure():

@@ -1,0 +1,86 @@
+"""tools/bench_pairs.py on two stub checkouts, with no perfbench run.
+
+Each stub checkout holds a perfbench/run.py that appends its side and
+arguments to a shared log and prints one JSON line, as perfbench does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "bench_pairs.py")
+
+STUB = '''import json, sys
+side, rate, log = {side!r}, {rate!r}, {log!r}
+with open(log, "a") as f:
+    f.write(side + " " + " ".join(sys.argv[1:]) + "\\n")
+metrics = {{
+    "setup_s": {{"value": 0.05, "unit": "s"}},
+    "jobs_per_s": {{"value": rate, "unit": "1/s"}},
+}}
+print("progress")
+print(json.dumps({{"correct": {correct!r}, "attempted": 10, "failed": 0,
+                  "metrics": metrics}}))
+'''
+
+
+def checkout(tmp_path, side, rate, correct=True):
+    root = tmp_path / side
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB.format(
+        side=side, rate=rate, log=str(tmp_path / "log"), correct=correct,
+    ))
+    return str(root)
+
+
+def bench(*args):
+    return subprocess.run([sys.executable, TOOL, *args], capture_output=True,
+                          text=True, check=False)
+
+
+def test_pairs_alternate_and_extend_the_file(tmp_path):
+    parent = checkout(tmp_path, "parent", 200.0)
+    change = checkout(tmp_path, "change", 300.0)
+    out = tmp_path / "BENCH_stub.json"
+    common = ("--parent", parent, "--change", change, "--workload",
+              "exact_powers", "--seconds", "1", "--out", str(out))
+    proc = bench(*common, "--seed", "7", "--pairs", "3",
+                 "--claim", "jobs_per_s", "--description", "stub runs")
+    assert proc.returncode == 0, proc.stderr
+    assert "jobs_per_s: parent 200 [200, 200] -> change 300 [300, 300], " \
+           "change better in 3/3" in proc.stdout
+    log = (tmp_path / "log").read_text().splitlines()
+    assert [line.split()[0] for line in log] == [
+        "parent", "change", "change", "parent", "parent", "change"]
+    assert log[0].split()[1:] == ["--workload", "exact_powers", "--seed",
+                                  "7", "--seconds", "1.0", "--trace", "0"]
+
+    proc = bench(*common, "--seed", "8", "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["description"] == "stub runs"
+    assert data["claim"] == {"workload": "exact_powers",
+                             "metric": "jobs_per_s"}
+    assert data["command"].startswith("python3 perfbench/run.py")
+    assert data["host"]
+    runs = data["runs"]["exact_powers"]
+    assert [(r["seed"], r["pair"], r["first"]) for r in runs] == [
+        (7, 1, "parent"), (7, 2, "change"), (7, 3, "parent"),
+        (8, 4, "change")]
+    assert runs[0]["change"]["metrics"]["jobs_per_s"]["value"] == 300.0
+    assert runs[0]["parent"]["correct"] is True
+
+
+def test_an_incorrect_run_is_reported(tmp_path):
+    parent = checkout(tmp_path, "parent", 200.0)
+    change = checkout(tmp_path, "change", 300.0, correct=False)
+    out = tmp_path / "BENCH_stub.json"
+    proc = bench("--parent", parent, "--change", change, "--workload",
+                 "exact_powers", "--seed", "7", "--pairs", "1", "--out",
+                 str(out))
+    assert proc.returncode == 1
+    assert "pair 1 change: correct: false" in proc.stderr
+    assert json.loads(out.read_text())["runs"]["exact_powers"][0]["change"][
+        "correct"] is False

@@ -4,7 +4,9 @@ and float spectra against Karp's table and brute force.
 closure_rows runs a dedicated inner loop in float mode. It must give the
 generic fold's answer bit for bit (compared by repr, which tells -0.0
 from 0.0 and shows inf and nan), in float max-times and float max-plus,
-at the default tolerance and at tolerance 0.
+at the default tolerance and at tolerance 0. Exact max-plus runs the same
+loop on ints over a common denominator (PlusInts), and must give the
+generic fold's Fractions.
 
 Float spectral_analysis certifies its mean with Howard's policy
 iteration on the logs of the entries. On the same grids and in the same
@@ -14,13 +16,16 @@ entries read as exact Fractions.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from maxalg import (
+    EXACT_PLUS,
     FLOAT_PLUS,
     FLOAT_TIMES,
     NEG_INF,
@@ -38,7 +43,7 @@ from maxalg import (
     semiring_convert,
     spectral_analysis,
 )
-from maxalg.matrix import closure_rows
+from maxalg.matrix import PlusInts, closure_rows
 from maxalg.semiring import log_terms
 
 from helpers import (
@@ -303,3 +308,52 @@ def test_kleene_star_divergence_stops_early(domain):
         with pytest.raises(DivergenceError) as err:
             kleene_star(MaxMatrix._raw(heavy, sr))
         assert err.value.witness.nodes in ((0, 1, 0), (1, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# exact max-plus closes on ints
+
+
+@st.composite
+def exact_plus_grids(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(
+        st.just(NEG_INF),
+        st.builds(Fraction, st.integers(-24, 4),
+                  st.sampled_from([1, 2, 3, 4, 6, 9])),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@seed(1107)
+@settings(max_examples=200, deadline=None)
+@given(exact_plus_grids())
+def test_exact_plus_closure_on_ints_matches_reference(rows):
+    # the ints of PlusInts stand for x / D; read back, they are the
+    # generic fold's Fractions, with and without the early stop, and
+    # kleene_star's answer or refusal follows
+    sr = EXACT_PLUS
+    ints, den = PlusInts.lift_rows(rows)
+    heavy = partial(operator.lt, 0)
+    for stop, ref_stop in ((None, None), (heavy, partial(sr.lt, sr.one))):
+        new = closure_rows(ints, PlusInts, stop)
+        ref = closure_reference(rows, sr, ref_stop)
+        if ref is None:
+            assert new is None
+            continue
+        assert [[PlusInts.value(x, den) for x in row] for row in new] == ref
+    a = MaxMatrix(rows, sr)
+    if ref is None or any(sr.lt(sr.one, ref[i][i]) for i in range(a.n)):
+        with pytest.raises(DivergenceError):
+            kleene_star(a)
+        return
+    for i in range(a.n):
+        ref[i][i] = sr.add(ref[i][i], sr.one)
+    assert kleene_star(a).rows == tuple(map(tuple, ref))
+
+
+def test_exact_plus_star_diverges_with_a_witness():
+    rows = [[NEG_INF, Fraction(1, 3)], [Fraction(-1, 6), NEG_INF]]
+    with pytest.raises(DivergenceError) as info:
+        kleene_star(MaxMatrix(rows, EXACT_PLUS))
+    assert info.value.witness.nodes in ((0, 1, 0), (1, 0, 1))

@@ -9,6 +9,7 @@ products made; and they check the fraction-free agreement test against
 the scale / oplus / allclose combination it replaces.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -113,21 +114,45 @@ def test_nachtigall_matches_restarting_reference(mode, horizon):
         m = _in_mode(a, mode)
         e = nachtigall_expansion(m, horizon=horizon)
         want = expansion_onset_reference(m, e.terms, horizon)
+        if MODES[mode].exact and horizon is not None:
+            # an exact onset is proven, so an explicit horizon caps it with
+            # no margin: the onset the reference sees at the default
+            # horizon whenever it fits, unknown otherwise
+            onset, _h = expansion_onset_reference(m, e.terms)
+            want = (onset if onset <= horizon else None, horizon)
         assert (e.validity_start, e.horizon) == want
 
 
+def _repeat_products(term):
+    """Products _csr_products makes for one term: S^2 .. S^(rho + gamma)
+    and two per C S^t R for t < rho + gamma, where rho is the least t with
+    S^(t + gamma) == S^t."""
+    rho, _p = scan_reference(term.s, 1000)
+    return 3 * (rho + term.gamma)
+
+
 def test_nachtigall_makes_one_product_per_power(monkeypatch):
-    rng = random.Random(6)
-    a, _l1, _l2 = two_level_planted(rng, 6)
     # _multiply makes every product: otimes's and the ladders' alike
     calls = count_calls(monkeypatch, "_multiply")
-    e = nachtigall_expansion(a)
-    assert e.validity_start is not None
-    assert e.horizon >= 3 * 6 * 6
-    # the ladder of A^t, plus each term's S powers and products until S
-    # repeats; restarting per doubling and rebuilding every product took
-    # about 7 products per power
-    assert e.horizon - 1 <= len(calls) <= e.horizon + 20
+    for seed in (6, 7, 8, 9):
+        rng = random.Random(seed)
+        a, _l1, _l2 = two_level_planted(rng, 6)
+        counts = []
+        for horizon in (None, 10_000):
+            calls.clear()
+            e = nachtigall_expansion(a, horizon=horizon)
+            counts.append(len(calls))
+        assert e.validity_start is not None
+        terms = e.terms
+        period = math.lcm(*(t.gamma for t in terms))
+        # the climb of A^t up to the onset, each term's products until S
+        # repeats, one product A (x) C S^t R per term and residue mod the
+        # period, and a few for tilde^gamma and A^v0 by squaring; none
+        # depends on the horizon, which is 3n^2 + 2L at least
+        bound = (e.validity_start + len(terms) * period + 8
+                 + sum(_repeat_products(t) for t in terms))
+        assert counts[0] == counts[1] <= bound
+        assert counts[0] < 3 * 6 * 6
 
 
 def test_csr_decompose_reads_the_scanned_powers(monkeypatch):

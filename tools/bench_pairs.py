@@ -1,0 +1,180 @@
+"""Run perfbench in two checkouts, alternately, and save the runs.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --workload exact_powers --seed 8087 --pairs 10 \
+        --out BENCH_tag.json [--seconds 25] [--claim jobs_per_s] \
+        [--description TEXT]
+
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each checkout, one process at a time, from that
+checkout's root: odd pairs run the parent first, even pairs the change
+first. The final JSON line of every run is kept as it was printed.
+
+The runs go to ``--out`` in the schema of the BENCH_*.json files at the
+repository root: ``description``, ``command``, ``host``, ``claim`` and
+``runs[workload]``, a list of ``{seed, pair, first, parent, change}``.
+An existing file is extended: its runs are kept, new pairs of a workload
+are numbered after its last one, and ``--description`` and ``--claim``
+replace the stored ones only when given. ``--claim METRIC`` names this
+workload and metric as the one the change claims to improve.
+
+After the pairs, one line per end-to-end metric gives both sides'
+medians and quartiles over the runs of this invocation and the pairs the
+change won. A run that exits nonzero, prints no JSON line, reports
+``correct: false`` or failed jobs is announced on standard error; the
+tool exits 1 when any run did.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def lower_is_better():
+    """The end-to-end metrics BENCHMARK.json marks as better when lower."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        return {m["name"] for m in json.load(f)["end_to_end"]
+                if m["better"] == "lower"}
+
+
+def host():
+    """Core count and processor model of this machine, for the record."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return f"{os.cpu_count()}-core {model}"
+
+
+def run_once(root, workload, seed, seconds):
+    """perfbench's final JSON line from the checkout at root, or a dict
+    with the exit code and the tail of the output when there is none."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"exit": proc.returncode, "stderr": proc.stderr[-2000:]}
+    if proc.returncode:
+        result["exit"] = proc.returncode
+    return result
+
+
+def trouble(result):
+    """Why a run is not a clean measurement, or None."""
+    if "metrics" not in result:
+        return f"exit {result.get('exit')} and no JSON line"
+    if result.get("exit"):
+        return f"exit {result['exit']}"
+    if not result.get("correct", False):
+        return "correct: false"
+    if result.get("failed"):
+        return f"{result['failed']} failed jobs"
+    return None
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summary(runs):
+    """One line per metric: medians, quartiles and pairs the change won."""
+    metrics = [m for m in runs[0]["parent"].get("metrics", {})
+               if all("metrics" in r[side] for r in runs
+                      for side in ("parent", "change"))]
+    lower_names = lower_is_better()
+    lines = []
+    for name in metrics:
+        parent = [r["parent"]["metrics"][name]["value"] for r in runs]
+        change = [r["change"]["metrics"][name]["value"] for r in runs]
+        lower = name in lower_names
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(parent, change))
+        (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
+        lines.append(
+            f"{name}: parent {p2:.6g} [{p1:.6g}, {p3:.6g}] -> change "
+            f"{c2:.6g} [{c1:.6g}, {c3:.6g}], change better in "
+            f"{wins}/{len(runs)}"
+        )
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--claim")
+    parser.add_argument("--description")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as f:
+            bench = json.load(f)
+    else:
+        bench = {"description": "", "runs": {}}
+    bench["command"] = (
+        "python3 perfbench/run.py --workload W --seed S --seconds "
+        f"{args.seconds:g} --trace 0"
+    )
+    bench["host"] = host()
+    if args.description is not None:
+        bench["description"] = args.description
+    if args.claim is not None:
+        bench["claim"] = {"workload": args.workload, "metric": args.claim}
+    done = bench["runs"].setdefault(args.workload, [])
+    first_pair = max((r["pair"] for r in done), default=0) + 1
+
+    bad = False
+    new = []
+    for pair in range(first_pair, first_pair + args.pairs):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        record = {"seed": args.seed, "pair": pair, "first": order[0]}
+        for side in order:
+            root = args.parent if side == "parent" else args.change
+            record[side] = run_once(root, args.workload, args.seed,
+                                    args.seconds)
+            why = trouble(record[side])
+            if why:
+                bad = True
+                print(f"pair {pair} {side}: {why}", file=sys.stderr)
+        done.append(record)
+        new.append(record)
+        # written after every pair, so an interrupted series keeps its runs
+        with open(args.out, "w", encoding="utf-8") as f:
+            json.dump(bench, f, indent=1)
+            f.write("\n")
+    print(f"{args.workload}, seed {args.seed}, {len(new)} pairs:")
+    for line in summary(new):
+        print("  " + line)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
