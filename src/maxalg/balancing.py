@@ -11,6 +11,12 @@ level is the sum of the star columns at its critical nodes, read off one
 best-walk run on the level's spectral certificate, with no closure
 (SpectralAnalysis.star_columns).
 
+Levels live on their nonzero patterns (digraph.nonzero_pattern). A level
+rescales its pattern's entries (scaling.scaled_pattern) and contracts
+them, group pair by group pair, straight into the next level's pattern,
+so no level reads a dense row: the next level matrix is built around
+that pattern (MaxMatrix._of_pattern), and its analysis walks it.
+
 Exact max-times inputs whose level means are irrational roots cannot be
 balanced in exact arithmetic; the run restarts in float mode and the
 certificate records the downgrade.
@@ -19,9 +25,8 @@ certificate records the downgrade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .digraph import digraph_of, scc
+from .digraph import nonzero_pattern, pattern_scc
 from .errors import (
     CertificationError,
     ExactnessError,
@@ -30,7 +35,7 @@ from .errors import (
     SizeLimitError,
 )
 from .matrix import MaxMatrix, MaxVector, semiring_convert
-from .scaling import DiagonalScaling
+from .scaling import DiagonalScaling, scaled_pattern
 from .semiring import Semiring, gmean_cmp
 from .spectral import spectral_analysis
 
@@ -116,6 +121,37 @@ def is_max_balanced_cut(b, size_limit=14):
     return True
 
 
+def _contract(scaled, groups, sr):
+    """The next level's pattern: ``scaled`` with each group made a point.
+
+    ``scaled`` is a level's scaled pattern and ``groups`` partitions its
+    nodes. The entry of group pair (g, h), g != h, is the semiring sum
+    of the scaled entries from g to h. Entries that left the float range
+    as the zero are dropped, and a pair none of whose entries is nonzero
+    stays off the pattern. A tie keeps the later entry, as Semiring.add
+    does.
+    """
+    group_of = [0] * len(scaled)
+    for k, g in enumerate(groups):
+        for c in g:
+            group_of[c] = k
+    is_zero = sr.is_zero
+    acc = [[None] * len(groups) for _ in groups]
+    for u, out in enumerate(scaled):
+        gu = group_of[u]
+        row = acc[gu]
+        for v, w in out:
+            gv = group_of[v]
+            if gv != gu and not is_zero(w):
+                y = row[gv]
+                if y is None or not w < y:
+                    row[gv] = w
+    return tuple(
+        tuple([(h, w) for h, w in enumerate(row) if w is not None])
+        for row in acc
+    )
+
+
 def _balance_component(sub, sr):
     """Balance one strongly connected block; returns (local scaling, levels)."""
     m = sub.n
@@ -136,53 +172,37 @@ def _balance_component(sub, sr):
         for c, mult in enumerate(x_cur):
             for p in members[c]:
                 x_local[p] = sr.mul(x_local[p], mult)
-        scaled = DiagonalScaling(MaxVector._raw(x_cur, sr)).apply(cur).rows
+        critical = set(crit_nodes)
         groups = sorted(
             list(an.critical.components)
-            + [(k,) for k in range(cur.n) if k not in crit_nodes],
+            + [(k,) for k in range(cur.n) if k not in critical],
             key=min,
         )
-        new_members = [
-            sorted(p for c in g for p in members[c]) for g in groups
-        ]
-        new_rows = []
-        for gi in groups:
-            row = []
-            for gj in groups:
-                if gi is gj:
-                    row.append(sr.zero)
-                else:
-                    row.append(
-                        reduce(
-                            sr.add,
-                            [scaled[u][v] for u in gi for v in gj],
-                            sr.zero,
-                        )
-                    )
-            new_rows.append(row)
-        members = new_members
-        cur = MaxMatrix._raw(new_rows, sr)
+        members = [sorted(p for c in g for p in members[c]) for g in groups]
+        scaled = scaled_pattern(nonzero_pattern(cur), x_cur, sr)
+        cur = MaxMatrix._of_pattern(_contract(scaled, groups, sr), sr)
     return x_local, levels
 
 
 def _max_balance_core(a, degraded):
     sr = a.semiring
     n = a.n
-    g = digraph_of(a)
-    dec = scc(g)
-    for i, j, w in g.edges:
-        if i != j and dec.component_of(i) != dec.component_of(j):
-            raise NoScalingError(
-                f"entry ({i}, {j}) joins different strongly connected "
-                "components and lies on no cycle, so no scaling can "
-                "balance it"
-            )
+    pattern = nonzero_pattern(a)
+    dec = pattern_scc(pattern)
+    for i, out in enumerate(pattern):
+        for j, _w in out:
+            if i != j and dec.component_of(i) != dec.component_of(j):
+                raise NoScalingError(
+                    f"entry ({i}, {j}) joins different strongly connected "
+                    "components and lies on no cycle, so no scaling can "
+                    "balance it"
+                )
     x_total = [sr.one] * n
     all_levels = []
     for comp in dec.components:
         if len(comp) == 1:
             continue
-        sub = a.restrict(comp)
+        sub = a if len(comp) == n else a.restrict(comp)
         x_local, levels = _balance_component(sub, sr)
         for k, node in enumerate(comp):
             x_total[node] = x_local[k]

@@ -2,7 +2,14 @@
 
 Nodes are 0-based integers. A matrix entry a[i][j] above the semiring zero
 is the edge i -> j with that weight. This module only reads matrices through
-their ``rows`` / ``semiring`` attributes, so it sits below the matrix layer.
+their ``rows`` / ``semiring`` attributes and the ``_pattern`` cache slot that
+nonzero_pattern fills, so it sits below the matrix layer.
+
+nonzero_pattern(a) lists, per row, the pairs (j, a_ij) with a nonzero a_ij,
+j ascending. A MaxMatrix keeps it in its _pattern slot from the first call
+on, so every analysis of one matrix reads its n^2 entries once: digraph_of
+is a view of the pattern, and pattern_scc decomposes it with the same Tarjan
+pass that scc runs on a Digraph.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AcyclicNodeError, SizeLimitError
-from .semiring import EXACT_TIMES
+from .semiring import EXACT_TIMES, NEG_INF, TIMES
 
 
 @dataclass(frozen=True)
@@ -57,10 +64,27 @@ class Digraph:
                 raise ValueError("edges must carry nonzero weight")
             seen[(i, j)] = w
         self.edges = tuple(sorted((i, j, w) for (i, j), w in seen.items()))
-        succ = {i: [] for i in range(n)}
+        succ = [[] for _ in range(n)]
         for i, j, w in self.edges:
             succ[i].append((j, w))
         self._succ = succ
+
+    @classmethod
+    def from_pattern(cls, pattern, semiring=EXACT_TIMES):
+        """The Digraph whose successors of node i are ``pattern[i]``.
+
+        ``pattern`` is in nonzero_pattern's form: per node, the pairs
+        (j, w) with w nonzero and j ascending. It is taken as it is, not
+        validated or copied, so it must not change afterwards.
+        """
+        g = object.__new__(cls)
+        g.n = len(pattern)
+        g.semiring = semiring
+        g.edges = tuple(
+            (i, j, w) for i, out in enumerate(pattern) for j, w in out
+        )
+        g._succ = pattern
+        return g
 
     def successors(self, i):
         return self._succ[i]
@@ -111,17 +135,41 @@ class Digraph:
         return f"Digraph(n={self.n}, edges={[(i, j) for i, j, _ in self.edges]})"
 
 
+def nonzero_pattern(a):
+    """Per row of the square matrix a, the pairs (j, a_ij) with a_ij nonzero.
+
+    Rows come in order and j ascends within each. The result is a tuple of
+    tuples, filled once into a's _pattern slot and shared by every later
+    call, so it must not be changed; == and copies of a ignore it.
+    """
+    pattern = getattr(a, "_pattern", None)
+    if pattern is None:
+        a.n  # raises DimensionError unless a is square
+        sr = a.semiring
+        # the zero tests of is_zero, inline where it is one operator
+        if sr.domain == TIMES:
+            pattern = tuple(
+                tuple([(j, v) for j, v in enumerate(row) if v])
+                for row in a.rows
+            )
+        elif not sr.exact:
+            pattern = tuple(
+                tuple([(j, v) for j, v in enumerate(row) if v != NEG_INF])
+                for row in a.rows
+            )
+        else:
+            is_zero = sr.is_zero
+            pattern = tuple(
+                tuple([(j, v) for j, v in enumerate(row) if not is_zero(v)])
+                for row in a.rows
+            )
+        a._pattern = pattern
+    return pattern
+
+
 def digraph_of(a):
-    """The weighted digraph of a square matrix."""
-    n = a.n
-    sr = a.semiring
-    edges = [
-        (i, j, w)
-        for i, row in enumerate(a.rows)
-        for j, w in enumerate(row)
-        if not sr.is_zero(w)
-    ]
-    return Digraph(n, edges, sr)
+    """The weighted digraph of a square matrix: a view of its pattern."""
+    return Digraph.from_pattern(nonzero_pattern(a), a.semiring)
 
 
 @dataclass(frozen=True)
@@ -214,18 +262,22 @@ def strong_components(n, succ):
     return components
 
 
+def pattern_scc(pattern):
+    """Tarjan's strongly connected components of a nonzero_pattern."""
+    succ = [[j for j, _w in out] for out in pattern]
+    components = strong_components(len(succ), succ)
+    trivial = tuple(
+        len(c) == 1 and c[0] not in succ[c[0]] for c in components
+    )
+    return SccDecomposition(tuple(components), trivial)
+
+
 def scc(g):
     """Tarjan's strongly connected components of a Digraph.
 
     Returns an SccDecomposition with components sorted by smallest node.
     """
-    components = strong_components(
-        g.n, [[j for j, _ in g.successors(i)] for i in range(g.n)]
-    )
-    trivial = tuple(
-        len(c) == 1 and not g.has_edge(c[0], c[0]) for c in components
-    )
-    return SccDecomposition(tuple(components), trivial)
+    return pattern_scc([g.successors(i) for i in range(g.n)])
 
 
 def component_cycle(g, comp):

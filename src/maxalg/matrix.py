@@ -8,8 +8,11 @@ Every matrix product runs in _multiply. A MaxMatrix has two private
 cache slots, _row_lifts and _cols, that the product core fills lazily
 the first time the matrix is a left or right factor (or an
 is_max_combination operand), so a matrix that takes part in many
-products is prepared once. They are caches of the entries, not state:
-==, hash, repr, pickling and copies see only the entries.
+products is prepared once. A third, _pattern, holds the nonzero entries
+of each row as (j, a_ij) pairs; digraph.nonzero_pattern fills it on the
+first analysis, scaling or digraph of the matrix, and every later one
+walks it instead of the n^2 entries. They are caches of the entries,
+not state: ==, hash, repr, pickling and copies see only the entries.
 
 In exact max-times the row lifts are canonical: row i is (ints, d) with
 d the lcm of the row's reduced denominators, exactly _lift of its
@@ -139,7 +142,8 @@ class MaxMatrix:
     """
 
     __slots__ = (
-        "semiring", "rows", "nrows", "ncols", "_reduced", "_row_lifts", "_cols"
+        "semiring", "rows", "nrows", "ncols", "_reduced", "_row_lifts",
+        "_cols", "_pattern",
     )
 
     def __init__(self, rows, semiring=EXACT_TIMES):
@@ -161,6 +165,27 @@ class MaxMatrix:
         m.rows = tuple(tuple(r) for r in rows)
         m.nrows = len(m.rows)
         m.ncols = len(m.rows[0])
+        return m
+
+    @classmethod
+    def _of_pattern(cls, pattern, semiring):
+        """The square matrix whose nonzero_pattern is ``pattern``.
+
+        Entries off the pattern are the semiring zero; the matrix keeps
+        ``pattern`` as its _pattern, so it must hold no zero entry.
+        """
+        n, zero = len(pattern), semiring.zero
+        rows = []
+        for out in pattern:
+            row = [zero] * n
+            for j, v in out:
+                row[j] = v
+            rows.append(tuple(row))
+        m = object.__new__(cls)
+        m.semiring = semiring
+        m.rows = tuple(rows)
+        m.nrows = m.ncols = n
+        m._pattern = pattern
         return m
 
     @classmethod

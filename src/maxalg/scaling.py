@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import Digraph
+from .digraph import Digraph, nonzero_pattern
 from .errors import (
     CertificationError,
     DimensionError,
@@ -54,20 +54,43 @@ class DiagonalScaling:
         return len(self.x)
 
     def apply(self, a):
-        """The scaled matrix with entries a[i][j] * x[j] / x[i]."""
+        """The scaled matrix with entries a[i][j] * x[j] / x[i].
+
+        The nonzero entries come from scaled_pattern; a zero entry stays
+        the zero it is.
+        """
         sr = a.semiring
         if sr != self.x.semiring:
             raise ModeError("matrix and scaling live in different modes")
         if a.n != len(self.x):
             raise DimensionError("scaling length does not match the matrix")
-        x = self.x.entries
-        return MaxMatrix._raw(
-            [
-                [sr.div(sr.mul(v, x[j]), x[i]) for j, v in enumerate(row)]
-                for i, row in enumerate(a.rows)
-            ],
-            sr,
-        )
+        rows = [list(row) for row in a.rows]
+        scaled = scaled_pattern(nonzero_pattern(a), self.x.entries, sr)
+        for row, out in zip(rows, scaled):
+            for j, w in out:
+                row[j] = w
+        return MaxMatrix._raw(rows, sr)
+
+
+def scaled_pattern(pattern, x, sr):
+    """The pairs (j, a_ij x_j / x_i) of a nonzero_pattern, row by row.
+
+    The one place that forms a_ij x_j / x_i, for DiagonalScaling.apply and
+    for each level of max_balance; x must be positive. The product and
+    the quotient are the semiring's mul and div, written out: in
+    max-plus v + x_j - x_i, since neither a pattern entry nor a positive
+    x_j is the zero. A float entry that leaves the range stays in the
+    result, as inf or as the zero it rounded to.
+    """
+    if sr.domain == TIMES:
+        return [
+            [(j, v * x[j] / xi) for j, v in out]
+            for out, xi in zip(pattern, x)
+        ]
+    return [
+        [(j, v + x[j] - xi) for j, v in out]
+        for out, xi in zip(pattern, x)
+    ]
 
 
 def _as_vector(x, sr):

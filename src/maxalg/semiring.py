@@ -48,6 +48,23 @@ def _plus_mul(a, b):
     return a + b
 
 
+# Exact max-plus values are Fractions and the float NEG_INF. Comparing a
+# Fraction with a float takes Fraction.__eq__'s slow path, so the zero
+# test of exact max-plus asks for the type first.
+
+
+def _exact_is_neg_inf(a):
+    return a.__class__ is float and a == NEG_INF
+
+
+def _exact_plus_mul(a, b):
+    if (a.__class__ is float and a == NEG_INF) or (
+        b.__class__ is float and b == NEG_INF
+    ):
+        return NEG_INF
+    return a + b
+
+
 def _float_eq(tol, a, b):
     if a == NEG_INF or b == NEG_INF:
         return a == b
@@ -121,8 +138,10 @@ class Semiring:
         else:
             zero = NEG_INF
             one = Fraction(0) if self.exact else 0.0
-            is_zero = _is_neg_inf
-            mul = _plus_mul
+            if self.exact:
+                is_zero, mul = _exact_is_neg_inf, _exact_plus_mul
+            else:
+                is_zero, mul = _is_neg_inf, _plus_mul
         if self.exact:
             eq, le = operator.eq, operator.le
         else:

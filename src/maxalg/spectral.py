@@ -29,6 +29,14 @@ potentials x of an irreducible matrix's certificate make the costs
 -log(a_ij x_j / (lam x_i)) nonnegative, as Johnson's reweighting does,
 so one Dijkstra-ordered run of best walks into the chosen nodes gives
 the sum of their columns, and an O(m) check certifies it (_Walks).
+
+An analysis reads the matrix's nonzero pattern (digraph.nonzero_pattern),
+which the matrix keeps, and no dense row unless ``tilde`` or the star is
+read: one Tarjan pass decomposes the pattern, each certificate takes its
+component's edges from it, the float range check divides only its
+entries, and the best-walk runs step along it. Balancing levels rescale
+and contract along their patterns and hand each level's pattern to its
+analysis.
 """
 
 from __future__ import annotations
@@ -45,8 +53,8 @@ from .digraph import (
     SccDecomposition,
     component_cycle,
     component_gcd,
-    digraph_of,
-    scc,
+    nonzero_pattern,
+    pattern_scc,
     strong_components,
 )
 from .errors import (
@@ -408,13 +416,17 @@ def _normalized_entries(sr, succ, pair):
     return one, mul, entries, _check(succ, entries, mul, cmp)
 
 
-def _component(g, comp):
-    """(succ, pred) of one component of g in local indices; see _improve."""
-    index = {v: s for s, v in enumerate(comp)}
-    succ = [
-        [(index[v], a) for v, a in g.successors(u) if v in index]
-        for u in comp
-    ]
+def _component(pattern, comp):
+    """(succ, pred) of one component of a nonzero_pattern in local indices;
+    see _improve. A component of every node reads the pattern itself."""
+    if len(comp) == len(pattern):
+        succ = pattern
+    else:
+        index = {v: s for s, v in enumerate(comp)}
+        succ = [
+            [(index[v], a) for v, a in pattern[u] if v in index]
+            for u in comp
+        ]
     pred = [[] for _ in comp]
     for u, out in enumerate(succ):
         for t, (v, _a) in enumerate(out):
@@ -447,8 +459,9 @@ def _in_float_range(sr, pair, nodes):
     return pair
 
 
-def _certificate(sr, g, comp):
-    """The certified mean of one nontrivial component, with its evidence.
+def _certificate(sr, pattern, comp):
+    """The certified mean of one nontrivial component of a nonzero_pattern,
+    with its evidence.
 
     Returns (pair, potentials, tight). ``pair`` is the (weight, length)
     pair of a cycle of the component whose mean no cycle of it exceeds;
@@ -461,7 +474,7 @@ def _certificate(sr, g, comp):
     _improve, comparing cycles by gmean_cmp, finish it with potentials
     in the form of _normalized_entries.
     """
-    succ, pred = _component(g, comp)
+    succ, pred = _component(pattern, comp)
     if not sr.exact:
         logs, _widest, scale = _float_logs(sr, succ)
         policy, settled = _howard(logs, pred, sr.tol * scale, _FLOAT_ROUNDS)
@@ -570,7 +583,8 @@ def _critical_graph(a, tight):
 
     The critical edges are those whose ends lie in one strongly connected
     component of the graph the tight edges span: one Tarjan pass over
-    int adjacency lists, and one Digraph, of the critical edges.
+    int adjacency lists, and one Digraph of the critical edges, built
+    from their pattern without a check.
     """
     n, rows = a.n, a.rows
     succ = [[] for _ in range(n)]
@@ -583,11 +597,14 @@ def _critical_graph(a, tight):
             comp_of[v] = k
         if len(comp) > 1 or comp[0] in succ[comp[0]]:
             components.append(comp)
-    crit = [(i, j) for i, j in tight if comp_of[i] == comp_of[j]]
-    graph = Digraph(n, [(i, j, rows[i][j]) for i, j in crit], a.semiring)
+    crit = sorted((i, j) for i, j in tight if comp_of[i] == comp_of[j])
+    out = [[] for _ in range(n)]
+    for i, j in crit:
+        out[i].append((j, rows[i][j]))
+    graph = Digraph.from_pattern(tuple(map(tuple, out)), a.semiring)
     return CriticalGraph(
         nodes=tuple(sorted(v for comp in components for v in comp)),
-        edges=tuple(sorted(crit)),
+        edges=tuple(crit),
         components=tuple(components),
         cyclicity=math.lcm(*(component_gcd(graph, c) for c in components)),
         graph=graph,
@@ -665,18 +682,21 @@ def _ratios_log(x):
 class _Walks:
     """Columns and rows of the star of tilde, from runs of _best_walks.
 
-    Built from an irreducible analysis's potentials, in the matrix's own
-    arithmetic: Ratios pairs in exact max-times (so no Fraction is built
-    until a label is read), Fractions in exact max-plus, the floats of
-    ``tilde`` in float mode. ``into[v]`` lists the steps (u, tilde_uv)
-    of the walks into v, ``out_of[u]`` the steps (v, tilde_uv).
+    Built from an irreducible analysis's potentials and the matrix's
+    nonzero_pattern, in the matrix's own arithmetic: Ratios pairs in
+    exact max-times (so no Fraction is built until a label is read),
+    Fractions in exact max-plus, the floats of ``tilde`` in float mode.
+    ``into[v]`` lists the steps (u, tilde_uv) of the walks into v,
+    ``out_of[u]`` the steps (v, tilde_uv).
     """
 
     def __init__(self, an):
         a, sr, lam, x = an._matrix, an.mean.semiring, an.lam, an._potentials
         self.once = not sr.exact
+        pattern = nonzero_pattern(a)
         if not sr.exact:
-            rows = an.tilde.rows
+            # _check_normal has refused a lost edge, so no step is zero
+            steps = an._float_divided()
             self.zero, self.one, self.le = sr.zero, sr.one, sr.le
             self.better, self.value = operator.gt, None
             # the potentials are unscaled logs: _walks leaves max-plus
@@ -688,10 +708,9 @@ class _Walks:
             self.h = x
         elif sr.domain == TIMES:
             p, q = lam.numerator, lam.denominator
-            rows = [
-                [(v.numerator * q, v.denominator * p) if v else None
-                 for v in row]
-                for row in a.rows
+            steps = [
+                [(v, (w.numerator * q, w.denominator * p)) for v, w in out]
+                for out in pattern
             ]
             self.zero, self.one, self.mul = (0, 1), Ratios.one, Ratios.mul
             self.better, self.value = _ratios_gt, Ratios.value
@@ -699,22 +718,16 @@ class _Walks:
             self.flog = _ratios_log
             self.h = [_ratios_log(v) for v in x]
         else:
-            rows = [[v - lam if v != NEG_INF else v for v in row]
-                    for row in a.rows]
+            steps = [[(v, w - lam) for v, w in out] for out in pattern]
             self.zero, self.one, self.mul = sr.zero, sr.one, operator.add
             self.better, self.le, self.value = operator.gt, operator.le, None
             self.flog = partial(_float_weight, sr)
             self.h = [self.flog(v) for v in x]
-        is_zero = sr.is_zero  # None, the zero of Ratios, included
-        n = a.n
-        into = [[] for _ in range(n)]
-        out_of = [[] for _ in range(n)]
-        for u, row in enumerate(rows):
-            for v, e in enumerate(row):
-                if not is_zero(e):
-                    into[v].append((u, e))
-                    out_of[u].append((v, e))
-        self.into, self.out_of = into, out_of
+        into = [[] for _ in steps]
+        for u, out in enumerate(steps):
+            for v, e in out:
+                into[v].append((u, e))
+        self.into, self.out_of = into, steps
 
     def run(self, steps, sources, sign):
         """Labels of _best_walks, or None when they fail the certificate.
@@ -765,10 +778,13 @@ class SpectralAnalysis:
     ``checked_star()``: in exact mode kleene_star's, in float mode a
     closure with no divergence check, which ``checked_star()`` makes.
     ``critical`` is the CriticalGraph, None for acyclic matrices.
-    ``_range_loss``, set with a float ``tilde``, is None unless the
-    division by lam left the float range: then it is True when an entry
-    overflowed to inf and False when a nonzero entry rounded to the zero
-    (float_range_error's ``overflow``). ``_potentials``, set only when
+    ``_divided``, in float mode, is the matrix's nonzero_pattern divided
+    by lam, built on the first check or read of ``tilde``; ``_range_loss``,
+    set with it, is None unless the division left the float range: then
+    it is True when an entry overflowed to inf and False when a nonzero
+    entry rounded to the zero (float_range_error's ``overflow``). The
+    best-walk runs read ``_divided``, and the dense float ``tilde`` is
+    built only when it is read. ``_potentials``, set only when
     the matrix is irreducible, are its certificate's potentials x (see
     _certificate): the Fiedler-Ptak scaling, a subeigenvector of
     ``tilde``. Star columns at critical nodes, which the eigenvectors and
@@ -782,6 +798,7 @@ class SpectralAnalysis:
     critical: CriticalGraph
     _matrix: MaxMatrix = field(default=None, compare=False, repr=False)
     _range_loss: object = field(default=None, compare=False, repr=False)
+    _divided: list = field(default=None, compare=False, repr=False)
     _tilde: MaxMatrix = field(default=None, compare=False, repr=False)
     _star: MaxMatrix = field(default=None, compare=False, repr=False)
     _potentials: list = field(default=None, compare=False, repr=False)
@@ -793,13 +810,42 @@ class SpectralAnalysis:
             if sr.exact:
                 tilde = a.scale(sr.div(sr.one, self.lam))
             else:
-                rows = _divided_rows(a, self.lam)
-                object.__setattr__(
-                    self, "_range_loss", _range_loss(a.rows, rows, sr)
-                )
+                rows = [list(row) for row in a.rows]
+                for row, out in zip(rows, self._float_divided()):
+                    for j, w in out:
+                        row[j] = w
                 tilde = MaxMatrix._raw(rows, sr)
             object.__setattr__(self, "_tilde", tilde)
         return self._tilde
+
+    def _float_divided(self):
+        """``_divided``, built with ``_range_loss`` on the first call.
+
+        Unlike a.scale this does not coerce 1/lam, which refuses inf, so
+        it never raises; _check_normal reports the range loss as a
+        ModeError instead. Dividing keeps every zero, so only a pattern
+        entry can overflow or round to the zero, and an overflow is
+        reported first.
+        """
+        if self._divided is None:
+            sr = self.mean.semiring
+            pattern = nonzero_pattern(self._matrix)
+            inv = sr.div(sr.one, self.lam)
+            # sr.mul(inv, v), written out: in max-plus inv + v, since
+            # neither is the zero
+            if sr.domain == TIMES:
+                divided = [[(j, inv * v) for j, v in out] for out in pattern]
+            else:
+                divided = [[(j, inv + v) for j, v in out] for out in pattern]
+            values = [w for out in divided for _j, w in out]
+            loss = None
+            if math.inf in values:
+                loss = True
+            elif sr.zero in values:
+                loss = False
+            object.__setattr__(self, "_divided", divided)
+            object.__setattr__(self, "_range_loss", loss)
+        return self._divided
 
     @property
     def star(self):
@@ -837,8 +883,8 @@ class SpectralAnalysis:
                 f"the maximum cycle mean {self.lam!r} is so small that its "
                 "inverse"
             )
-        # reading tilde sets _range_loss
-        if self.tilde is not None and self._range_loss is not None:
+        self._float_divided()
+        if self._range_loss is not None:
             raise float_range_error(
                 "an entry divided by the maximum cycle mean",
                 overflow=self._range_loss,
@@ -940,8 +986,8 @@ class SpectralAnalysis:
             rounding = self._matrix.n * _WALK_ROUNDING
             if sr.domain != TIMES:
                 rounding *= max(
-                    (abs(v) for row in self._matrix.rows for v in row
-                     if v != NEG_INF),
+                    (abs(v) for out in nonzero_pattern(self._matrix)
+                     for _j, v in out),
                     default=1.0,
                 )
             if sr.tol < rounding:
@@ -978,56 +1024,31 @@ class SpectralAnalysis:
         return x
 
 
-def _divided_rows(a, lam):
-    """Rows of a float matrix divided by lam.
-
-    Unlike a.scale this does not coerce 1/lam, which refuses inf, so
-    reading ``tilde`` never raises; normalized() reports the range loss
-    as a ModeError instead.
-    """
-    sr = a.semiring
-    inv = sr.div(sr.one, lam)
-    return [[sr.mul(inv, v) for v in row] for row in a.rows]
-
-
-def _range_loss(rows, tilde, sr):
-    """SpectralAnalysis._range_loss of the float ``rows`` divided by lam.
-
-    Dividing keeps every zero, so more zeros in ``tilde`` than in ``rows``
-    mean a lost edge.
-    """
-    if any(math.inf in row for row in tilde):
-        return True
-    zero = sr.zero
-    if sum(r.count(zero) for r in tilde) > sum(r.count(zero) for r in rows):
-        return False
-    return None
-
-
 def spectral_analysis(a):
     """The SpectralAnalysis of a square matrix.
 
     Each nontrivial component's mean is certified with a subeigenvector
     (see _certificate), and the critical edges are read off the tight
-    edges of the components at the top mean: one scc pass on the matrix's
-    digraph and one on the tight graph. No closure runs; tilde and the
+    edges of the components at the top mean: one Tarjan pass on the
+    matrix's nonzero_pattern and one on the tight graph. No closure
+    runs; tilde and the
     star are built when first read. When the mean is irrational in exact
     max-times mode the potentials are symbolic, so the critical graph
     stays exact while lam, tilde and star are None. The witness is a
     cycle of the first critical component, and lam is its mean: in float
     mode it can differ in the last bits from the best policy cycle's.
     """
-    g = digraph_of(a)
-    return _analysis(a, g, scc(g))
+    pattern = nonzero_pattern(a)
+    return _analysis(a, pattern, pattern_scc(pattern))
 
 
-def _analysis(a, g, dec):
-    """spectral_analysis of a with digraph g and SCC decomposition dec."""
+def _analysis(a, pattern, dec):
+    """spectral_analysis of a with its nonzero_pattern and its SCCs dec."""
     sr = a.semiring
     best = None
     tight = []
     for comp in dec.nontrivial_components:
-        pair, potentials, edges = _certificate(sr, g, comp)
+        pair, potentials, edges = _certificate(sr, pattern, comp)
         sign = 1 if best is None else gmean_cmp(sr, pair, best)
         if sign > 0:
             best, tight = pair, edges
@@ -1066,18 +1087,18 @@ def critical_graph(a):
 
 def is_irreducible(a):
     """True when the digraph of the square matrix is strongly connected."""
-    return scc(digraph_of(a)).is_single
+    return pattern_scc(nonzero_pattern(a)).is_single
 
 
 def _irreducible_analysis(a):
     # irreducibility is checked before the analysis is built, so that a
     # reducible float matrix whose critical cycles fail to certify is still
-    # reported as reducible; the analysis reuses the digraph and its SCCs
-    g = digraph_of(a)
-    dec = scc(g)
+    # reported as reducible; the analysis reuses the pattern and its SCCs
+    pattern = nonzero_pattern(a)
+    dec = pattern_scc(pattern)
     if not dec.is_single:
         raise NotIrreducibleError("eigenvectors need an irreducible matrix")
-    return _analysis(a, g, dec)
+    return _analysis(a, pattern, dec)
 
 
 def eigenspace_basis(a):

@@ -5,9 +5,9 @@ enumeration over plain Fractions) so the fast library routines have an
 independent reference. Everything here is exact max-times unless stated;
 the cycle oracles read max-plus matrices too.
 The power-asymptotics references and the kernel references (the
-semiring-generic closure and Karp loops, the cycle-cover DFS) work in any
-mode, and count_calls counts the library's internal calls of one
-function.
+semiring-generic closure and Karp loops, the cycle-cover DFS, the dense
+balancing levels) work in any mode, and count_calls counts the library's
+internal calls of one function.
 """
 
 import math
@@ -15,6 +15,7 @@ import operator
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 
 from maxalg import (
     EXACT_PLUS,
@@ -22,9 +23,14 @@ from maxalg import (
     NEG_INF,
     PLUS,
     CertificationError,
+    Digraph,
+    ExactnessError,
     IterationBudgetError,
     MaxMatrix,
     MaxVector,
+    ModeError,
+    NoScalingError,
+    Semiring,
     critical_graph,
     gmean_cmp,
     kleene_star,
@@ -32,6 +38,9 @@ from maxalg import (
     normalize_to_unit,
     oplus,
     otimes,
+    scc,
+    semiring_convert,
+    spectral_analysis,
 )
 from maxalg.semiring import float_range_error
 
@@ -736,6 +745,117 @@ def cyclecover_reference(b):
             if not found:
                 return False
     return True
+
+
+def max_balance_reference(a):
+    """max_balance's (scaling entries, balanced rows, levels, degraded) by
+    dense levels, as it ran before levels lived on nonzero patterns.
+
+    Every level rescales all n^2 entries, a[i][j] x[j] / x[i] in the
+    semiring's mul and div, and contracts each group pair by a reduce of
+    Semiring.add over all of its entries, zeros included. The levels'
+    analyses are the library's own; the certificate checks are left out.
+    """
+    def dense_scaled(rows, x, sr):
+        return [
+            [sr.div(sr.mul(v, x[j]), x[i]) for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+
+    def component(sub, sr):
+        members = [[k] for k in range(sub.n)]
+        cur = sub
+        x_local = [sr.one] * sub.n
+        levels = []
+        while cur.n > 1:
+            an = spectral_analysis(cur)
+            crit_nodes = an.critical.nodes
+            x_cur = an.star_columns(crit_nodes)
+            levels.append(an.mean.pair())
+            if any(sr.is_zero(v) for v in x_cur):
+                raise ModeError("a balancing scale underflows the float range")
+            for c, mult in enumerate(x_cur):
+                for p in members[c]:
+                    x_local[p] = sr.mul(x_local[p], mult)
+            scaled = dense_scaled(cur.rows, x_cur, sr)
+            groups = sorted(
+                list(an.critical.components)
+                + [(k,) for k in range(cur.n) if k not in crit_nodes],
+                key=min,
+            )
+            members = [
+                sorted(p for c in g for p in members[c]) for g in groups
+            ]
+            cur = MaxMatrix._raw(
+                [
+                    [
+                        sr.zero if gi is gj else reduce(
+                            sr.add,
+                            [scaled[u][v] for u in gi for v in gj],
+                            sr.zero,
+                        )
+                        for gj in groups
+                    ]
+                    for gi in groups
+                ],
+                sr,
+            )
+        return x_local, levels
+
+    def core(a):
+        sr = a.semiring
+        g = Digraph(a.n, [
+            (i, j, w)
+            for i, row in enumerate(a.rows)
+            for j, w in enumerate(row)
+            if not sr.is_zero(w)
+        ], sr)
+        dec = scc(g)
+        for i, j, _w in g.edges:
+            if i != j and dec.component_of(i) != dec.component_of(j):
+                raise NoScalingError(f"entry ({i}, {j}) bridges")
+        x = [sr.one] * a.n
+        all_levels = []
+        for comp in dec.components:
+            if len(comp) == 1:
+                continue
+            x_local, levels = component(a.restrict(comp), sr)
+            for k, node in enumerate(comp):
+                x[node] = x_local[k]
+            all_levels.append(tuple(levels))
+        balanced = tuple(map(tuple, dense_scaled(a.rows, x, sr)))
+        return tuple(x), balanced, tuple(all_levels)
+
+    try:
+        return core(a) + (False,)
+    except ExactnessError:
+        if not a.semiring.exact:
+            raise
+        target = Semiring(a.semiring.domain, exact=False)
+        return core(semiring_convert(a, target)) + (True,)
+
+
+def criteria_corpus():
+    """Criteria 4, 7, 10, 12 and 13 inputs and exact_powers-style ones,
+    from the criteria's own generators and seeds."""
+    rng = random.Random(104)
+    for _ in range(80):
+        yield random_matrix(rng, rng.randint(1, 6),
+                            density=rng.uniform(0.2, 0.7))
+    yield from unit_mean_corpus()[::3]
+    rng = random.Random(110)
+    for _ in range(30):
+        yield two_level_planted(rng, rng.randint(3, 6))[0]
+    rng = random.Random(112)
+    for _ in range(80):
+        yield random_irreducible(rng, rng.randint(2, 8))
+    rng = random.Random(113)
+    for _ in range(30):
+        yield from polynomial_pair(rng, rng.randint(2, 5))[:2]
+    rng = random.Random(3)
+    for _ in range(30):
+        yield unit_lambda_irreducible(rng, rng.randint(4, 9))
+        yield two_level_planted(rng, rng.randint(4, 6))[0]
 
 
 # ---------------------------------------------------------------------------

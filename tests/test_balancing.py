@@ -6,14 +6,18 @@ from fractions import Fraction
 
 import pytest
 
+import maxalg.balancing as balancing
 from maxalg import (
     EXACT_PLUS,
     EXACT_TIMES,
+    FLOAT_PLUS,
     FLOAT_TIMES,
     NEG_INF,
     PLUS,
     TIMES,
+    MaxAlgebraError,
     MaxMatrix,
+    NegativeAnswer,
     NoScalingError,
     Semiring,
     SizeLimitError,
@@ -22,12 +26,16 @@ from maxalg import (
     is_max_balanced_cut,
     is_max_balanced_cyclecover,
     max_balance,
+    semiring_convert,
 )
+from maxalg.digraph import nonzero_pattern
 
 from helpers import (
+    criteria_corpus,
     cyclecover_reference,
     fmat,
     is_balanced_cut_brute,
+    max_balance_reference,
     random_irreducible,
     random_matrix,
 )
@@ -289,3 +297,108 @@ def test_cyclecover_nan_entry_is_no_edge():
         b = MaxMatrix._raw(rows, FLOAT_TIMES)
         assert is_max_balanced_cyclecover(b) is want
         assert cyclecover_reference(b) is want
+
+
+# -- levels on nonzero patterns against the dense levels ----------------------
+
+
+def _balance(a):
+    cert = max_balance(a)
+    return (cert.scaling.x.entries, cert.balanced.rows, cert.levels,
+            cert.exact_degraded)
+
+
+def _outcome(f, a):
+    try:
+        return f(a)
+    except (MaxAlgebraError, NegativeAnswer) as err:
+        return type(err)
+
+
+def _recording_levels(monkeypatch):
+    """The matrices of every balancing level analysed from now on."""
+    seen = []
+    original = balancing.spectral_analysis
+
+    def recording(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(balancing, "spectral_analysis", recording)
+    return seen
+
+
+def _assert_levels_hold_their_patterns(levels):
+    # a level built from an emitted pattern has the pattern its entries
+    # give: no zero on it, no nonzero entry off it
+    for m in levels:
+        assert nonzero_pattern(m) == nonzero_pattern(
+            MaxMatrix._raw(m.rows, m.semiring)
+        )
+
+
+def _float_balance_input(rng, n):
+    """float_balance's max-times inputs: a planted spanning cycle plus
+    entries at density 0.3, log-uniform over e^-3..e^3."""
+    rows = [
+        [math.exp(rng.uniform(-3.0, 3.0)) if rng.random() < 0.3 else 0.0
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    order = list(range(n))
+    rng.shuffle(order)
+    for u, v in zip(order, order[1:] + order[:1]):
+        rows[u][v] = math.exp(rng.uniform(-3.0, 3.0))
+    return MaxMatrix(rows, FLOAT_TIMES)
+
+
+def test_max_balance_equals_the_dense_levels_on_the_criteria_corpora(
+        monkeypatch):
+    levels = _recording_levels(monkeypatch)
+    answered = refused = 0
+    for a in criteria_corpus():
+        for m in (a, semiring_convert(a, FLOAT_TIMES),
+                  semiring_convert(a, FLOAT_PLUS)):
+            got = _outcome(_balance, m)
+            assert got == _outcome(max_balance_reference, m)
+            if isinstance(got, type):
+                refused += 1
+            else:
+                answered += 1
+    _assert_levels_hold_their_patterns(levels)
+    assert answered >= 900 and refused >= 100 and len(levels) >= 2000
+
+
+def test_max_balance_equals_the_dense_levels_on_float_balance_inputs(
+        monkeypatch):
+    levels = _recording_levels(monkeypatch)
+    rng = random.Random(2211)
+    for n in (2, 3, 6, 12, 18, 24, 32, 40):
+        for _ in range(3):
+            a = _float_balance_input(rng, n)
+            for m in (a, semiring_convert(a, FLOAT_PLUS)):
+                assert _balance(m) == max_balance_reference(m)
+    _assert_levels_hold_their_patterns(levels)
+    assert max(m.n for m in levels) == 40
+
+
+def test_a_rescaled_entry_that_underflows_leaves_the_next_pattern(
+        monkeypatch):
+    # level one freezes the unit 2-cycle {0, 1} and scales node 2 by
+    # 1e-200, so a_02 = 1e-150 becomes 1e-350, which rounds to 0.0: the
+    # group pair ({0, 1}, 2) of level two has no other entry and stays
+    # off its pattern, as the dense reduce leaves it at the zero
+    levels = _recording_levels(monkeypatch)
+    a = MaxMatrix([
+        [0.0, 1.0, 1e-150, 0.0],
+        [1.0, 0.0, 0.0, 0.5],
+        [1e-200, 0.0, 0.0, 0.0],
+        [0.5, 0.0, 0.5, 0.0],
+    ], FLOAT_TIMES)
+    got = _balance(a)
+    assert got == max_balance_reference(a)
+    assert len(got[2][0]) == 3
+    second = levels[1]
+    assert second.n == 3 and second[0, 1] == 0.0
+    assert [j for j, _w in nonzero_pattern(second)[0]] == [2]
+    _assert_levels_hold_their_patterns(levels)

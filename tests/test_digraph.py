@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 
 from maxalg import (
+    EXACT_PLUS,
     EXACT_TIMES,
+    FLOAT_PLUS,
+    FLOAT_TIMES,
+    NEG_INF,
+    PLUS,
     AcyclicNodeError,
     Digraph,
+    MaxMatrix,
     Path,
     SizeLimitError,
     digraph_of,
@@ -16,9 +22,11 @@ from maxalg import (
     graph_cyclicity,
     is_strongly_connected,
     scc,
+    semiring_convert,
     threshold_digraph,
     threshold_spectrum,
 )
+from maxalg.digraph import nonzero_pattern, pattern_scc
 
 from helpers import cycles_brute, fmat, random_matrix
 
@@ -231,3 +239,51 @@ def test_threshold_spectrum_refines_with_theta():
             for comp in d1.components:
                 target = {d2.component_of(v) for v in comp}
                 assert len(target) == 1
+
+
+def _in_mode(a, sr):
+    """The exact max-times a in the mode of sr: in max-plus, entries less
+    one with 0 as -inf."""
+    if sr.domain == PLUS:
+        a = MaxMatrix(
+            [[v - 1 if v else NEG_INF for v in row] for row in a.rows],
+            EXACT_PLUS,
+        )
+    return semiring_convert(a, sr)
+
+
+@pytest.mark.parametrize(
+    "sr", [EXACT_TIMES, EXACT_PLUS, FLOAT_TIMES, FLOAT_PLUS],
+    ids=["exact", "exact_plus", "float", "float_plus"],
+)
+def test_pattern_views_equal_the_dense_built_digraph(sr):
+    rng = random.Random(29)
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        a = _in_mode(random_matrix(rng, n, density=rng.uniform(0.05, 0.7)), sr)
+        edges = [
+            (i, j, w)
+            for i, row in enumerate(a.rows)
+            for j, w in enumerate(row)
+            if not sr.is_zero(w)
+        ]
+        dense = Digraph(n, edges, sr)
+        pattern = nonzero_pattern(a)
+        assert pattern == tuple(
+            tuple((j, w) for i, j, w in edges if i == k) for k in range(n)
+        )
+        g = digraph_of(a)
+        assert g == dense and g.edges == dense.edges
+        assert all(g.successors(i) == tuple(dense.successors(i))
+                   for i in range(n))
+        dec = scc(dense)
+        assert scc(g) == dec and pattern_scc(pattern) == dec
+        want, _ = scc_brute(n, dense.edge_set())
+        assert set(dec.components) == want
+        assert dec.trivial == tuple(
+            len(c) == 1 and not dense.has_edge(c[0], c[0])
+            for c in dec.components
+        )
+        # a matrix built around a pattern keeps it and has its entries
+        b = MaxMatrix._of_pattern(pattern, sr)
+        assert b == a and nonzero_pattern(b) is pattern

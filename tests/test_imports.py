@@ -41,6 +41,23 @@ def test_only_the_product_core_touches_the_lifted_form():
     assert offenders == []
 
 
+def test_only_the_pattern_owners_touch_the_pattern_slot():
+    # digraph.nonzero_pattern fills and reads a MaxMatrix's _pattern slot,
+    # and MaxMatrix declares it and builds a matrix around one; every
+    # other module asks nonzero_pattern, by its public name
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("digraph.py", "matrix.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_pattern":
+                offenders.append(f"{path.name}:{node.lineno} ._pattern")
+            elif isinstance(node, ast.Constant) and node.value == "_pattern":
+                offenders.append(f"{path.name}:{node.lineno} '_pattern'")
+    assert offenders == []
+
+
 # the public names, submodules included: a name that leaves or arrives
 # changes this list on purpose
 PUBLIC_NAMES = [

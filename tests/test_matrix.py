@@ -30,7 +30,9 @@ from maxalg import (
     oplus,
     otimes,
     semiring_convert,
+    spectral_analysis,
 )
+from maxalg.digraph import nonzero_pattern
 from maxalg.matrix import Ratios, closure_rows
 
 from helpers import (
@@ -245,6 +247,32 @@ def test_product_caches_leave_value_semantics_alone(target):
         assert otimes(c, c) == square
         assert otimes(c, a) == square and otimes(a, c) == square
         assert matrix.is_max_combination(square, [(target.one, otimes(c, c))])
+
+
+@pytest.mark.parametrize(
+    "target", [EXACT_TIMES, EXACT_PLUS, FLOAT_TIMES, FLOAT_PLUS],
+    ids=["exact", "exact_plus", "float", "float_plus"],
+)
+def test_nonzero_pattern_leaves_value_semantics_alone(target):
+    # a matrix keeps its nonzero pattern after its first analysis; ==,
+    # hash, repr, pickle and copies see only its entries
+    rows = random_matrix(random.Random(17), 6, density=0.5).rows
+    if target.domain == EXACT_PLUS.domain:
+        rows = [[v - 1 if v else NEG_INF for v in row] for row in rows]
+    a = MaxMatrix(rows, target)
+    fresh = MaxMatrix._raw(a.rows, a.semiring)
+    pattern = nonzero_pattern(a)
+    assert nonzero_pattern(a) is pattern
+    assert hasattr(a, "_pattern") and not hasattr(fresh, "_pattern")
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert pickle.dumps(a) == pickle.dumps(fresh)
+    critical = spectral_analysis(a).critical
+    for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(c) is MaxMatrix and c is not a
+        assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
+        assert not hasattr(c, "_pattern")
+        assert nonzero_pattern(c) == pattern
+        assert spectral_analysis(c).critical == critical
 
 
 def test_lifted_otimes_pairwise_coprime_denominators():

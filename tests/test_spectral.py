@@ -13,7 +13,6 @@ from maxalg import (
     ExactnessError,
     NotIrreducibleError,
     critical_graph,
-    digraph_of,
     eigenspace_basis,
     gmean_cmp,
     is_eigenvector,
@@ -28,12 +27,14 @@ from maxalg import (
 from helpers import (
     best_gmean_pair_brute,
     count_calls,
+    criteria_corpus,
     critical_edges_brute,
     fmat,
     random_irreducible,
     random_matrix,
     unit_lambda_irreducible,
 )
+from maxalg.digraph import nonzero_pattern
 from maxalg.matrix import Ratios, closure_rows
 
 
@@ -300,12 +301,12 @@ def test_float_range_is_checked_on_the_policy_cycle_and_the_witness():
     overflow = r"cycle \(0, 1, 0\) overflows the float range"
     a = MaxMatrix([[1e200, 1.000000000001e200], [1e200, 0]], FLOAT_TIMES)
     with pytest.raises(ModeError, match=overflow):
-        spectral._certificate(FLOAT_TIMES, digraph_of(a), (0, 1))
+        spectral._certificate(FLOAT_TIMES, nonzero_pattern(a), (0, 1))
     # here the policy settles on the loop, but the witness, a cycle of
     # the critical component from its smallest node, is the 2-cycle
     b = MaxMatrix([[0, 1e200], [1e200, 1.000000000001e200]], FLOAT_TIMES)
     pair, _x, _tight = spectral._certificate(
-        FLOAT_TIMES, digraph_of(b), (0, 1)
+        FLOAT_TIMES, nonzero_pattern(b), (0, 1)
     )
     assert pair == (1.000000000001e200, 1)
     with pytest.raises(ModeError, match=overflow):
@@ -406,7 +407,7 @@ def test_symbolic_closure_when_every_cycle_is_critical():
     # at most n - 1 edges, and the exact fallbacks stay that small
     small = _all_cycles_critical(4)
     pair, potentials, _tight = spectral._certificate(
-        EXACT_TIMES, digraph_of(small), tuple(range(small.n))
+        EXACT_TIMES, nonzero_pattern(small), tuple(range(small.n))
     )
     assert pair == (2, 2)
     # m, the number of entries multiplied, is a value's second-to-last field
@@ -442,7 +443,7 @@ def test_exact_improvement_finishes_a_float_tie():
     # only the exact check of the potentials finds the heavier cycle
     near = 1 + Fraction(1, 10**20)
     a = fmat([[1, 2 * near], [near / 2, 1]])
-    succ, pred = spectral._component(digraph_of(a), (0, 1))
+    succ, pred = spectral._component(nonzero_pattern(a), (0, 1))
     policy = spectral._float_proposal(EXACT_TIMES, succ, pred)
     assert [succ[u][policy[u]][0] for u in range(2)] == [1, 1]
     assert max_cycle_gmean(a).pair() == best_gmean_pair_brute(a)
@@ -467,7 +468,9 @@ def test_exact_improvement_on_a_reducible_matrix():
     assert analysis.lam == 1
     assert set(analysis.critical.edges) == critical_edges_brute(a)
     # the lower class is certified at its own mean
-    pair, _x, tight = spectral._certificate(EXACT_TIMES, digraph_of(a), (2, 3))
+    pair, _x, tight = spectral._certificate(
+        EXACT_TIMES, nonzero_pattern(a), (2, 3)
+    )
     assert pair == (low, 2) and gmean_cmp(EXACT_TIMES, pair, (1, 2)) < 0
     assert sorted(tight) == [(2, 3), (3, 2)]
 
@@ -530,30 +533,6 @@ def _two_digraph_critical_graph(a, tight):
     )
 
 
-def _critical_graph_corpus():
-    """Criteria 4, 7, 10, 12 and 13 inputs and exact_powers-style ones."""
-    from helpers import polynomial_pair, two_level_planted, unit_mean_corpus
-
-    rng = random.Random(104)
-    for _ in range(80):
-        yield random_matrix(rng, rng.randint(1, 6),
-                            density=rng.uniform(0.2, 0.7))
-    yield from unit_mean_corpus()[::3]
-    rng = random.Random(110)
-    for _ in range(30):
-        yield two_level_planted(rng, rng.randint(3, 6))[0]
-    rng = random.Random(112)
-    for _ in range(80):
-        yield random_irreducible(rng, rng.randint(2, 8))
-    rng = random.Random(113)
-    for _ in range(30):
-        yield from polynomial_pair(rng, rng.randint(2, 5))[:2]
-    rng = random.Random(3)
-    for _ in range(30):
-        yield unit_lambda_irreducible(rng, rng.randint(4, 9))
-        yield two_level_planted(rng, rng.randint(4, 6))[0]
-
-
 def test_critical_graph_matches_the_two_digraph_form(monkeypatch):
     from maxalg import FLOAT_PLUS
 
@@ -567,7 +546,7 @@ def test_critical_graph_matches_the_two_digraph_form(monkeypatch):
 
     monkeypatch.setattr(spectral, "_critical_graph", recording)
     compared = brute = 0
-    for a in _critical_graph_corpus():
+    for a in criteria_corpus():
         for m in (a, semiring_convert(a, FLOAT_TIMES),
                   semiring_convert(a, FLOAT_PLUS)):
             del seen[:]
