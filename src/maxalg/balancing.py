@@ -36,7 +36,7 @@ from .errors import (
 )
 from .matrix import MaxMatrix, MaxVector, semiring_convert
 from .scaling import DiagonalScaling, scaled_pattern
-from .semiring import Semiring, gmean_cmp
+from .semiring import Semiring, float_range_error, gmean_cmp
 from .spectral import spectral_analysis
 
 
@@ -153,7 +153,12 @@ def _contract(scaled, groups, sr):
 
 
 def _balance_component(sub, sr):
-    """Balance one strongly connected block; returns (local scaling, levels)."""
+    """Balance one strongly connected block; returns (local scaling, levels).
+
+    A float level whose contraction dropped entries that rounded to the
+    zero (see _contract) can be left with no cycle; that is the float
+    range ModeError.
+    """
     m = sub.n
     members = [[k] for k in range(m)]
     cur = sub
@@ -161,6 +166,12 @@ def _balance_component(sub, sr):
     levels = []
     while cur.n > 1:
         an = spectral_analysis(cur)
+        if an.critical is None:
+            # _contract dropped rescaled float entries that rounded to the
+            # zero, and with them every cycle of the level
+            raise float_range_error(
+                "a rescaled entry of a balancing level", overflow=False
+            )
         crit_nodes = an.critical.nodes
         # the sum of the star columns at the critical nodes, from one
         # best-walk run; an irrational level raises ExactnessError

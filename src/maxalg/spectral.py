@@ -22,21 +22,30 @@ irrational in exact max-times mode the potentials are symbolic values
 by exact cross powers where the filter cannot decide, so the critical
 graph itself stays exact.
 
+Every division by lam goes through one kit per (pattern, mean), _Kit:
+the entries a_uv / lam on the pattern's edges with the one, zero,
+products, comparisons and float log keys of one arithmetic: Fractions
+a - lam in exact max-plus, Ratios pairs in exact max-times with a
+rational lam, _Symbolic values with an irrational one, and floats, with
+their range check, in float mode. The exact rounds build their
+potentials in it, and an irreducible exact analysis keeps the last
+round's kit; a float analysis builds its kit when first normalized.
+
 In both modes the normalized matrix and its star, one closure, are built
 when they are first read. Eigenvectors and balancing levels need only
 the star's columns at critical nodes, and read no closure: the
 potentials x of an irreducible matrix's certificate make the costs
 -log(a_ij x_j / (lam x_i)) nonnegative, as Johnson's reweighting does,
-so one Dijkstra-ordered run of best walks into the chosen nodes gives
-the sum of their columns, and an O(m) check certifies it (_Walks).
+so one Dijkstra-ordered run of best walks in the kit's arithmetic into
+the chosen nodes gives the sum of their columns, and an O(m) check
+certifies it (_Kit.run).
 
 An analysis reads the matrix's nonzero pattern (digraph.nonzero_pattern),
 which the matrix keeps, and no dense row unless ``tilde`` or the star is
 read: one Tarjan pass decomposes the pattern, each certificate takes its
-component's edges from it, the float range check divides only its
-entries, and the best-walk runs step along it. Balancing levels rescale
-and contract along their patterns and hand each level's pattern to its
-analysis.
+component's edges from it, and the kit divides only its entries.
+Balancing levels rescale and contract along their patterns and hand
+each level's pattern to its analysis.
 """
 
 from __future__ import annotations
@@ -44,8 +53,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from heapq import heapify, heappop, heappush
+from types import SimpleNamespace
 
 from .digraph import (
     Digraph,
@@ -207,14 +217,15 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
     compared by ``better``), points every node whose policy does not
     reach that cycle at a node that does, builds the potentials x
     backwards from the cycle with x_u = (w_uv / lam) x_v along the
-    policy, in the form normalized(mean) = (one, mul, entries, check)
-    gives, and checks w_uv x_v <= lam x_u on every edge with
-    check(x, policy) (see _check). A node with a violated edge moves to
-    its most violated one. A move either closes a new cycle of a higher
-    mean, or leaves the best cycle in place and raises the potentials, so
-    no policy repeats.
+    policy, in the arithmetic of kit = normalized(mean): from its
+    ``one``, with mul(e, x_v) = (w_uv / lam) x_v for the weight e that
+    ``steps[u][t]`` pairs with v, and checks w_uv x_v <= lam x_u on every
+    edge with kit.check(x, policy) (see _Kit.check). A node with a
+    violated edge moves to its most violated one. A move either closes a
+    new cycle of a higher mean, or leaves the best cycle in place and
+    raises the potentials, so no policy repeats.
 
-    Returns the (mean, cycle, potentials, tight) of the first round
+    Returns the (mean, cycle, potentials, tight, kit) of the first round
     without a move, ``cycle`` being the best cycle's nodes and ``tight``
     the edges (u, v) where equality holds; None when ``limit`` rounds
     all moved.
@@ -232,12 +243,13 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
         mean, cycle = best
         if cycle != chosen:
             chosen = cycle
-            one, mul, entries, check = normalized(mean)
+            kit = normalized(mean)
+            one, mul, steps = kit.one, kit.mul, kit.steps
         x = [None] * k
         x[cycle[0]] = one
         for c in reversed(cycle[1:]):
-            t = policy[c]
-            x[c] = mul(entries[c][t], x[succ[c][t][0]])
+            v, e = steps[c][policy[c]]
+            x[c] = mul(e, x[v])
         # the policy's own trees first, so that only nodes that cannot
         # reach the cycle through the policy are pointed elsewhere
         ppred = [[] for _ in range(k)]
@@ -247,63 +259,29 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
         for v in order:
             for u in ppred[v]:
                 if x[u] is None:
-                    x[u] = mul(entries[u][policy[u]], x[v])
+                    x[u] = mul(steps[u][policy[u]][1], x[v])
                     order.append(u)
         if len(order) < k:
             for v in order:
                 for u, t in pred[v]:
                     if x[u] is None:
                         policy[u] = t
-                        x[u] = mul(entries[u][t], x[v])
+                        x[u] = mul(steps[u][t][1], x[v])
                         order.append(u)
-        tight, moved = check(x, policy)
+        tight, moved = kit.check(x, policy)
         if not moved:
-            return mean, cycle, x, tight
+            return mean, cycle, x, tight, kit
     return None
 
 
-def _check(succ, entries, mul, cmp):
-    """The check of _improve for potentials that mul and cmp handle.
+def _float_check(logs, mean, tol, seen):
+    """_Kit.check for float log potentials, where equality is within ``tol``.
 
-    check(x, policy) compares entries[u][t] x_v with x_u on every edge
-    (u, v) = succ[u][t], moves ``policy`` at each node with a violated
-    edge to its most violated one, and returns (tight, moved): the edges
-    where equality holds, and whether a node moved.
-    """
-
-    def check(x, policy):
-        tight = []
-        moved = False
-        for u, out in enumerate(entries):
-            xu, own = x[u], policy[u]
-            move = heaviest = None
-            for t, e in enumerate(out):
-                v = succ[u][t][0]
-                if t == own:  # tight by the construction of x
-                    tight.append((u, v))
-                    continue
-                y = mul(e, x[v])
-                sign = cmp(y, xu)
-                if sign == 0:
-                    tight.append((u, v))
-                elif sign > 0 and (move is None or cmp(y, heaviest) > 0):
-                    move, heaviest = t, y
-            if move is not None:
-                policy[u] = move
-                moved = True
-        return tight, moved
-
-    return check
-
-
-def _float_check(succ, entries, tol, seen):
-    """_check for float log potentials, where equality is within ``tol``.
-
-    The slack of an edge is e + (x_v - x_u): the potentials are
-    subtracted first, so that a small e is not lost in a large x_v.
-    ``seen`` collects the policies checked. Rounding can make the moves
-    of a tie come back to a policy already checked; that policy is then
-    final, and check moves nothing.
+    The slack of an edge of log w is (w - mean) + (x_v - x_u): the
+    potentials are subtracted first, so that a small w - mean is not
+    lost in a large x_v. ``seen`` collects the policies checked. Rounding
+    can make the moves of a tie come back to a policy already checked;
+    that policy is then final, and check moves nothing.
     """
 
     def check(x, policy):
@@ -312,15 +290,14 @@ def _float_check(succ, entries, tol, seen):
         seen.add(key)
         tight = []
         moves = []
-        for u, out in enumerate(entries):
+        for u, out in enumerate(logs):
             xu, own = x[u], policy[u]
             move = heaviest = None
-            for t, e in enumerate(out):
-                v = succ[u][t][0]
+            for t, (v, w) in enumerate(out):
                 if t == own:  # tight by the construction of x
                     tight.append((u, v))
                     continue
-                d = e + (x[v] - xu)
+                d = (w - mean) + (x[v] - xu)
                 if d > tol:
                     if move is None or d - heaviest > tol:
                         move, heaviest = t, d
@@ -352,9 +329,10 @@ def _howard(logs, pred, tol, limit):
     seen = set()
 
     def normalized(mean):
-        entries = [[w - mean for _v, w in out] for out in logs]
-        return 0.0, operator.add, entries, _float_check(
-            logs, entries, tol, seen
+        # the logs stay as they are, and each read subtracts the mean
+        return SimpleNamespace(
+            one=0.0, mul=lambda w, y: (w - mean) + y, steps=logs,
+            check=_float_check(logs, mean, tol, seen),
         )
 
     policy = [max(range(len(out)), key=lambda t: out[t][1]) for out in logs]
@@ -386,34 +364,6 @@ def _float_proposal(sr, succ, pred):
     logs, widest, _scale = _float_logs(sr, succ)
     tol = _HOWARD_TOL * len(logs) * (1.0 + widest)
     return _howard(logs, pred, tol, _HOWARD_ROUNDS)[0]
-
-
-def _plain_cmp(x, y):
-    return (x > y) - (x < y)
-
-
-def _normalized_entries(sr, succ, pair):
-    """_improve's (one, mul, entries, check) for the mean ``pair``.
-
-    ``entries[u][t]`` is a_uv / lam for the edge succ[u][t] = (v, a_uv):
-    a Fraction a_uv - lam in max-plus, a Ratios pair in max-times when
-    lam is rational, and a _Symbolic value when it is irrational.
-    """
-    lam = gmean_value(sr, pair)
-    if sr.domain != TIMES:
-        one, mul, cmp = sr.one, sr.mul, _plain_cmp
-        entries = [[a - lam for _v, a in out] for out in succ]
-    elif lam is None:
-        ops = _Symbolic(sr, pair, [[a for _v, a in out] for out in succ])
-        one, mul, cmp, entries = ops.one, ops.mul, ops.cmp, ops.rows
-    else:
-        p, q = lam.numerator, lam.denominator
-        one, mul, cmp = Ratios.one, Ratios.mul, Ratios.cmp
-        entries = [
-            [(a.numerator * q, a.denominator * p) for _v, a in out]
-            for out in succ
-        ]
-    return one, mul, entries, _check(succ, entries, mul, cmp)
 
 
 def _component(pattern, comp):
@@ -463,16 +413,17 @@ def _certificate(sr, pattern, comp):
     """The certified mean of one nontrivial component of a nonzero_pattern,
     with its evidence.
 
-    Returns (pair, potentials, tight). ``pair`` is the (weight, length)
-    pair of a cycle of the component whose mean no cycle of it exceeds;
-    ``potentials[s]`` is x at comp[s], with a_uv x_v <= lam x_u on every
-    edge of the component; ``tight`` lists the edges (u, v), in original
-    node ids, where equality holds. In float mode Howard's iteration on
-    the logs is the whole certificate, comparing under the semiring's
-    tolerance, and the potentials are logs, scaled as _float_logs scales
-    them. In exact mode its policy is the start, and exact rounds of
-    _improve, comparing cycles by gmean_cmp, finish it with potentials
-    in the form of _normalized_entries.
+    Returns (pair, potentials, tight, kit). ``pair`` is the (weight,
+    length) pair of a cycle of the component whose mean no cycle of it
+    exceeds; ``potentials[s]`` is x at comp[s], with a_uv x_v <= lam x_u
+    on every edge of the component; ``tight`` lists the edges (u, v), in
+    original node ids, where equality holds. In float mode Howard's
+    iteration on the logs is the whole certificate, comparing under the
+    semiring's tolerance, the potentials are logs, scaled as _float_logs
+    scales them, and ``kit`` is None. In exact mode its policy is the
+    start, and exact rounds of _improve, comparing cycles by gmean_cmp,
+    finish it; the potentials are values of ``kit``, the _Kit of the
+    last round, on the component's local indices.
     """
     succ, pred = _component(pattern, comp)
     if not sr.exact:
@@ -483,7 +434,8 @@ def _certificate(sr, pattern, comp):
                 f"Howard's policy iteration still moved after "
                 f"{_FLOAT_ROUNDS} rounds"
             )
-        _mean, cycle, x, tight = settled
+        _mean, cycle, x, tight, _rounds = settled
+        kit = None
         pair = _in_float_range(
             sr,
             _cycle_pair(sr, [succ[c][policy[c]][1] for c in cycle]),
@@ -491,26 +443,30 @@ def _certificate(sr, pattern, comp):
         )
     else:
         policy = _float_proposal(sr, succ, pred)
-        pair, _cycle, x, tight = _improve(
+        pair, _cycle, x, tight, kit = _improve(
             succ, pred, policy, partial(_cycle_pair, sr),
             lambda p, q: gmean_cmp(sr, p, q) > 0,
-            partial(_normalized_entries, sr, succ),
+            partial(_Kit, sr, succ),
         )
-    return pair, x, [(comp[u], comp[v]) for u, v in tight]
+    return pair, x, [(comp[u], comp[v]) for u, v in tight], kit
+
+
+# -- a / lam: one kit per pattern and mean -----------------------------------
 
 
 class _Symbolic:
     """Scalars (p, r, m, f) meaning (p/r) lam^(-m), lam = w0^(1/l0) irrational.
 
-    p/r is the product of m entries of the matrix, kept as an unreduced
-    int pair: mul multiplies the ints without a gcd. f is a float estimate
-    of ln(p/r) - m ln lam: each entry's term ln p - ln r - ln lam is
-    estimated once, from the entry's reduced fraction, and mul adds the
-    estimates. None is the zero. Values compare through filtered_sign, and
-    by exact cross powers only when the estimates cannot decide, so the
-    potentials of an irrational mean are checked exactly. ``rows`` holds
-    the lifted entries of ``rows``, row by row; the rows need not be
-    square.
+    The values of the _Kit of an irrational mean. p/r is the product of m
+    entries of the matrix, kept as an unreduced int pair: mul multiplies
+    the ints without a gcd. f is a float estimate of ln(p/r) - m ln lam:
+    each entry's term ln p - ln r - ln lam is estimated once, from the
+    entry's reduced fraction, and mul adds the estimates. Values compare
+    through filtered_sign, and by exact cross powers only when the
+    estimates cannot decide, so the potentials of an irrational mean are
+    checked exactly. ``steps`` is the kit's: the successor lists ``succ``
+    with each entry a, never the zero, as a / lam = (a's numerator, its
+    denominator, 1, its term).
 
     Error bound: comparing x and y, with k = m_x + m_y, sums k entry
     terms. Each reads the two logs of its entry, which sum to at most G
@@ -525,32 +481,28 @@ class _Symbolic:
     how p/r is stored.
     """
 
-    def __init__(self, sr, lam_pair, rows):
+    one = (1, 1, 0, 0.0)
+
+    def __init__(self, lam_pair, succ):
         self.w0, self.l0 = lam_pair
         self.p0, self.r0 = self.w0.numerator, self.w0.denominator
-        self.one = (1, 1, 0, 0.0)
         p0, r0 = log_terms(self.w0)
         ln_lam = (p0 - r0) / self.l0
         widest = 0.0
-        lifted = []
-        for row in rows:
-            out = []
-            for v in row:
-                if sr.is_zero(v):
-                    out.append(None)
-                    continue
-                p, r = log_terms(v)
+        self.steps = []
+        for out in succ:
+            lifted = []
+            for v, a in out:
+                p, r = log_terms(a)
                 widest = max(widest, p + r)
-                out.append((v.numerator, v.denominator, 1, (p - r) - ln_lam))
-            lifted.append(out)
-        self.rows = lifted
+                lifted.append(
+                    (v, (a.numerator, a.denominator, 1, (p - r) - ln_lam))
+                )
+            self.steps.append(lifted)
         self.unit = widest + 2.0 + (p0 + r0 + 2.0) / self.l0
 
-    def is_zero(self, x):
-        return x is None
-
     def cmp(self, x, y):
-        """Three-way compare of two nonzero values."""
+        """Three-way compare of two values."""
         k = x[2] + y[2]
         sign = filtered_sign(x[3] - y[3], k * self.unit, k + 3)
         return sign or self._cross_cmp(x, y)
@@ -569,10 +521,154 @@ class _Symbolic:
             rhs *= self.p0 ** -d
         return (lhs > rhs) - (lhs < rhs)
 
-    def mul(self, x, y):
-        if x is None or y is None:
-            return None
+    @staticmethod
+    def mul(x, y):
         return (x[0] * y[0], x[1] * y[1], x[2] + y[2], x[3] + y[3])
+
+
+class _Kit:
+    """The arithmetic of a / lam on one nonzero pattern's successor lists.
+
+    Built once per (``succ``, mean ``pair``): ``steps[u]`` lists the pairs
+    (v, a_uv / lam) for the edges (v, a_uv) of succ[u], none of them the
+    zero. The mode picks the values once:
+
+    - exact max-plus: Fractions a - lam;
+    - exact max-times, lam rational: Ratios pairs, so no Fraction is
+      built until a value is read;
+    - exact max-times, lam irrational: _Symbolic values;
+    - float: the entries times 1/lam, not coerced, so building never
+      raises. Only an entry can leave the float range: ``loss`` is None
+      unless one overflowed to inf (True, reported first) or rounded to
+      the zero (False), float_range_error's ``overflow``.
+
+    ``one``, ``zero`` and ``mul`` are the unit, zero and product;
+    ``better`` and ``le`` compare (``le`` under the float tolerance), and
+    an exact kit's ``cmp`` is three-way. ``flog`` is the float log that
+    orders _best_walks, and ``values`` reads labels back as scalars (a
+    symbolic kit's stay (p, r, m, f)). Exact kits ``check`` Howard's
+    exact rounds; every kit ``run``s best walks, settling each node
+    ``once`` in float mode.
+    """
+
+    def __init__(self, sr, succ, pair):
+        lam = gmean_value(sr, pair)
+        self.once = not sr.exact
+        self.loss = self.value = None
+        self.zero, self.one = sr.zero, sr.one
+        self.better = operator.gt
+        if not sr.exact:
+            inv = sr.div(sr.one, lam)
+            # sr.mul(inv, a), written out, since neither is the zero
+            if sr.domain == TIMES:
+                self.mul, self.flog = operator.mul, math.log
+                self.steps = [[(v, inv * a) for v, a in out] for out in succ]
+            else:
+                self.mul, self.flog = operator.add, float
+                self.steps = [[(v, inv + a) for v, a in out] for out in succ]
+            values = [e for out in self.steps for _v, e in out]
+            if math.inf in values:
+                self.loss = True
+            elif sr.zero in values:
+                self.loss = False
+            self.le = sr.le
+        elif sr.domain != TIMES:
+            self.steps = [[(v, a - lam) for v, a in out] for out in succ]
+            self.mul, self.le = operator.add, operator.le
+            self.cmp = lambda x, y: (x > y) - (x < y)
+            self.flog = partial(_float_weight, sr)
+        elif lam is not None:
+            p, q = lam.numerator, lam.denominator
+            self.steps = [
+                [(v, (a.numerator * q, a.denominator * p)) for v, a in out]
+                for out in succ
+            ]
+            self.zero, self.one = (0, 1), Ratios.one
+            self.mul, self.cmp = Ratios.mul, Ratios.cmp
+            self.value = Ratios.value
+            self.better = lambda x, y: x[0] * y[1] > y[0] * x[1]
+            self.le = lambda x, y: x[0] * y[1] <= y[0] * x[1]
+            self.flog = lambda x: math.log(x[0]) - math.log(x[1])
+        else:
+            sym = _Symbolic(pair, succ)
+            self.steps, self.zero, self.one = sym.steps, None, sym.one
+            self.mul, self.cmp = sym.mul, sym.cmp
+            self.better = lambda x, y: y is None or sym.cmp(x, y) > 0
+            self.le = lambda x, y: sym.cmp(x, y) <= 0
+            self.flog = operator.itemgetter(3)
+
+    def check(self, x, policy):
+        """Compare steps[u][t] x_v with x_u on every edge, exactly.
+
+        Moves ``policy`` at each node with a violated edge to its most
+        violated one, and returns (tight, moved): the edges (u, v) where
+        equality holds, and whether a node moved.
+        """
+        mul, cmp = self.mul, self.cmp
+        tight = []
+        moved = False
+        for u, out in enumerate(self.steps):
+            xu, own = x[u], policy[u]
+            move = heaviest = None
+            for t, (v, e) in enumerate(out):
+                if t == own:  # tight by the construction of x
+                    tight.append((u, v))
+                    continue
+                y = mul(e, x[v])
+                sign = cmp(y, xu)
+                if sign == 0:
+                    tight.append((u, v))
+                elif sign > 0 and (move is None or cmp(y, heaviest) > 0):
+                    move, heaviest = t, y
+            if move is not None:
+                policy[u] = move
+                moved = True
+        return tight, moved
+
+    @cached_property
+    def into(self):
+        """``steps`` reversed: into[v] lists the pairs (u, a_uv / lam)."""
+        into = [[] for _ in self.steps]
+        for u, out in enumerate(self.steps):
+            for v, e in out:
+                into[v].append((u, e))
+        return into
+
+    def run(self, sources, sign, h):
+        """Labels of _best_walks, or None when they fail the certificate.
+
+        ``sign`` is -1 for walks into the sources (over ``into``, key
+        label / x) and 1 for walks out of them (over ``steps``, key label
+        * x), with ``h`` the float logs of the potentials x, a
+        subeigenvector. The certificate is one pass over the steps: no
+        step improves a label, beyond the tolerance in float mode, and
+        every source is at least one. By induction on the length of a
+        walk, each walk into a source then weighs at most the label at
+        its start; each label is the weight of a walk; so the labels are
+        the best walk weights, the sum of the star's columns (or rows) at
+        the sources.
+        """
+        steps = self.into if sign < 0 else self.steps
+        flog, le, mul, one = self.flog, self.le, self.mul, self.one
+        labels = _best_walks(
+            steps, sources, self.zero, one, mul, self.better,
+            lambda w, c: flog(c) + sign * h[w], self.once,
+        )
+        if not all(le(one, labels[s]) for s in sources):
+            return None
+        for y, out in zip(labels, steps):
+            for w, e in out:
+                if not le(mul(e, y), labels[w]):
+                    return None
+        return labels
+
+    def is_one(self, c):
+        return self.le(c, self.one) and self.le(self.one, c)
+
+    def values(self, labels):
+        if self.value is None:
+            return labels
+        return [self.value(y) for y in labels]
 
 
 # -- the analysis ------------------------------------------------------------
@@ -670,100 +766,6 @@ def _best_walks(steps, sources, zero, one, mul, better, key, once):
     return labels
 
 
-def _ratios_gt(x, y):
-    return x[0] * y[1] > y[0] * x[1]
-
-
-def _ratios_log(x):
-    """The float log of a positive Ratios pair."""
-    return math.log(x[0]) - math.log(x[1])
-
-
-class _Walks:
-    """Columns and rows of the star of tilde, from runs of _best_walks.
-
-    Built from an irreducible analysis's potentials and the matrix's
-    nonzero_pattern, in the matrix's own arithmetic: Ratios pairs in
-    exact max-times (so no Fraction is built until a label is read),
-    Fractions in exact max-plus, the floats of ``tilde`` in float mode.
-    ``into[v]`` lists the steps (u, tilde_uv) of the walks into v,
-    ``out_of[u]`` the steps (v, tilde_uv).
-    """
-
-    def __init__(self, an):
-        a, sr, lam, x = an._matrix, an.mean.semiring, an.lam, an._potentials
-        self.once = not sr.exact
-        pattern = nonzero_pattern(a)
-        if not sr.exact:
-            # _check_normal has refused a lost edge, so no step is zero
-            steps = an._float_divided()
-            self.zero, self.one, self.le = sr.zero, sr.one, sr.le
-            self.better, self.value = operator.gt, None
-            # the potentials are unscaled logs: _walks leaves max-plus
-            # entries beyond 2^960 to the closure
-            if sr.domain == TIMES:
-                self.mul, self.flog = operator.mul, math.log
-            else:
-                self.mul, self.flog = operator.add, float
-            self.h = x
-        elif sr.domain == TIMES:
-            p, q = lam.numerator, lam.denominator
-            steps = [
-                [(v, (w.numerator * q, w.denominator * p)) for v, w in out]
-                for out in pattern
-            ]
-            self.zero, self.one, self.mul = (0, 1), Ratios.one, Ratios.mul
-            self.better, self.value = _ratios_gt, Ratios.value
-            self.le = lambda c, y: not _ratios_gt(c, y)
-            self.flog = _ratios_log
-            self.h = [_ratios_log(v) for v in x]
-        else:
-            steps = [[(v, w - lam) for v, w in out] for out in pattern]
-            self.zero, self.one, self.mul = sr.zero, sr.one, operator.add
-            self.better, self.le, self.value = operator.gt, operator.le, None
-            self.flog = partial(_float_weight, sr)
-            self.h = [self.flog(v) for v in x]
-        into = [[] for _ in steps]
-        for u, out in enumerate(steps):
-            for v, e in out:
-                into[v].append((u, e))
-        self.into, self.out_of = into, steps
-
-    def run(self, steps, sources, sign):
-        """Labels of _best_walks, or None when they fail the certificate.
-
-        ``sign`` is -1 for walks into the sources (key label / x) and 1
-        for walks out of them (key label * x). The certificate is one
-        pass over the steps: no step improves a label, beyond the
-        tolerance in float mode, and every source is at least one. By
-        induction on the length of a walk, each walk into a source then
-        weighs at most the label at its start; each label is the weight
-        of a walk; so the labels are the best walk weights, the sum of
-        the star's columns (or rows) at the sources.
-        """
-        flog, h, le, mul = self.flog, self.h, self.le, self.mul
-        labels = _best_walks(
-            steps, sources, self.zero, self.one, mul, self.better,
-            lambda w, c: flog(c) + sign * h[w], self.once,
-        )
-        one = self.one
-        if not all(le(one, labels[s]) for s in sources):
-            return None
-        for y, out in zip(labels, steps):
-            for w, e in out:
-                if not le(mul(e, y), labels[w]):
-                    return None
-        return labels
-
-    def is_one(self, c):
-        return self.le(c, self.one) and self.le(self.one, c)
-
-    def values(self, labels):
-        if self.value is None:
-            return labels
-        return [self.value(y) for y in labels]
-
-
 @dataclass(frozen=True)
 class SpectralAnalysis:
     """Everything the spectral theory reads off one square matrix.
@@ -778,18 +780,18 @@ class SpectralAnalysis:
     ``checked_star()``: in exact mode kleene_star's, in float mode a
     closure with no divergence check, which ``checked_star()`` makes.
     ``critical`` is the CriticalGraph, None for acyclic matrices.
-    ``_divided``, in float mode, is the matrix's nonzero_pattern divided
-    by lam, built on the first check or read of ``tilde``; ``_range_loss``,
-    set with it, is None unless the division left the float range: then
-    it is True when an entry overflowed to inf and False when a nonzero
-    entry rounded to the zero (float_range_error's ``overflow``). The
-    best-walk runs read ``_divided``, and the dense float ``tilde`` is
-    built only when it is read. ``_potentials``, set only when
-    the matrix is irreducible, are its certificate's potentials x (see
-    _certificate): the Fiedler-Ptak scaling, a subeigenvector of
-    ``tilde``. Star columns at critical nodes, which the eigenvectors and
-    the balancing scales are, come from best-walk runs ordered by them
-    (_Walks), so reading those runs no closure.
+    ``_kit`` is the _Kit of the matrix's nonzero_pattern and the mean:
+    an irreducible exact analysis keeps the one its certificate's last
+    round built, and a float analysis builds it on the first check or
+    read of ``tilde`` (_normal), whose range loss normalized() refuses;
+    the dense float ``tilde`` is built from it when read, and an exact
+    ``tilde`` is a.scale(1/lam). ``_potentials``, set only when the
+    matrix is irreducible, are its certificate's potentials x (see
+    _certificate), values of the exact kit or float logs: the
+    Fiedler-Ptak scaling, a subeigenvector of ``tilde``. Star columns at
+    critical nodes, which the eigenvectors and the balancing scales are,
+    come from best-walk runs in the kit ordered by them (_Kit.run), so
+    reading those runs no closure.
     """
 
     components: SccDecomposition
@@ -797,8 +799,7 @@ class SpectralAnalysis:
     lam: object
     critical: CriticalGraph
     _matrix: MaxMatrix = field(default=None, compare=False, repr=False)
-    _range_loss: object = field(default=None, compare=False, repr=False)
-    _divided: list = field(default=None, compare=False, repr=False)
+    _kit: object = field(default=None, compare=False, repr=False)
     _tilde: MaxMatrix = field(default=None, compare=False, repr=False)
     _star: MaxMatrix = field(default=None, compare=False, repr=False)
     _potentials: list = field(default=None, compare=False, repr=False)
@@ -811,41 +812,22 @@ class SpectralAnalysis:
                 tilde = a.scale(sr.div(sr.one, self.lam))
             else:
                 rows = [list(row) for row in a.rows]
-                for row, out in zip(rows, self._float_divided()):
+                for row, out in zip(rows, self._normal().steps):
                     for j, w in out:
                         row[j] = w
                 tilde = MaxMatrix._raw(rows, sr)
             object.__setattr__(self, "_tilde", tilde)
         return self._tilde
 
-    def _float_divided(self):
-        """``_divided``, built with ``_range_loss`` on the first call.
-
-        Unlike a.scale this does not coerce 1/lam, which refuses inf, so
-        it never raises; _check_normal reports the range loss as a
-        ModeError instead. Dividing keeps every zero, so only a pattern
-        entry can overflow or round to the zero, and an overflow is
-        reported first.
-        """
-        if self._divided is None:
-            sr = self.mean.semiring
-            pattern = nonzero_pattern(self._matrix)
-            inv = sr.div(sr.one, self.lam)
-            # sr.mul(inv, v), written out: in max-plus inv + v, since
-            # neither is the zero
-            if sr.domain == TIMES:
-                divided = [[(j, inv * v) for j, v in out] for out in pattern]
-            else:
-                divided = [[(j, inv + v) for j, v in out] for out in pattern]
-            values = [w for out in divided for _j, w in out]
-            loss = None
-            if math.inf in values:
-                loss = True
-            elif sr.zero in values:
-                loss = False
-            object.__setattr__(self, "_divided", divided)
-            object.__setattr__(self, "_range_loss", loss)
-        return self._divided
+    def _normal(self):
+        """``_kit``, built on the first call when the analysis has none."""
+        if self._kit is None:
+            kit = _Kit(
+                self.mean.semiring, nonzero_pattern(self._matrix),
+                self.mean.pair(),
+            )
+            object.__setattr__(self, "_kit", kit)
+        return self._kit
 
     @property
     def star(self):
@@ -883,11 +865,10 @@ class SpectralAnalysis:
                 f"the maximum cycle mean {self.lam!r} is so small that its "
                 "inverse"
             )
-        self._float_divided()
-        if self._range_loss is not None:
+        loss = self._normal().loss
+        if loss is not None:
             raise float_range_error(
-                "an entry divided by the maximum cycle mean",
-                overflow=self._range_loss,
+                "an entry divided by the maximum cycle mean", overflow=loss
             )
 
     def normalized(self):
@@ -920,7 +901,7 @@ class SpectralAnalysis:
 
         Entry i is the best walk weight of ``tilde`` from i into a node
         of ``nodes``. After the checks of ``normalized()``, an irreducible
-        matrix reads it off one best-walk run (see _Walks.run) and builds
+        matrix reads it off one best-walk run (see _Kit.run) and builds
         no closure. A reducible one, a float tolerance too tight for the
         runs (see _walks), or a run that fails its certificate reads
         ``checked_star()`` instead, so the refusal and its witness are
@@ -929,9 +910,10 @@ class SpectralAnalysis:
         self._check_normal()
         walks = self._walks()
         if walks is not None:
-            labels = walks.run(walks.into, nodes, -1)
+            kit, h = walks
+            labels = kit.run(nodes, -1, h)
             if labels is not None:
-                return walks.values(labels)
+                return kit.values(labels)
         sr = self.mean.semiring
         return [
             reduce(sr.add, [row[v] for v in nodes])
@@ -962,37 +944,45 @@ class SpectralAnalysis:
         walks = self._walks()
         if walks is None:
             return self._star_basis()
+        kit, h = walks
         sr = self.mean.semiring
         basis = []
         for comp in self.critical.components:
             r = comp[0]
-            col = walks.run(walks.into, (r,), -1)
-            row = walks.run(walks.out_of, (r,), 1)
+            col = kit.run((r,), -1, h)
+            row = kit.run((r,), 1, h)
             if col is None or row is None or not all(
-                walks.is_one(walks.mul(row[v], col[v])) for v in comp
+                kit.is_one(kit.mul(row[v], col[v])) for v in comp
             ):
                 return self._star_basis()
-            basis.append(MaxVector._raw(walks.values(col), sr))
+            basis.append(MaxVector._raw(kit.values(col), sr))
         return tuple(basis)
 
     def _walks(self):
-        """The _Walks of an irreducible matrix, None when the closure must
-        answer: a reducible matrix, or a float tolerance below the
-        rounding of a walk's weight (see _WALK_ROUNDING)."""
-        if self._potentials is None:
+        """(kit, h) for the best-walk runs of an irreducible matrix: its
+        _Kit and the float logs h of its potentials, which order the
+        runs. None when the closure must answer: a reducible matrix, or a
+        float tolerance below the rounding of a walk's weight (see
+        _WALK_ROUNDING)."""
+        x = self._potentials
+        if x is None:
             return None
         sr = self.mean.semiring
-        if not sr.exact:
-            rounding = self._matrix.n * _WALK_ROUNDING
-            if sr.domain != TIMES:
-                rounding *= max(
-                    (abs(v) for out in nonzero_pattern(self._matrix)
-                     for _j, v in out),
-                    default=1.0,
-                )
-            if sr.tol < rounding:
-                return None
-        return _Walks(self)
+        if sr.exact:
+            kit = self._kit
+            return kit, [kit.flog(v) for v in x]
+        rounding = self._matrix.n * _WALK_ROUNDING
+        if sr.domain != TIMES:
+            rounding *= max(
+                (abs(v) for out in nonzero_pattern(self._matrix)
+                 for _j, v in out),
+                default=1.0,
+            )
+        if sr.tol < rounding:
+            return None
+        # the float potentials are logs, unscaled: a max-plus entry beyond
+        # 2^960 sets a rounding above every tolerance, and the closure answers
+        return self._normal(), x
 
     def _star_basis(self):
         """eigenspace_basis read off the whole checked star."""
@@ -1048,7 +1038,7 @@ def _analysis(a, pattern, dec):
     best = None
     tight = []
     for comp in dec.nontrivial_components:
-        pair, potentials, edges = _certificate(sr, pattern, comp)
+        pair, potentials, edges, kit = _certificate(sr, pattern, comp)
         sign = 1 if best is None else gmean_cmp(sr, pair, best)
         if sign > 0:
             best, tight = pair, edges
@@ -1060,9 +1050,13 @@ def _analysis(a, pattern, dec):
         )
     critical = _critical_graph(a, tight)
     mean = _witness_mean(sr, critical, best)
+    if not dec.is_single:
+        return SpectralAnalysis(dec, mean, mean.exact_value(), critical, a)
+    # one component of every node: its kit and potentials are on the
+    # matrix's own indices
     return SpectralAnalysis(
         dec, mean, mean.exact_value(), critical, a,
-        _potentials=potentials if dec.is_single else None,
+        _kit=kit, _potentials=potentials,
     )
 
 

@@ -491,6 +491,27 @@ TYPED_REFUSALS = [
         "underflows the float range",
     ),
     (
+        "balance_float_level_entry_underflows_times",
+        ["scale", "balance", "M"],
+        "maxtimes 2 float\n1e-300 5e-324\n0.5 1\n",
+        3,
+        "balancing level underflows the float range",
+    ),
+    (
+        "balance_float_level_entries_underflow_times",
+        ["scale", "balance", "M"],
+        "maxtimes 2 float\n5e-324 5e-324\n1e-200 1\n",
+        3,
+        "balancing level underflows the float range",
+    ),
+    (
+        "balance_float_level_entry_underflows_plus",
+        ["scale", "balance", "M"],
+        "maxplus 2 float\n-1e300 -1e308\n-1e308 1.5\n",
+        3,
+        "balancing level underflows the float range",
+    ),
+    (
         "info_float_cycle_weight_overflows",
         ["info", "M"],
         "maxtimes 2 float\n. 1e200\n1e200 .\n",

@@ -69,11 +69,14 @@ def test_gmean_cmp_on_near_ties(pairs):
 
 @st.composite
 def symbolic_case(draw):
-    """A _Symbolic over drawn entries, and two products of its entries.
+    """The symbolic kit arithmetic over drawn entries, and two products
+    of its entries.
 
     Half the time lam is the first entry r times a near-one weight, and r
     times another near-one weight is an entry too, so that products sit on
-    or next to lam^m.
+    or next to lam^m. That lam is rational, for which spectral._Kit would
+    pick Ratios pairs, so the case builds the _Symbolic values of the
+    irrational kit directly, from the same successor lists.
     """
     entries = draw(st.lists(weights, min_size=1, max_size=5))
     l0 = draw(lengths)
@@ -83,8 +86,8 @@ def symbolic_case(draw):
         w0 = (entries[0] * draw(near)) ** l0
     else:
         w0 = draw(weights)
-    ops = spectral._Symbolic(EXACT_TIMES, (w0, l0), [entries])
-    lifted = ops.rows[0]
+    ops = spectral._Symbolic((w0, l0), [list(enumerate(entries))])
+    lifted = [e for _v, e in ops.steps[0]]
     paths = st.lists(st.integers(0, len(entries) - 1), max_size=8)
     x, y = (
         reduce(ops.mul, (lifted[t] for t in draw(paths)), ops.one)
@@ -169,9 +172,9 @@ def test_near_ties_reach_the_exact_fallback(monkeypatch):
     sym = _counting(monkeypatch, spectral._Symbolic, "_cross_cmp")
     r = Fraction(7, 3)
     ops = spectral._Symbolic(
-        EXACT_TIMES, (r**3, 3), [[r, r * NEAR_ONE[0], Fraction(5)]]
+        (r**3, 3), [list(enumerate([r, r * NEAR_ONE[0], Fraction(5)]))]
     )
-    near, above, far = ops.rows[0]
+    (_n, near), (_a, above), (_f, far) = ops.steps[0]
     assert ops.cmp(near, far) == -1
     assert sym == []
     assert ops.cmp(ops.mul(near, near), ops.one) == 0  # r^2 against lam^2

@@ -58,6 +58,25 @@ def test_only_the_pattern_owners_touch_the_pattern_slot():
     assert offenders == []
 
 
+def test_only_spectral_touches_the_analysis_fields():
+    # a SpectralAnalysis keeps its matrix, its certificate's potentials,
+    # its kit of a / lam, tilde and the star in private fields; no other
+    # module reads or writes them, by attribute or by name, so every
+    # normalized value is read through the analysis and its kit
+    private = {"_matrix", "_potentials", "_kit", "_tilde", "_star"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in private:
+                offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert offenders == []
+
+
 # the public names, submodules included: a name that leaves or arrives
 # changes this list on purpose
 PUBLIC_NAMES = [

@@ -235,34 +235,76 @@ def test_mean_below_float_range_keeps_its_critical_graph():
     assert critical_graph(a).edges == ((0, 1), (1, 0))
 
 
-def test_float_normalization_refuses_to_drop_an_edge():
-    # 1e-300 / 1e200 rounds to 0.0: the normalized matrix would lose edge
-    # (0, 1), so normalized() refuses, while the mean and the critical
-    # graph still answer
-    from maxalg import MaxMatrix, ModeError
+@pytest.mark.parametrize(
+    "domain,rows,pair,edges,kept",
+    [
+        (
+            "max-times",
+            [[0.5, 1e-300], [3 / 7, 1e200]],
+            (1e200, 1),
+            ((1, 1),),
+            [[0.5, 1e-100], [3 / 7, 1e200]],
+        ),
+        (
+            "max-plus",
+            [[1e308, -1e308], [0, 0]],
+            (1e308, 1),
+            ((0, 0),),
+            [[1e308, -1e300], [0, 0]],
+        ),
+    ],
+    ids=["times", "plus"],
+)
+def test_float_normalization_refuses_to_drop_an_edge(
+    domain, rows, pair, edges, kept
+):
+    # 1e-300 / 1e200 rounds to 0.0, and -1e308 - 1e308 to -inf: the
+    # normalized matrix would lose edge (0, 1), so normalized() refuses,
+    # while the mean and the critical graph still answer
+    from maxalg import MaxMatrix, ModeError, Semiring
 
-    a = MaxMatrix([[0.5, 1e-300], [3 / 7, 1e200]], FLOAT_TIMES)
+    sr = Semiring(domain, exact=False)
+    a = MaxMatrix(rows, sr)
     an = spectral.spectral_analysis(a)
-    assert an.mean.pair() == (1e200, 1)
-    assert critical_graph(a).edges == ((1, 1),)
+    assert an.mean.pair() == pair
+    assert critical_graph(a).edges == edges
     with pytest.raises(ModeError, match="underflows the float range"):
         an.normalized()
     # an entry that only shrinks stays an edge
-    b = MaxMatrix([[0.5, 1e-100], [3 / 7, 1e200]], FLOAT_TIMES)
-    assert spectral.spectral_analysis(b).normalized().rows[0][1] > 0.0
+    b = MaxMatrix(kept, sr)
+    assert not sr.is_zero(spectral.spectral_analysis(b).normalized()[0, 1])
 
 
-def test_float_normalization_refuses_an_entry_that_overflows():
-    # lam is 1e-150, so entry (0, 2) divided by it is 1e350: normalized()
-    # refuses the inf, while the mean and the critical graph still answer
-    from maxalg import MaxMatrix, ModeError
+@pytest.mark.parametrize(
+    "domain,rows,pair,edges",
+    [
+        (
+            "max-times",
+            [[0, 1e-150, 1e200], [1e-150, 0, 0], [0, 0, 0]],
+            (1e-300, 2),
+            ((0, 1), (1, 0)),
+        ),
+        (
+            "max-plus",
+            [[-1e308, 1e308], [-math.inf, -1e308]],
+            (-1e308, 1),
+            ((0, 0), (1, 1)),
+        ),
+    ],
+    ids=["times", "plus"],
+)
+def test_float_normalization_refuses_an_entry_that_overflows(
+    domain, rows, pair, edges
+):
+    # lam is 1e-150, so entry (0, 2) divided by it is 1e350; lam is
+    # -1e308, so entry (0, 1) less it is 2e308: normalized() refuses the
+    # inf, while the mean and the critical graph still answer
+    from maxalg import MaxMatrix, ModeError, Semiring
 
-    a = MaxMatrix(
-        [[0, 1e-150, 1e200], [1e-150, 0, 0], [0, 0, 0]], FLOAT_TIMES
-    )
+    a = MaxMatrix(rows, Semiring(domain, exact=False))
     an = spectral.spectral_analysis(a)
-    assert an.mean.pair() == (1e-300, 2)
-    assert an.critical.edges == ((0, 1), (1, 0))
+    assert an.mean.pair() == pair
+    assert an.critical.edges == edges
     with pytest.raises(ModeError, match="overflows the float range"):
         an.normalized()
 
@@ -305,7 +347,7 @@ def test_float_range_is_checked_on_the_policy_cycle_and_the_witness():
     # here the policy settles on the loop, but the witness, a cycle of
     # the critical component from its smallest node, is the 2-cycle
     b = MaxMatrix([[0, 1e200], [1e200, 1.000000000001e200]], FLOAT_TIMES)
-    pair, _x, _tight = spectral._certificate(
+    pair, _x, _tight, _kit = spectral._certificate(
         FLOAT_TIMES, nonzero_pattern(b), (0, 1)
     )
     assert pair == (1.000000000001e200, 1)
@@ -406,7 +448,7 @@ def test_symbolic_closure_when_every_cycle_is_critical():
     # entries of a policy path to the policy's cycle, so it is a walk of
     # at most n - 1 edges, and the exact fallbacks stay that small
     small = _all_cycles_critical(4)
-    pair, potentials, _tight = spectral._certificate(
+    pair, potentials, _tight, _kit = spectral._certificate(
         EXACT_TIMES, nonzero_pattern(small), tuple(range(small.n))
     )
     assert pair == (2, 2)
@@ -468,7 +510,7 @@ def test_exact_improvement_on_a_reducible_matrix():
     assert analysis.lam == 1
     assert set(analysis.critical.edges) == critical_edges_brute(a)
     # the lower class is certified at its own mean
-    pair, _x, tight = spectral._certificate(
+    pair, _x, tight, _kit = spectral._certificate(
         EXACT_TIMES, nonzero_pattern(a), (2, 3)
     )
     assert pair == (low, 2) and gmean_cmp(EXACT_TIMES, pair, (1, 2)) < 0

@@ -29,6 +29,8 @@ from maxalg import (
     NotIrreducibleError,
     Semiring,
     eigenspace_basis,
+    gmean_value,
+    is_eigenvector,
     kleene_star,
     max_balance,
     oplus,
@@ -338,7 +340,7 @@ def test_a_failed_run_hands_over_to_the_closure(monkeypatch):
     # closure, with the closure's answer
     a = in_float(several_components(random.Random(2019), 9, 2), FLOAT_TIMES)
     want = closure_basis(a)
-    monkeypatch.setattr(spectral._Walks, "run", lambda *args: None)
+    monkeypatch.setattr(spectral._Kit, "run", lambda *args: None)
     closures = count_calls(monkeypatch, "closure_rows")
     for col, ref in zip(eigenspace_basis(a), want):
         assert_close(col, ref, a.semiring)
@@ -379,3 +381,47 @@ def test_an_exact_run_makes_at_most_two_relaxations_per_edge(monkeypatch):
     assert all(relaxations <= 2 * m for relaxations, m in runs), max(
         runs, key=lambda r: r[0] / r[1]
     )
+
+
+def test_an_exact_analysis_builds_one_kit(monkeypatch):
+    # the float proposal is already optimal on these matrices, so the
+    # exact rounds build one kit, at the final mean, and the eigenvector's
+    # best-walk runs reuse it rather than dividing the pattern again
+    built = []
+    init = spectral._Kit.__init__
+
+    def counting(self, sr, succ, pair):
+        built.append(gmean_value(sr, pair))
+        init(self, sr, succ, pair)
+
+    rng = random.Random(2027)
+    times = [unit_lambda_irreducible(rng, 8), several_components(rng, 12, 2),
+             unit_lambda_irreducible(rng, 12)]
+    plus = [several_components(rng, 12, 2, plus=True),
+            MaxMatrix([[v - 1 if v else NEG_INF for v in row]
+                       for row in times[2].rows], EXACT_PLUS)]
+    monkeypatch.setattr(spectral._Kit, "__init__", counting)
+    for a in times + plus:
+        lam = spectral_analysis(a).lam
+        assert built == [lam]
+        built.clear()
+        x = principal_eigenvector(a)
+        assert built == [lam]
+        built.clear()
+        assert is_eigenvector(a, x, lam)
+
+
+def test_an_irrational_kit_runs_the_best_walks():
+    # normalized() still refuses an irrational mean, but its kit carries
+    # everything a run needs: on [[0, 2], [1, 0]], lam = 2^(1/2), the
+    # star's column at node 0 is (1, lam^-1) and its row (1, 2 lam^-1),
+    # as _Symbolic values (p, r, m, f) meaning (p/r) lam^(-m)
+    an = spectral_analysis(fmat([[0, 2], [1, 0]]))
+    assert an.lam is None
+    kit, h = an._walks()
+    col = kit.run((0,), -1, h)
+    row = kit.run((0,), 1, h)
+    assert [y[:3] for y in col] == [(1, 1, 0), (1, 1, 1)]
+    assert [y[:3] for y in row] == [(1, 1, 0), (2, 1, 1)]
+    assert kit.is_one(kit.mul(row[1], col[1]))
+    assert not kit.is_one(row[1])
