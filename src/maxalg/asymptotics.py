@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
+from .digraph import nonzero_pattern
 from .errors import (
     CertificationError,
     InapplicableError,
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .matrix import (
     MaxMatrix,
+    entry_key,
     is_max_combination,
     kleene_star,
     mat_power,
@@ -75,24 +77,45 @@ def _default_budget(n, gamma):
     return 3 * n * n + 2 * gamma
 
 
+def _check_budget(budget):
+    """Refuse an explicit budget below 2: a repeat needs two powers."""
+    if budget is not None and budget < 2:
+        raise IterationBudgetError(
+            f"the budget must be at least 2, got {budget}: a repeat needs "
+            "two powers"
+        )
+
+
 def _scan_periodicity(m, budget):
     """First repeat among m's powers: (transient, period, powers, ladder).
 
     powers[t] is m^t for t up to the repeat, and the ladder (_powers)
-    goes on with the powers after the last one kept. Scans exponents
-    upward, comparing each power against all earlier ones; the first
-    repeat pins down the minimal eventual period and the minimal
-    transient for it, since one equality propagates forever by
-    multiplicativity. Raises IterationBudgetError when no repeat shows up
-    within the budget.
+    goes on with the powers after the last one kept. The first t at
+    which m^t equals an earlier power m^s pins down the minimal eventual
+    period t - s and the minimal transient s for it, since one equality
+    propagates forever by multiplicativity. Exact mode finds it with one
+    dict lookup per power, keyed by entry_key (the row lifts in
+    max-times, the rows in max-plus): every earlier power is distinct,
+    so at most one matches. Float mode compares each new power with all
+    earlier ones under the tolerance, which is not transitive. Raises
+    IterationBudgetError when no repeat shows up within the budget.
     """
     ladder = _powers(m)
     powers = [None, next(ladder)]
-    for t in range(2, budget + 1):
-        powers.append(next(ladder))
-        for p in range(1, t):
-            if powers[t].allclose(powers[t - p]):
-                return t - p, p, powers, ladder
+    if m.semiring.exact:
+        seen = {entry_key(powers[1]): 1}
+        for t in range(2, budget + 1):
+            power = next(ladder)
+            powers.append(power)
+            first = seen.setdefault(entry_key(power), t)
+            if first != t:
+                return first, t - first, powers, ladder
+    else:
+        for t in range(2, budget + 1):
+            powers.append(next(ladder))
+            for p in range(1, t):
+                if powers[t].allclose(powers[t - p]):
+                    return t - p, p, powers, ladder
     raise IterationBudgetError(
         f"no repetition among the first {budget} powers; raise the budget "
         "or check that the matrix really has ultimately periodic powers"
@@ -128,8 +151,10 @@ def transient_and_period(a, budget=None):
     repeat; callers normalize first (normalize_to_unit). Irreducibility
     is not required, but only irreducible matrices are guaranteed to
     repeat at all: reducible ones with sub-unit classes shrink forever
-    and exhaust the budget (default 3n^2 + 2 cyclicity).
+    and exhaust the budget (default 3n^2 + 2 cyclicity). An explicit
+    budget below 2 is refused with IterationBudgetError.
     """
+    _check_budget(budget)
     an = spectral_analysis(a)
     if an.mean.cmp_one() != 0:
         raise NotNormalizedError(
@@ -145,6 +170,7 @@ def normalized_periodicity(a, budget=None):
     The scan runs on normalize_to_unit(a)'s matrix, whose critical graph
     is a's; lam is a's own mean, the one divided out.
     """
+    _check_budget(budget)
     an = spectral_analysis(a)
     return _periodicity_profile(
         an.normalized(), an.mean, an.critical.cyclicity, budget
@@ -253,8 +279,13 @@ def csr_decompose(a, budget=None):
     critical edges. The window where both sides are provably periodic is
     checked exhaustively; failure raises CertificationError. Both the
     window and the downward onset walk read the powers the two
-    periodicity scans already computed.
+    periodicity scans already computed. In exact mode the period of S's
+    powers must divide gamma, as it does for every S whose edges are all
+    critical, so that S^t repeats with period gamma from certified_from
+    on (csr_power relies on it); otherwise CertificationError. An
+    explicit budget below 2 is refused with IterationBudgetError.
     """
+    _check_budget(budget)
     an = spectral_analysis(a)
     c, s, r = _csr_parts(an)
     tilde = an.tilde
@@ -272,7 +303,12 @@ def csr_decompose(a, budget=None):
 
     # every edge of s is critical, so s shares tilde's critical cyclicity
     t_tilde, _p, lhs_pows, lhs_ladder = scan(tilde)
-    t_s, _p, s_pows, s_ladder = scan(s)
+    t_s, p_s, s_pows, s_ladder = scan(s)
+    if s.semiring.exact and gamma % p_s:
+        raise CertificationError(
+            f"the powers of S repeat with period {p_s}, which does not "
+            f"divide the critical cyclicity {gamma}"
+        )
     start = max(t_tilde, t_s)
     for pows, ladder in ((lhs_pows, lhs_ladder), (s_pows, s_ladder)):
         while len(pows) < start + gamma:
@@ -303,10 +339,27 @@ def csr_decompose(a, budget=None):
     )
 
 
+def _product_count(t):
+    """The number of products exact mat_power makes for its t-th power."""
+    t = int(t)
+    return max(t.bit_length() + bin(t).count("1") - 2, 0)
+
+
 def csr_power(triple, t):
-    """Evaluate lam^t C (x) S^t (x) R; matches A^t for t >= transient."""
+    """Evaluate lam^t C (x) S^t (x) R; matches A^t for t >= transient.
+
+    In exact mode S^t repeats with period gamma from f = certified_from
+    on (csr_decompose checks it), so for t >= f it is also S^(f + (t - f)
+    mod gamma); mat_power takes whichever of the two exponents costs it
+    fewer products, so a large t costs no more than a small one. Float
+    mode takes mat_power(S, t).
+    """
     sr = triple.c.semiring
-    prod = otimes(otimes(triple.c, mat_power(triple.s, t)), triple.r)
+    e = t
+    f = triple.certified_from
+    if sr.exact and t >= f and t == int(t):
+        e = min(t, f + (int(t) - f) % triple.gamma, key=_product_count)
+    prod = otimes(otimes(triple.c, mat_power(triple.s, e)), triple.r)
     return prod.scale(sr.power(triple.lam, t))
 
 
@@ -463,12 +516,13 @@ def _csr_products(term):
     """
     window = deque(maxlen=term.gamma)
     for s_pow in _powers(term.s):
-        if len(window) == term.gamma and window[0][0] == s_pow:
+        key = entry_key(s_pow)
+        if len(window) == term.gamma and window[0][0] == key:
             break
         prod = otimes(otimes(term.c, s_pow), term.r)
-        window.append((s_pow, prod))
+        window.append((key, prod))
         yield prod
-    cycle = [prod for _s_pow, prod in window]
+    cycle = [prod for _key, prod in window]
     while True:
         yield from cycle
 
@@ -761,12 +815,62 @@ def _agreements(a, terms):
         yield is_max_combination(power, [next(col) for col in columns])
 
 
+def _pattern_repeat(s):
+    """The least u at which the zero pattern of s^u repeats an earlier one.
+
+    No power of s repeats before its pattern does, and finding the
+    pattern's repeat takes no product: row i of a pattern is the set of
+    the j reached from i by walks of that length, and the next power's
+    row is the union of the rows of s's own pattern at its members.
+    """
+    steps = [frozenset([j for j, _v in out]) for out in nonzero_pattern(s)]
+    seen = {}
+    rows, u = tuple(steps), 1
+    while rows not in seen:
+        seen[rows] = u
+        rows = tuple([frozenset().union(*[steps[j] for j in row])
+                      for row in rows])
+        u += 1
+    return u
+
+
+def _ladder_power(s, t):
+    """s^t of an exact matrix, read off s's own ladder where it repeats.
+
+    When the ladder s, s^2, ... repeats, s^u == s^r, within the products
+    mat_power(s, t) would make, the periodicity scan walks it there and
+    s^t is s^(r + (t - r) mod (u - r)), already on the ladder; otherwise
+    s^t is mat_power's. The zero patterns of the powers (_pattern_repeat)
+    decide beforehand whether the walk can end in time. The S of a CSR
+    term repeats exactly when its pattern does, since each of its walks
+    from i to j weighs x_i / x_j (see _periodic_products), so for it the
+    walk always ends on the ladder and never makes more products than
+    mat_power would.
+    """
+    if t < 1 or t != int(t):
+        return mat_power(s, t)
+    budget = _product_count(t) + 1
+    if _pattern_repeat(s) > budget:
+        return mat_power(s, t)
+    try:
+        first, period, powers, _ladder = _scan_periodicity(s, budget)
+    except IterationBudgetError:
+        return mat_power(s, t)
+    return powers[first + (int(t) - first) % period]
+
+
 def expansion_power(expansion, t):
-    """Evaluate the expansion at exponent t >= 1."""
+    """Evaluate the expansion at exponent t >= 1.
+
+    In exact mode each term's S^t is read off S's own ladder once it
+    repeats (_ladder_power), which takes a few products whatever t; float
+    mode takes mat_power(S, t).
+    """
     sr = expansion.semiring
+    power = _ladder_power if sr.exact else mat_power
     out = MaxMatrix.zeros(expansion.n, expansion.n, semiring=sr)
     for term in expansion.terms:
-        prod = otimes(otimes(term.c, mat_power(term.s, t)), term.r)
+        prod = otimes(otimes(term.c, power(term.s, t)), term.r)
         out = oplus(out, prod.scale(sr.power(term.coefficient, t)))
     return out
 

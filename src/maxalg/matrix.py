@@ -16,14 +16,24 @@ not state: ==, hash, repr, pickling and copies see only the entries.
 
 In exact max-times the row lifts are canonical: row i is (ints, d) with
 d the lcm of the row's reduced denominators, exactly _lift of its
-Fractions, so allclose decides equality by comparing row lifts. An
-exact max-times product is born reduced: _multiply stores each row as
-the numerators and the denominators of its Fractions, in lowest terms,
-in a third slot, _reduced, and leaves ``rows`` unset. Its row and
-column lifts are made from that form without a gcd, and
-MaxMatrix.__getattr__ builds the Fraction rows from it on the first
-read of ``rows``, skipping the gcd that the Fraction constructor would
-take again. A ladder of products, with allclose comparing row lifts,
+Fractions, so allclose decides equality by comparing row lifts and
+entry_key hashes them. An exact max-times product is born without
+Fraction rows, in one of two integer forms, chosen by a property of the
+right factor (see _multiply):
+
+- born lifted: when every column denominator of the right factor
+  divides the largest one, each row is reduced by one gcd and the
+  product holds its canonical row lifts;
+- born reduced: otherwise each entry is reduced by its own gcd, and the
+  product holds, in a third slot, _reduced, the numerators and the
+  denominators of its Fractions, in lowest terms.
+
+A product born lifted makes its _reduced form from its row lifts, one
+gcd per entry, on the first read of its rows or columns; a product born
+reduced makes its row and column lifts from _reduced without a gcd.
+MaxMatrix.__getattr__ builds the Fraction rows from _reduced on the
+first read of ``rows``, skipping the gcd that the Fraction constructor
+would take again. A ladder of products, compared by row lifts,
 therefore builds no Fraction. Fractions are still built on the first
 read of a product's ``rows``, for the entries of a product with a
 vector, and by Ratios.value.
@@ -199,21 +209,45 @@ class MaxMatrix:
         m.ncols = ncols
         return m
 
-    def __getattr__(self, name):
-        """Build ``rows`` from the reduced form on its first read.
+    @classmethod
+    def _born_lifted(cls, lifts, ncols, semiring):
+        """An exact max-times matrix given by its canonical row lifts, a
+        tuple of (ints, d) per row (see _row_lifts)."""
+        m = object.__new__(cls)
+        m.semiring = semiring
+        m._row_lifts = lifts
+        m.nrows = len(lifts)
+        m.ncols = ncols
+        return m
 
-        Python calls this only for an unset slot: ``rows`` of a matrix
-        born reduced (_born_reduced), or a slot not yet filled.
+    def __getattr__(self, name):
+        """Build ``rows``, or the _reduced form, on its first read.
+
+        Python calls this only for an unset slot. ``rows`` of a matrix
+        born without them is built from _reduced. _reduced of a matrix
+        born lifted (_born_lifted), which has no ``rows``, is made from
+        its row lifts, one gcd per entry. Any other unset slot is an
+        AttributeError.
         """
-        if name != "rows":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
+        if name == "rows":
+            rows = self.rows = tuple(
+                tuple([_fraction(p, q) for p, q in zip(ps, qs)])
+                for ps, qs in self._reduced
             )
-        rows = self.rows = tuple(
-            tuple([_fraction(p, q) for p, q in zip(ps, qs)])
-            for ps, qs in self._reduced
+            return rows
+        if name == "_reduced" and not _has_rows(self):
+            gcd = math.gcd
+            reduced = []
+            for ints, d in self._row_lifts:
+                gs = [gcd(x, d) for x in ints]
+                reduced.append((
+                    [x // g for x, g in zip(ints, gs)], [d // g for g in gs]
+                ))
+            self._reduced = reduced
+            return reduced
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
         )
-        return rows
 
     @classmethod
     def identity(cls, n, semiring=EXACT_TIMES):
@@ -282,7 +316,9 @@ class MaxMatrix:
 
         An exact max-times result is born reduced: one gcd per entry
         gives its numerator and denominator, and no Fraction is built
-        until ``rows`` is read.
+        until ``rows`` is read. The entries are read off the Fractions
+        of a matrix that has its rows, and off the row lifts of one born
+        without them, so scaling a product builds none of its Fractions.
         """
         sr = self.semiring
         c = sr.coerce(c)
@@ -291,11 +327,16 @@ class MaxMatrix:
                 [[sr.mul(c, v) for v in row] for row in self.rows], sr
             )
         p, q, gcd = c.numerator, c.denominator, math.gcd
+        if _has_rows(self):
+            rows = ([(v.numerator, v.denominator) for v in row]
+                    for row in self.rows)
+        else:
+            rows = ([(x, d) for x in xs] for xs, d in _row_lifts(self))
         reduced = []
-        for row in self.rows:
+        for row in rows:
             ps, qs = [], []
-            for v in row:
-                x, y = v.numerator * p, v.denominator * q
+            for a, b in row:
+                x, y = a * p, b * q
                 g = gcd(x, y)
                 ps.append(x // g)
                 qs.append(y // g)
@@ -388,6 +429,15 @@ def otimes(a, b):
     return _multiply(a, b, _columns(b))
 
 
+def _has_rows(m):
+    """True when m's ``rows`` slot is set; never builds them."""
+    try:
+        object.__getattribute__(m, "rows")
+    except AttributeError:
+        return False
+    return True
+
+
 def _fraction_free(sr):
     """True in exact max-times, where products run on lifted ints."""
     return sr.exact and sr.domain == TIMES
@@ -396,12 +446,16 @@ def _fraction_free(sr):
 def _columns(b):
     """b's columns as _multiply takes them, prepared once per matrix.
 
-    Exact max-times columns are lifted: from the reduced form of a
-    matrix born reduced (_lift_reduced), so it builds no Fraction rows
-    for them, and from the entries otherwise (_lift). Every other mode
-    keeps each column's nonzero (k, value) pairs. A matrix keeps them in
-    its _cols slot from its first use as a right factor on; a vector's
-    are prepared at each product.
+    In exact max-times each column j is first lifted over the lcm e_j of
+    its own reduced denominators: from the _reduced form of a matrix
+    born without Fraction rows (_lift_reduced), so it builds none for
+    them, and from the entries otherwise (_lift). The result is a pair
+    (E, cols). When every e_j divides the largest, E, the columns are
+    lifted once more, over E, and cols holds their ints; otherwise E is
+    None and cols holds the (ints, e_j) lifts. Every other mode keeps
+    each column's nonzero (k, value) pairs. A matrix keeps them in its
+    _cols slot from its first use as a right factor on; a vector's are
+    prepared at each product.
     """
     cols = getattr(b, "_cols", None)
     if cols is None:
@@ -423,6 +477,15 @@ def _columns(b):
                     [(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
                     for col in cols
                 ]
+        if _fraction_free(sr):
+            common = max(e for _c, e in cols)
+            if all(common % e == 0 for _c, e in cols):
+                cols = common, [
+                    c if e == common else tuple([x * (common // e) for x in c])
+                    for c, e in cols
+                ]
+            else:
+                cols = None, cols
         if not vector:
             b._cols = cols
     return cols
@@ -431,36 +494,62 @@ def _columns(b):
 def _row_lifts(m):
     """The canonical lift of each row of an exact max-times matrix.
 
-    Made once, from the reduced form of a matrix born reduced and from
-    the entries otherwise; m keeps them in its _row_lifts slot from the
-    first product, allclose or is_max_combination that reads them on.
+    A tuple of (ints, d), one per row. A matrix born lifted holds it from
+    birth; any other makes it once, from the _reduced form of a matrix
+    born reduced and from the entries otherwise, and keeps it in its
+    _row_lifts slot from the first product, allclose or
+    is_max_combination that reads it on.
     """
     lifts = getattr(m, "_row_lifts", None)
     if lifts is None:
         reduced = getattr(m, "_reduced", None)
         if reduced is None:
-            lifts = [_lift(row) for row in m.rows]
+            lifts = tuple([_lift(row) for row in m.rows])
         else:
-            lifts = [_lift_reduced(ps, qs) for ps, qs in reduced]
+            lifts = tuple([_lift_reduced(ps, qs) for ps, qs in reduced])
         m._row_lifts = lifts
     return lifts
+
+
+def entry_key(m):
+    """A hashable key of m's entries.
+
+    Two matrices of one semiring and shape have equal keys exactly when
+    they are equal (==). Exact max-times gives the canonical row lifts
+    (_row_lifts), so a product born lifted builds nothing for its key;
+    every other mode gives the rows, whose float entries compare by ==,
+    not under the tolerance.
+    """
+    if _fraction_free(m.semiring):
+        return _row_lifts(m)
+    return m.rows
 
 
 def _multiply(a, b, cols):
     """a (x) b, where ``cols`` is _columns(b); every product runs here.
 
-    Exact max-times runs fraction-free: row i of a is lifted over the lcm
-    d_i of its own denominators and column j of b over its own e_j, so
-    entry (i, j) is x / y = max_k(r_ik * c_kj) / (d_i * e_j). The inner
-    loop multiplies Python ints. One gcd reduces the entry to p / q, the
-    numerator and denominator of its Fraction, which is all the Fraction
-    constructor would do. A matrix product is returned in that form
-    (MaxMatrix._born_reduced), lifted or turned into Fractions only when
-    a later product or a reader asks; a vector product builds its
-    Fractions at once. Per-entry reduction keeps the ints small where a
-    common denominator would not: one lcm for the whole left factor, or
-    one for the right factor's columns, is the product of them all when
-    the denominators are pairwise coprime.
+    Exact max-times runs fraction-free, on Python ints: row i of a is
+    lifted over the lcm d_i of its own reduced denominators (_row_lifts),
+    and the columns of b as _columns prepares them.
+
+    - When every column denominator e_j of b divides the largest, E, the
+      columns are lifted over E, and row i of the product is x_j / (d_i
+      E) with x_j = max_k(r_ik * c_kj). One gcd g of d_i E and all the
+      x_j reduces the whole row: d_i E / g is the lcm of the row's
+      reduced denominators, so (x / g, d_i E / g) is the row's canonical
+      lift. The product is born lifted (MaxMatrix._born_lifted).
+    - Otherwise entry (i, j) is x / y = max_k(r_ik * c_kj) / (d_i * e_j)
+      over b's own e_j, and one gcd per entry reduces it to p / q, the
+      numerator and denominator of its Fraction. The product is born
+      reduced (MaxMatrix._born_reduced).
+
+    Neither form builds a Fraction; a later product or a reader turns it
+    into the other or into Fractions when it asks. A vector's one column
+    always divides itself, so a product with a vector takes the first way
+    and builds its Fractions at once. The choice is a property of b, not
+    a setting: per-entry reduction keeps the ints small where a common
+    denominator would not. With pairwise coprime column denominators, E
+    would be the product of them all.
     """
     _check_same_semiring(a, b)
     sr = a.semiring
@@ -474,21 +563,31 @@ def _multiply(a, b, cols):
         raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
     if _fraction_free(sr):
         mul, gcd = operator.mul, math.gcd
-        reduced = []
+        common, cols = cols
+        if common is None:
+            reduced = []
+            for r, d in _row_lifts(a):
+                ps, qs = [], []
+                for c, e in cols:
+                    x = max(map(mul, r, c))
+                    y = d * e
+                    g = gcd(x, y)
+                    ps.append(x // g)
+                    qs.append(y // g)
+                reduced.append((ps, qs))
+            return MaxMatrix._born_reduced(reduced, b.ncols, sr)
+        lifts = []
         for r, d in _row_lifts(a):
-            ps, qs = [], []
-            for c, e in cols:
-                x = max(map(mul, r, c))
-                y = d * e
-                g = gcd(x, y)
-                ps.append(x // g)
-                qs.append(y // g)
-            reduced.append((ps, qs))
+            xs = [max(map(mul, r, c)) for c in cols]
+            y = d * common
+            g = gcd(y, *xs)
+            if g == 1:
+                lifts.append((tuple(xs), y))
+            else:
+                lifts.append((tuple([x // g for x in xs]), y // g))
         if vector:
-            return MaxVector._raw(
-                [_fraction(ps[0], qs[0]) for ps, qs in reduced], sr
-            )
-        return MaxMatrix._born_reduced(reduced, b.ncols, sr)
+            return MaxVector._raw([_fraction(xs[0], y) for xs, y in lifts], sr)
+        return MaxMatrix._born_lifted(tuple(lifts), b.ncols, sr)
     add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
     out = []
     for row in a.rows:
@@ -512,13 +611,13 @@ def _lift(values):
     d is the lcm of the denominators, so a zero entry lifts to 0.
     """
     d = math.lcm(*[x.denominator for x in values])
-    return [x.numerator * (d // x.denominator) for x in values], d
+    return tuple([x.numerator * (d // x.denominator) for x in values]), d
 
 
 def _lift_reduced(ps, qs):
     """_lift of the Fractions ps[k] / qs[k], each in lowest terms."""
     d = math.lcm(*qs)
-    return [p * (d // q) for p, q in zip(ps, qs)], d
+    return tuple([p * (d // q) for p, q in zip(ps, qs)]), d
 
 
 def is_max_combination(m, terms):
@@ -873,8 +972,8 @@ def kleene_star(a):
 
     Converges exactly when every cycle weight is at most one; otherwise a
     DivergenceError carrying a witness cycle of weight above one is raised.
-    Exact max-times closes on Ratios int pairs, read from the reduced
-    form of a matrix born reduced, and exact max-plus on PlusInts, ints
+    Exact max-times closes on Ratios int pairs, read from the _reduced
+    form of a matrix born without rows, and exact max-plus on PlusInts, ints
     over the lcm of the denominators; both build one Fraction per star
     entry at the end.
     """

@@ -552,6 +552,28 @@ def scan_reference(m, budget):
     return None
 
 
+def fraction_scan_reference(rows, budget):
+    """(transient, period) of the first repeat among the powers of a square
+    grid of exact max-times Fractions, 0 the zero; None within the budget.
+
+    No maxalg code runs: each power is a plain triple loop on Fractions
+    and is compared with every earlier one.
+    """
+    n = len(rows)
+    base = [list(row) for row in rows]
+    powers = [None, base]
+    for t in range(2, budget + 1):
+        last = powers[-1]
+        powers.append([
+            [max(last[i][k] * base[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ])
+        for s in range(1, t):
+            if powers[s] == powers[t]:
+                return s, t - s
+    return None
+
+
 def _transient_reference(m, budget, gamma):
     """Transient of m's powers; the default budget doubles 7 times."""
     b = 3 * m.n * m.n + 2 * gamma if budget is None else budget

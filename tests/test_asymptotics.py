@@ -30,10 +30,13 @@ from maxalg import (
     transient_bound,
 )
 
+from maxalg.asymptotics import _ladder_power, normalized_periodicity
+
 from helpers import (
     count_calls,
     fmat,
     power_two_dominant,
+    random_matrix,
     two_level_planted,
     unit_lambda_irreducible,
 )
@@ -75,15 +78,45 @@ def test_transient_and_period_minimality():
 
 
 def test_power_ladder_lifts_its_right_factor_once(monkeypatch):
-    # the right factor's n columns are lifted once for the whole scan, and
-    # so are a's n rows at the first product; every later power is born
-    # reduced and lifted from that form, so the count does not grow with
-    # the transient
+    # the right factor's n columns are lifted once for the whole scan (and
+    # then over their largest denominator, 200, which every other one
+    # divides), and a's n rows once at the first product; every later
+    # power is born holding its row lifts, so the count does not grow
+    # with the transient
     a = fmat([[1, 1], [Fraction(1, 2), Fraction(199, 200)]])
     lifts = count_calls(monkeypatch, "_lift")
     prof = transient_and_period(a, budget=1000)
     assert (prof.transient, prof.period) == (139, 1)
     assert len(lifts) == 2 * a.n
+
+
+@pytest.mark.parametrize("budget", [1, 0, -3])
+def test_a_budget_below_two_is_refused(budget):
+    # a repeat needs two powers: the scan is refused before it starts,
+    # with the value named, rather than run out after no power at all
+    a = fmat([[1, 1], [1, 0]])
+    want = f"the budget must be at least 2, got {budget}"
+    for f in (transient_and_period, normalized_periodicity, csr_decompose):
+        with pytest.raises(IterationBudgetError, match=want):
+            f(a, budget=budget)
+    # two powers are enough when the second repeats the first
+    eye = fmat([[1, 0], [0, 1]])
+    assert transient_and_period(eye, budget=2).transient == 1
+
+
+def test_ladder_power_equals_mat_power():
+    # S^t off the ladder, on matrices whose powers need not repeat when
+    # their patterns do (random exact ones), and on CSR S
+    rng = random.Random(47)
+    cases = [random_matrix(rng, rng.randint(1, 5), rng.uniform(0.2, 0.8))
+             for _ in range(40)]
+    cases += [csr_decompose(unit_lambda_irreducible(rng, rng.randint(2, 7))).s
+              for _ in range(20)]
+    for s in cases:
+        for t in (0, 1, 2, 3, 4, 7, 8, 30, 100):
+            assert _ladder_power(s, t) == mat_power(s, t)
+        with pytest.raises(ValueError):
+            _ladder_power(s, -1)
 
 
 def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):

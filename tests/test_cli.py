@@ -535,6 +535,26 @@ def test_typed_refusals(tmp_path, name, argv, text, want_code, fragment):
 
 
 @pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["powers", "data/coupled.mx", "--budget", "0"], 0),
+        (["csr", "data/coupled.mx", "--budget", "-3"], -3),
+        (["powers", "data/coupled.mx", "--budget", "1"], 1),
+    ],
+    ids=["powers_budget_zero", "csr_budget_negative", "powers_budget_one"],
+)
+def test_budget_below_two_is_refused_by_value(argv, value):
+    # a repeat needs two powers; the refusal names the value given
+    # instead of reporting no repetition among the first -3 powers
+    report, code = _run(argv)
+    assert code == 2
+    assert report["results"]["error"] == (
+        f"the budget must be at least 2, got {value}: a repeat needs two "
+        "powers"
+    )
+
+
+@pytest.mark.parametrize(
     "text,weight",
     [
         ("maxplus 2 float\n1e308 -1e300\n0 0\n", 1e308),

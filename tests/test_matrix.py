@@ -294,12 +294,16 @@ def test_lifted_otimes_pairwise_coprime_denominators():
     _assert_matches(mat_power(fmat(a), 4), _reference_otimes(square, square))
 
 
-# distinct primes: with coprime=True every entry of a case gets its own
+# distinct primes: with coprime denominators every entry of a case gets
+# its own
 PRIMES = [
     p for p in range(1009, 2000)
     if all(p % d for d in range(2, int(p**0.5) + 1))
 ]
 SMALL_DENS = [1, 2, 3, 4, 6, 9, 2**20, 65521, 999983]
+# the divisors of 720: with one entry 1/720 planted in the right factor,
+# every column denominator divides the largest one, 720
+DIVIDING_DENS = [d for d in range(1, 721) if 720 % d == 0]
 
 
 @st.composite
@@ -307,17 +311,21 @@ def exact_products(draw):
     """Factors (a, b), a target row list near a (x) b, and a vector x.
 
     Shapes are rectangular up to 6, a may get a zero row and b a zero
-    column, and with ``coprime`` every entry has its own prime
-    denominator. The target equals the product or differs in one entry.
+    column. The denominators are of one of three kinds, drawn equally
+    often: every entry gets its own prime ("coprime"), every column
+    denominator of b divides the largest one ("dividing"), or they come
+    from a small mixed list ("small"). The target equals the product or
+    differs in one entry.
     """
     m, k, n = (draw(st.integers(min_value=1, max_value=6)) for _ in "mkn")
-    coprime = draw(st.booleans())
+    kind = draw(st.sampled_from(["coprime", "dividing", "small"]))
     primes = iter(PRIMES)
+    dens = DIVIDING_DENS if kind == "dividing" else SMALL_DENS
 
     def entry():
         if draw(st.integers(min_value=0, max_value=3)) == 0:
             return Fraction(0)
-        den = next(primes) if coprime else draw(st.sampled_from(SMALL_DENS))
+        den = next(primes) if kind == "coprime" else draw(st.sampled_from(dens))
         return Fraction(draw(st.integers(min_value=1, max_value=10**6)), den)
 
     a = [[entry() for _ in range(k)] for _ in range(m)]
@@ -328,6 +336,10 @@ def exact_products(draw):
         j = draw(st.integers(min_value=0, max_value=n - 1))
         for row in b:
             row[j] = Fraction(0)
+    if kind == "dividing":
+        b[draw(st.integers(min_value=0, max_value=k - 1))][
+            draw(st.integers(min_value=0, max_value=n - 1))
+        ] = Fraction(1, 720)
     target = _reference_otimes(a, b)
     if draw(st.booleans()):
         i = draw(st.integers(min_value=0, max_value=m - 1))
@@ -339,31 +351,66 @@ def exact_products(draw):
     return a, b, target, x
 
 
+def _assert_canonical_columns(m, want):
+    """_columns(m) holds the canonical column lifts of ``want``, lifted
+    once more over the largest denominator exactly when every column
+    denominator divides it."""
+    common, cols = matrix._columns(m)
+    lifts = [matrix._lift(col) for col in zip(*want.rows)]
+    top = max(e for _c, e in lifts)
+    if all(top % e == 0 for _c, e in lifts):
+        assert common == top
+        assert cols == [tuple(x * (top // e) for x in c) for c, e in lifts]
+    else:
+        assert common is None and cols == lifts
+
+
+def _born_lifted(m):
+    """True when m holds row lifts but neither rows nor a reduced form."""
+    def holds(slot):
+        try:
+            getattr(MaxMatrix, slot).__get__(m, MaxMatrix)
+        except AttributeError:
+            return False
+        return True
+
+    return holds("_row_lifts") and not holds("rows") and not holds("_reduced")
+
+
 @seed(1509)
 @settings(max_examples=300, deadline=None)
 @given(exact_products())
 def test_lifted_products_keep_value_semantics(case):
-    # an exact product is born reduced; its row and column lifts are the
-    # canonical lifts of its Fraction rows and columns, and every reader
-    # of the matrix sees what it sees of the matrix built from those
-    # Fractions
+    # an exact product is born lifted (every column denominator of the
+    # right factor divides the largest) or reduced (otherwise); its row
+    # and column lifts are the canonical lifts of its Fraction rows and
+    # columns, and every reader of the matrix sees what it sees of the
+    # matrix built from those Fractions
     a, b, target, x = case
     want = fmat(_reference_otimes(a, b))
 
     def product():
         return otimes(fmat(a), fmat(b))
 
+    common, _cols = matrix._columns(fmat(b))
+    assert _born_lifted(product()) is (common is not None)
     lifts = matrix._row_lifts(product())
-    assert lifts == [matrix._lift(row) for row in want.rows]
-    cols = matrix._columns(product())
-    assert cols == [matrix._lift(col) for col in zip(*want.rows)]
+    assert lifts == tuple(matrix._lift(row) for row in want.rows)
+    _assert_canonical_columns(product(), want)
     _assert_matches(product(), [list(r) for r in want.rows])
-    assert product() == want and want == product() and product() == product()
-    assert hash(product()) == hash(want)
-    assert repr(product()) == repr(want)
-    assert pickle.dumps(product()) == pickle.dumps(want)
-    for c in (copy.copy(product()), copy.deepcopy(product())):
-        assert c == want and repr(c) == repr(want)
+    # the same value in each born form: Fraction rows, born reduced (by
+    # scale) and born lifted (a product with the identity, whose column
+    # denominators are all 1)
+    forms = [want, product(), want.scale(1),
+             otimes(want, MaxMatrix.identity(len(b[0])))]
+    assert _born_lifted(forms[3])
+    for f in forms:
+        for g in forms + [product()]:
+            assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+            assert f.allclose(g) and matrix.entry_key(f) == matrix.entry_key(g)
+        assert pickle.dumps(f) == pickle.dumps(want)
+        for c in (copy.copy(f), copy.deepcopy(f)):
+            assert c == want and repr(c) == repr(want)
     # lift-based equality agrees with entrywise Fraction equality
     same = [list(r) for r in want.rows] == target
     assert product().allclose(fmat(target)) is same
@@ -372,11 +419,22 @@ def test_lifted_products_keep_value_semantics(case):
     lifted_target = otimes(fmat(target), MaxMatrix.identity(len(b[0])))
     assert product().allclose(lifted_target) is same
     assert (product() == lifted_target) is same
+    assert (matrix.entry_key(product()) == matrix.entry_key(fmat(target))) is same
     got = otimes(fmat(a), fvec(x))
     assert list(got.entries) == [
         r[0] for r in _reference_otimes(a, [[v] for v in x])
     ]
     assert all(type(v) is Fraction for v in got.entries)
+    # mixed chains: a product in either born form as the left factor, as
+    # the right factor and as both
+    bt = [list(col) for col in zip(*b)]
+    ab = [list(r) for r in want.rows]
+    for p in (product(), otimes(fmat(a), fmat(b)).scale(1)):
+        _assert_matches(otimes(p, fmat(bt)), _reference_otimes(ab, bt))
+        at = [list(col) for col in zip(*a)]
+        _assert_matches(otimes(fmat(at), p), _reference_otimes(at, ab))
+        if len(a) == len(b[0]):
+            _assert_matches(otimes(p, p), _reference_otimes(ab, ab))
 
 
 def test_power_in_additive_domain():

@@ -25,9 +25,13 @@ from maxalg import (
     DimensionError,
     MaxMatrix,
     csr_decompose,
+    csr_power,
+    expansion_power,
+    mat_power,
     nachtigall_expansion,
     normalize_to_unit,
     oplus,
+    otimes,
     semiring_convert,
     transient_and_period,
 )
@@ -35,9 +39,13 @@ from maxalg.asymptotics import normalized_periodicity
 from maxalg.matrix import is_max_combination
 
 from helpers import (
+    additive,
     count_calls,
     csr_reference,
     expansion_onset_reference,
+    fmat,
+    fraction_scan_reference,
+    power_two_dominant,
     scan_reference,
     two_level_planted,
     unit_mean_corpus,
@@ -187,6 +195,138 @@ def test_csr_decompose_scans_once_past_the_default_budget(monkeypatch):
             made = sum(1 for _left, right, _cols in products if right == m)
             assert made
             assert made <= max(t + p, trip.certified_from + trip.gamma)
+
+
+# ---------------------------------------------------------------------------
+# the hashed exact scan, and S^t read off its period
+
+
+def _long_transient(k):
+    """[[1, 1], [1/2, (k - 1)/k]]: mean 1, transient about k ln 2."""
+    return fmat([[1, 1], [Fraction(1, 2), Fraction(k - 1, k)]])
+
+
+def _scan_outcome(m, budget):
+    found = fraction_scan_reference(m.rows, budget)
+    return "IterationBudgetError" if found is None else found
+
+
+def test_exact_scan_matches_the_fraction_reference():
+    for a in unit_mean_corpus():
+        trip = csr_decompose(a)
+        budget = 3 * a.n * a.n + 2 * trip.gamma
+        prof = _outcome(transient_and_period, a)
+        got = prof if isinstance(prof, str) else (prof.transient, prof.period)
+        assert got == _scan_outcome(a, budget)
+        # csr_decompose's default cap is 2^7 times the usual budget
+        cap = budget << 7
+        tilde, _mean = normalize_to_unit(a)
+        assert trip.certified_from == max(
+            fraction_scan_reference(tilde.rows, cap)[0],
+            fraction_scan_reference(trip.s.rows, cap)[0],
+        )
+
+
+@pytest.mark.parametrize("k", [200, 400, 800])
+def test_exact_scan_on_long_transients(k):
+    a = _long_transient(k)
+    want = fraction_scan_reference(a.rows, 2000)
+    prof = transient_and_period(a, budget=2000)
+    assert (prof.transient, prof.period) == want
+    assert want[0] > k // 2
+    # S is the 1 x 1 loop at node 0, which repeats at once
+    assert csr_decompose(a).certified_from == want[0]
+
+
+def test_exact_scan_makes_one_product_per_power(monkeypatch):
+    products = count_calls(monkeypatch, "_multiply")
+    compared = []
+    allclose = MaxMatrix.allclose
+
+    def counting(self, other):
+        compared.append(self)
+        return allclose(self, other)
+
+    monkeypatch.setattr(MaxMatrix, "allclose", counting)
+    cases = [(_long_transient(k), transient_and_period) for k in (200, 400)]
+    cases += [(a, transient_and_period) for a in unit_mean_corpus()[:30]]
+    cases += [(additive(a), normalized_periodicity)
+              for a in unit_mean_corpus()[30:60]]
+    for a, scan in cases:
+        products.clear()
+        prof = scan(a, budget=1000)
+        # powers 2 .. transient + period, one product each
+        assert len(products) == prof.transient + prof.period - 1
+    assert compared == []
+
+
+def _csr_reference_power(trip, t):
+    sr = trip.c.semiring
+    prod = otimes(otimes(trip.c, mat_power(trip.s, t)), trip.r)
+    return prod.scale(sr.power(trip.lam, t))
+
+
+def _expansion_reference_power(e, t):
+    sr = e.semiring
+    out = MaxMatrix.zeros(e.n, e.n, semiring=sr)
+    for term in e.terms:
+        prod = otimes(otimes(term.c, mat_power(term.s, t)), term.r)
+        out = oplus(out, prod.scale(sr.power(term.coefficient, t)))
+    return out
+
+
+def _counted(monkeypatch, f, *args):
+    """f(*args) and the number of products it made."""
+    calls = count_calls(monkeypatch, "_multiply")
+    value = f(*args)
+    monkeypatch.undo()
+    return value, len(calls)
+
+
+def test_csr_power_reads_s_off_its_period(monkeypatch):
+    rng = random.Random(24)
+    corpus = unit_mean_corpus()[:40]
+    # a mean other than one, whose powers stay small enough up to 1000
+    corpus += [a.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+               for a in unit_mean_corpus()[40:50]]
+    for a in corpus:
+        trip = csr_decompose(a)
+        f = trip.certified_from
+        huge = [10**6] if trip.lam == 1 else []
+        made = {}
+        for t in [1, 2, trip.gamma, f - 1, f, f + 1, 1000] + huge:
+            if t >= 1:
+                got, made[t] = _counted(monkeypatch, csr_power, trip, t)
+                assert got == _csr_reference_power(trip, t)
+        if huge:
+            assert made[10**6] <= made[1000]
+        with pytest.raises(ValueError):
+            csr_power(trip, -1)
+
+
+def test_expansion_power_reads_s_off_its_ladder(monkeypatch):
+    rng = random.Random(25)
+    # powers of two as coefficients keep coefficient^(10^6) cheap to scale
+    cases = [(power_two_dominant(rng, rng.randint(2, 4)), True)
+             for _ in range(6)]
+    cases += [(two_level_planted(rng, rng.randint(3, 6))[0], False)
+              for _ in range(12)]
+    for a, huge in cases:
+        e = nachtigall_expansion(a)
+        v = e.validity_start
+        ts = {1, 2, v - 1, v, v + 1, 1000} | {t.gamma for t in e.terms}
+        ts |= {10**6} if huge else set()
+        made = {}
+        for t in sorted(t for t in ts if t >= 1):
+            got, made[t] = _counted(monkeypatch, expansion_power, e, t)
+            want, plain = _counted(monkeypatch, _expansion_reference_power,
+                                   e, t)
+            # no more products than mat_power(S, t) would make
+            assert got == want and made[t] <= plain
+        if huge:
+            assert made[10**6] <= made[1000]
+        with pytest.raises(ValueError):
+            expansion_power(e, -1)
 
 
 # ---------------------------------------------------------------------------
