@@ -8,14 +8,18 @@ nonzero_pattern fills, so it sits below the matrix layer.
 nonzero_pattern(a) lists, per row, the pairs (j, a_ij) with a nonzero a_ij,
 j ascending. A MaxMatrix keeps it in its _pattern slot from the first call
 on, so every analysis of one matrix reads its n^2 entries once: digraph_of
-is a view of the pattern, and pattern_scc decomposes it with the same Tarjan
-pass that scc runs on a Digraph.
+is a view of the pattern. The pattern is a tuple that also keeps three
+facts of the matrix's entries, each made on its first read and shared by
+every later reader of that matrix: its SCC decomposition (pattern_scc, and
+scc of a digraph_of view), its reverse edges and its float weight table.
+None of them depends on a mean or on any other result of an analysis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AcyclicNodeError, SizeLimitError
 from .semiring import EXACT_TIMES, NEG_INF, TIMES
@@ -135,35 +139,78 @@ class Digraph:
         return f"Digraph(n={self.n}, edges={[(i, j) for i, j, _ in self.edges]})"
 
 
+class _Pattern(tuple):
+    """nonzero_pattern's tuple of rows, with the facts of its entries.
+
+    It equals, hashes and compares as the plain tuple of the same rows.
+    Each fact is made on its first read, kept, and must not be changed:
+
+    - ``components``: its SccDecomposition (see pattern_scc);
+    - ``pred``: its reverse edges, pred[v] listing the pairs (u, t) with
+      self[u][t] leading to v, u ascending;
+    - ``float_logs(sr, build)``: build(sr, self), the float weight table
+      of spectral's Howard iteration under sr, the semiring of the
+      pattern's matrix.
+
+    Pickles and copies carry the rows only.
+    """
+
+    def __reduce__(self):
+        return _Pattern, (tuple(self),)
+
+    @cached_property
+    def components(self):
+        return _decompose(self)
+
+    @cached_property
+    def pred(self):
+        pred = [[] for _ in self]
+        for u, out in enumerate(self):
+            for t, (v, _w) in enumerate(out):
+                pred[v].append((u, t))
+        return tuple(map(tuple, pred))
+
+    def float_logs(self, sr, build):
+        if "_logs" not in self.__dict__:
+            self._logs = build(sr, self)
+        return self._logs
+
+
 def nonzero_pattern(a):
     """Per row of the square matrix a, the pairs (j, a_ij) with a_ij nonzero.
 
     Rows come in order and j ascends within each. The result is a tuple of
     tuples, filled once into a's _pattern slot and shared by every later
-    call, so it must not be changed; == and copies of a ignore it.
+    call, so it must not be changed; == and copies of a ignore it. It
+    keeps the facts of a's entries that every analysis reads (see
+    _Pattern). A plain tuple of rows in the slot, which
+    MaxMatrix._of_pattern may leave there, is replaced on the first call
+    by a pattern of the same rows.
     """
     pattern = getattr(a, "_pattern", None)
+    if type(pattern) is _Pattern:
+        return pattern
     if pattern is None:
         a.n  # raises DimensionError unless a is square
         sr = a.semiring
         # the zero tests of is_zero, inline where it is one operator
         if sr.domain == TIMES:
-            pattern = tuple(
+            pattern = (
                 tuple([(j, v) for j, v in enumerate(row) if v])
                 for row in a.rows
             )
         elif not sr.exact:
-            pattern = tuple(
+            pattern = (
                 tuple([(j, v) for j, v in enumerate(row) if v != NEG_INF])
                 for row in a.rows
             )
         else:
             is_zero = sr.is_zero
-            pattern = tuple(
+            pattern = (
                 tuple([(j, v) for j, v in enumerate(row) if not is_zero(v)])
                 for row in a.rows
             )
-        a._pattern = pattern
+    a._pattern = pattern = _Pattern(pattern)
     return pattern
 
 
@@ -262,8 +309,8 @@ def strong_components(n, succ):
     return components
 
 
-def pattern_scc(pattern):
-    """Tarjan's strongly connected components of a nonzero_pattern."""
+def _decompose(pattern):
+    """One Tarjan pass over a nonzero_pattern: its SccDecomposition."""
     succ = [[j for j, _w in out] for out in pattern]
     components = strong_components(len(succ), succ)
     trivial = tuple(
@@ -272,12 +319,26 @@ def pattern_scc(pattern):
     return SccDecomposition(tuple(components), trivial)
 
 
+def pattern_scc(pattern):
+    """Tarjan's strongly connected components of a nonzero_pattern.
+
+    The pattern of a matrix keeps its decomposition from the first call
+    on, so every later call, and scc of its digraph_of view, reads it
+    without another pass. Successor lists of nonzero_pattern's form that
+    are not a matrix's pattern are decomposed at each call.
+    """
+    if type(pattern) is _Pattern:
+        return pattern.components
+    return _decompose(pattern)
+
+
 def scc(g):
     """Tarjan's strongly connected components of a Digraph.
 
     Returns an SccDecomposition with components sorted by smallest node.
+    A digraph_of view reads its matrix's decomposition (see pattern_scc).
     """
-    return pattern_scc([g.successors(i) for i in range(g.n)])
+    return pattern_scc(g._succ)
 
 
 def component_cycle(g, comp):

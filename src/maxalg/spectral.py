@@ -42,10 +42,14 @@ certifies it (_Kit.run).
 
 An analysis reads the matrix's nonzero pattern (digraph.nonzero_pattern),
 which the matrix keeps, and no dense row unless ``tilde`` or the star is
-read: one Tarjan pass decomposes the pattern, each certificate takes its
-component's edges from it, and the kit divides only its entries.
-Balancing levels rescale and contract along their patterns and hand
-each level's pattern to its analysis.
+read: each certificate takes its component's edges from the pattern,
+and the kit divides only its entries. The pattern also keeps what
+depends on the entries alone, made by the matrix's first analysis and
+read by every later one: its SCC decomposition, one Tarjan pass per
+matrix, and, for an irreducible matrix, the reverse edges and the float
+weights Howard's iteration reads (_component). Nothing that depends on
+the mean is kept there. Balancing levels rescale and contract along
+their patterns and hand each level's pattern to its analysis.
 """
 
 from __future__ import annotations
@@ -348,6 +352,8 @@ def _float_logs(sr, succ):
     by ``scale``: 1, unless ``widest`` exceeds 2^960, which only a float
     max-plus entry can; then 2^-64, exact on normal floats, so that sums
     along n edges, and with them the potentials, stay in the float range.
+    A matrix's nonzero_pattern keeps its table from the first analysis
+    on (see _component), so each entry is weighed once per matrix.
     """
     logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
     widest = max(abs(w) for out in logs for _v, w in out)
@@ -357,31 +363,35 @@ def _float_logs(sr, succ):
     return [[(v, w * scale) for v, w in out] for out in logs], widest, scale
 
 
-def _float_proposal(sr, succ, pred):
+def _float_proposal(pred, table):
     """Exact mode's start: Howard's policy after at most _HOWARD_ROUNDS
-    float rounds, under _HOWARD_TOL relative to the component's size and
-    widest log."""
-    logs, widest, _scale = _float_logs(sr, succ)
+    float rounds on the _float_logs ``table``, under _HOWARD_TOL relative
+    to the component's size and widest log."""
+    logs, widest, _scale = table
     tol = _HOWARD_TOL * len(logs) * (1.0 + widest)
     return _howard(logs, pred, tol, _HOWARD_ROUNDS)[0]
 
 
-def _component(pattern, comp):
-    """(succ, pred) of one component of a nonzero_pattern in local indices;
-    see _improve. A component of every node reads the pattern itself."""
+def _component(sr, pattern, comp):
+    """(succ, pred, table) of one component of a nonzero_pattern in local
+    indices: see _improve, and ``table`` is succ's _float_logs under sr.
+
+    A component of every node reads the pattern itself, with the reverse
+    edges and the table the pattern keeps, so every analysis of an
+    irreducible matrix shares them. A smaller component builds its own.
+    """
     if len(comp) == len(pattern):
-        succ = pattern
-    else:
-        index = {v: s for s, v in enumerate(comp)}
-        succ = [
-            [(index[v], a) for v, a in pattern[u] if v in index]
-            for u in comp
-        ]
+        return pattern, pattern.pred, pattern.float_logs(sr, _float_logs)
+    index = {v: s for s, v in enumerate(comp)}
+    succ = [
+        [(index[v], a) for v, a in pattern[u] if v in index]
+        for u in comp
+    ]
     pred = [[] for _ in comp]
     for u, out in enumerate(succ):
         for t, (v, _a) in enumerate(out):
             pred[v].append((u, t))
-    return succ, pred
+    return succ, pred, _float_logs(sr, succ)
 
 
 def _cycle_pair(sr, weights):
@@ -425,9 +435,9 @@ def _certificate(sr, pattern, comp):
     finish it; the potentials are values of ``kit``, the _Kit of the
     last round, on the component's local indices.
     """
-    succ, pred = _component(pattern, comp)
+    succ, pred, table = _component(sr, pattern, comp)
     if not sr.exact:
-        logs, _widest, scale = _float_logs(sr, succ)
+        logs, _widest, scale = table
         policy, settled = _howard(logs, pred, sr.tol * scale, _FLOAT_ROUNDS)
         if settled is None:
             raise CertificationError(
@@ -442,7 +452,7 @@ def _certificate(sr, pattern, comp):
             tuple(comp[c] for c in cycle + cycle[:1]),
         )
     else:
-        policy = _float_proposal(sr, succ, pred)
+        policy = _float_proposal(pred, table)
         pair, _cycle, x, tight, kit = _improve(
             succ, pred, policy, partial(_cycle_pair, sr),
             lambda p, q: gmean_cmp(sr, p, q) > 0,
@@ -973,11 +983,10 @@ class SpectralAnalysis:
             return kit, [kit.flog(v) for v in x]
         rounding = self._matrix.n * _WALK_ROUNDING
         if sr.domain != TIMES:
-            rounding *= max(
-                (abs(v) for out in nonzero_pattern(self._matrix)
-                 for _j, v in out),
-                default=1.0,
-            )
+            # the widest entry, which the pattern's float table keeps
+            rounding *= nonzero_pattern(self._matrix).float_logs(
+                sr, _float_logs
+            )[1]
         if sr.tol < rounding:
             return None
         # the float potentials are logs, unscaled: a max-plus entry beyond
@@ -1020,13 +1029,14 @@ def spectral_analysis(a):
     Each nontrivial component's mean is certified with a subeigenvector
     (see _certificate), and the critical edges are read off the tight
     edges of the components at the top mean: one Tarjan pass on the
-    matrix's nonzero_pattern and one on the tight graph. No closure
-    runs; tilde and the
-    star are built when first read. When the mean is irrational in exact
-    max-times mode the potentials are symbolic, so the critical graph
-    stays exact while lam, tilde and star are None. The witness is a
-    cycle of the first critical component, and lam is its mean: in float
-    mode it can differ in the last bits from the best policy cycle's.
+    tight graph, and one on the matrix's nonzero_pattern, which the
+    pattern keeps for every later analysis of the matrix. No closure
+    runs; tilde and the star are built when first read. When the mean
+    is irrational in exact max-times mode the potentials are symbolic,
+    so the critical graph stays exact while lam, tilde and star are
+    None. The witness is a cycle of the first critical component, and
+    lam is its mean: in float mode it can differ in the last bits from
+    the best policy cycle's.
     """
     pattern = nonzero_pattern(a)
     return _analysis(a, pattern, pattern_scc(pattern))

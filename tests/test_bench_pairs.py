@@ -12,25 +12,33 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench_pairs.py")
 
-STUB = '''import json, sys
+STUB = '''import json, os, sys
 side, rate, log = {side!r}, {rate!r}, {log!r}
+done = 0
+if os.path.exists(log):
+    with open(log) as f:
+        done = sum(line.split()[0] == side for line in f)
 with open(log, "a") as f:
     f.write(side + " " + " ".join(sys.argv[1:]) + "\\n")
 metrics = {{
-    "setup_s": {{"value": 0.05, "unit": "s"}},
-    "jobs_per_s": {{"value": rate, "unit": "1/s"}},
+    "setup_s": {{"value": {setup!r}, "unit": "s"}},
+    "jobs_per_s": {{"value": rate + done, "unit": "1/s"}},
 }}
 print("progress")
-print(json.dumps({{"correct": {correct!r}, "attempted": 10, "failed": 0,
+correct = {correct!r} and done + 1 != {fail_run!r}
+print(json.dumps({{"correct": correct, "attempted": 10, "failed": 0,
                   "metrics": metrics}}))
 '''
 
 
-def checkout(tmp_path, side, rate, correct=True):
+def checkout(tmp_path, side, rate, correct=True, setup=0.05, fail_run=None):
+    """A stub checkout whose k-th run (from 1) reports ``rate`` + k - 1
+    jobs per second, and ``correct: false`` when k is ``fail_run``."""
     root = tmp_path / side
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB.format(
         side=side, rate=rate, log=str(tmp_path / "log"), correct=correct,
+        setup=setup, fail_run=fail_run,
     ))
     return str(root)
 
@@ -49,8 +57,11 @@ def test_pairs_alternate_and_extend_the_file(tmp_path):
     proc = bench(*common, "--seed", "7", "--pairs", "3",
                  "--claim", "jobs_per_s", "--description", "stub runs")
     assert proc.returncode == 0, proc.stderr
-    assert "jobs_per_s: parent 200 [200, 200] -> change 300 [300, 300], " \
-           "change better in 3/3" in proc.stdout
+    assert "jobs_per_s: parent 201 [200.5, 201.5] -> change 301 " \
+           "[300.5, 301.5], change better in 3/3" in proc.stdout
+    assert "verdict: claim jobs_per_s met (better in 3/3, median gain " \
+           "100, parent quartile spread 1); no other metric worse than " \
+           "its bound" in proc.stdout
     log = (tmp_path / "log").read_text().splitlines()
     assert [line.split()[0] for line in log] == [
         "parent", "change", "change", "parent", "parent", "change"]
@@ -84,3 +95,34 @@ def test_an_incorrect_run_is_reported(tmp_path):
     assert "pair 1 change: correct: false" in proc.stderr
     assert json.loads(out.read_text())["runs"]["exact_powers"][0]["change"][
         "correct"] is False
+
+
+def test_the_verdict_weighs_the_claim_and_the_bounds(tmp_path):
+    # the change wins every pair by 2, less than the parent's quartile
+    # spread of 2.5 over its 6 runs, and doubles setup_s
+    parent = checkout(tmp_path, "parent", 200.0)
+    change = checkout(tmp_path, "change", 202.0, setup=0.1)
+    out = tmp_path / "BENCH_stub.json"
+    proc = bench("--parent", parent, "--change", change, "--workload",
+                 "exact_powers", "--seed", "7", "--pairs", "6",
+                 "--claim", "jobs_per_s", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: claim jobs_per_s not met (better in 6/6, median gain " \
+           "2, parent quartile spread 2.5); worse than the bound: " \
+           "setup_s +100.0%" in proc.stdout
+
+
+def test_a_failed_run_leaves_its_pair_out_of_the_summary(tmp_path):
+    parent = checkout(tmp_path, "parent", 200.0)
+    change = checkout(tmp_path, "change", 300.0, fail_run=2)
+    out = tmp_path / "BENCH_stub.json"
+    proc = bench("--parent", parent, "--change", change, "--workload",
+                 "exact_powers", "--seed", "7", "--pairs", "3",
+                 "--claim", "jobs_per_s", "--out", str(out))
+    assert proc.returncode == 1
+    assert "pair 2 change: correct: false" in proc.stderr
+    assert "jobs_per_s: parent 201 [200.5, 201.5] -> change 301 " \
+           "[300.5, 301.5], change better in 2/2" in proc.stdout
+    assert "left out: pair 2 (change correct: false)" in proc.stdout
+    assert "verdict: claim jobs_per_s met (better in 2/2" in proc.stdout
+    assert len(json.loads(out.read_text())["runs"]["exact_powers"]) == 3

@@ -43,18 +43,23 @@ def test_only_the_product_core_touches_the_lifted_form():
 
 def test_only_the_pattern_owners_touch_the_pattern_slot():
     # digraph.nonzero_pattern fills and reads a MaxMatrix's _pattern slot,
-    # and MaxMatrix declares it and builds a matrix around one; every
-    # other module asks nonzero_pattern, by its public name
+    # and MaxMatrix declares it and builds a matrix around one. The
+    # pattern's type _Pattern, its Tarjan pass _decompose and the slot of
+    # its float table, _logs, belong to digraph. Every other module asks
+    # nonzero_pattern and the pattern's facts by their public names
+    private = {"_pattern", "_Pattern", "_logs", "_decompose"}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name in ("digraph.py", "matrix.py"):
             continue
         tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_pattern":
-                offenders.append(f"{path.name}:{node.lineno} ._pattern")
-            elif isinstance(node, ast.Constant) and node.value == "_pattern":
-                offenders.append(f"{path.name}:{node.lineno} '_pattern'")
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in private:
+                offenders.append(f"{path.name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.Constant) and node.value in private:
+                offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert offenders == []
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import maxalg.matrix as matrix
+import maxalg.spectral as spectral
 
 from maxalg import (
     EXACT_PLUS,
@@ -32,7 +33,7 @@ from maxalg import (
     semiring_convert,
     spectral_analysis,
 )
-from maxalg.digraph import nonzero_pattern
+from maxalg.digraph import nonzero_pattern, pattern_scc
 from maxalg.matrix import Ratios, closure_rows
 
 from helpers import (
@@ -254,8 +255,10 @@ def test_product_caches_leave_value_semantics_alone(target):
     ids=["exact", "exact_plus", "float", "float_plus"],
 )
 def test_nonzero_pattern_leaves_value_semantics_alone(target):
-    # a matrix keeps its nonzero pattern after its first analysis; ==,
-    # hash, repr, pickle and copies see only its entries
+    # a matrix keeps its nonzero pattern after its first analysis, and the
+    # pattern its SCC decomposition, reverse edges and float weight
+    # table; ==, hash, repr, pickle and copies see only its entries, and
+    # a copy makes equal facts of its own
     rows = random_matrix(random.Random(17), 6, density=0.5).rows
     if target.domain == EXACT_PLUS.domain:
         rows = [[v - 1 if v else NEG_INF for v in row] for row in rows]
@@ -264,15 +267,31 @@ def test_nonzero_pattern_leaves_value_semantics_alone(target):
     pattern = nonzero_pattern(a)
     assert nonzero_pattern(a) is pattern
     assert hasattr(a, "_pattern") and not hasattr(fresh, "_pattern")
+    critical = spectral_analysis(a).critical
+
+    def facts(p):
+        return (pattern_scc(p), p.pred,
+                p.float_logs(target, spectral._float_logs))
+
+    kept = facts(pattern)
+    assert facts(pattern) == kept
+    assert all(x is y for x, y in zip(facts(pattern), kept))
     assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
     assert pickle.dumps(a) == pickle.dumps(fresh)
-    critical = spectral_analysis(a).critical
+    plain = tuple(pattern)
+    assert pattern == plain and hash(pattern) == hash(plain)
+    for p in (pickle.loads(pickle.dumps(pattern)), copy.copy(pattern),
+              copy.deepcopy(pattern)):
+        assert p == pattern and vars(p) == {}
     for c in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(c) is MaxMatrix and c is not a
         assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
         assert not hasattr(c, "_pattern")
         assert nonzero_pattern(c) == pattern
         assert spectral_analysis(c).critical == critical
+        again = facts(nonzero_pattern(c))
+        assert again == kept
+        assert not any(x is y for x, y in zip(again, kept))
 
 
 def test_lifted_otimes_pairwise_coprime_denominators():

@@ -8,18 +8,24 @@ import pytest
 
 import maxalg.spectral as spectral
 from maxalg import (
+    EXACT_PLUS,
     EXACT_TIMES,
+    FLOAT_PLUS,
     FLOAT_TIMES,
     ExactnessError,
+    MaxMatrix,
     NotIrreducibleError,
     critical_graph,
+    digraph_of,
     eigenspace_basis,
     gmean_cmp,
     is_eigenvector,
     is_irreducible,
+    max_balance,
     max_cycle_gmean,
     otimes,
     principal_eigenvector,
+    scc,
     semiring_convert,
     spectral_analysis,
 )
@@ -36,6 +42,7 @@ from helpers import (
 )
 from maxalg.digraph import nonzero_pattern
 from maxalg.matrix import Ratios, closure_rows
+from maxalg.semiring import TIMES
 
 
 def test_max_cycle_gmean_hand_values():
@@ -409,6 +416,55 @@ def test_spectral_analysis_runs_two_scc_passes(monkeypatch):
     assert critical.cyclicity == 6
 
 
+# a 5-node matrix without loops as exponents: the entry 2^k in
+# max-times, k in max-plus. Its critical graph is the 2-cycle 0 <-> 1,
+# and max_balance freezes three levels, of rational means in every mode
+PATTERN_FACTS_EXPONENTS = [
+    [None, 4, 2, None, 1],
+    [4, None, 0, 1, 1],
+    [0, 4, None, 0, 1],
+    [0, 2, None, None, 2],
+    [0, None, 2, None, None],
+]
+
+
+@pytest.mark.parametrize(
+    "sr", [EXACT_TIMES, EXACT_PLUS, FLOAT_TIMES, FLOAT_PLUS],
+    ids=["exact", "exact_plus", "float", "float_plus"],
+)
+def test_a_matrix_decomposes_and_weighs_its_pattern_once(monkeypatch, sr):
+    # the nonzero pattern keeps its SCC decomposition, reverse edges and
+    # float weight table, so six public calls on one matrix make one
+    # Tarjan pass over its pattern and weigh each entry once; the passes
+    # over tight graphs and over balancing's contracted levels, which
+    # have fewer nodes, are other graphs
+    rows = [
+        [(2 ** k if sr.domain == TIMES else k) if k is not None
+         else sr.zero for k in row]
+        for row in PATTERN_FACTS_EXPONENTS
+    ]
+    a = MaxMatrix(rows, sr)
+    adjacency = [[j for j, v in enumerate(row) if not sr.is_zero(v)]
+                 for row in a.rows]
+    entries = [v for row in a.rows for v in row if not sr.is_zero(v)]
+    passes = count_calls(monkeypatch, "strong_components")
+    weights = count_calls(monkeypatch, "_float_weight")
+
+    assert scc(digraph_of(a)).is_single and is_irreducible(a)
+    assert max_cycle_gmean(a).pair() == (
+        (2 ** 8, 2) if sr.domain == TIMES else (8, 2)
+    )
+    assert critical_graph(a).edges == ((0, 1), (1, 0))
+    assert principal_eigenvector(a).is_positive()
+    balanced = max_balance(a)
+    assert len(balanced.levels[0]) == 3 and not balanced.exact_degraded
+
+    assert [succ for _n, succ in passes].count(adjacency) == 1
+    weighed = [v for _sr, v in weights if any(v is e for e in entries)]
+    assert len(weighed) == len(entries)
+    assert {id(v) for v in weighed} == {id(e) for e in entries}
+
+
 def test_is_eigenvector_rejects_wrong_pairs():
     a = fmat([[0, 2], [Fraction(1, 2), 0]])
     assert not is_eigenvector(a, principal_eigenvector(a), Fraction(2))
@@ -485,8 +541,10 @@ def test_exact_improvement_finishes_a_float_tie():
     # only the exact check of the potentials finds the heavier cycle
     near = 1 + Fraction(1, 10**20)
     a = fmat([[1, 2 * near], [near / 2, 1]])
-    succ, pred = spectral._component(nonzero_pattern(a), (0, 1))
-    policy = spectral._float_proposal(EXACT_TIMES, succ, pred)
+    succ, pred, table = spectral._component(
+        EXACT_TIMES, nonzero_pattern(a), (0, 1)
+    )
+    policy = spectral._float_proposal(pred, table)
     assert [succ[u][policy[u]][0] for u in range(2)] == [1, 1]
     assert max_cycle_gmean(a).pair() == best_gmean_pair_brute(a)
     assert max_cycle_gmean(a).pair() == (near**2, 2)

@@ -19,10 +19,19 @@ replace the stored ones only when given. ``--claim METRIC`` names this
 workload and metric as the one the change claims to improve.
 
 After the pairs, one line per end-to-end metric gives both sides'
-medians and quartiles over the runs of this invocation and the pairs the
-change won. A run that exits nonzero, prints no JSON line, reports
-``correct: false`` or failed jobs is announced on standard error; the
-tool exits 1 when any run did.
+medians and quartiles over the pairs of this invocation and the pairs
+the change won. A run that exits nonzero, prints no JSON line, reports
+``correct: false`` or failed jobs is announced on standard error and
+its pair is left out of the summary, which names it; the tool exits 1
+when any run did.
+
+A verdict line follows, by the end-to-end metrics of BENCHMARK.json,
+which the tool only reads. The claimed metric, ``--claim`` or the one
+the file names for this workload, is met when the change won at least
+9 in 10 of the pairs and its median is better than the parent's by
+more than the parent's quartile spread. Every other metric is named
+when the change's median is worse than the parent's by more than the
+metric's ``bound``, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -38,11 +47,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def lower_is_better():
-    """The end-to-end metrics BENCHMARK.json marks as better when lower."""
+def end_to_end():
+    """BENCHMARK.json's end-to-end metrics: name -> (lower is better,
+    bound)."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        return {m["name"] for m in json.load(f)["end_to_end"]
-                if m["better"] == "lower"}
+        return {m["name"]: (m["better"] == "lower", m["bound"])
+                for m in json.load(f)["end_to_end"]}
 
 
 def host():
@@ -97,26 +107,77 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def compare(runs, name, lower):
+    """Both sides' values of a metric over the runs, and the change's
+    wins."""
+    parent = [r["parent"]["metrics"][name]["value"] for r in runs]
+    change = [r["change"]["metrics"][name]["value"] for r in runs]
+    wins = sum((c < p) if lower else (c > p)
+               for p, c in zip(parent, change))
+    return parent, change, wins
+
+
+def clean(runs):
+    """The pairs both of whose runs are clean, and a note naming the
+    others, or None."""
+    kept, dropped = [], []
+    for r in runs:
+        why = [f"{side} {t}" for side in ("parent", "change")
+               if (t := trouble(r[side]))]
+        if why:
+            dropped.append(f"pair {r['pair']} ({', '.join(why)})")
+        else:
+            kept.append(r)
+    return kept, "left out: " + "; ".join(dropped) if dropped else None
+
+
 def summary(runs):
-    """One line per metric: medians, quartiles and pairs the change won."""
-    metrics = [m for m in runs[0]["parent"].get("metrics", {})
-               if all("metrics" in r[side] for r in runs
-                      for side in ("parent", "change"))]
-    lower_names = lower_is_better()
+    """One line per metric over the clean pairs: medians, quartiles and
+    pairs the change won, then a line naming the pairs left out."""
+    kept, note = clean(runs)
+    metrics = end_to_end()
     lines = []
-    for name in metrics:
-        parent = [r["parent"]["metrics"][name]["value"] for r in runs]
-        change = [r["change"]["metrics"][name]["value"] for r in runs]
-        lower = name in lower_names
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(parent, change))
+    for name in kept[0]["parent"]["metrics"] if kept else ():
+        lower = name in metrics and metrics[name][0]
+        parent, change, wins = compare(kept, name, lower)
         (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
         lines.append(
             f"{name}: parent {p2:.6g} [{p1:.6g}, {p3:.6g}] -> change "
             f"{c2:.6g} [{c1:.6g}, {c3:.6g}], change better in "
-            f"{wins}/{len(runs)}"
+            f"{wins}/{len(kept)}"
         )
+    if note:
+        lines.append(note)
     return lines
+
+
+def verdict(runs, claim):
+    """One line over the clean pairs: whether the ``claim`` metric's gain
+    is met, and which other end-to-end metrics are worse than their
+    bound."""
+    kept, _note = clean(runs)
+    if not kept:
+        return "verdict: no clean pair"
+    parts, beyond = [], []
+    for name, (lower, bound) in end_to_end().items():
+        if name not in kept[0]["parent"]["metrics"]:
+            continue
+        parent, change, wins = compare(kept, name, lower)
+        (p1, p2, p3), (_c1, c2, _c3) = quartiles(parent), quartiles(change)
+        gain = p2 - c2 if lower else c2 - p2
+        if name == claim:
+            met = wins >= 0.9 * len(kept) and gain > p3 - p1
+            parts.append(
+                f"claim {name} {'met' if met else 'not met'} (better in "
+                f"{wins}/{len(kept)}, median gain {gain:.6g}, parent "
+                f"quartile spread {p3 - p1:.6g})"
+            )
+        elif -gain > bound * abs(p2):
+            beyond.append(f"{name} {-gain / abs(p2):+.1%}" if p2
+                          else f"{name} {-gain:+.6g}")
+    parts.append("worse than the bound: " + ", ".join(beyond) if beyond
+                 else "no other metric worse than its bound")
+    return "verdict: " + "; ".join(parts)
 
 
 def main(argv=None):
@@ -173,6 +234,9 @@ def main(argv=None):
     print(f"{args.workload}, seed {args.seed}, {len(new)} pairs:")
     for line in summary(new):
         print("  " + line)
+    claim = bench.get("claim") or {}
+    print(verdict(new, claim.get("metric")
+                  if claim.get("workload") == args.workload else None))
     return 1 if bad else 0
 
 
