@@ -360,7 +360,11 @@ def csr_power(triple, t):
     if sr.exact and t >= f and t == int(t):
         e = min(t, f + (int(t) - f) % triple.gamma, key=_product_count)
     prod = otimes(otimes(triple.c, mat_power(triple.s, e)), triple.r)
-    return prod.scale(sr.power(triple.lam, t))
+    power = prod.scale(sr.power(triple.lam, t))
+    # an exact scale is born without Fraction rows; build them here, as
+    # _periodicity_profile does for its window
+    power.rows
+    return power
 
 
 @dataclass(frozen=True)

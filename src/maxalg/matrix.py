@@ -17,26 +17,23 @@ not state: ==, hash, repr, pickling and copies see only the entries.
 In exact max-times the row lifts are canonical: row i is (ints, d) with
 d the lcm of the row's reduced denominators, exactly _lift of its
 Fractions, so allclose decides equality by comparing row lifts and
-entry_key hashes them. An exact max-times product is born without
-Fraction rows, in one of two integer forms, chosen by a property of the
-right factor (see _multiply):
+entry_key hashes them. An exact max-times matrix holds its entries in
+one of two forms: Fraction rows, or its row lifts alone (born lifted,
+MaxMatrix._born_lifted). Which form a product is born in depends on the
+row lift denominators d_i of the right factor (see _multiply):
 
-- born lifted: when every column denominator of the right factor
-  divides the largest one, each row is reduced by one gcd and the
-  product holds its canonical row lifts;
-- born reduced: otherwise each entry is reduced by its own gcd, and the
-  product holds, in a third slot, _reduced, the numerators and the
-  denominators of its Fractions, in lowest terms.
+- when every d_i divides the largest one, each product row is reduced
+  by one gcd and the product is born lifted;
+- otherwise, and for a product with a vector, each entry is reduced by
+  its own gcd and the product is born holding its Fractions.
 
-A product born lifted makes its _reduced form from its row lifts, one
-gcd per entry, on the first read of its rows or columns; a product born
-reduced makes its row and column lifts from _reduced without a gcd.
-MaxMatrix.__getattr__ builds the Fraction rows from _reduced on the
-first read of ``rows``, skipping the gcd that the Fraction constructor
-would take again. A ladder of products, compared by row lifts,
-therefore builds no Fraction. Fractions are still built on the first
-read of a product's ``rows``, for the entries of a product with a
-vector, and by Ratios.value.
+MaxMatrix.scale is born lifted too. A matrix born lifted builds its
+Fraction rows, one gcd per entry, on the first read of ``rows``
+(MaxMatrix.__getattr__); a product, scale, comparison or kleene_star
+reads its row lifts instead. A ladder of products born lifted, compared
+by row lifts, therefore builds no Fraction. Fractions are built on the
+first read of such a matrix's ``rows``, for the entries of a product of
+the second way, and by Ratios.value.
 """
 
 from __future__ import annotations
@@ -64,14 +61,6 @@ from .semiring import (
     float_range_error,
     log_terms,
 )
-
-# p / q as a Fraction, for ints already in lowest terms with q > 0,
-# without the constructor's second gcd (Python 3.12 renamed the hook)
-try:
-    _fraction = Fraction._from_coprime_ints
-except AttributeError:
-    _fraction = partial(Fraction, _normalize=False)
-
 
 def _check_same_semiring(a, b):
     if a.semiring != b.semiring:
@@ -152,8 +141,8 @@ class MaxMatrix:
     """
 
     __slots__ = (
-        "semiring", "rows", "nrows", "ncols", "_reduced", "_row_lifts",
-        "_cols", "_pattern",
+        "semiring", "rows", "nrows", "ncols", "_row_lifts", "_cols",
+        "_pattern",
     )
 
     def __init__(self, rows, semiring=EXACT_TIMES):
@@ -199,17 +188,6 @@ class MaxMatrix:
         return m
 
     @classmethod
-    def _born_reduced(cls, reduced, ncols, semiring):
-        """An exact max-times matrix given as (numerators, denominators)
-        per row, each entry in lowest terms."""
-        m = object.__new__(cls)
-        m.semiring = semiring
-        m._reduced = reduced
-        m.nrows = len(reduced)
-        m.ncols = ncols
-        return m
-
-    @classmethod
     def _born_lifted(cls, lifts, ncols, semiring):
         """An exact max-times matrix given by its canonical row lifts, a
         tuple of (ints, d) per row (see _row_lifts)."""
@@ -221,30 +199,18 @@ class MaxMatrix:
         return m
 
     def __getattr__(self, name):
-        """Build ``rows``, or the _reduced form, on its first read.
+        """Build ``rows`` of a matrix born lifted on their first read.
 
-        Python calls this only for an unset slot. ``rows`` of a matrix
-        born without them is built from _reduced. _reduced of a matrix
-        born lifted (_born_lifted), which has no ``rows``, is made from
-        its row lifts, one gcd per entry. Any other unset slot is an
-        AttributeError.
+        Python calls this only for an unset slot. Entry x / d of a row
+        lift is built as Fraction(x, d), one gcd. Any other unset slot is
+        an AttributeError.
         """
         if name == "rows":
             rows = self.rows = tuple(
-                tuple([_fraction(p, q) for p, q in zip(ps, qs)])
-                for ps, qs in self._reduced
+                tuple([Fraction(x, d) for x in ints])
+                for ints, d in self._row_lifts
             )
             return rows
-        if name == "_reduced" and not _has_rows(self):
-            gcd = math.gcd
-            reduced = []
-            for ints, d in self._row_lifts:
-                gs = [gcd(x, d) for x in ints]
-                reduced.append((
-                    [x // g for x, g in zip(ints, gs)], [d // g for g in gs]
-                ))
-            self._reduced = reduced
-            return reduced
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
@@ -314,11 +280,10 @@ class MaxMatrix:
     def scale(self, c):
         """Entrywise semiring product with the scalar c.
 
-        An exact max-times result is born reduced: one gcd per entry
-        gives its numerator and denominator, and no Fraction is built
-        until ``rows`` is read. The entries are read off the Fractions
-        of a matrix that has its rows, and off the row lifts of one born
-        without them, so scaling a product builds none of its Fractions.
+        An exact max-times result is born lifted: row (xs, d) of
+        _row_lifts(self) becomes c xs over d, reduced by one gcd
+        (_canonical), and no Fraction is built until ``rows`` is read, so
+        scaling a product builds none of its Fractions.
         """
         sr = self.semiring
         c = sr.coerce(c)
@@ -326,22 +291,10 @@ class MaxMatrix:
             return MaxMatrix._raw(
                 [[sr.mul(c, v) for v in row] for row in self.rows], sr
             )
-        p, q, gcd = c.numerator, c.denominator, math.gcd
-        if _has_rows(self):
-            rows = ([(v.numerator, v.denominator) for v in row]
-                    for row in self.rows)
-        else:
-            rows = ([(x, d) for x in xs] for xs, d in _row_lifts(self))
-        reduced = []
-        for row in rows:
-            ps, qs = [], []
-            for a, b in row:
-                x, y = a * p, b * q
-                g = gcd(x, y)
-                ps.append(x // g)
-                qs.append(y // g)
-            reduced.append((ps, qs))
-        return MaxMatrix._born_reduced(reduced, self.ncols, sr)
+        p, q = c.numerator, c.denominator
+        lifts = tuple([_canonical([x * p for x in xs], d * q)
+                       for xs, d in _row_lifts(self)])
+        return MaxMatrix._born_lifted(lifts, self.ncols, sr)
 
     def __eq__(self, other):
         return (
@@ -429,15 +382,6 @@ def otimes(a, b):
     return _multiply(a, b, _columns(b))
 
 
-def _has_rows(m):
-    """True when m's ``rows`` slot is set; never builds them."""
-    try:
-        object.__getattribute__(m, "rows")
-    except AttributeError:
-        return False
-    return True
-
-
 def _fraction_free(sr):
     """True in exact max-times, where products run on lifted ints."""
     return sr.exact and sr.domain == TIMES
@@ -446,46 +390,37 @@ def _fraction_free(sr):
 def _columns(b):
     """b's columns as _multiply takes them, prepared once per matrix.
 
-    In exact max-times each column j is first lifted over the lcm e_j of
-    its own reduced denominators: from the _reduced form of a matrix
-    born without Fraction rows (_lift_reduced), so it builds none for
-    them, and from the entries otherwise (_lift). The result is a pair
-    (E, cols). When every e_j divides the largest, E, the columns are
-    lifted once more, over E, and cols holds their ints; otherwise E is
-    None and cols holds the (ints, e_j) lifts. Every other mode keeps
-    each column's nonzero (k, value) pairs. A matrix keeps them in its
-    _cols slot from its first use as a right factor on; a vector's are
-    prepared at each product.
+    In exact max-times the result is a pair (D, cols), chosen by the
+    denominators d_i of b's row lifts (_row_lifts), which cost no gcd to
+    read. When every d_i divides the largest, D, the row lifts are
+    brought over D and transposed, and cols holds the ints of each
+    column over D. Otherwise, and for a vector, D is None and cols
+    holds the canonical lift (ints, e_j) of each column of b's Fractions
+    (_lift). Every other mode keeps each column's nonzero (k, value)
+    pairs. A matrix keeps them in its _cols slot from its first use as a
+    right factor on; a vector's are prepared at each product.
     """
     cols = getattr(b, "_cols", None)
     if cols is None:
         sr = b.semiring
         vector = isinstance(b, MaxVector)
-        reduced = None
-        if _fraction_free(sr) and not vector:
-            reduced = getattr(b, "_reduced", None)
-        if reduced is not None:
-            nums = zip(*[ps for ps, _qs in reduced])
-            dens = zip(*[qs for _ps, qs in reduced])
-            cols = [_lift_reduced(ps, qs) for ps, qs in zip(nums, dens)]
+        if not _fraction_free(sr):
+            cols = [
+                [(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
+                for col in ([b.entries] if vector else zip(*b.rows))
+            ]
+        elif vector:
+            cols = None, [_lift(b.entries)]
         else:
-            cols = [b.entries] if vector else zip(*b.rows)
-            if _fraction_free(sr):
-                cols = [_lift(col) for col in cols]
+            lifts = _row_lifts(b)
+            common = max(d for _r, d in lifts)
+            if all(common % d == 0 for _r, d in lifts):
+                cols = common, list(zip(*[
+                    r if d == common else [x * (common // d) for x in r]
+                    for r, d in lifts
+                ]))
             else:
-                cols = [
-                    [(k, y) for k, y in enumerate(col) if not sr.is_zero(y)]
-                    for col in cols
-                ]
-        if _fraction_free(sr):
-            common = max(e for _c, e in cols)
-            if all(common % e == 0 for _c, e in cols):
-                cols = common, [
-                    c if e == common else tuple([x * (common // e) for x in c])
-                    for c, e in cols
-                ]
-            else:
-                cols = None, cols
+                cols = None, [_lift(col) for col in zip(*b.rows)]
         if not vector:
             b._cols = cols
     return cols
@@ -495,19 +430,13 @@ def _row_lifts(m):
     """The canonical lift of each row of an exact max-times matrix.
 
     A tuple of (ints, d), one per row. A matrix born lifted holds it from
-    birth; any other makes it once, from the _reduced form of a matrix
-    born reduced and from the entries otherwise, and keeps it in its
-    _row_lifts slot from the first product, allclose or
-    is_max_combination that reads it on.
+    birth; one that holds Fraction rows makes it once, from the first
+    reader on (a product, scale, allclose, kleene_star or
+    is_max_combination), and keeps it in its _row_lifts slot.
     """
     lifts = getattr(m, "_row_lifts", None)
     if lifts is None:
-        reduced = getattr(m, "_reduced", None)
-        if reduced is None:
-            lifts = tuple([_lift(row) for row in m.rows])
-        else:
-            lifts = tuple([_lift_reduced(ps, qs) for ps, qs in reduced])
-        m._row_lifts = lifts
+        lifts = m._row_lifts = tuple([_lift(row) for row in m.rows])
     return lifts
 
 
@@ -532,24 +461,22 @@ def _multiply(a, b, cols):
     lifted over the lcm d_i of its own reduced denominators (_row_lifts),
     and the columns of b as _columns prepares them.
 
-    - When every column denominator e_j of b divides the largest, E, the
-      columns are lifted over E, and row i of the product is x_j / (d_i
-      E) with x_j = max_k(r_ik * c_kj). One gcd g of d_i E and all the
-      x_j reduces the whole row: d_i E / g is the lcm of the row's
-      reduced denominators, so (x / g, d_i E / g) is the row's canonical
-      lift. The product is born lifted (MaxMatrix._born_lifted).
-    - Otherwise entry (i, j) is x / y = max_k(r_ik * c_kj) / (d_i * e_j)
-      over b's own e_j, and one gcd per entry reduces it to p / q, the
-      numerator and denominator of its Fraction. The product is born
-      reduced (MaxMatrix._born_reduced).
+    - When every row lift denominator of b divides the largest, D, the
+      columns are b's row lifts over D, and row i of the product is x_j
+      / (d_i D) with x_j = max_k(r_ik * c_kj). One gcd g of d_i D and
+      all the x_j reduces the whole row: d_i D / g is the lcm of the
+      row's reduced denominators, so (x / g, d_i D / g) is the row's
+      canonical lift. The product is born lifted, with no Fraction
+      (MaxMatrix._born_lifted).
+    - Otherwise, and for a product with a vector, entry (i, j) is x / y
+      = max_k(r_ik * c_kj) / (d_i * e_j) over the lcm e_j of column j's
+      reduced denominators, and the product is born holding its
+      Fraction entries, Fraction(x, y) taking one gcd per entry.
 
-    Neither form builds a Fraction; a later product or a reader turns it
-    into the other or into Fractions when it asks. A vector's one column
-    always divides itself, so a product with a vector takes the first way
-    and builds its Fractions at once. The choice is a property of b, not
-    a setting: per-entry reduction keeps the ints small where a common
-    denominator would not. With pairwise coprime column denominators, E
-    would be the product of them all.
+    The choice is a property of b, not a setting: per-entry reduction
+    keeps the ints small where a common denominator would not. With
+    pairwise coprime row denominators, D would be the product of them
+    all.
     """
     _check_same_semiring(a, b)
     sr = a.semiring
@@ -562,47 +489,40 @@ def _multiply(a, b, cols):
     elif a.ncols != b.nrows:
         raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
     if _fraction_free(sr):
-        mul, gcd = operator.mul, math.gcd
+        mul = operator.mul
         common, cols = cols
-        if common is None:
-            reduced = []
-            for r, d in _row_lifts(a):
-                ps, qs = [], []
-                for c, e in cols:
-                    x = max(map(mul, r, c))
-                    y = d * e
-                    g = gcd(x, y)
-                    ps.append(x // g)
-                    qs.append(y // g)
-                reduced.append((ps, qs))
-            return MaxMatrix._born_reduced(reduced, b.ncols, sr)
-        lifts = []
-        for r, d in _row_lifts(a):
-            xs = [max(map(mul, r, c)) for c in cols]
-            y = d * common
-            g = gcd(y, *xs)
-            if g == 1:
-                lifts.append((tuple(xs), y))
-            else:
-                lifts.append((tuple([x // g for x in xs]), y // g))
-        if vector:
-            return MaxVector._raw([_fraction(xs[0], y) for xs, y in lifts], sr)
-        return MaxMatrix._born_lifted(tuple(lifts), b.ncols, sr)
-    add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
-    out = []
-    for row in a.rows:
-        out_row = []
-        for support in cols:
-            acc = zero
-            for k, y in support:
-                x = row[k]
-                if not is_zero(x):
-                    acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(out_row)
+        if common is not None:
+            lifts = tuple([
+                _canonical([max(map(mul, r, c)) for c in cols], d * common)
+                for r, d in _row_lifts(a)
+            ])
+            return MaxMatrix._born_lifted(lifts, b.ncols, sr)
+        out = [[Fraction(max(map(mul, r, c)), d * e) for c, e in cols]
+               for r, d in _row_lifts(a)]
+    else:
+        add, mul, zero, is_zero = sr.add, sr.mul, sr.zero, sr.is_zero
+        out = []
+        for row in a.rows:
+            out_row = []
+            for support in cols:
+                acc = zero
+                for k, y in support:
+                    x = row[k]
+                    if not is_zero(x):
+                        acc = add(acc, mul(x, y))
+                out_row.append(acc)
+            out.append(out_row)
     if vector:
         return MaxVector._raw([r[0] for r in out], sr)
     return MaxMatrix._raw(out, sr)
+
+
+def _canonical(xs, y):
+    """The canonical lift of the row xs / y: both over their one gcd."""
+    g = math.gcd(y, *xs)
+    if g == 1:
+        return tuple(xs), y
+    return tuple([x // g for x in xs]), y // g
 
 
 def _lift(values):
@@ -612,12 +532,6 @@ def _lift(values):
     """
     d = math.lcm(*[x.denominator for x in values])
     return tuple([x.numerator * (d // x.denominator) for x in values]), d
-
-
-def _lift_reduced(ps, qs):
-    """_lift of the Fractions ps[k] / qs[k], each in lowest terms."""
-    d = math.lcm(*qs)
-    return tuple([p * (d // q) for p, q in zip(ps, qs)]), d
 
 
 def is_max_combination(m, terms):
@@ -760,13 +674,6 @@ class Ratios:
     zero = None
     one = (1, 1)
     is_zero = staticmethod(operator.not_)
-
-    @staticmethod
-    def lift_rows(rows):
-        return [
-            [(v.numerator, v.denominator) if v else None for v in row]
-            for row in rows
-        ]
 
     @staticmethod
     def value(x):
@@ -972,22 +879,16 @@ def kleene_star(a):
 
     Converges exactly when every cycle weight is at most one; otherwise a
     DivergenceError carrying a witness cycle of weight above one is raised.
-    Exact max-times closes on Ratios int pairs, read from the _reduced
-    form of a matrix born without rows, and exact max-plus on PlusInts, ints
-    over the lcm of the denominators; both build one Fraction per star
-    entry at the end.
+    Exact max-times closes on Ratios int pairs (x, d) read off the row
+    lifts (_row_lifts), and exact max-plus on PlusInts, ints over the lcm
+    of the denominators; both build one Fraction per star entry at the
+    end.
     """
     sr = a.semiring
     n = a.n
     if _fraction_free(sr):
-        reduced = getattr(a, "_reduced", None)
-        if reduced is None:
-            rows = Ratios.lift_rows(a.rows)
-        else:
-            rows = [
-                [(p, q) if p else None for p, q in zip(ps, qs)]
-                for ps, qs in reduced
-            ]
+        rows = [[(x, d) if x else None for x in xs]
+                for xs, d in _row_lifts(a)]
         ops, heavy = Ratios, Ratios.exceeds_one
     elif sr.exact:
         rows, den = PlusInts.lift_rows(a.rows)

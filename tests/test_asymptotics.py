@@ -78,16 +78,16 @@ def test_transient_and_period_minimality():
 
 
 def test_power_ladder_lifts_its_right_factor_once(monkeypatch):
-    # the right factor's n columns are lifted once for the whole scan (and
-    # then over their largest denominator, 200, which every other one
-    # divides), and a's n rows once at the first product; every later
+    # a's n rows are lifted once, at the first product: as the right
+    # factor its columns are those row lifts over their largest
+    # denominator, 200, which every other one divides, and every later
     # power is born holding its row lifts, so the count does not grow
     # with the transient
     a = fmat([[1, 1], [Fraction(1, 2), Fraction(199, 200)]])
     lifts = count_calls(monkeypatch, "_lift")
     prof = transient_and_period(a, budget=1000)
     assert (prof.transient, prof.period) == (139, 1)
-    assert len(lifts) == 2 * a.n
+    assert len(lifts) == a.n
 
 
 @pytest.mark.parametrize("budget", [1, 0, -3])
@@ -120,15 +120,17 @@ def test_ladder_power_equals_mat_power():
 
 
 def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):
-    # the table is one power of a 2n x 2n matrix: its 2n rows and 2n
-    # columns are lifted at the first squaring, whatever t, and every
-    # later power is born reduced
+    # the table is one power of a 2n x 2n matrix: its 2n rows are lifted
+    # at the first squaring, whatever t, its columns are those row lifts
+    # over the largest denominator, and every later power is born
+    # lifted; the first call also lifts a's n rows, for tilde =
+    # a.scale(1 / lam), and a keeps them
     a = unit_lambda_irreducible(random.Random(5), 6)
     lifts = count_calls(monkeypatch, "_lift")
     for t in (2, 10, 60, 200):
         lifts.clear()
         strong_path_table(a, t)
-        assert len(lifts) == 4 * a.n
+        assert len(lifts) == (3 if t == 2 else 2) * a.n
 
 
 def test_strong_path_table_takes_logarithmically_many_products(monkeypatch):
@@ -158,8 +160,9 @@ def test_csr_decompose_lifts_the_rows_of_c_once(monkeypatch):
 
 
 def test_returned_matrices_have_their_rows_built():
-    # exact products are born reduced, with no Fraction rows until read;
-    # every matrix that the asymptotics hand back already has them
+    # exact products and scales are born lifted, with no Fraction rows
+    # until read; every matrix that the asymptotics hand back already
+    # has them
     def built(m):
         try:
             object.__getattribute__(m, "rows")  # skips MaxMatrix.__getattr__
@@ -174,9 +177,12 @@ def test_returned_matrices_have_their_rows_built():
         a = unit_lambda_irreducible(rng, rng.randint(3, 6))
         prof = transient_and_period(a)
         trip = csr_decompose(a)
-        terms = nachtigall_expansion(two_level_planted(rng, 4)[0]).terms
+        expansion = nachtigall_expansion(two_level_planted(rng, 4)[0])
         mats = [*prof.powers, trip.c, trip.s, trip.r]
-        mats += [m for term in terms for m in (term.c, term.s, term.r)]
+        mats += [m for term in expansion.terms
+                 for m in (term.c, term.s, term.r)]
+        mats += [csr_power(trip, t) for t in (1, 40)]
+        mats += [expansion_power(expansion, t) for t in (1, 40)]
         assert all(built(m) for m in mats)
 
 

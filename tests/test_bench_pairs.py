@@ -124,5 +124,5 @@ def test_a_failed_run_leaves_its_pair_out_of_the_summary(tmp_path):
     assert "jobs_per_s: parent 201 [200.5, 201.5] -> change 301 " \
            "[300.5, 301.5], change better in 2/2" in proc.stdout
     assert "left out: pair 2 (change correct: false)" in proc.stdout
-    assert "verdict: claim jobs_per_s met (better in 2/2" in proc.stdout
+    assert "verdict: claim jobs_per_s not met (better in 2/3" in proc.stdout
     assert len(json.loads(out.read_text())["runs"]["exact_powers"]) == 3

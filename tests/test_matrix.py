@@ -309,8 +309,36 @@ def test_lifted_otimes_pairwise_coprime_denominators():
         for _ in range(30)
     ]
     square = _reference_otimes(a, a)
-    _assert_matches(otimes(fmat(a), fmat(a)), square)
+    # no row denominator divides another, so the square takes the
+    # per-entry branch and is born holding its Fraction rows
+    assert matrix._columns(fmat(a))[0] is None
+    got = otimes(fmat(a), fmat(a))
+    assert _holds(got, "rows") and not _holds(got, "_row_lifts")
+    _assert_matches(got, square)
     _assert_matches(mat_power(fmat(a), 4), _reference_otimes(square, square))
+
+
+@pytest.mark.parametrize("transpose", [False, True],
+                         ids=["rows_divide", "columns_divide"])
+def test_lifted_otimes_takes_the_row_denominators(transpose):
+    # the row denominators of [[1/2, 1/3], [1, 1]], 6 and 1, divide the
+    # largest, its column denominators 2 and 3 do not; its transpose is
+    # the other way round. Either product equals the Fraction product,
+    # and reads as the matrix built from its Fractions
+    b = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1)]]
+    if transpose:
+        b = [list(col) for col in zip(*b)]
+    a = [[Fraction(2, 5), Fraction(3)], [Fraction(0), Fraction(5, 7)]]
+    assert (matrix._columns(fmat(b))[0] is None) is transpose
+    for x, y in ((a, b), (b, b), (b, a)):
+        got = otimes(fmat(x), fmat(y))
+        want = fmat(_reference_otimes(x, y))
+        assert _born_lifted(got) is (matrix._columns(fmat(y))[0] is not None)
+        assert matrix.entry_key(got) == matrix.entry_key(want)
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        _assert_matches(got, [list(r) for r in want.rows])
 
 
 # distinct primes: with coprime denominators every entry of a case gets
@@ -371,39 +399,43 @@ def exact_products(draw):
 
 
 def _assert_canonical_columns(m, want):
-    """_columns(m) holds the canonical column lifts of ``want``, lifted
-    once more over the largest denominator exactly when every column
-    denominator divides it."""
+    """_columns(m) holds the canonical row lifts of ``want`` brought over
+    the largest row denominator and transposed, exactly when every row
+    denominator divides it, and the canonical column lifts otherwise."""
     common, cols = matrix._columns(m)
-    lifts = [matrix._lift(col) for col in zip(*want.rows)]
-    top = max(e for _c, e in lifts)
-    if all(top % e == 0 for _c, e in lifts):
+    lifts = [matrix._lift(row) for row in want.rows]
+    top = max(d for _r, d in lifts)
+    if all(top % d == 0 for _r, d in lifts):
         assert common == top
-        assert cols == [tuple(x * (top // e) for x in c) for c, e in lifts]
+        assert cols == list(zip(*[[x * (top // d) for x in r]
+                                  for r, d in lifts]))
     else:
-        assert common is None and cols == lifts
+        assert common is None
+        assert cols == [matrix._lift(col) for col in zip(*want.rows)]
+
+
+def _holds(m, slot):
+    """True when m's ``slot`` is set; never fills it."""
+    try:
+        getattr(MaxMatrix, slot).__get__(m, MaxMatrix)
+    except AttributeError:
+        return False
+    return True
 
 
 def _born_lifted(m):
-    """True when m holds row lifts but neither rows nor a reduced form."""
-    def holds(slot):
-        try:
-            getattr(MaxMatrix, slot).__get__(m, MaxMatrix)
-        except AttributeError:
-            return False
-        return True
-
-    return holds("_row_lifts") and not holds("rows") and not holds("_reduced")
+    """True when m holds row lifts but no Fraction rows."""
+    return _holds(m, "_row_lifts") and not _holds(m, "rows")
 
 
 @seed(1509)
 @settings(max_examples=300, deadline=None)
 @given(exact_products())
 def test_lifted_products_keep_value_semantics(case):
-    # an exact product is born lifted (every column denominator of the
-    # right factor divides the largest) or reduced (otherwise); its row
-    # and column lifts are the canonical lifts of its Fraction rows and
-    # columns, and every reader of the matrix sees what it sees of the
+    # an exact product is born lifted (every row lift denominator of the
+    # right factor divides the largest) or holding its Fraction rows
+    # (otherwise); its row lifts are the canonical lifts of its Fraction
+    # rows, and every reader of the matrix sees what it sees of the
     # matrix built from those Fractions
     a, b, target, x = case
     want = fmat(_reference_otimes(a, b))
@@ -417,12 +449,12 @@ def test_lifted_products_keep_value_semantics(case):
     assert lifts == tuple(matrix._lift(row) for row in want.rows)
     _assert_canonical_columns(product(), want)
     _assert_matches(product(), [list(r) for r in want.rows])
-    # the same value in each born form: Fraction rows, born reduced (by
-    # scale) and born lifted (a product with the identity, whose column
-    # denominators are all 1)
+    # the same value in each born form: Fraction rows, a product, born
+    # lifted by scale and by a product with the identity, whose row
+    # denominators are all 1
     forms = [want, product(), want.scale(1),
              otimes(want, MaxMatrix.identity(len(b[0])))]
-    assert _born_lifted(forms[3])
+    assert _born_lifted(forms[2]) and _born_lifted(forms[3])
     for f in forms:
         for g in forms + [product()]:
             assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
@@ -444,8 +476,8 @@ def test_lifted_products_keep_value_semantics(case):
         r[0] for r in _reference_otimes(a, [[v] for v in x])
     ]
     assert all(type(v) is Fraction for v in got.entries)
-    # mixed chains: a product in either born form as the left factor, as
-    # the right factor and as both
+    # mixed chains: a product in either born form, and one born lifted
+    # by scale, as the left factor, as the right factor and as both
     bt = [list(col) for col in zip(*b)]
     ab = [list(r) for r in want.rows]
     for p in (product(), otimes(fmat(a), fmat(b)).scale(1)):
@@ -784,7 +816,7 @@ def test_allclose_in_float_mode():
     assert not a.allclose(c)
 
 
-def test_exact_scale_is_born_reduced_and_its_star_builds_no_rows():
+def test_exact_scale_is_born_lifted_and_its_star_builds_no_rows():
     a = fmat([[1, 2, 0], [Fraction(1, 4), Fraction(1, 3), 5],
               [Fraction(1, 9), 0, Fraction(3, 7)]])
     c = Fraction(2, 15)

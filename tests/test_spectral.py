@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import maxalg.matrix as matrix
 import maxalg.spectral as spectral
 from maxalg import (
     EXACT_PLUS,
@@ -524,15 +525,20 @@ def test_ratio_closure_keeps_the_smaller_denominator_on_ties():
         a = unit_lambda_irreducible(rng, n, extra_cycles=6)
         scale = [Fraction(rng.randint(1, 30), rng.choice([1, 3, 7, 64, 99]))
                  for _ in range(n)]
-        rows = Ratios.lift_rows(
-            [[v * scale[j] / scale[i] for j, v in enumerate(row)]
-             for i, row in enumerate(a.rows)]
-        )
-        widest = max(x[1].bit_length() for row in rows for x in row if x)
-        closure = closure_rows(rows, Ratios)
-        assert max(x[1].bit_length() for row in closure for x in row if x) <= (
-            n * widest
-        )
+        moved = fmat([[v * scale[j] / scale[i] for j, v in enumerate(row)]
+                      for i, row in enumerate(a.rows)])
+        # each entry's own (numerator, denominator), and the (x, d) pairs
+        # of the row lifts that kleene_star closes
+        entry_pairs = [[(v.numerator, v.denominator) if v else None
+                        for v in row] for row in moved.rows]
+        lift_pairs = [[(x, d) if x else None for x in xs]
+                      for xs, d in matrix._row_lifts(moved)]
+        for rows in (entry_pairs, lift_pairs):
+            widest = max(x[1].bit_length() for row in rows for x in row if x)
+            closure = closure_rows(rows, Ratios)
+            assert max(
+                x[1].bit_length() for row in closure for x in row if x
+            ) <= n * widest
 
 
 def test_exact_improvement_finishes_a_float_tie():

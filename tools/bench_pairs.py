@@ -28,10 +28,12 @@ when any run did.
 A verdict line follows, by the end-to-end metrics of BENCHMARK.json,
 which the tool only reads. The claimed metric, ``--claim`` or the one
 the file names for this workload, is met when the change won at least
-9 in 10 of the pairs and its median is better than the parent's by
-more than the parent's quartile spread. Every other metric is named
-when the change's median is worse than the parent's by more than the
-metric's ``bound``, a fraction of the parent's median.
+9 in 10 of all the pairs run, a pair left out counting as not won, its
+median over the clean pairs is better than the parent's by more than
+the parent's quartile spread, and no change-side run was left out.
+Every other metric is named when the change's median is worse than the
+parent's by more than the metric's ``bound``, a fraction of the
+parent's median.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def summary(runs):
 def verdict(runs, claim):
     """One line over the clean pairs: whether the ``claim`` metric's gain
     is met, and which other end-to-end metrics are worse than their
-    bound."""
+    bound. The claim's wins are counted over all the pairs run."""
     kept, _note = clean(runs)
     if not kept:
         return "verdict: no clean pair"
@@ -166,10 +168,11 @@ def verdict(runs, claim):
         (p1, p2, p3), (_c1, c2, _c3) = quartiles(parent), quartiles(change)
         gain = p2 - c2 if lower else c2 - p2
         if name == claim:
-            met = wins >= 0.9 * len(kept) and gain > p3 - p1
+            met = (wins >= 0.9 * len(runs) and gain > p3 - p1
+                   and not any(trouble(r["change"]) for r in runs))
             parts.append(
                 f"claim {name} {'met' if met else 'not met'} (better in "
-                f"{wins}/{len(kept)}, median gain {gain:.6g}, parent "
+                f"{wins}/{len(runs)}, median gain {gain:.6g}, parent "
                 f"quartile spread {p3 - p1:.6g})"
             )
         elif -gain > bound * abs(p2):
