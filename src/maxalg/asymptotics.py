@@ -199,7 +199,13 @@ def normalize_to_unit(a):
 
 
 def _csr_parts(an):
-    """The C, S, R factors of an analysed matrix around its critical nodes."""
+    """The C, S, R factors of an analysed matrix around its critical nodes.
+
+    S's entries are the critical edges' weights over lam. In exact mode
+    each is that one quotient, so the rows of a tilde born lifted are not
+    built for them; a float entry is read off tilde, whose rounding it
+    must share.
+    """
     tilde = an.normalized()
     sr = tilde.semiring
     cg = an.critical
@@ -210,8 +216,10 @@ def _csr_parts(an):
     pos = {node: k for k, node in enumerate(crit)}
     k = len(crit)
     s_rows = [[sr.zero] * k for _ in range(k)]
-    for i, j, _w in cg.graph.edges:
-        s_rows[pos[i]][pos[j]] = tilde.rows[i][j]
+    for i, j, w in cg.graph.edges:
+        s_rows[pos[i]][pos[j]] = (
+            sr.div(w, an.lam) if sr.exact else tilde.rows[i][j]
+        )
     return c, MaxMatrix._raw(s_rows, sr), r
 
 

@@ -70,10 +70,10 @@ def _irreducible_analyses(a, b):
 
 
 def _common_core(a, b, an_a, an_b):
-    an_a.normalized()
+    # eigenspace_basis makes a's refusals of normalized(), before b's
+    basis = an_a.eigenspace_basis()
     tb = an_b.normalized()
     lam_a, lam_b = an_a.lam, an_b.lam
-    basis = an_a.eigenspace_basis()
     v = MaxMatrix._raw(
         [[col[i] for col in basis] for i in range(a.n)], a.semiring
     )
@@ -84,9 +84,11 @@ def _common_core(a, b, an_a, an_b):
             "the eigenvector cone of the first matrix is not carried "
             "into itself by the second"
         )
-    # the star column of k's smallest critical node is an eigenvector of k
+    # the star column of k's smallest critical node is an eigenvector of
+    # k, read off one best-walk run (the closure's, when k is reducible)
     an_k = spectral_analysis(k)
-    x = otimes(v, an_k.checked_star().col(an_k.critical.nodes[0]))
+    col = an_k.star_columns((an_k.critical.nodes[0],))
+    x = otimes(v, MaxVector._raw(col, k.semiring))
     if not x.is_positive():
         raise CertificationError("lifted common eigenvector is not positive")
     if not is_eigenvector(a, x, lam_a):

@@ -11,7 +11,7 @@ on, so every analysis of one matrix reads its n^2 entries once: digraph_of
 is a view of the pattern. The pattern is a tuple that also keeps three
 facts of the matrix's entries, each made on its first read and shared by
 every later reader of that matrix: its SCC decomposition (pattern_scc, and
-scc of a digraph_of view), its reverse edges and its float weight table.
+scc of a digraph_of view), its reverse edges and its entry table.
 None of them depends on a mean or on any other result of an analysis.
 """
 
@@ -148,9 +148,9 @@ class _Pattern(tuple):
     - ``components``: its SccDecomposition (see pattern_scc);
     - ``pred``: its reverse edges, pred[v] listing the pairs (u, t) with
       self[u][t] leading to v, u ascending;
-    - ``float_logs(sr, build)``: build(sr, self), the float weight table
-      of spectral's Howard iteration under sr, the semiring of the
-      pattern's matrix.
+    - ``float_logs(sr, build)``: build(sr, self), the entry table that
+      spectral's Howard iteration and exact kits read under sr, the
+      semiring of the pattern's matrix.
 
     Pickles and copies carry the rows only.
     """

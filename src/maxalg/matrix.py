@@ -941,7 +941,8 @@ def left_residual(v, w):
 
     X[i][j] = min over k with V[k][i] nonzero of W[k][j] / V[k][i]. A zero
     column of V leaves the corresponding row of X unconstrained and raises
-    NoConstraintError.
+    NoConstraintError. Exact max-times takes each minimum on the row lifts
+    (see _lifted_residual).
     """
     _check_same_semiring(v, w)
     if v.nrows != w.nrows:
@@ -949,6 +950,8 @@ def left_residual(v, w):
             f"row counts differ: {v.shape} vs {w.shape}"
         )
     sr = v.semiring
+    if _fraction_free(sr):
+        return MaxMatrix._raw(_lifted_residual(v, w), sr)
     out = []
     for i in range(v.ncols):
         support = [k for k in range(v.nrows) if not sr.is_zero(v.rows[k][i])]
@@ -964,6 +967,37 @@ def left_residual(v, w):
             ]
         )
     return MaxMatrix._raw(out, sr)
+
+
+def _lifted_residual(v, w):
+    """left_residual's rows in exact max-times, from the row lifts.
+
+    With row k of V lifted as xs / dv and of W as ys / dw, the quotient
+    W[k][j] / V[k][i] is (ys[j] dv) / (dw xs[i]). Quotients are compared
+    by int cross products, and only the minimum of each entry becomes a
+    Fraction.
+    """
+    v_lifts, w_lifts = _row_lifts(v), _row_lifts(w)
+    out = []
+    for i in range(v.ncols):
+        # (ys, dv, dw xs[i]) for each row k with V[k][i] nonzero
+        terms = [(ys, dv, dw * xs[i])
+                 for (xs, dv), (ys, dw) in zip(v_lifts, w_lifts) if xs[i]]
+        if not terms:
+            raise NoConstraintError(
+                f"column {i} of the left factor is zero; the residual row "
+                "is unbounded"
+            )
+        row = []
+        for j in range(w.ncols):
+            num = den = None
+            for ys, dv, y in terms:
+                x = ys[j] * dv
+                if num is None or x * den < num * y:
+                    num, den = x, y
+            row.append(Fraction(num, den))
+        out.append(row)
+    return out
 
 
 def _exact_power_exponent(value, base):

@@ -46,10 +46,11 @@ read: each certificate takes its component's edges from the pattern,
 and the kit divides only its entries. The pattern also keeps what
 depends on the entries alone, made by the matrix's first analysis and
 read by every later one: its SCC decomposition, one Tarjan pass per
-matrix, and, for an irreducible matrix, the reverse edges and the float
-weights Howard's iteration reads (_component). Nothing that depends on
-the mean is kept there. Balancing levels rescale and contract along
-their patterns and hand each level's pattern to its analysis.
+matrix, and, for an irreducible matrix, the reverse edges and the entry
+table (_float_logs) that Howard's iteration and the exact kits read
+(_component). Nothing that depends on the mean is kept there.
+Balancing levels rescale and contract along their patterns and hand
+each level's pattern to its analysis.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .digraph import (
     Digraph,
@@ -175,17 +177,12 @@ _WALK_ROUNDING = 2.0 ** -50
 
 
 def _float_weight(sr, v):
-    """The float weight Howard reads for the entry v.
-
-    ln v in max-times, for an exact v from the logs of its numerator and
-    denominator, so it never leaves the float range; v itself in
+    """The float weight Howard reads for the entry v, outside exact
+    max-times (see _float_logs): ln v in float max-times, v itself in
     max-plus, an exact v clamped to +-2^960.
     """
     if sr.domain == TIMES:
-        if not sr.exact:
-            return math.log(v)
-        p, r = log_terms(v)
-        return p - r
+        return math.log(v)
     try:
         return float(v)
     except OverflowError:
@@ -345,30 +342,68 @@ def _howard(logs, pred, tol, limit):
     )
 
 
-def _float_logs(sr, succ):
-    """(logs, widest, scale): succ with _float_weight's weights.
+class _Table(NamedTuple):
+    """The entry table of successor lists (_float_logs).
 
-    ``widest`` is the largest modulus of a weight. The weights are scaled
+    ``logs`` is succ with the float weights Howard reads, ``widest`` the
+    largest modulus of a weight, and the weights are scaled by ``scale``
+    (see _float_logs). In exact max-times ``entries`` is succ with each
+    entry a = p/r as (p, r, ln p - ln r), the ints and the log weight
+    that the exact kits read, and ``span`` the largest ln p + ln r, which
+    _Symbolic's error bound reads; both are None in every other mode.
+    """
+
+    logs: list
+    widest: float
+    scale: float
+    entries: list = None
+    span: float = None
+
+
+def _float_logs(sr, succ):
+    """The _Table of succ under sr: one pass that weighs each entry once.
+
+    A weight is ln a in max-times and a in max-plus. In exact max-times
+    it is ln p - ln r from log_terms of a = p/r, so it never leaves the
+    float range, and the same pass keeps p, r and that difference in
+    ``entries``. Elsewhere it is _float_weight's. The weights are scaled
     by ``scale``: 1, unless ``widest`` exceeds 2^960, which only a float
     max-plus entry can; then 2^-64, exact on normal floats, so that sums
     along n edges, and with them the potentials, stay in the float range.
     A matrix's nonzero_pattern keeps its table from the first analysis
     on (see _component), so each entry is weighed once per matrix.
     """
-    logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
+    if not (sr.exact and sr.domain == TIMES):
+        logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
+        widest = max(abs(w) for out in logs for _v, w in out)
+        if widest <= _FLOAT_CAP:
+            return _Table(logs, widest, 1.0)
+        scale = 2.0 ** -64
+        logs = [[(v, w * scale) for v, w in out] for out in logs]
+        return _Table(logs, widest, scale)
+    logs, entries = [], []
+    span = 0.0
+    for out in succ:
+        weights, row = [], []
+        for v, a in out:
+            p, r = log_terms(a)
+            w = p - r
+            weights.append((v, w))
+            row.append((v, (a.numerator, a.denominator, w)))
+            if span < p + r:
+                span = p + r
+        logs.append(weights)
+        entries.append(row)
     widest = max(abs(w) for out in logs for _v, w in out)
-    if widest <= _FLOAT_CAP:
-        return logs, widest, 1.0
-    scale = 2.0 ** -64
-    return [[(v, w * scale) for v, w in out] for out in logs], widest, scale
+    return _Table(logs, widest, 1.0, entries, span)
 
 
 def _float_proposal(pred, table):
     """Exact mode's start: Howard's policy after at most _HOWARD_ROUNDS
     float rounds on the _float_logs ``table``, under _HOWARD_TOL relative
     to the component's size and widest log."""
-    logs, widest, _scale = table
-    tol = _HOWARD_TOL * len(logs) * (1.0 + widest)
+    logs = table.logs
+    tol = _HOWARD_TOL * len(logs) * (1.0 + table.widest)
     return _howard(logs, pred, tol, _HOWARD_ROUNDS)[0]
 
 
@@ -437,8 +472,9 @@ def _certificate(sr, pattern, comp):
     """
     succ, pred, table = _component(sr, pattern, comp)
     if not sr.exact:
-        logs, _widest, scale = table
-        policy, settled = _howard(logs, pred, sr.tol * scale, _FLOAT_ROUNDS)
+        policy, settled = _howard(
+            table.logs, pred, sr.tol * table.scale, _FLOAT_ROUNDS
+        )
         if settled is None:
             raise CertificationError(
                 f"Howard's policy iteration still moved after "
@@ -456,7 +492,7 @@ def _certificate(sr, pattern, comp):
         pair, _cycle, x, tight, kit = _improve(
             succ, pred, policy, partial(_cycle_pair, sr),
             lambda p, q: gmean_cmp(sr, p, q) > 0,
-            partial(_Kit, sr, succ),
+            partial(_Kit, sr, succ, table=table),
         )
     return pair, x, [(comp[u], comp[v]) for u, v in tight], kit
 
@@ -474,14 +510,15 @@ class _Symbolic:
     entry's reduced fraction, and mul adds the estimates. Values compare
     through filtered_sign, and by exact cross powers only when the
     estimates cannot decide, so the potentials of an irrational mean are
-    checked exactly. ``steps`` is the kit's: the successor lists ``succ``
-    with each entry a, never the zero, as a / lam = (a's numerator, its
-    denominator, 1, its term).
+    checked exactly. ``steps`` is the kit's: the successor lists of the
+    _Table ``table`` with each entry a, never the zero, as a / lam = (a's
+    numerator, its denominator, 1, its term), read off the table's
+    ``entries``, whose ln p - ln r is the entry's log weight.
 
     Error bound: comparing x and y, with k = m_x + m_y, sums k entry
     terms. Each reads the two logs of its entry, which sum to at most G
-    (the largest over the entries), and, through ln lam = (ln p0 - ln r0)
-    / l0 with w0 = p0/r0, 1/l0 times two logs that sum to G0. So size <=
+    (the table's ``span``), and, through ln lam = (ln p0 - ln r0) / l0
+    with w0 = p0/r0, 1/l0 times two logs that sum to G0. So size <=
     k (G + 2 + (G0 + 2)/l0) in filtered_sign's terms. A log passes at most
     3 roundings to become its term (for w0's: difference, division by l0,
     subtraction from the entry's), at most m - 1 in the products and one
@@ -493,23 +530,16 @@ class _Symbolic:
 
     one = (1, 1, 0, 0.0)
 
-    def __init__(self, lam_pair, succ):
+    def __init__(self, lam_pair, table):
         self.w0, self.l0 = lam_pair
         self.p0, self.r0 = self.w0.numerator, self.w0.denominator
         p0, r0 = log_terms(self.w0)
         ln_lam = (p0 - r0) / self.l0
-        widest = 0.0
-        self.steps = []
-        for out in succ:
-            lifted = []
-            for v, a in out:
-                p, r = log_terms(a)
-                widest = max(widest, p + r)
-                lifted.append(
-                    (v, (a.numerator, a.denominator, 1, (p - r) - ln_lam))
-                )
-            self.steps.append(lifted)
-        self.unit = widest + 2.0 + (p0 + r0 + 2.0) / self.l0
+        self.steps = [
+            [(v, (p, r, 1, w - ln_lam)) for v, (p, r, w) in out]
+            for out in table.entries
+        ]
+        self.unit = table.span + 2.0 + (p0 + r0 + 2.0) / self.l0
 
     def cmp(self, x, y):
         """Three-way compare of two values."""
@@ -552,6 +582,9 @@ class _Kit:
       unless one overflowed to inf (True, reported first) or rounded to
       the zero (False), float_range_error's ``overflow``.
 
+    The exact max-times kits read each entry's ints, and its log weight,
+    off ``table``, succ's _Table (_float_logs), and no Fraction of succ.
+
     ``one``, ``zero`` and ``mul`` are the unit, zero and product;
     ``better`` and ``le`` compare (``le`` under the float tolerance), and
     an exact kit's ``cmp`` is three-way. ``flog`` is the float log that
@@ -561,7 +594,7 @@ class _Kit:
     ``once`` in float mode.
     """
 
-    def __init__(self, sr, succ, pair):
+    def __init__(self, sr, succ, pair, table=None):
         lam = gmean_value(sr, pair)
         self.once = not sr.exact
         self.loss = self.value = None
@@ -590,8 +623,8 @@ class _Kit:
         elif lam is not None:
             p, q = lam.numerator, lam.denominator
             self.steps = [
-                [(v, (a.numerator * q, a.denominator * p)) for v, a in out]
-                for out in succ
+                [(v, (x * q, y * p)) for v, (x, y, _w) in out]
+                for out in table.entries
             ]
             self.zero, self.one = (0, 1), Ratios.one
             self.mul, self.cmp = Ratios.mul, Ratios.cmp
@@ -600,7 +633,7 @@ class _Kit:
             self.le = lambda x, y: x[0] * y[1] <= y[0] * x[1]
             self.flog = lambda x: math.log(x[0]) - math.log(x[1])
         else:
-            sym = _Symbolic(pair, succ)
+            sym = _Symbolic(pair, table)
             self.steps, self.zero, self.one = sym.steps, None, sym.one
             self.mul, self.cmp = sym.mul, sym.cmp
             self.better = lambda x, y: y is None or sym.cmp(x, y) > 0
@@ -935,18 +968,23 @@ class SpectralAnalysis:
 
         The matrix must be irreducible with at least one cycle. Each
         component is represented by its smallest node r's column, from
-        one best-walk run into r, and one run out of r gives row r of the
-        star. Inside a critical component all star columns are
-        proportional, and this is verified in O(k): star[r][v] star[v][r]
-        must be one for every node v of the component. That suffices:
-        joining walks gives star[i][v] >= star[i][r] star[r][v] and
-        star[i][r] >= star[i][v] star[v][r], so star[i][v] >= star[i][r]
-        star[r][v] >= star[i][v] (star[v][r] star[r][v]) = star[i][v],
-        and column v is column r times star[r][v]. When the float
-        tolerance is too tight for the runs (see _walks), a run fails its
-        certificate, or a product is not one, the whole star is read
-        instead (``checked_star()``) and every column is compared, so the
-        answer, or the refusal, is the closure's.
+        one best-walk run into r, whose certificate proves col[v] =
+        star[v][r]. Inside a critical component all star columns are
+        proportional, and this is verified in O(k) along the critical
+        edges: one walk from r along those inside the component gives
+        each of its nodes v the weight w_v of a walk from r to v, so
+        star[r][v] >= w_v, and the potentials prove that no cycle weighs
+        more than one, so star[r][v] star[v][r] <= 1. A product w_v col[v]
+        of one therefore gives 1 = w_v star[v][r] <= star[r][v] star[v][r]
+        <= 1. That suffices: joining walks gives star[i][v] >= star[i][r]
+        star[r][v] and star[i][r] >= star[i][v] star[v][r], so star[i][v]
+        >= star[i][r] star[r][v] >= star[i][v] (star[v][r] star[r][v]) =
+        star[i][v], and column v is column r times star[r][v]. When the
+        float tolerance is too tight for the runs (see _walks), the run
+        fails its certificate, or a node is unreached or its product is
+        not one, the whole star is read instead (``checked_star()``) and
+        every column is compared, so the answer, or the refusal, is the
+        closure's.
         """
         if not self.is_irreducible:
             raise NotIrreducibleError("eigenvectors need an irreducible matrix")
@@ -956,13 +994,24 @@ class SpectralAnalysis:
             return self._star_basis()
         kit, h = walks
         sr = self.mean.semiring
+        graph = self.critical.graph
         basis = []
         for comp in self.critical.components:
             r = comp[0]
             col = kit.run((r,), -1, h)
-            row = kit.run((r,), 1, h)
-            if col is None or row is None or not all(
-                kit.is_one(kit.mul(row[v], col[v])) for v in comp
+            if col is None:
+                return self._star_basis()
+            # critical edges join only nodes of one critical component
+            weight = {r: kit.one}
+            order = [r]
+            for u in order:
+                steps = dict(kit.steps[u])
+                for v, _a in graph.successors(u):
+                    if v not in weight:
+                        weight[v] = kit.mul(steps[v], weight[u])
+                        order.append(v)
+            if len(order) < len(comp) or not all(
+                kit.is_one(kit.mul(w, col[v])) for v, w in weight.items()
             ):
                 return self._star_basis()
             basis.append(MaxVector._raw(kit.values(col), sr))
@@ -983,10 +1032,10 @@ class SpectralAnalysis:
             return kit, [kit.flog(v) for v in x]
         rounding = self._matrix.n * _WALK_ROUNDING
         if sr.domain != TIMES:
-            # the widest entry, which the pattern's float table keeps
+            # the widest entry, which the pattern's entry table keeps
             rounding *= nonzero_pattern(self._matrix).float_logs(
                 sr, _float_logs
-            )[1]
+            ).widest
         if sr.tol < rounding:
             return None
         # the float potentials are logs, unscaled: a max-plus entry beyond

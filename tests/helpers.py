@@ -65,6 +65,32 @@ def fvec(entries):
     return MaxVector(entries, EXACT_TIMES)
 
 
+def left_residual_reference(v, w, plus=False):
+    """The greatest X with V (x) X <= W, on plain grids, or None when a
+    column of V is zero and its row of X is unbounded.
+
+    X[i][j] is the minimum over the rows k with V[k][i] nonzero of
+    W[k][j] / V[k][i], by Fraction or float division, with 0 the zero;
+    with ``plus``, of W[k][j] - V[k][i], with NEG_INF the zero, which
+    stays NEG_INF.
+    """
+    zero = NEG_INF if plus else 0
+
+    def quotient(x, y):
+        if not plus:
+            return x / y
+        return zero if x == zero else x - y
+
+    out = []
+    for i in range(len(v[0])):
+        support = [k for k, row in enumerate(v) if row[i] != zero]
+        if not support:
+            return None
+        out.append([min(quotient(w[k][j], v[k][i]) for k in support)
+                    for j in range(len(w[0]))])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # walk and star oracles
 

@@ -24,15 +24,21 @@ from maxalg import (
     nachtigall_expansion,
     normalize_to_unit,
     otimes,
+    spectral_analysis,
     strong_path_table,
     strong_path_weight,
     transient_and_period,
     transient_bound,
 )
 
-from maxalg.asymptotics import _ladder_power, normalized_periodicity
+from maxalg.asymptotics import (
+    _csr_parts,
+    _ladder_power,
+    normalized_periodicity,
+)
 
 from helpers import (
+    additive,
     count_calls,
     fmat,
     power_two_dominant,
@@ -184,6 +190,41 @@ def test_returned_matrices_have_their_rows_built():
         mats += [csr_power(trip, t) for t in (1, 40)]
         mats += [expansion_power(expansion, t) for t in (1, 40)]
         assert all(built(m) for m in mats)
+
+
+def test_csr_parts_builds_no_rows_of_tilde(monkeypatch):
+    # S's exact entries are the critical edges' weights over lam, so the
+    # tilde that scale gives born lifted keeps its row lifts alone: the
+    # C, S, R split builds no Fraction row of any matrix
+    built = []
+    original = MaxMatrix.__getattr__
+
+    def counting(m, name):
+        if name == "rows":
+            built.append(m)
+        return original(m, name)
+
+    rng = random.Random(47)
+    corpus = [unit_lambda_irreducible(rng, rng.randint(3, 6)).scale(
+        Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(6)]
+    corpus += [two_level_planted(rng, rng.randint(4, 6))[0]
+               for _ in range(4)]
+    corpus += [additive(m) for m in corpus[:3]]
+    for a in corpus:
+        an = spectral_analysis(a)
+        monkeypatch.setattr(MaxMatrix, "__getattr__", counting)
+        _c, s, _r = _csr_parts(an)
+        monkeypatch.undo()
+        assert built == []
+        # S is tilde on the critical edges, the zero elsewhere
+        tilde, crit = an.tilde, an.critical.nodes
+        edges = set(an.critical.edges)
+        sr = a.semiring
+        assert s.rows == tuple(
+            tuple(tilde[i, j] if (i, j) in edges else sr.zero
+                  for j in crit)
+            for i in crit
+        )
 
 
 def test_transient_budget_error_on_never_periodic():

@@ -23,11 +23,14 @@ from maxalg import (
     commuting_cycle_witness,
     critical_graph,
     is_eigenvector,
+    left_residual,
     mat_power,
+    otimes,
     principal_eigenvector,
     saturation_graph,
     scc,
     semiring_convert,
+    spectral_analysis,
 )
 
 from maxalg.commuting import common_saturation_pair
@@ -225,6 +228,40 @@ def test_polynomial_pairs_pipeline():
         c1, c2 = commuting_cycle_witness(pair)
         _check_cycle(c1, pair.g1, scc(pair.g2).nontrivial_nodes())
         _check_cycle(c2, pair.g2, scc(pair.g1).nontrivial_nodes())
+
+
+def cone_matrix(p, q):
+    """k of common_eigenvector(p, q): the action of q's normalized matrix
+    on the cone coordinates of p's eigenspace basis V, the greatest K
+    with V (x) K <= q~ (x) V."""
+    basis = spectral_analysis(p).eigenspace_basis()
+    v = MaxMatrix([[col[i] for col in basis] for i in range(p.n)],
+                  p.semiring)
+    return left_residual(v, otimes(spectral_analysis(q).normalized(), v))
+
+
+def test_the_cone_eigenvector_is_the_star_column():
+    # common_eigenvector reads k's eigenvector off one best-walk run at
+    # k's smallest critical node; it is the column the closure gives
+    rng = random.Random(739)
+    larger = 0
+    for _ in range(60):
+        p, q, _base = polynomial_pair(rng, rng.randint(2, 7))
+        k = cone_matrix(p, q)
+        an = spectral_analysis(k)
+        node = an.critical.nodes[0]
+        assert an.star_columns((node,)) == list(an.checked_star().col(node))
+        larger += k.n > 1  # p has several critical components
+    assert larger >= 10
+    # the basis columns of an irreducible matrix are positive, so such a
+    # pair's k is positive; a reducible k, from a V with zero entries,
+    # takes the closure's column inside star_columns
+    v = MaxMatrix.identity(3, EXACT_TIMES)
+    w = fmat([[2, 1, 0], [0, 1, 0], [0, 3, Fraction(1, 2)]])
+    an = spectral_analysis(left_residual(v, w))
+    assert not an.is_irreducible
+    node = an.critical.nodes[0]
+    assert an.star_columns((node,)) == list(an.checked_star().col(node))
 
 
 def test_common_saturation_pair_matches_the_two_steps():

@@ -76,7 +76,8 @@ def symbolic_case(draw):
     times another near-one weight is an entry too, so that products sit on
     or next to lam^m. That lam is rational, for which spectral._Kit would
     pick Ratios pairs, so the case builds the _Symbolic values of the
-    irrational kit directly, from the same successor lists.
+    irrational kit directly, from the entry table of the same successor
+    lists (symbolic_kit).
     """
     entries = draw(st.lists(weights, min_size=1, max_size=5))
     l0 = draw(lengths)
@@ -86,7 +87,7 @@ def symbolic_case(draw):
         w0 = (entries[0] * draw(near)) ** l0
     else:
         w0 = draw(weights)
-    ops = spectral._Symbolic((w0, l0), [list(enumerate(entries))])
+    ops = symbolic_kit((w0, l0), entries)
     lifted = [e for _v, e in ops.steps[0]]
     paths = st.lists(st.integers(0, len(entries) - 1), max_size=8)
     x, y = (
@@ -94,6 +95,13 @@ def symbolic_case(draw):
         for _ in range(2)
     )
     return ops, x, y
+
+
+def symbolic_kit(lam_pair, entries):
+    """The _Symbolic values of lam_pair on one node's edges to
+    0, 1, ... with the given weights, built from their entry table."""
+    table = spectral._float_logs(EXACT_TIMES, [list(enumerate(entries))])
+    return spectral._Symbolic(lam_pair, table)
 
 
 def symbolic_value(x):
@@ -171,9 +179,7 @@ def test_near_ties_reach_the_exact_fallback(monkeypatch):
 
     sym = _counting(monkeypatch, spectral._Symbolic, "_cross_cmp")
     r = Fraction(7, 3)
-    ops = spectral._Symbolic(
-        (r**3, 3), [list(enumerate([r, r * NEAR_ONE[0], Fraction(5)]))]
-    )
+    ops = symbolic_kit((r**3, 3), [r, r * NEAR_ONE[0], Fraction(5)])
     (_n, near), (_a, above), (_f, far) = ops.steps[0]
     assert ops.cmp(near, far) == -1
     assert sym == []

@@ -24,9 +24,10 @@ def test_no_private_names_imported_between_modules():
 
 
 def test_only_the_product_core_touches_the_lifted_form():
-    # a MaxMatrix's _reduced, _row_lifts and _cols slots hold the exact
-    # product core's integer forms; no other module reads or writes them,
-    # by attribute or by name
+    # a MaxMatrix's _row_lifts and _cols slots hold the exact product
+    # core's integer forms; no other module reads or writes them, by
+    # attribute or by name. No matrix holds a _reduced form any more; the
+    # name stays in the set so that no other module brings one back
     private = {"_reduced", "_row_lifts", "_cols"}
     offenders = []
     for path in sorted(SRC.glob("*.py")):

@@ -24,6 +24,7 @@ from maxalg import (
     MaxMatrix,
     ModeError,
     MaxVector,
+    NoConstraintError,
     entrywise_div,
     kleene_star,
     left_residual,
@@ -45,6 +46,7 @@ from helpers import (
     fvec,
     grids_equal,
     has_cycle_above_one_brute,
+    left_residual_reference,
     random_matrix,
     star_brute,
     unit_lambda_irreducible,
@@ -674,20 +676,33 @@ def test_entrywise_div():
 
 
 def test_left_residual_is_the_galois_adjoint():
+    # exact max-times takes each minimum by int cross products on the row
+    # lifts; the answer is the plain Fraction residual, and a zero column
+    # of V, which some cases have, is refused
     rng = random.Random(37)
     sr = EXACT_TIMES
-    for _ in range(80):
+    refused = 0
+    for _ in range(120):
         n, m, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         v = [[Fraction(rng.randint(0, 6), rng.randint(1, 3))
               for _ in range(m)] for _ in range(n)]
         w = [[Fraction(rng.randint(0, 6), rng.randint(1, 3))
               for _ in range(k)] for _ in range(n)]
+        if rng.random() < 0.2:
+            dead = rng.randrange(m)
+            for row in v:
+                row[dead] = Fraction(0)
+        want = left_residual_reference(v, w)
         v = MaxMatrix(v, sr)
         w = MaxMatrix(w, sr)
         try:
             x = left_residual(v, w)
-        except Exception:
+        except NoConstraintError:
+            assert want is None
+            refused += 1
             continue
+        assert want is not None
+        assert x.rows == tuple(map(tuple, want))
         prod = otimes(v, x)
         # residual is the greatest solution of V (x) X <= W
         for i in range(n):
@@ -705,6 +720,25 @@ def test_left_residual_is_the_galois_adjoint():
             for i in range(m):
                 for j in range(k):
                     assert y.rows[i][j] <= x.rows[i][j]
+    assert 10 <= refused <= 60
+
+
+@pytest.mark.parametrize("sr", [FLOAT_TIMES, FLOAT_PLUS],
+                         ids=["float", "float_plus"])
+def test_float_left_residual_matches_the_reference(sr):
+    # float modes keep the quotient loop; zero entries of V are skipped
+    # and a zero of W stays the zero in max-plus
+    plus = sr == FLOAT_PLUS
+    z = NEG_INF if plus else 0.0
+    v = [[0.5, z, 2.0], [z, z, 1.25], [3.0, z, z]]
+    w = [[1.0, z], [0.75, 4.0], [z, 2.5]]
+    want = left_residual_reference(v, w, plus)
+    assert want is None
+    with pytest.raises(NoConstraintError):
+        left_residual(MaxMatrix(v, sr), MaxMatrix(w, sr))
+    v[1][1] = 1.5
+    x = left_residual(MaxMatrix(v, sr), MaxMatrix(w, sr))
+    assert x.rows == tuple(map(tuple, left_residual_reference(v, w, plus)))
 
 
 def test_restrict_and_scale():

@@ -435,10 +435,12 @@ PATTERN_FACTS_EXPONENTS = [
 )
 def test_a_matrix_decomposes_and_weighs_its_pattern_once(monkeypatch, sr):
     # the nonzero pattern keeps its SCC decomposition, reverse edges and
-    # float weight table, so six public calls on one matrix make one
+    # entry table, so six public calls on one matrix make one
     # Tarjan pass over its pattern and weigh each entry once; the passes
     # over tight graphs and over balancing's contracted levels, which
-    # have fewer nodes, are other graphs
+    # have fewer nodes, are other graphs. An entry is weighed by
+    # _float_weight, and in exact max-times by log_terms, whose logs the
+    # table also keeps for the exact kits
     rows = [
         [(2 ** k if sr.domain == TIMES else k) if k is not None
          else sr.zero for k in row]
@@ -449,7 +451,10 @@ def test_a_matrix_decomposes_and_weighs_its_pattern_once(monkeypatch, sr):
                  for row in a.rows]
     entries = [v for row in a.rows for v in row if not sr.is_zero(v)]
     passes = count_calls(monkeypatch, "strong_components")
-    weights = count_calls(monkeypatch, "_float_weight")
+    weights = count_calls(
+        monkeypatch,
+        "log_terms" if sr == EXACT_TIMES else "_float_weight",
+    )
 
     assert scc(digraph_of(a)).is_single and is_irreducible(a)
     assert max_cycle_gmean(a).pair() == (
@@ -461,9 +466,62 @@ def test_a_matrix_decomposes_and_weighs_its_pattern_once(monkeypatch, sr):
     assert len(balanced.levels[0]) == 3 and not balanced.exact_degraded
 
     assert [succ for _n, succ in passes].count(adjacency) == 1
-    weighed = [v for _sr, v in weights if any(v is e for e in entries)]
+    weighed = [args[-1] for args in weights
+               if any(args[-1] is e for e in entries)]
     assert len(weighed) == len(entries)
     assert {id(v) for v in weighed} == {id(e) for e in entries}
+
+
+def per_entry_symbolic(lam_pair, succ):
+    """(steps, unit) of the _Symbolic values of lam_pair on succ, each
+    entry's logs taken from its own Fraction."""
+    w0, l0 = lam_pair
+    p0, r0 = math.log(w0.numerator), math.log(w0.denominator)
+    ln_lam = (p0 - r0) / l0
+    steps, widest = [], 0.0
+    for out in succ:
+        row = []
+        for v, a in out:
+            p, r = math.log(a.numerator), math.log(a.denominator)
+            widest = max(widest, p + r)
+            row.append((v, (a.numerator, a.denominator, 1, (p - r) - ln_lam)))
+        steps.append(row)
+    return steps, widest + 2.0 + (p0 + r0 + 2.0) / l0
+
+
+def test_exact_kits_read_the_entry_table():
+    # the Ratios and _Symbolic kits read each entry's ints and log weight
+    # off the component's entry table, made in the one pass that weighs
+    # the entries, and hold what a build from the Fractions gives: a
+    # component of every node reads the pattern's table, a smaller one
+    # its own
+    rng = random.Random(2039)
+    whole = random_irreducible(rng, 7, density=0.5)
+    block = random_irreducible(rng, 4, density=0.5)
+    rows = [list(row) + [Fraction(0)] * 4 for row in whole.rows]
+    rows += [[Fraction(rng.randint(0, 3), 5) for _ in range(7)] + list(row)
+             for row in block.rows]
+    reducible = fmat(rows)
+    cases = [(whole, tuple(range(7)))]
+    cases += [(reducible, comp) for comp in
+              scc(digraph_of(reducible)).nontrivial_components]
+    assert [len(comp) for _a, comp in cases] == [7, 7, 4]
+    for a, comp in cases:
+        pattern = nonzero_pattern(a)
+        succ, _pred, table = spectral._component(EXACT_TIMES, pattern, comp)
+        shared = pattern.float_logs(EXACT_TIMES, spectral._float_logs)
+        assert (table is shared) == (len(comp) == a.n)
+        lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        kit = spectral._Kit(EXACT_TIMES, succ, (lam, 1), table)
+        p, q = lam.numerator, lam.denominator
+        assert kit.steps == [
+            [(v, (w.numerator * q, w.denominator * p)) for v, w in out]
+            for out in succ
+        ]
+        pair = (Fraction(rng.choice([2, 3, 5, 7])), 2)
+        sym = spectral._Symbolic(pair, table)
+        assert (sym.steps, sym.unit) == per_entry_symbolic(pair, succ)
+        assert spectral._Kit(EXACT_TIMES, succ, pair, table).steps == sym.steps
 
 
 def test_is_eigenvector_rejects_wrong_pairs():

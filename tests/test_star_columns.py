@@ -254,6 +254,33 @@ def test_float_eigenvectors_agree_with_the_closure_columns():
     assert answered >= 110 and scaled >= 20
 
 
+@pytest.mark.parametrize("target", [None, FLOAT_TIMES, FLOAT_PLUS],
+                         ids=["exact", "float", "float_plus"])
+def test_the_critical_walk_basis_equals_the_star_basis(monkeypatch, target):
+    # eigenspace_basis makes one run per critical component, into its
+    # smallest node, and checks the component along its critical edges
+    # with no closure; its basis is the one the whole star gives
+    rng = random.Random(2031)
+    several = 0
+    for _ in range(24):
+        a = several_components(rng, rng.randint(4, 14), rng.randint(1, 4))
+        if target is not None:
+            a = in_float(a, target)
+        an = spectral_analysis(a)
+        closures = count_calls(monkeypatch, "closure_rows")
+        runs = count_calls(monkeypatch, "_best_walks")
+        basis = an.eigenspace_basis()
+        assert closures == []
+        assert len(runs) == len(an.critical.components)
+        monkeypatch.undo()
+        want = an._star_basis()
+        assert len(basis) == len(want)
+        for col, ref in zip(basis, want):
+            assert_close(col, ref, a.semiring)
+        several += len(an.critical.components) > 1
+    assert several >= 12
+
+
 def check_balance(monkeypatch, a):
     """True when a balances; otherwise both routes refuse it alike."""
     got, err = outcome(max_balance, a)
@@ -390,9 +417,9 @@ def test_an_exact_analysis_builds_one_kit(monkeypatch):
     built = []
     init = spectral._Kit.__init__
 
-    def counting(self, sr, succ, pair):
+    def counting(self, sr, succ, pair, table=None):
         built.append(gmean_value(sr, pair))
-        init(self, sr, succ, pair)
+        init(self, sr, succ, pair, table)
 
     rng = random.Random(2027)
     times = [unit_lambda_irreducible(rng, 8), several_components(rng, 12, 2),
