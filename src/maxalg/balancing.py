@@ -4,18 +4,20 @@ A matrix is max-balanced when every nonzero entry b[i][j] closes into a
 cycle whose edges all weigh at least b[i][j]; equivalently, across every
 directed cut the two maximum crossing weights agree. max_balance finds the
 similarity scaling producing such a matrix by repeatedly freezing the
-heaviest cycles: find the top cycle geometric mean, saturate its critical
-edges with an eigenvector scaling, collapse each critical component to a
-point, and recurse on the strictly lighter remainder. The scaling of a
-level is the sum of the star columns at its critical nodes, read off one
-best-walk run on the level's spectral certificate, with no closure
-(SpectralAnalysis.star_columns).
+heaviest cycles (Schneider and Schneider, Math. Oper. Res. 16, 1991):
+find the top cycle geometric mean, saturate its critical edges with an
+eigenvector scaling, collapse each critical component to a point, and
+recurse on the strictly lighter remainder. The scaling of a level is the
+sum of the star columns at its critical nodes, read off one best-walk run
+on the level's certificate, with no closure.
 
-Levels live on their nonzero patterns (digraph.nonzero_pattern). A level
-rescales its pattern's entries (scaling.scaled_pattern) and contracts
-them, group pair by group pair, straight into the next level's pattern,
-so no level reads a dense row: the next level matrix is built around
-that pattern (MaxMatrix._of_pattern), and its analysis walks it.
+This module keeps what the input decides: its SCC decomposition, the
+refusal of an entry that bridges two components, the float restart, and
+the checks of the answer (strictly decreasing level means, the cycle
+cover). The level loop of each component, spectral.balance_levels, runs
+on successor lists and the entry tables that Howard's iteration reads,
+which belong to spectral: a level builds no matrix and no analysis, and
+rescales and contracts its lists straight into the next level's.
 
 Exact max-times inputs whose level means are irrational roots cannot be
 balanced in exact arithmetic; the run restarts in float mode and the
@@ -30,14 +32,13 @@ from .digraph import nonzero_pattern, pattern_scc
 from .errors import (
     CertificationError,
     ExactnessError,
-    ModeError,
     NoScalingError,
     SizeLimitError,
 )
 from .matrix import MaxMatrix, MaxVector, semiring_convert
-from .scaling import DiagonalScaling, scaled_pattern
-from .semiring import Semiring, float_range_error, gmean_cmp
-from .spectral import spectral_analysis
+from .scaling import DiagonalScaling
+from .semiring import Semiring, gmean_cmp
+from .spectral import balance_levels
 
 
 @dataclass(frozen=True)
@@ -121,80 +122,6 @@ def is_max_balanced_cut(b, size_limit=14):
     return True
 
 
-def _contract(scaled, groups, sr):
-    """The next level's pattern: ``scaled`` with each group made a point.
-
-    ``scaled`` is a level's scaled pattern and ``groups`` partitions its
-    nodes. The entry of group pair (g, h), g != h, is the semiring sum
-    of the scaled entries from g to h. Entries that left the float range
-    as the zero are dropped, and a pair none of whose entries is nonzero
-    stays off the pattern. A tie keeps the later entry, as Semiring.add
-    does.
-    """
-    group_of = [0] * len(scaled)
-    for k, g in enumerate(groups):
-        for c in g:
-            group_of[c] = k
-    is_zero = sr.is_zero
-    acc = [[None] * len(groups) for _ in groups]
-    for u, out in enumerate(scaled):
-        gu = group_of[u]
-        row = acc[gu]
-        for v, w in out:
-            gv = group_of[v]
-            if gv != gu and not is_zero(w):
-                y = row[gv]
-                if y is None or not w < y:
-                    row[gv] = w
-    return tuple(
-        tuple([(h, w) for h, w in enumerate(row) if w is not None])
-        for row in acc
-    )
-
-
-def _balance_component(sub, sr):
-    """Balance one strongly connected block; returns (local scaling, levels).
-
-    A float level whose contraction dropped entries that rounded to the
-    zero (see _contract) can be left with no cycle; that is the float
-    range ModeError.
-    """
-    m = sub.n
-    members = [[k] for k in range(m)]
-    cur = sub
-    x_local = [sr.one] * m
-    levels = []
-    while cur.n > 1:
-        an = spectral_analysis(cur)
-        if an.critical is None:
-            # _contract dropped rescaled float entries that rounded to the
-            # zero, and with them every cycle of the level
-            raise float_range_error(
-                "a rescaled entry of a balancing level", overflow=False
-            )
-        crit_nodes = an.critical.nodes
-        # the sum of the star columns at the critical nodes, from one
-        # best-walk run; an irrational level raises ExactnessError
-        x_cur = an.star_columns(crit_nodes)
-        levels.append(an.mean.pair())
-        if any(sr.is_zero(v) for v in x_cur):
-            # a float max-times normalized entry can underflow to zero
-            raise ModeError("a balancing scale underflows the float range")
-        for c, mult in enumerate(x_cur):
-            for p in members[c]:
-                x_local[p] = sr.mul(x_local[p], mult)
-        critical = set(crit_nodes)
-        groups = sorted(
-            list(an.critical.components)
-            + [(k,) for k in range(cur.n) if k not in critical],
-            key=min,
-        )
-        members = [sorted(p for c in g for p in members[c]) for g in groups]
-        scaled = scaled_pattern(nonzero_pattern(cur), x_cur, sr)
-        cur = MaxMatrix._of_pattern(_contract(scaled, groups, sr), sr)
-    return x_local, levels
-
-
 def _max_balance_core(a, degraded):
     sr = a.semiring
     n = a.n
@@ -214,7 +141,7 @@ def _max_balance_core(a, degraded):
         if len(comp) == 1:
             continue
         sub = a if len(comp) == n else a.restrict(comp)
-        x_local, levels = _balance_component(sub, sr)
+        x_local, levels = balance_levels(sub)
         for k, node in enumerate(comp):
             x_total[node] = x_local[k]
         all_levels.append(tuple(levels))

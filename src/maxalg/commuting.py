@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, component_cycle, scc
+from .digraph import Digraph, component_cycle, nonzero_pattern, scc
 from .errors import (
     CertificationError,
     DimensionError,
@@ -103,7 +103,22 @@ def _common_core(a, b, an_a, an_b):
 
 
 def _is_unit_matrix(m):
-    return m.allclose(MaxMatrix.identity(m.n, m.semiring))
+    """m.allclose of the identity, read off m's nonzero pattern.
+
+    Under the mode's equality each diagonal entry must equal one, which a
+    missing one (the zero) does not, and each other entry the zero.
+    """
+    sr = m.semiring
+    one, zero, eq = sr.one, sr.zero, sr.eq
+    for i, out in enumerate(nonzero_pattern(m)):
+        diagonal = False
+        for j, v in out:
+            if not eq(v, one if j == i else zero):
+                return False
+            diagonal = diagonal or j == i
+        if not diagonal:
+            return False
+    return True
 
 
 def common_eigenvector(a, b):

@@ -346,8 +346,15 @@ def component_cycle(g, comp):
 
     The walk starts at the component's smallest node and follows the
     smallest successor inside the component until a node repeats; the
-    repeated stretch comes back as a closed Path weighted by g's edges.
+    repeated stretch comes back as a closed Path weighted by g's edges
+    (see cycle_walk).
     """
+    return g.path(cycle_walk(g.successors, comp))
+
+
+def cycle_walk(successors, comp):
+    """The closed node tuple of component_cycle's cycle inside ``comp``,
+    with ``successors(u)`` the pairs (v, w) of the edges out of u."""
     members = set(comp)
     index = {}
     walk = []
@@ -355,8 +362,8 @@ def component_cycle(g, comp):
     while u not in index:
         index[u] = len(walk)
         walk.append(u)
-        u = min(v for v, _w in g.successors(u) if v in members)
-    return g.path(walk[index[u]:] + [u])
+        u = min(v for v, _w in successors(u) if v in members)
+    return tuple(walk[index[u]:]) + (u,)
 
 
 def is_strongly_connected(g):

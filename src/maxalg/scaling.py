@@ -75,12 +75,12 @@ class DiagonalScaling:
 def scaled_pattern(pattern, x, sr):
     """The pairs (j, a_ij x_j / x_i) of a nonzero_pattern, row by row.
 
-    The one place that forms a_ij x_j / x_i, for DiagonalScaling.apply and
-    for each level of max_balance; x must be positive. The product and
-    the quotient are the semiring's mul and div, written out: in
-    max-plus v + x_j - x_i, since neither a pattern entry nor a positive
-    x_j is the zero. A float entry that leaves the range stays in the
-    result, as inf or as the zero it rounded to.
+    DiagonalScaling.apply reads it, and the max_balance levels write the
+    same formula into their contraction (spectral._next_level); x must
+    be positive. The product and the quotient are the semiring's mul and
+    div, written out: in max-plus v + x_j - x_i, since neither a pattern
+    entry nor a positive x_j is the zero. A float entry that leaves the
+    range stays in the result, as inf or as the zero it rounded to.
     """
     if sr.domain == TIMES:
         return [

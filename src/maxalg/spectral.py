@@ -49,8 +49,13 @@ read by every later one: its SCC decomposition, one Tarjan pass per
 matrix, and, for an irreducible matrix, the reverse edges and the entry
 table (_float_logs) that Howard's iteration and the exact kits read
 (_component). Nothing that depends on the mean is kept there.
-Balancing levels rescale and contract along their patterns and hand
-each level's pattern to its analysis.
+
+The max-balancing levels (balance_levels) run on the same successor
+lists and entry tables, with no matrix or analysis per level: each
+level certifies its mean, takes its critical components from the tight
+edges and its scale from one best-walk run (balance_level), then
+rescales and contracts its lists, and carries its table, into the next
+level's (_next_level).
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ from .digraph import (
     Digraph,
     Path,
     SccDecomposition,
-    component_cycle,
     component_gcd,
+    cycle_walk,
     nonzero_pattern,
     pattern_scc,
     strong_components,
@@ -77,6 +82,7 @@ from .errors import (
     AcyclicMatrixError,
     CertificationError,
     ExactnessError,
+    ModeError,
     NotIrreducibleError,
 )
 from .matrix import (
@@ -374,13 +380,9 @@ def _float_logs(sr, succ):
     on (see _component), so each entry is weighed once per matrix.
     """
     if not (sr.exact and sr.domain == TIMES):
-        logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
-        widest = max(abs(w) for out in logs for _v, w in out)
-        if widest <= _FLOAT_CAP:
-            return _Table(logs, widest, 1.0)
-        scale = 2.0 ** -64
-        logs = [[(v, w * scale) for v, w in out] for out in logs]
-        return _Table(logs, widest, scale)
+        return _weights_table(
+            [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
+        )
     logs, entries = [], []
     span = 0.0
     for out in succ:
@@ -394,8 +396,19 @@ def _float_logs(sr, succ):
                 span = p + r
         logs.append(weights)
         entries.append(row)
-    widest = max(abs(w) for out in logs for _v, w in out)
+    widest = max((abs(w) for out in logs for _v, w in out), default=0.0)
     return _Table(logs, widest, 1.0, entries, span)
+
+
+def _weights_table(logs):
+    """The _Table of float weights ``logs``, by _float_logs' rules for
+    ``widest`` and ``scale``."""
+    widest = max([abs(w) for out in logs for _v, w in out], default=0.0)
+    if widest <= _FLOAT_CAP:
+        return _Table(logs, widest, 1.0)
+    scale = 2.0 ** -64
+    return _Table([[(v, w * scale) for v, w in out] for out in logs],
+                  widest, scale)
 
 
 def _float_proposal(pred, table):
@@ -470,7 +483,14 @@ def _certificate(sr, pattern, comp):
     finish it; the potentials are values of ``kit``, the _Kit of the
     last round, on the component's local indices.
     """
-    succ, pred, table = _component(sr, pattern, comp)
+    pair, x, tight, kit = _certify(sr, *_component(sr, pattern, comp), comp)
+    return pair, x, [(comp[u], comp[v]) for u, v in tight], kit
+
+
+def _certify(sr, succ, pred, table, comp):
+    """_certificate on one strongly connected component given as (succ,
+    pred, table) in local indices (see _component), with ``tight`` in
+    local indices too; ``comp[s]`` names local node s in messages."""
     if not sr.exact:
         policy, settled = _howard(
             table.logs, pred, sr.tol * table.scale, _FLOAT_ROUNDS
@@ -494,7 +514,7 @@ def _certificate(sr, pattern, comp):
             lambda p, q: gmean_cmp(sr, p, q) > 0,
             partial(_Kit, sr, succ, table=table),
         )
-    return pair, x, [(comp[u], comp[v]) for u, v in tight], kit
+    return pair, x, tight, kit
 
 
 # -- a / lam: one kit per pattern and mean -----------------------------------
@@ -714,18 +734,27 @@ class _Kit:
         return [self.value(y) for y in labels]
 
 
+def _tol_below_walks(sr, n, table):
+    """Whether a float tolerance is below the rounding of a walk's weight
+    on n nodes, n _WALK_ROUNDING, times the widest entry of the _Table
+    ``table`` in max-plus: the closure must then answer."""
+    rounding = n * _WALK_ROUNDING
+    if sr.domain != TIMES:
+        rounding *= table.widest
+    return sr.tol < rounding
+
+
 # -- the analysis ------------------------------------------------------------
 
 
-def _critical_graph(a, tight):
-    """The CriticalGraph of a from the tight edges of its certificates.
+def _tight_components(n, tight):
+    """(components, crit) of the tight edges on nodes 0..n-1.
 
-    The critical edges are those whose ends lie in one strongly connected
-    component of the graph the tight edges span: one Tarjan pass over
-    int adjacency lists, and one Digraph of the critical edges, built
-    from their pattern without a check.
+    The critical edges ``crit``, sorted, are those whose ends lie in one
+    strongly connected component of the graph the tight edges span, and
+    ``components`` are its nontrivial components, ordered by smallest
+    node: one Tarjan pass over int adjacency lists.
     """
-    n, rows = a.n, a.rows
     succ = [[] for _ in range(n)]
     for i, j in tight:
         succ[i].append(j)
@@ -737,6 +766,15 @@ def _critical_graph(a, tight):
         if len(comp) > 1 or comp[0] in succ[comp[0]]:
             components.append(comp)
     crit = sorted((i, j) for i, j in tight if comp_of[i] == comp_of[j])
+    return components, crit
+
+
+def _critical_graph(a, tight):
+    """The CriticalGraph of a from the tight edges of its certificates:
+    _tight_components, and one Digraph of the critical edges, built from
+    their pattern without a check."""
+    n, rows = a.n, a.rows
+    components, crit = _tight_components(n, tight)
     out = [[] for _ in range(n)]
     for i, j in crit:
         out[i].append((j, rows[i][j]))
@@ -750,23 +788,36 @@ def _critical_graph(a, tight):
     )
 
 
-def _witness_mean(sr, critical, best):
-    """The CycleMean of a cycle of the first critical component.
+def _checked_witness(sr, components, successors, best):
+    """The nodes and (weight, length) pair of a cycle of the first
+    critical component: digraph.cycle_walk over the critical edges, with
+    ``successors(u)`` the pairs (v, a_uv) of those out of u.
 
-    It is re-checked against the mean pair ``best`` it must attain, and a
-    float weight against the float range.
+    The pair is re-checked against the mean pair ``best`` it must attain,
+    and a float weight against the float range.
     """
-    if not critical.components:
+    if not components:
         raise CertificationError("no cycle found in the critical edge set")
-    witness = component_cycle(critical.graph, critical.components[0])
-    pair = witness.gmean_pair()
+    nodes = cycle_walk(successors, components[0])
+    pair = _cycle_pair(
+        sr, [dict(successors(u))[v] for u, v in zip(nodes, nodes[1:])]
+    )
     if not sr.exact:
-        _in_float_range(sr, pair, witness.nodes)
+        _in_float_range(sr, pair, nodes)
     if not gmean_eq(sr, pair, best):
         raise CertificationError(
             "witness cycle mean disagrees with the computed maximum"
         )
-    return CycleMean(witness.weight, witness.length, witness, sr)
+    return nodes, pair
+
+
+def _witness_mean(sr, critical, best):
+    """The CycleMean of a cycle of the first critical component (see
+    _checked_witness)."""
+    nodes, (weight, length) = _checked_witness(
+        sr, critical.components, critical.graph.successors, best
+    )
+    return CycleMean(weight, length, Path(nodes, weight), sr)
 
 
 # -- star columns by best walks ----------------------------------------------
@@ -1030,13 +1081,9 @@ class SpectralAnalysis:
         if sr.exact:
             kit = self._kit
             return kit, [kit.flog(v) for v in x]
-        rounding = self._matrix.n * _WALK_ROUNDING
-        if sr.domain != TIMES:
-            # the widest entry, which the pattern's entry table keeps
-            rounding *= nonzero_pattern(self._matrix).float_logs(
-                sr, _float_logs
-            ).widest
-        if sr.tol < rounding:
+        a = self._matrix
+        table = nonzero_pattern(a).float_logs(sr, _float_logs)
+        if _tol_below_walks(sr, a.n, table):
             return None
         # the float potentials are logs, unscaled: a max-plus entry beyond
         # 2^960 sets a rounding above every tolerance, and the closure answers
@@ -1176,3 +1223,148 @@ def is_eigenvector(a, x, lam):
         return False
     lam = sr.coerce(lam)
     return otimes(a, x).allclose(x.scale(lam))
+
+
+# -- max-balancing levels ----------------------------------------------------
+
+
+def balance_level(sr, succ, pred, table):
+    """One level of max-balancing: (pair, components, x).
+
+    The level is a strongly connected nonzero pattern given as (succ,
+    pred, table) (see _component), and each part is what an analysis of
+    its matrix would give. The mean is certified by _certify. The
+    critical ``components`` come from one Tarjan pass over the tight
+    edges (_tight_components), and ``pair`` is the mean pair of the
+    analysis' witness, a cycle of the first of them (_checked_witness).
+    ``x`` is the sum of the star's columns at the critical nodes, from
+    one best-walk run ordered by the certificate's potentials (_Kit.run):
+    in the certificate's own kit in exact mode, in a float kit of the
+    witness pair otherwise. No Digraph, cyclicity, SpectralAnalysis or
+    matrix is built on that path. Where SpectralAnalysis.star_columns
+    refuses or reads the closure instead (an irrational mean, 1/lam or a
+    divided entry leaving the float range, a tolerance below the walk
+    rounding, a run that fails its certificate), the level's matrix and
+    its analysis answer, so the refusal, or the closure, is theirs.
+    """
+    n = len(succ)
+    best, h, tight, kit = _certify(sr, succ, pred, table, range(n))
+    components, crit = _tight_components(n, tight)
+    crit = set(crit)
+    _nodes, pair = _checked_witness(
+        sr, components,
+        lambda u: [(v, a) for v, a in succ[u] if (u, v) in crit], best,
+    )
+    nodes = sorted(v for comp in components for v in comp)
+    labels = None
+    if sr.exact:
+        if gmean_value(sr, pair) is not None:
+            labels = kit.run(nodes, -1, [kit.flog(v) for v in h])
+    elif not _tol_below_walks(sr, n, table):
+        kit = _Kit(sr, succ, pair)
+        if kit.loss is None:
+            labels = kit.run(nodes, -1, h)
+    if labels is None:
+        an = spectral_analysis(MaxMatrix._of_pattern(succ, sr))
+        return pair, components, an.star_columns(nodes)
+    return pair, components, kit.values(labels)
+
+
+def _next_level(sr, level, x, group_of, k):
+    """The balancing level after ``level`` = (succ, pred, table), scaled
+    by ``x`` with each node u made the point group_of[u] of the k points
+    of the next level: (next level, dropped).
+
+    One pass rescales each entry to a_uv x_v / x_u, the semiring's mul
+    and div written out as scaling.scaled_pattern writes them, and keeps
+    the semiring sum of the entries of each group pair (g, h), g != h; a
+    tie keeps the later entry, as Semiring.add does. A float entry that
+    rounded to the zero leaves the pattern, and ``dropped`` tells whether
+    one did; a pair with no entry stays off the pattern. The table follows
+    _float_logs' rules (_weights_table). In float max-times a kept entry's
+    weight is its weight in ``table`` plus ln x_v - ln x_u, one log per
+    node instead of one per entry; in float max-plus it is the rescaled
+    entry itself; an exact table is _float_logs' of the next pattern.
+    """
+    succ, _pred, table = level
+    times = sr.domain == TIMES
+    is_zero = sr.is_zero
+    lx = [math.log(v) for v in x] if times and not sr.exact else None
+    acc = [[None] * k for _ in range(k)]
+    dropped = False
+    for u, (out, weights) in enumerate(zip(succ, table.logs)):
+        gu, xu = group_of[u], x[u]
+        row = acc[gu]
+        for (v, a), (_v, w) in zip(out, weights):
+            gv = group_of[v]
+            if gv == gu:
+                continue
+            b = a * x[v] / xu if times else a + x[v] - xu
+            if is_zero(b):
+                dropped = True
+                continue
+            y = row[gv]
+            if y is None or not b < y[0]:
+                # b with its weight, which only float mode carries over
+                row[gv] = (b, b if lx is None else w + lx[v] - lx[u])
+    succ, weights = [], []
+    pred = [[] for _ in range(k)]
+    for u, row in enumerate(acc):
+        out = [(v, e) for v, e in enumerate(row) if e is not None]
+        for t, (v, _e) in enumerate(out):
+            pred[v].append((u, t))
+        succ.append(tuple([(v, e[0]) for v, e in out]))
+        weights.append([(v, e[1]) for v, e in out])
+    succ = tuple(succ)
+    if sr.exact:
+        table = _float_logs(sr, succ)
+    else:
+        table = _weights_table(weights)
+    return (succ, pred, table), dropped
+
+
+def balance_levels(sub):
+    """Max-balance the strongly connected matrix sub: (x, levels).
+
+    Schneider and Schneider's loop: each level freezes its heaviest
+    cycles (balance_level), scales by the sum of the star columns at its
+    critical nodes, and makes each critical component a point of the
+    next, strictly lighter level (_next_level), until one node is left.
+    ``x`` is the product of the scales met by each node of sub, and
+    ``levels`` the levels' mean pairs in order. The first level is sub's
+    nonzero_pattern, with the reverse edges and the entry table that it
+    keeps. A level whose float entries dropped out in the rounding to the
+    zero and left it reducible, with no cycle left or not, is the float
+    range ModeError: contraction merges nodes of one strongly connected
+    component only, so the loop could never reach a single node.
+    """
+    sr = sub.semiring
+    pattern = nonzero_pattern(sub)
+    level = (pattern, pattern.pred, pattern.float_logs(sr, _float_logs))
+    # owner[p]: the node of the current level that node p of sub is in
+    owner = list(range(sub.n))
+    x_sub = [sr.one] * sub.n
+    levels = []
+    while len(level[0]) > 1:
+        pair, components, x = balance_level(sr, *level)
+        levels.append(pair)
+        if any(sr.is_zero(v) for v in x):
+            # a float max-times normalized entry can underflow to zero
+            raise ModeError("a balancing scale underflows the float range")
+        x_sub = [sr.mul(y, x[c]) for y, c in zip(x_sub, owner)]
+        # the points of the next level, numbered by their smallest node: a
+        # critical component is the point of its first node, and every
+        # other node a point of its own
+        first = list(range(len(x)))
+        for comp in components:
+            for v in comp:
+                first[v] = comp[0]
+        number = {}
+        group_of = [number.setdefault(r, len(number)) for r in first]
+        owner = [group_of[c] for c in owner]
+        level, dropped = _next_level(sr, level, x, group_of, len(number))
+        if dropped and not pattern_scc(level[0]).is_single:
+            raise float_range_error(
+                "a rescaled entry of a balancing level", overflow=False
+            )
+    return x_sub, levels

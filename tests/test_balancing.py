@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-import maxalg.balancing as balancing
+import maxalg.spectral as spectral
 from maxalg import (
     EXACT_PLUS,
     EXACT_TIMES,
@@ -17,6 +17,7 @@ from maxalg import (
     TIMES,
     MaxAlgebraError,
     MaxMatrix,
+    ModeError,
     NegativeAnswer,
     NoScalingError,
     Semiring,
@@ -31,6 +32,7 @@ from maxalg import (
 from maxalg.digraph import nonzero_pattern
 
 from helpers import (
+    count_calls,
     criteria_corpus,
     cyclecover_reference,
     fmat,
@@ -316,15 +318,16 @@ def _outcome(f, a):
 
 
 def _recording_levels(monkeypatch):
-    """The matrices of every balancing level analysed from now on."""
+    """The matrices of every balancing level run from now on, each built
+    around the successor lists the level step reads."""
     seen = []
-    original = balancing.spectral_analysis
+    original = spectral.balance_level
 
-    def recording(m):
-        seen.append(m)
-        return original(m)
+    def recording(sr, succ, pred, table):
+        seen.append(MaxMatrix._of_pattern(succ, sr))
+        return original(sr, succ, pred, table)
 
-    monkeypatch.setattr(balancing, "spectral_analysis", recording)
+    monkeypatch.setattr(spectral, "balance_level", recording)
     return seen
 
 
@@ -357,8 +360,11 @@ def test_max_balance_equals_the_dense_levels_on_the_criteria_corpora(
     levels = _recording_levels(monkeypatch)
     answered = refused = 0
     for a in criteria_corpus():
+        # the Fraction entries read as exact max-plus weights as well
+        plus = MaxMatrix([[v if v else NEG_INF for v in row]
+                          for row in a.rows], EXACT_PLUS)
         for m in (a, semiring_convert(a, FLOAT_TIMES),
-                  semiring_convert(a, FLOAT_PLUS)):
+                  semiring_convert(a, FLOAT_PLUS), plus):
             got = _outcome(_balance, m)
             assert got == _outcome(max_balance_reference, m)
             if isinstance(got, type):
@@ -402,3 +408,53 @@ def test_a_rescaled_entry_that_underflows_leaves_the_next_pattern(
     assert second.n == 3 and second[0, 1] == 0.0
     assert [j for j, _w in nonzero_pattern(second)[0]] == [2]
     _assert_levels_hold_their_patterns(levels)
+
+
+def test_a_level_left_reducible_by_an_underflow_is_refused():
+    # level one freezes the unit 2-cycle {0, 1} and scales nodes 2 and 3
+    # by 1e-200 and 5e-201, so a_03 = 1e-150 rounds to 0.0: level two
+    # keeps the cycle {2, 3}, but its point {0, 1} has no edge out, and
+    # no contraction can merge it with that cycle again
+    a = MaxMatrix([
+        [0.0, 1.0, 0.0, 1e-150],
+        [1.0, 0.0, 0.0, 0.0],
+        [1e-200, 0.0, 0.0, 0.5],
+        [0.0, 0.0, 0.5, 0.0],
+    ], FLOAT_TIMES)
+    with pytest.raises(ModeError, match="a rescaled entry of a balancing "
+                       "level underflows the float range"):
+        max_balance(a)
+    # the dense levels run into the zero scale of the point {0, 1}
+    assert _outcome(max_balance_reference, a) is ModeError
+
+
+def test_float_levels_build_no_matrix_analysis_or_log_per_entry(
+        monkeypatch):
+    # a float max-times run on the normal path weighs each input entry
+    # once, for the first level's table, and no entry after it; it builds
+    # no level matrix and no analysis, and each level makes one Tarjan
+    # pass, over its tight edges, after the one over the input's pattern
+    a = _float_balance_input(random.Random(5), 24)
+    entries = sum(1 for row in a.rows for v in row if v)
+    weights = count_calls(monkeypatch, "_float_weight")
+    analyses = count_calls(monkeypatch, "spectral_analysis")
+    passes = count_calls(monkeypatch, "strong_components")
+    built = []
+    of_pattern = MaxMatrix._of_pattern
+    monkeypatch.setattr(MaxMatrix, "_of_pattern", classmethod(
+        lambda cls, pattern, sr: built.append(pattern)
+        or of_pattern(pattern, sr)))
+    at_level = []
+    level = spectral.balance_level
+
+    def counting(sr, succ, pred, table):
+        at_level.append((len(weights), len(passes)))
+        return level(sr, succ, pred, table)
+
+    monkeypatch.setattr(spectral, "balance_level", counting)
+    cert = max_balance(a)
+    levels = len(cert.levels[0])
+    assert levels >= 5 and len(at_level) == levels
+    assert at_level == [(entries, 1 + k) for k in range(levels)]
+    assert len(weights) == entries and len(passes) == 1 + levels
+    assert analyses == [] and built == []

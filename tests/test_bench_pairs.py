@@ -26,6 +26,9 @@ metrics = {{
 }}
 print("progress")
 correct = {correct!r} and done + 1 != {fail_run!r}
+if not correct:
+    print("FAILED job 3 (max-times): run " + str(done + 1) + " is wrong")
+    print("a warning of run " + str(done + 1), file=sys.stderr)
 print(json.dumps({{"correct": correct, "attempted": 10, "failed": 0,
                   "metrics": metrics}}))
 '''
@@ -126,3 +129,23 @@ def test_a_failed_run_leaves_its_pair_out_of_the_summary(tmp_path):
     assert "left out: pair 2 (change correct: false)" in proc.stdout
     assert "verdict: claim jobs_per_s not met (better in 2/3" in proc.stdout
     assert len(json.loads(out.read_text())["runs"]["exact_powers"]) == 3
+
+
+def test_a_flagged_run_keeps_its_failed_lines_and_stderr(tmp_path):
+    parent = checkout(tmp_path, "parent", 200.0)
+    change = checkout(tmp_path, "change", 300.0, fail_run=2)
+    out = tmp_path / "BENCH_stub.json"
+    proc = bench("--parent", parent, "--change", change, "--workload",
+                 "exact_powers", "--seed", "7", "--pairs", "2", "--out",
+                 str(out))
+    assert proc.returncode == 1
+    assert "pair 2 change: correct: false\n" \
+           "  FAILED job 3 (max-times): run 2 is wrong\n" \
+           "a warning of run 2\n" in proc.stderr
+    runs = json.loads(out.read_text())["runs"]["exact_powers"]
+    flagged = runs[1]["change"]
+    assert flagged["failures"] == ["FAILED job 3 (max-times): run 2 is wrong"]
+    assert flagged["stderr"] == "a warning of run 2\n"
+    # a clean run is kept as it was printed
+    assert "failures" not in runs[0]["change"]
+    assert "stderr" not in runs[1]["parent"]

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from maxalg import (
+    EXACT_PLUS,
     EXACT_TIMES,
+    FLOAT_PLUS,
     FLOAT_TIMES,
+    NEG_INF,
     BooleanDigraphPair,
     Digraph,
     DimensionError,
@@ -33,7 +36,7 @@ from maxalg import (
     spectral_analysis,
 )
 
-from maxalg.commuting import common_saturation_pair
+from maxalg.commuting import _is_unit_matrix, common_saturation_pair
 
 from helpers import fmat, polynomial_pair, unit_lambda_irreducible
 
@@ -46,6 +49,43 @@ def test_commutes_hand_values():
     up = fmat([[0, 1], [0, 0]])
     down = fmat([[0, 0], [1, 0]])
     assert not commutes(up, down)
+
+
+# per semiring: near-unit diagonal values and off-diagonal values, the
+# semiring's own one and zero among them, with float values on both sides
+# of the 1e-9 tolerance
+_UNIT_CASES = (
+    (EXACT_TIMES, (1, 1, Fraction(10**12 + 1, 10**12), 2, 0),
+     (0, 0, 0, Fraction(1, 10**12), 1)),
+    (EXACT_PLUS, (0, 0, Fraction(1, 10**12), -1, NEG_INF),
+     (NEG_INF, NEG_INF, NEG_INF, -1000, 0)),
+    (FLOAT_TIMES, (1.0, 1.0 + 1e-12, 1.0 - 5e-10, 1.0 + 1e-6, 2.0, 0.0),
+     (0.0, 0.0, 1e-300, 1e-12, 5e-10, 2e-9, 0.5)),
+    (FLOAT_PLUS, (0.0, 1e-12, -5e-10, 1e-6, -1.0, NEG_INF),
+     (NEG_INF, NEG_INF, NEG_INF, -1e300, 1e-12, -5.0)),
+)
+
+
+def test_the_unit_matrix_test_agrees_with_allclose():
+    # _is_unit_matrix reads the nonzero pattern; allclose compares every
+    # entry with the identity's under the mode's equality
+    rng = random.Random(2719)
+    for sr, diagonal, off in _UNIT_CASES:
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            sparse = rng.random() < 0.5
+            rows = [
+                [rng.choice(diagonal) if i == j
+                 else sr.zero if sparse else rng.choice(off)
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            m = MaxMatrix(rows, sr)
+            want = m.allclose(MaxMatrix.identity(n, sr))
+            assert _is_unit_matrix(m) is want, (sr, rows)
+            seen[want] += 1
+        assert min(seen.values()) >= 30, (sr, seen)
 
 
 def test_commutes_input_checks():

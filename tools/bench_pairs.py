@@ -8,7 +8,10 @@
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, one process at a time, from that
 checkout's root: odd pairs run the parent first, even pairs the change
-first. The final JSON line of every run is kept as it was printed.
+first. The final JSON line of every run is kept as it was printed. A run
+that is not clean (see below) also keeps why: perfbench's ``FAILED``
+lines under ``failures`` and the tail of its standard error under
+``stderr``, both printed to standard error as well.
 
 The runs go to ``--out`` in the schema of the BENCH_*.json files at the
 repository root: ``description``, ``command``, ``host``, ``claim`` and
@@ -73,7 +76,8 @@ def host():
 
 def run_once(root, workload, seed, seconds):
     """perfbench's final JSON line from the checkout at root, or a dict
-    with the exit code and the tail of the output when there is none."""
+    with the exit code when there is none; a run that is not clean also
+    keeps its FAILED lines and the tail of its standard error."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -83,9 +87,13 @@ def run_once(root, workload, seed, seconds):
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"exit": proc.returncode, "stderr": proc.stderr[-2000:]}
-    if proc.returncode:
+        result = {}
+    if proc.returncode or "metrics" not in result:
         result["exit"] = proc.returncode
+    if trouble(result):
+        result["failures"] = [line for line in lines
+                              if line.startswith("FAILED ")]
+        result["stderr"] = proc.stderr[-2000:]
     return result
 
 
@@ -228,6 +236,11 @@ def main(argv=None):
             if why:
                 bad = True
                 print(f"pair {pair} {side}: {why}", file=sys.stderr)
+                for line in record[side]["failures"]:
+                    print(f"  {line}", file=sys.stderr)
+                if record[side]["stderr"]:
+                    print(record[side]["stderr"].rstrip("\n"),
+                          file=sys.stderr)
         done.append(record)
         new.append(record)
         # written after every pair, so an interrupted series keeps its runs
