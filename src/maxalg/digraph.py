@@ -214,6 +214,28 @@ def nonzero_pattern(a):
     return pattern
 
 
+def scaled_pattern(pattern, x, sr):
+    """The pairs (j, a_ij x_j / x_i) of a nonzero_pattern, row by row.
+
+    The one place that forms the entries of a diagonal similarity: both
+    DiagonalScaling.apply and the max_balance levels (spectral._next_level)
+    read them here; x must be positive. The product and the quotient are
+    the semiring's mul and div, written out: in max-plus v + x_j - x_i,
+    since neither a pattern entry nor a positive x_j is the zero. A float
+    entry that leaves the range stays in the result, as inf or as the zero
+    it rounded to.
+    """
+    if sr.domain == TIMES:
+        return [
+            [(j, v * x[j] / xi) for j, v in out]
+            for out, xi in zip(pattern, x)
+        ]
+    return [
+        [(j, v + x[j] - xi) for j, v in out]
+        for out, xi in zip(pattern, x)
+    ]
+
+
 def digraph_of(a):
     """The weighted digraph of a square matrix: a view of its pattern."""
     return Digraph.from_pattern(nonzero_pattern(a), a.semiring)

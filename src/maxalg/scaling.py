@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import Digraph, nonzero_pattern
+from .digraph import Digraph, nonzero_pattern, scaled_pattern
 from .errors import (
     CertificationError,
     DimensionError,
@@ -56,8 +56,8 @@ class DiagonalScaling:
     def apply(self, a):
         """The scaled matrix with entries a[i][j] * x[j] / x[i].
 
-        The nonzero entries come from scaled_pattern; a zero entry stays
-        the zero it is.
+        The nonzero entries come from digraph.scaled_pattern; a zero entry
+        stays the zero it is.
         """
         sr = a.semiring
         if sr != self.x.semiring:
@@ -70,27 +70,6 @@ class DiagonalScaling:
             for j, w in out:
                 row[j] = w
         return MaxMatrix._raw(rows, sr)
-
-
-def scaled_pattern(pattern, x, sr):
-    """The pairs (j, a_ij x_j / x_i) of a nonzero_pattern, row by row.
-
-    DiagonalScaling.apply reads it, and the max_balance levels write the
-    same formula into their contraction (spectral._next_level); x must
-    be positive. The product and the quotient are the semiring's mul and
-    div, written out: in max-plus v + x_j - x_i, since neither a pattern
-    entry nor a positive x_j is the zero. A float entry that leaves the
-    range stays in the result, as inf or as the zero it rounded to.
-    """
-    if sr.domain == TIMES:
-        return [
-            [(j, v * x[j] / xi) for j, v in out]
-            for out, xi in zip(pattern, x)
-        ]
-    return [
-        [(j, v + x[j] - xi) for j, v in out]
-        for out, xi in zip(pattern, x)
-    ]
 
 
 def _as_vector(x, sr):

@@ -54,8 +54,8 @@ The max-balancing levels (balance_levels) run on the same successor
 lists and entry tables, with no matrix or analysis per level: each
 level certifies its mean, takes its critical components from the tight
 edges and its scale from one best-walk run (balance_level), then
-rescales and contracts its lists, and carries its table, into the next
-level's (_next_level).
+rescales and contracts its lists into the next level's, with their
+reverse edges and entry table (_next_level).
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from .digraph import (
     cycle_walk,
     nonzero_pattern,
     pattern_scc,
+    scaled_pattern,
     strong_components,
 )
 from .errors import (
@@ -377,12 +378,17 @@ def _float_logs(sr, succ):
     max-plus entry can; then 2^-64, exact on normal floats, so that sums
     along n edges, and with them the potentials, stay in the float range.
     A matrix's nonzero_pattern keeps its table from the first analysis
-    on (see _component), so each entry is weighed once per matrix.
+    on (see _component), so each entry is weighed once per matrix. A
+    pattern with no entry, such as a balancing level's last, has widest 0.
     """
     if not (sr.exact and sr.domain == TIMES):
-        return _weights_table(
-            [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
-        )
+        logs = [[(v, _float_weight(sr, a)) for v, a in out] for out in succ]
+        widest = max((abs(w) for out in logs for _v, w in out), default=0.0)
+        if widest <= _FLOAT_CAP:
+            return _Table(logs, widest, 1.0)
+        scale = 2.0 ** -64
+        logs = [[(v, w * scale) for v, w in out] for out in logs]
+        return _Table(logs, widest, scale)
     logs, entries = [], []
     span = 0.0
     for out in succ:
@@ -398,17 +404,6 @@ def _float_logs(sr, succ):
         entries.append(row)
     widest = max((abs(w) for out in logs for _v, w in out), default=0.0)
     return _Table(logs, widest, 1.0, entries, span)
-
-
-def _weights_table(logs):
-    """The _Table of float weights ``logs``, by _float_logs' rules for
-    ``widest`` and ``scale``."""
-    widest = max([abs(w) for out in logs for _v, w in out], default=0.0)
-    if widest <= _FLOAT_CAP:
-        return _Table(logs, widest, 1.0)
-    scale = 2.0 ** -64
-    return _Table([[(v, w * scale) for v, w in out] for out in logs],
-                  widest, scale)
 
 
 def _float_proposal(pred, table):
@@ -1275,52 +1270,41 @@ def _next_level(sr, level, x, group_of, k):
     by ``x`` with each node u made the point group_of[u] of the k points
     of the next level: (next level, dropped).
 
-    One pass rescales each entry to a_uv x_v / x_u, the semiring's mul
-    and div written out as scaling.scaled_pattern writes them, and keeps
-    the semiring sum of the entries of each group pair (g, h), g != h; a
-    tie keeps the later entry, as Semiring.add does. A float entry that
-    rounded to the zero leaves the pattern, and ``dropped`` tells whether
-    one did; a pair with no entry stays off the pattern. The table follows
-    _float_logs' rules (_weights_table). In float max-times a kept entry's
-    weight is its weight in ``table`` plus ln x_v - ln x_u, one log per
-    node instead of one per entry; in float max-plus it is the rescaled
-    entry itself; an exact table is _float_logs' of the next pattern.
+    One pass over the rescaled entries a_uv x_v / x_u (scaled_pattern)
+    keeps the semiring sum of the entries of each group pair (g, h),
+    g != h; a tie keeps the later entry, as Semiring.add does. A float
+    entry that rounded to the zero leaves the pattern, and ``dropped``
+    tells whether one did; a pair with no entry stays off the pattern.
+    The next table is _float_logs' of the next pattern. (Carrying a
+    float max-times weight over as ln a + ln x_v - ln x_u, one log per
+    node instead of one per kept entry, measured slower end to end.)
     """
-    succ, _pred, table = level
-    times = sr.domain == TIMES
+    succ = level[0]
     is_zero = sr.is_zero
-    lx = [math.log(v) for v in x] if times and not sr.exact else None
     acc = [[None] * k for _ in range(k)]
     dropped = False
-    for u, (out, weights) in enumerate(zip(succ, table.logs)):
-        gu, xu = group_of[u], x[u]
+    for u, out in enumerate(scaled_pattern(succ, x, sr)):
+        gu = group_of[u]
         row = acc[gu]
-        for (v, a), (_v, w) in zip(out, weights):
+        for v, b in out:
             gv = group_of[v]
             if gv == gu:
                 continue
-            b = a * x[v] / xu if times else a + x[v] - xu
             if is_zero(b):
                 dropped = True
                 continue
             y = row[gv]
-            if y is None or not b < y[0]:
-                # b with its weight, which only float mode carries over
-                row[gv] = (b, b if lx is None else w + lx[v] - lx[u])
-    succ, weights = [], []
+            if y is None or not b < y:
+                row[gv] = b
+    succ = []
     pred = [[] for _ in range(k)]
     for u, row in enumerate(acc):
-        out = [(v, e) for v, e in enumerate(row) if e is not None]
-        for t, (v, _e) in enumerate(out):
+        out = [(v, b) for v, b in enumerate(row) if b is not None]
+        for t, (v, _b) in enumerate(out):
             pred[v].append((u, t))
-        succ.append(tuple([(v, e[0]) for v, e in out]))
-        weights.append([(v, e[1]) for v, e in out])
+        succ.append(tuple(out))
     succ = tuple(succ)
-    if sr.exact:
-        table = _float_logs(sr, succ)
-    else:
-        table = _weights_table(weights)
-    return (succ, pred, table), dropped
+    return (succ, pred, _float_logs(sr, succ)), dropped
 
 
 def balance_levels(sub):

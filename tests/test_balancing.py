@@ -428,14 +428,13 @@ def test_a_level_left_reducible_by_an_underflow_is_refused():
     assert _outcome(max_balance_reference, a) is ModeError
 
 
-def test_float_levels_build_no_matrix_analysis_or_log_per_entry(
-        monkeypatch):
-    # a float max-times run on the normal path weighs each input entry
-    # once, for the first level's table, and no entry after it; it builds
-    # no level matrix and no analysis, and each level makes one Tarjan
-    # pass, over its tight edges, after the one over the input's pattern
+def test_float_levels_build_no_matrix_or_analysis(monkeypatch):
+    # a float max-times run on the normal path weighs each entry of a
+    # level once, for that level's table, before the level runs; it
+    # builds no level matrix and no analysis, and each level makes one
+    # Tarjan pass, over its tight edges, after the one over the input's
+    # pattern
     a = _float_balance_input(random.Random(5), 24)
-    entries = sum(1 for row in a.rows for v in row if v)
     weights = count_calls(monkeypatch, "_float_weight")
     analyses = count_calls(monkeypatch, "spectral_analysis")
     passes = count_calls(monkeypatch, "strong_components")
@@ -445,9 +444,11 @@ def test_float_levels_build_no_matrix_analysis_or_log_per_entry(
         lambda cls, pattern, sr: built.append(pattern)
         or of_pattern(pattern, sr)))
     at_level = []
+    sizes = []
     level = spectral.balance_level
 
     def counting(sr, succ, pred, table):
+        sizes.append(sum(len(out) for out in succ))
         at_level.append((len(weights), len(passes)))
         return level(sr, succ, pred, table)
 
@@ -455,6 +456,7 @@ def test_float_levels_build_no_matrix_analysis_or_log_per_entry(
     cert = max_balance(a)
     levels = len(cert.levels[0])
     assert levels >= 5 and len(at_level) == levels
-    assert at_level == [(entries, 1 + k) for k in range(levels)]
-    assert len(weights) == entries and len(passes) == 1 + levels
+    assert sizes[0] == sum(1 for row in a.rows for v in row if v)
+    assert at_level == [(sum(sizes[:k + 1]), 1 + k) for k in range(levels)]
+    assert len(weights) == sum(sizes) and len(passes) == 1 + levels
     assert analyses == [] and built == []

@@ -80,9 +80,24 @@ def closure_columns(an, nodes):
 
 
 def closure_balance(monkeypatch, a):
+    """max_balance with every level's star columns read off the closure.
+
+    The level step answers from a best-walk run (_Kit.run) and falls back
+    to its level's analysis only when no run answers, so the runs are
+    switched off as well, and each level answers through closure_columns.
+    """
+    reads = []
+
+    def recording(an, nodes):
+        reads.append(nodes)
+        return closure_columns(an, nodes)
+
     with monkeypatch.context() as m:
-        m.setattr(SpectralAnalysis, "star_columns", closure_columns)
-        return max_balance(a)
+        m.setattr(SpectralAnalysis, "star_columns", recording)
+        m.setattr(spectral._Kit, "run", lambda *args: None)
+        cert = max_balance(a)
+    assert len(reads) >= sum(len(seq) for seq in cert.levels)
+    return cert
 
 
 def outcome(fn, *args):
