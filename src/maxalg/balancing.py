@@ -9,15 +9,17 @@ find the top cycle geometric mean, saturate its critical edges with an
 eigenvector scaling, collapse each critical component to a point, and
 recurse on the strictly lighter remainder. The scaling of a level is the
 sum of the star columns at its critical nodes, read off one best-walk run
-on the level's certificate, with no closure.
+on the level's certificate, or off the closure of the level's normalized
+entries where no run answers.
 
 This module keeps what the input decides: its SCC decomposition, the
 refusal of an entry that bridges two components, the float restart, and
 the checks of the answer (strictly decreasing level means, the cycle
-cover). The level loop of each component, spectral.balance_levels, runs
-on successor lists and the entry tables that Howard's iteration reads,
-which belong to spectral: a level builds no matrix and no analysis, and
-rescales and contracts its lists straight into the next level's.
+cover). The level loop of each component, spectral.balance_levels,
+runs on the component's successor lists in the input's nonzero pattern
+and the entry tables that Howard's iteration reads, which belong to
+spectral: a level builds no sub-matrix or analysis, and rescales and
+contracts its lists straight into the next level's.
 
 Exact max-times inputs whose level means are irrational roots cannot be
 balanced in exact arithmetic; the run restarts in float mode and the
@@ -140,8 +142,7 @@ def _max_balance_core(a, degraded):
     for comp in dec.components:
         if len(comp) == 1:
             continue
-        sub = a if len(comp) == n else a.restrict(comp)
-        x_local, levels = balance_levels(sub)
+        x_local, levels = balance_levels(sr, pattern, comp)
         for k, node in enumerate(comp):
             x_total[node] = x_local[k]
         all_levels.append(tuple(levels))

@@ -183,34 +183,31 @@ def nonzero_pattern(a):
     tuples, filled once into a's _pattern slot and shared by every later
     call, so it must not be changed; == and copies of a ignore it. It
     keeps the facts of a's entries that every analysis reads (see
-    _Pattern). A plain tuple of rows in the slot, which
-    MaxMatrix._of_pattern may leave there, is replaced on the first call
-    by a pattern of the same rows.
+    _Pattern). Only this function fills the slot.
     """
     pattern = getattr(a, "_pattern", None)
-    if type(pattern) is _Pattern:
+    if pattern is not None:
         return pattern
-    if pattern is None:
-        a.n  # raises DimensionError unless a is square
-        sr = a.semiring
-        # the zero tests of is_zero, inline where it is one operator
-        if sr.domain == TIMES:
-            pattern = (
-                tuple([(j, v) for j, v in enumerate(row) if v])
-                for row in a.rows
-            )
-        elif not sr.exact:
-            pattern = (
-                tuple([(j, v) for j, v in enumerate(row) if v != NEG_INF])
-                for row in a.rows
-            )
-        else:
-            is_zero = sr.is_zero
-            pattern = (
-                tuple([(j, v) for j, v in enumerate(row) if not is_zero(v)])
-                for row in a.rows
-            )
-    a._pattern = pattern = _Pattern(pattern)
+    a.n  # raises DimensionError unless a is square
+    sr = a.semiring
+    # the zero tests of is_zero, inline where it is one operator
+    if sr.domain == TIMES:
+        rows = (
+            tuple([(j, v) for j, v in enumerate(row) if v])
+            for row in a.rows
+        )
+    elif not sr.exact:
+        rows = (
+            tuple([(j, v) for j, v in enumerate(row) if v != NEG_INF])
+            for row in a.rows
+        )
+    else:
+        is_zero = sr.is_zero
+        rows = (
+            tuple([(j, v) for j, v in enumerate(row) if not is_zero(v)])
+            for row in a.rows
+        )
+    a._pattern = pattern = _Pattern(rows)
     return pattern
 
 

@@ -167,27 +167,6 @@ class MaxMatrix:
         return m
 
     @classmethod
-    def _of_pattern(cls, pattern, semiring):
-        """The square matrix whose nonzero_pattern is ``pattern``.
-
-        Entries off the pattern are the semiring zero; the matrix keeps
-        ``pattern`` as its _pattern, so it must hold no zero entry.
-        """
-        n, zero = len(pattern), semiring.zero
-        rows = []
-        for out in pattern:
-            row = [zero] * n
-            for j, v in out:
-                row[j] = v
-            rows.append(tuple(row))
-        m = object.__new__(cls)
-        m.semiring = semiring
-        m.rows = tuple(rows)
-        m.nrows = m.ncols = n
-        m._pattern = pattern
-        return m
-
-    @classmethod
     def _born_lifted(cls, lifts, ncols, semiring):
         """An exact max-times matrix given by its canonical row lifts, a
         tuple of (ints, d) per row (see _row_lifts)."""

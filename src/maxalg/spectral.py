@@ -50,12 +50,12 @@ matrix, and, for an irreducible matrix, the reverse edges and the entry
 table (_float_logs) that Howard's iteration and the exact kits read
 (_component). Nothing that depends on the mean is kept there.
 
-The max-balancing levels (balance_levels) run on the same successor
-lists and entry tables, with no matrix or analysis per level: each
-level certifies its mean, takes its critical components from the tight
-edges and its scale from one best-walk run (balance_level), then
-rescales and contracts its lists into the next level's, with their
-reverse edges and entry table (_next_level).
+The max-balancing levels (balance_levels) run on a component's lists
+and entry tables (_component) with no analysis: each level certifies its
+mean, refuses as normalized() does (_check_division) and takes its scale
+from one best-walk run, or from the closure of its kit's steps where no
+run answers (balance_level), then rescales and contracts its lists into
+the next level's (_next_level).
 """
 
 from __future__ import annotations
@@ -739,6 +739,30 @@ def _tol_below_walks(sr, n, table):
     return sr.tol < rounding
 
 
+def _check_division(sr, pair, lam, kit):
+    """The refusals of a division by the mean ``pair``, whose value is
+    ``lam`` (gmean_value): an irrational exact mean, and in float mode a
+    1/lam beyond the float range or an entry that the division overflows
+    to inf or rounds to the zero, the ``loss`` of the float _Kit that
+    ``kit()`` returns, called only when the other checks pass."""
+    if lam is None:
+        raise ExactnessError(
+            f"the maximum cycle mean {pair[0]}^(1/{pair[1]}) is irrational; "
+            "use float mode"
+        )
+    if sr.exact:
+        return
+    if sr.div(sr.one, lam) == math.inf:
+        raise float_range_error(
+            f"the maximum cycle mean {lam!r} is so small that its inverse"
+        )
+    loss = kit().loss
+    if loss is not None:
+        raise float_range_error(
+            "an entry divided by the maximum cycle mean", overflow=loss
+        )
+
+
 # -- the analysis ------------------------------------------------------------
 
 
@@ -855,6 +879,12 @@ def _best_walks(steps, sources, zero, one, mul, better, key, once):
     return labels
 
 
+def _column_sums(sr, star, nodes):
+    """The semiring sum of the columns of the matrix ``star`` at
+    ``nodes``, as a list: what the closure gives for a best-walk run."""
+    return [reduce(sr.add, [row[v] for v in nodes]) for row in star.rows]
+
+
 @dataclass(frozen=True)
 class SpectralAnalysis:
     """Everything the spectral theory reads off one square matrix.
@@ -938,27 +968,13 @@ class SpectralAnalysis:
         return self.components.is_single
 
     def _check_normal(self):
-        """The refusals of normalized(), without building an exact tilde."""
+        """The refusals of normalized(), without building an exact tilde:
+        an acyclic matrix, then _check_division's on the mean."""
         if self.mean.is_zero:
             raise AcyclicMatrixError("cannot normalize an acyclic matrix")
-        if self.lam is None:
-            raise ExactnessError(
-                f"the maximum cycle mean {self.mean.weight}^"
-                f"(1/{self.mean.length}) is irrational; use float mode"
-            )
-        sr = self.mean.semiring
-        if sr.exact:
-            return
-        if sr.div(sr.one, self.lam) == math.inf:
-            raise float_range_error(
-                f"the maximum cycle mean {self.lam!r} is so small that its "
-                "inverse"
-            )
-        loss = self._normal().loss
-        if loss is not None:
-            raise float_range_error(
-                "an entry divided by the maximum cycle mean", overflow=loss
-            )
+        _check_division(
+            self.mean.semiring, self.mean.pair(), self.lam, self._normal
+        )
 
     def normalized(self):
         """``tilde``, after the checks that it exists and is usable.
@@ -1003,11 +1019,7 @@ class SpectralAnalysis:
             labels = kit.run(nodes, -1, h)
             if labels is not None:
                 return kit.values(labels)
-        sr = self.mean.semiring
-        return [
-            reduce(sr.add, [row[v] for v in nodes])
-            for row in self.checked_star().rows
-        ]
+        return _column_sums(self.mean.semiring, self.checked_star(), nodes)
 
     def eigenspace_basis(self):
         """One star column per critical component of ``tilde``.
@@ -1232,15 +1244,13 @@ def balance_level(sr, succ, pred, table):
     critical ``components`` come from one Tarjan pass over the tight
     edges (_tight_components), and ``pair`` is the mean pair of the
     analysis' witness, a cycle of the first of them (_checked_witness).
-    ``x`` is the sum of the star's columns at the critical nodes, from
-    one best-walk run ordered by the certificate's potentials (_Kit.run):
-    in the certificate's own kit in exact mode, in a float kit of the
-    witness pair otherwise. No Digraph, cyclicity, SpectralAnalysis or
-    matrix is built on that path. Where SpectralAnalysis.star_columns
-    refuses or reads the closure instead (an irrational mean, 1/lam or a
-    divided entry leaving the float range, a tolerance below the walk
-    rounding, a run that fails its certificate), the level's matrix and
-    its analysis answer, so the refusal, or the closure, is theirs.
+    A division by the mean is refused by normalized()'s rule
+    (_check_division). ``x`` is the sum of the star's columns at the
+    critical nodes, from one best-walk run ordered by the certificate's
+    potentials (_Kit.run), in the certificate's kit in exact mode and in
+    a float kit of the witness pair otherwise; where no run answers, from
+    the closure of the kit's steps (_kit_star), as star_columns reads
+    checked_star(). No Digraph, cyclicity or SpectralAnalysis is built.
     """
     n = len(succ)
     best, h, tight, kit = _certify(sr, succ, pred, table, range(n))
@@ -1251,18 +1261,29 @@ def balance_level(sr, succ, pred, table):
         lambda u: [(v, a) for v, a in succ[u] if (u, v) in crit], best,
     )
     nodes = sorted(v for comp in components for v in comp)
+    if not sr.exact:
+        kit = _Kit(sr, succ, pair)
+    _check_division(sr, pair, gmean_value(sr, pair), lambda: kit)
     labels = None
     if sr.exact:
-        if gmean_value(sr, pair) is not None:
-            labels = kit.run(nodes, -1, [kit.flog(v) for v in h])
+        labels = kit.run(nodes, -1, [kit.flog(v) for v in h])
     elif not _tol_below_walks(sr, n, table):
-        kit = _Kit(sr, succ, pair)
-        if kit.loss is None:
-            labels = kit.run(nodes, -1, h)
+        labels = kit.run(nodes, -1, h)
     if labels is None:
-        an = spectral_analysis(MaxMatrix._of_pattern(succ, sr))
-        return pair, components, an.star_columns(nodes)
+        return pair, components, _column_sums(sr, _kit_star(sr, kit), nodes)
     return pair, components, kit.values(labels)
+
+
+def _kit_star(sr, kit):
+    """kleene_star of the kit's steps, the zero elsewhere: checked_star()
+    of the normalized matrix, since a float diagonal that rounds above
+    one at a pivot stays above one, where checked_star() tests it."""
+    value = kit.value or (lambda e: e)
+    rows = [[sr.zero] * len(kit.steps) for _ in kit.steps]
+    for row, out in zip(rows, kit.steps):
+        for v, e in out:
+            row[v] = value(e)
+    return kleene_star(MaxMatrix._raw(rows, sr))
 
 
 def _next_level(sr, level, x, group_of, k):
@@ -1307,27 +1328,26 @@ def _next_level(sr, level, x, group_of, k):
     return (succ, pred, _float_logs(sr, succ)), dropped
 
 
-def balance_levels(sub):
-    """Max-balance the strongly connected matrix sub: (x, levels).
+def balance_levels(sr, pattern, comp):
+    """Max-balance the component ``comp`` of a nonzero_pattern under sr:
+    (x, levels).
 
     Schneider and Schneider's loop: each level freezes its heaviest
     cycles (balance_level), scales by the sum of the star columns at its
     critical nodes, and makes each critical component a point of the
     next, strictly lighter level (_next_level), until one node is left.
-    ``x`` is the product of the scales met by each node of sub, and
-    ``levels`` the levels' mean pairs in order. The first level is sub's
-    nonzero_pattern, with the reverse edges and the entry table that it
-    keeps. A level whose float entries dropped out in the rounding to the
-    zero and left it reducible, with no cycle left or not, is the float
-    range ModeError: contraction merges nodes of one strongly connected
-    component only, so the loop could never reach a single node.
+    ``x[k]`` is the product of the scales met by node comp[k], and
+    ``levels`` the levels' mean pairs in order. The first level is
+    _component's. A level whose float entries dropped out in the
+    rounding to the zero and left it reducible, with no cycle left or
+    not, is the float range ModeError: contraction merges nodes of one
+    strongly connected component only, so the loop could never reach a
+    single node.
     """
-    sr = sub.semiring
-    pattern = nonzero_pattern(sub)
-    level = (pattern, pattern.pred, pattern.float_logs(sr, _float_logs))
-    # owner[p]: the node of the current level that node p of sub is in
-    owner = list(range(sub.n))
-    x_sub = [sr.one] * sub.n
+    level = _component(sr, pattern, comp)
+    # owner[p]: the node of the current level that node comp[p] is in
+    owner = list(range(len(comp)))
+    x_comp = [sr.one] * len(comp)
     levels = []
     while len(level[0]) > 1:
         pair, components, x = balance_level(sr, *level)
@@ -1335,14 +1355,14 @@ def balance_levels(sub):
         if any(sr.is_zero(v) for v in x):
             # a float max-times normalized entry can underflow to zero
             raise ModeError("a balancing scale underflows the float range")
-        x_sub = [sr.mul(y, x[c]) for y, c in zip(x_sub, owner)]
+        x_comp = [sr.mul(y, x[c]) for y, c in zip(x_comp, owner)]
         # the points of the next level, numbered by their smallest node: a
         # critical component is the point of its first node, and every
         # other node a point of its own
         first = list(range(len(x)))
-        for comp in components:
-            for v in comp:
-                first[v] = comp[0]
+        for group in components:
+            for v in group:
+                first[v] = group[0]
         number = {}
         group_of = [number.setdefault(r, len(number)) for r in first]
         owner = [group_of[c] for c in owner]
@@ -1351,4 +1371,4 @@ def balance_levels(sub):
             raise float_range_error(
                 "a rescaled entry of a balancing level", overflow=False
             )
-    return x_sub, levels
+    return x_comp, levels

@@ -883,6 +883,16 @@ def max_balance_reference(a):
         return core(semiring_convert(a, target)) + (True,)
 
 
+def dense_level(sr, succ):
+    """The matrix of a balancing level's successor lists: their entries,
+    the zero elsewhere."""
+    rows = [[sr.zero] * len(succ) for _ in succ]
+    for row, out in zip(rows, succ):
+        for j, v in out:
+            row[j] = v
+    return MaxMatrix._raw(rows, sr)
+
+
 def criteria_corpus():
     """Criteria 4, 7, 10, 12 and 13 inputs and exact_powers-style ones,
     from the criteria's own generators and seeds."""

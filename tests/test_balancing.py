@@ -15,6 +15,7 @@ from maxalg import (
     NEG_INF,
     PLUS,
     TIMES,
+    ExactnessError,
     MaxAlgebraError,
     MaxMatrix,
     ModeError,
@@ -28,6 +29,7 @@ from maxalg import (
     is_max_balanced_cyclecover,
     max_balance,
     semiring_convert,
+    spectral_analysis,
 )
 from maxalg.digraph import nonzero_pattern
 
@@ -35,6 +37,7 @@ from helpers import (
     count_calls,
     criteria_corpus,
     cyclecover_reference,
+    dense_level,
     fmat,
     is_balanced_cut_brute,
     max_balance_reference,
@@ -318,13 +321,14 @@ def _outcome(f, a):
 
 
 def _recording_levels(monkeypatch):
-    """The matrices of every balancing level run from now on, each built
-    around the successor lists the level step reads."""
+    """(succ, matrix) of every balancing level run from now on: the
+    successor lists the level step reads, as tuples, and the dense matrix
+    of their entries."""
     seen = []
     original = spectral.balance_level
 
     def recording(sr, succ, pred, table):
-        seen.append(MaxMatrix._of_pattern(succ, sr))
+        seen.append((tuple(map(tuple, succ)), dense_level(sr, succ)))
         return original(sr, succ, pred, table)
 
     monkeypatch.setattr(spectral, "balance_level", recording)
@@ -332,12 +336,10 @@ def _recording_levels(monkeypatch):
 
 
 def _assert_levels_hold_their_patterns(levels):
-    # a level built from an emitted pattern has the pattern its entries
-    # give: no zero on it, no nonzero entry off it
-    for m in levels:
-        assert nonzero_pattern(m) == nonzero_pattern(
-            MaxMatrix._raw(m.rows, m.semiring)
-        )
+    # a level's successor lists are the pattern its entries give: j
+    # ascending, no zero on them, no nonzero entry off them
+    for succ, m in levels:
+        assert nonzero_pattern(m) == succ
 
 
 def _float_balance_input(rng, n):
@@ -385,7 +387,7 @@ def test_max_balance_equals_the_dense_levels_on_float_balance_inputs(
             for m in (a, semiring_convert(a, FLOAT_PLUS)):
                 assert _balance(m) == max_balance_reference(m)
     _assert_levels_hold_their_patterns(levels)
-    assert max(m.n for m in levels) == 40
+    assert max(m.n for _succ, m in levels) == 40
 
 
 def test_a_rescaled_entry_that_underflows_leaves_the_next_pattern(
@@ -404,7 +406,7 @@ def test_a_rescaled_entry_that_underflows_leaves_the_next_pattern(
     got = _balance(a)
     assert got == max_balance_reference(a)
     assert len(got[2][0]) == 3
-    second = levels[1]
+    second = levels[1][1]
     assert second.n == 3 and second[0, 1] == 0.0
     assert [j for j, _w in nonzero_pattern(second)[0]] == [2]
     _assert_levels_hold_their_patterns(levels)
@@ -431,18 +433,18 @@ def test_a_level_left_reducible_by_an_underflow_is_refused():
 def test_float_levels_build_no_matrix_or_analysis(monkeypatch):
     # a float max-times run on the normal path weighs each entry of a
     # level once, for that level's table, before the level runs; it
-    # builds no level matrix and no analysis, and each level makes one
-    # Tarjan pass, over its tight edges, after the one over the input's
-    # pattern
+    # builds no analysis, no closure and no sub-matrix, and each level
+    # makes one Tarjan pass, over its tight edges, after the one over the
+    # input's pattern
     a = _float_balance_input(random.Random(5), 24)
     weights = count_calls(monkeypatch, "_float_weight")
     analyses = count_calls(monkeypatch, "spectral_analysis")
+    stars = count_calls(monkeypatch, "kleene_star")
     passes = count_calls(monkeypatch, "strong_components")
-    built = []
-    of_pattern = MaxMatrix._of_pattern
-    monkeypatch.setattr(MaxMatrix, "_of_pattern", classmethod(
-        lambda cls, pattern, sr: built.append(pattern)
-        or of_pattern(pattern, sr)))
+    restricted = []
+    restrict = MaxMatrix.restrict
+    monkeypatch.setattr(MaxMatrix, "restrict", lambda m, *args: (
+        restricted.append(args) or restrict(m, *args)))
     at_level = []
     sizes = []
     level = spectral.balance_level
@@ -459,4 +461,96 @@ def test_float_levels_build_no_matrix_or_analysis(monkeypatch):
     assert sizes[0] == sum(1 for row in a.rows for v in row if v)
     assert at_level == [(sum(sizes[:k + 1]), 1 + k) for k in range(levels)]
     assert len(weights) == sum(sizes) and len(passes) == 1 + levels
-    assert analyses == [] and built == []
+    assert analyses == [] and stars == [] and restricted == []
+
+
+# -- what a level refuses -------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows, message", [
+    # the one cycle, 0 -> 1 -> 0, has mean sqrt(1e300 * 1e-320) = 1e-10,
+    # and a_01 / 1e-10 = 1e310 overflows
+    ([[0, 1e300], [1e-320, 0]],
+     "an entry divided by the maximum cycle mean overflows the float "
+     "range; use exact mode"),
+    ([[1e-310, 1e-311], [1e-311, 0]],
+     "the maximum cycle mean 1e-310 is so small that its inverse "
+     "overflows the float range; use exact mode"),
+])
+def test_a_float_level_refuses_the_division_as_normalized_does(
+        rows, message):
+    a = MaxMatrix(rows, FLOAT_TIMES)
+    with pytest.raises(ModeError) as err:
+        max_balance(a)
+    assert str(err.value) == message
+    with pytest.raises(ModeError) as err:
+        spectral_analysis(a).normalized()
+    assert str(err.value) == message
+
+
+def test_an_irrational_exact_level_is_refused():
+    a = fmat([[0, 2], [1, 0]])
+    with pytest.raises(ExactnessError) as err:
+        spectral.balance_levels(a.semiring, nonzero_pattern(a), (0, 1))
+    assert str(err.value) == (
+        "the maximum cycle mean 2^(1/2) is irrational; use float mode"
+    )
+    # max_balance restarts such a level in float mode
+    assert max_balance(a).exact_degraded
+
+
+def test_each_level_certifies_its_mean_once(monkeypatch):
+    # criterion 12's first 80 inputs: a level that refuses its irrational
+    # mean, before the float restart, certifies it no second time
+    certify = count_calls(monkeypatch, "_certify")
+    levels = count_calls(monkeypatch, "balance_level")
+    analyses = count_calls(monkeypatch, "spectral_analysis")
+    rng = random.Random(112)
+    degraded = 0
+    for _ in range(80):
+        degraded += max_balance(
+            random_irreducible(rng, rng.randint(2, 8))
+        ).exact_degraded
+    assert degraded >= 40
+    assert len(certify) == len(levels) >= 300 and analyses == []
+
+
+# -- components that are not contiguous -----------------------------------------
+
+
+def _interleaved_blocks(rng, sizes):
+    """A block-diagonal matrix up to a shuffle of its nodes: one random
+    irreducible block per size, on nodes that interleave, and no entry
+    between blocks. Returns the matrix and its blocks' node sets."""
+    n = sum(sizes)
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    rows = [[0] * n for _ in range(n)]
+    comps = []
+    for k in sizes:
+        comp, nodes = sorted(nodes[:k]), nodes[k:]
+        block = random_irreducible(rng, k)
+        for u, row in zip(comp, block.rows):
+            for v, w in zip(comp, row):
+                rows[u][v] = w
+        comps.append(comp)
+    return fmat(rows), comps
+
+
+def test_interleaved_components_equal_the_dense_levels():
+    rng = random.Random(3011)
+    corpus = [_interleaved_blocks(rng, (3, 2))]
+    # the hand case: components {0, 2, 4} and {1, 3}
+    a = fmat([[1, 0, 2, 0, 0], [0, 0, 0, 3, 0], [0, 0, 0, 0, 5],
+              [0, 1, 0, 1, 0], [4, 0, 1, 0, 0]])
+    corpus.append((a, [[0, 2, 4], [1, 3]]))
+    for _ in range(40):
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(2, 3))]
+        corpus.append(_interleaved_blocks(rng, sizes + [1]))
+    interleaved = 0
+    for a, comps in corpus:
+        interleaved += any(c != list(range(c[0], c[-1] + 1)) for c in comps)
+        for m in (a, semiring_convert(a, FLOAT_TIMES),
+                  semiring_convert(a, FLOAT_PLUS)):
+            assert _balance(m) == max_balance_reference(m)
+    assert interleaved >= 35

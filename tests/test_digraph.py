@@ -284,6 +284,3 @@ def test_pattern_views_equal_the_dense_built_digraph(sr):
             len(c) == 1 and not dense.has_edge(c[0], c[0])
             for c in dec.components
         )
-        # a matrix built around a pattern keeps it and has its entries
-        b = MaxMatrix._of_pattern(pattern, sr)
-        assert b == a and nonzero_pattern(b) is pattern

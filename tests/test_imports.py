@@ -44,23 +44,54 @@ def test_only_the_product_core_touches_the_lifted_form():
 
 def test_only_the_pattern_owners_touch_the_pattern_slot():
     # digraph.nonzero_pattern fills and reads a MaxMatrix's _pattern slot,
-    # and MaxMatrix declares it and builds a matrix around one. The
-    # pattern's type _Pattern, its Tarjan pass _decompose and the slot of
-    # its float table, _logs, belong to digraph. Every other module asks
-    # nonzero_pattern and the pattern's facts by their public names
+    # and matrix.py names it only to declare it in MaxMatrix's __slots__.
+    # The pattern's type _Pattern, its Tarjan pass _decompose and the slot
+    # of its float table, _logs, belong to digraph. Every other module
+    # asks nonzero_pattern and the pattern's facts by their public names
     private = {"_pattern", "_Pattern", "_logs", "_decompose"}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in ("digraph.py", "matrix.py"):
+        if path.name == "digraph.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
+        slots = set()
+        if path.name == "matrix.py":
+            slots = {
+                id(const)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "MaxMatrix"
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets] == ["__slots__"]
+                for const in stmt.value.elts
+            }
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in private:
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
             elif isinstance(node, ast.Name) and node.id in private:
                 offenders.append(f"{path.name}:{node.lineno} {node.id}")
-            elif isinstance(node, ast.Constant) and node.value in private:
+            elif (isinstance(node, ast.Constant) and node.value in private
+                  and id(node) not in slots):
                 offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert offenders == []
+
+
+def test_only_raw_is_named_of_the_matrix_privates():
+    # outside matrix.py, the one private member of MaxMatrix or MaxVector
+    # that any module names is the trusted constructor _raw
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_") and node.attr != "_raw"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("MaxMatrix", "MaxVector")):
+                offenders.append(
+                    f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                )
     assert offenders == []
 
 

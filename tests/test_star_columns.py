@@ -39,10 +39,10 @@ from maxalg import (
     spectral_analysis,
 )
 from maxalg import spectral
-from maxalg.spectral import SpectralAnalysis
 
 from helpers import (
     count_calls,
+    dense_level,
     fmat,
     random_irreducible,
     sub_unit,
@@ -79,22 +79,30 @@ def closure_columns(an, nodes):
     return [reduce(sr.add, [row[v] for v in nodes]) for row in star.rows]
 
 
-def closure_balance(monkeypatch, a):
-    """max_balance with every level's star columns read off the closure.
+def closure_level(sr, succ, pred, table):
+    """spectral.balance_level answered by the level's dense matrix: the
+    mean pair and critical components of its spectral_analysis, and the
+    closure_columns at its critical nodes."""
+    an = spectral_analysis(dense_level(sr, succ))
+    x = closure_columns(an, an.critical.nodes)
+    return an.mean.pair(), an.critical.components, x
 
-    The level step answers from a best-walk run (_Kit.run) and falls back
-    to its level's analysis only when no run answers, so the runs are
-    switched off as well, and each level answers through closure_columns.
+
+def closure_balance(monkeypatch, a):
+    """max_balance with every level answered by closure_level.
+
+    The level step answers from a best-walk run (_Kit.run) and reads its
+    own closure only when no run answers, so the whole step is replaced
+    by one built in this file from the level's matrix.
     """
     reads = []
 
-    def recording(an, nodes):
-        reads.append(nodes)
-        return closure_columns(an, nodes)
+    def recording(sr, succ, pred, table):
+        reads.append(succ)
+        return closure_level(sr, succ, pred, table)
 
     with monkeypatch.context() as m:
-        m.setattr(SpectralAnalysis, "star_columns", recording)
-        m.setattr(spectral._Kit, "run", lambda *args: None)
+        m.setattr(spectral, "balance_level", recording)
         cert = max_balance(a)
     assert len(reads) >= sum(len(seq) for seq in cert.levels)
     return cert
@@ -391,6 +399,28 @@ def test_a_failed_run_hands_over_to_the_closure(monkeypatch):
     nodes = an.critical.nodes
     assert_close(an.star_columns(nodes), closure_columns(an, nodes),
                  a.semiring)
+
+
+def test_a_level_whose_run_fails_reads_its_own_closure(monkeypatch):
+    # with every run failing its certificate, each balancing level reads
+    # kleene_star of its kit's steps, one closure per level, and answers
+    # or refuses as the closure route does
+    monkeypatch.setattr(spectral._Kit, "run", lambda *args: None)
+    stars = count_calls(monkeypatch, "kleene_star")
+    corpus = list(exact_corpus()) + list(float_corpus())
+    answered = 0
+    for a in corpus:
+        before = len(stars)
+        got, err = outcome(max_balance, a)
+        closures = len(stars) - before
+        want, ref_err = outcome(closure_balance, monkeypatch, a)
+        assert err is ref_err
+        if err is None:
+            assert_same_balance(got, want)
+            if not got.exact_degraded:
+                assert closures == sum(len(seq) for seq in got.levels)
+                answered += 1
+    assert answered >= 100
 
 
 # -- the cost of an exact run --------------------------------------------------
