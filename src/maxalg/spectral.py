@@ -8,10 +8,10 @@ the policy graph is the candidate mean lam. Potentials x along the policy
 graph satisfy a_ij x_j <= lam x_i with equality on the policy's edges, and
 the inequality is checked on every edge of the component; a node whose
 edge breaks it moves to that edge and starts another round. When it holds
-everywhere, x proves that no cycle has a mean above lam. The tight edges
-(equality) contain every critical cycle, and every cycle made of them has
-mean lam, so the critical edges are the tight edges inside the nontrivial
-components of the tight graph.
+everywhere, x proves that no cycle has a mean above lam (_certify). The
+tight edges (equality) contain every critical cycle, and every cycle made
+of them has mean lam, so the critical edges are the tight edges inside
+the nontrivial components of the tight graph (_critical).
 
 Float mode stops there, comparing under the semiring's tolerance; the
 mean is the weight of the best policy cycle, and a weight that leaves the
@@ -37,13 +37,14 @@ the star's columns at critical nodes, and read no closure: the
 potentials x of an irreducible matrix's certificate make the costs
 -log(a_ij x_j / (lam x_i)) nonnegative, as Johnson's reweighting does,
 so one Dijkstra-ordered run of best walks in the kit's arithmetic into
-the chosen nodes gives the sum of their columns, and an O(m) check
-certifies it (_Kit.run).
+the chosen nodes, keyed by the potentials (_walk_keys), gives the sum of
+their columns, and an O(m) check certifies it (_Kit.run).
 
 An analysis reads the matrix's nonzero pattern (digraph.nonzero_pattern),
 which the matrix keeps, and no dense row unless ``tilde`` or the star is
 read: each certificate takes its component's edges from the pattern,
-and the kit divides only its entries. The pattern also keeps what
+its tight edges carry their entries into the critical graph, and the
+kit divides only the entries. The pattern also keeps what
 depends on the entries alone, made by the matrix's first analysis and
 read by every later one: its SCC decomposition, one Tarjan pass per
 matrix, and, for an irreducible matrix, the reverse edges and the entry
@@ -51,11 +52,13 @@ table (_float_logs) that Howard's iteration and the exact kits read
 (_component). Nothing that depends on the mean is kept there.
 
 The max-balancing levels (balance_levels) run on a component's lists
-and entry tables (_component) with no analysis: each level certifies its
-mean, refuses as normalized() does (_check_division) and takes its scale
-from one best-walk run, or from the closure of its kit's steps where no
-run answers (balance_level), then rescales and contracts its lists into
-the next level's (_next_level).
+and entry tables (_component) with no analysis, by the analysis' own
+steps: each level certifies its mean (_certify), finds its critical
+components and witness (_critical), refuses as normalized() does
+(_check_division) and takes its scale from one best-walk run keyed by
+_walk_keys, or from the closure of its kit's steps where no run answers
+(balance_level), then rescales and contracts its lists into the next
+level's (_next_level).
 """
 
 from __future__ import annotations
@@ -235,8 +238,8 @@ def _improve(succ, pred, policy, mean_of, better, normalized, limit=None):
 
     Returns the (mean, cycle, potentials, tight, kit) of the first round
     without a move, ``cycle`` being the best cycle's nodes and ``tight``
-    the edges (u, v) where equality holds; None when ``limit`` rounds
-    all moved.
+    the edges (u, t), succ[u][t], where equality holds; None when
+    ``limit`` rounds all moved.
     """
     k = len(succ)
     rounds = 0
@@ -303,14 +306,14 @@ def _float_check(logs, mean, tol, seen):
             move = heaviest = None
             for t, (v, w) in enumerate(out):
                 if t == own:  # tight by the construction of x
-                    tight.append((u, v))
+                    tight.append((u, t))
                     continue
                 d = (w - mean) + (x[v] - xu)
                 if d > tol:
                     if move is None or d - heaviest > tol:
                         move, heaviest = t, d
                 elif d >= -tol:
-                    tight.append((u, v))
+                    tight.append((u, t))
             if move is not None:
                 moves.append((u, move))
         if final:
@@ -462,30 +465,33 @@ def _in_float_range(sr, pair, nodes):
     return pair
 
 
-def _certificate(sr, pattern, comp):
-    """The certified mean of one nontrivial component of a nonzero_pattern,
-    with its evidence.
+class _Cert(NamedTuple):
+    """The certified mean of one strongly connected component, with its
+    evidence, in the component's local indices (see _certify)."""
 
-    Returns (pair, potentials, tight, kit). ``pair`` is the (weight,
-    length) pair of a cycle of the component whose mean no cycle of it
-    exceeds; ``potentials[s]`` is x at comp[s], with a_uv x_v <= lam x_u
-    on every edge of the component; ``tight`` lists the edges (u, v), in
-    original node ids, where equality holds. In float mode Howard's
-    iteration on the logs is the whole certificate, comparing under the
-    semiring's tolerance, the potentials are logs, scaled as _float_logs
-    scales them, and ``kit`` is None. In exact mode its policy is the
-    start, and exact rounds of _improve, comparing cycles by gmean_cmp,
-    finish it; the potentials are values of ``kit``, the _Kit of the
-    last round, on the component's local indices.
-    """
-    pair, x, tight, kit = _certify(sr, *_component(sr, pattern, comp), comp)
-    return pair, x, [(comp[u], comp[v]) for u, v in tight], kit
+    pair: tuple
+    x: list
+    tight: list
+    kit: object
+    table: _Table
 
 
 def _certify(sr, succ, pred, table, comp):
-    """_certificate on one strongly connected component given as (succ,
-    pred, table) in local indices (see _component), with ``tight`` in
-    local indices too; ``comp[s]`` names local node s in messages."""
+    """The _Cert of one nontrivial strongly connected component given as
+    (succ, pred, table) (see _component); ``comp[s]`` names local node s
+    in messages.
+
+    ``pair`` is the (weight, length) pair of a cycle whose mean no cycle
+    of the component exceeds. ``x[s]`` is the potential of node s, with
+    a_uv x_v <= lam x_u on every edge; ``tight`` lists the edges
+    (u, v, a_uv) where equality holds, the entry carried from succ. In
+    float mode Howard's iteration on the logs is the whole certificate,
+    comparing under the semiring's tolerance, the potentials are logs,
+    scaled as _float_logs scales them, and ``kit`` is None. In exact
+    mode its policy is the start, and exact rounds of _improve, comparing
+    cycles by gmean_cmp, finish it; the potentials are values of ``kit``,
+    the _Kit of the last round. ``table`` is the one given.
+    """
     if not sr.exact:
         policy, settled = _howard(
             table.logs, pred, sr.tol * table.scale, _FLOAT_ROUNDS
@@ -509,7 +515,8 @@ def _certify(sr, succ, pred, table, comp):
             lambda p, q: gmean_cmp(sr, p, q) > 0,
             partial(_Kit, sr, succ, table=table),
         )
-    return pair, x, tight, kit
+    tight = [(u,) + succ[u][t] for u, t in tight]
+    return _Cert(pair, x, tight, kit, table)
 
 
 # -- a / lam: one kit per pattern and mean -----------------------------------
@@ -659,8 +666,8 @@ class _Kit:
         """Compare steps[u][t] x_v with x_u on every edge, exactly.
 
         Moves ``policy`` at each node with a violated edge to its most
-        violated one, and returns (tight, moved): the edges (u, v) where
-        equality holds, and whether a node moved.
+        violated one, and returns (tight, moved): the edges (u, t),
+        steps[u][t], where equality holds, and whether a node moved.
         """
         mul, cmp = self.mul, self.cmp
         tight = []
@@ -670,12 +677,12 @@ class _Kit:
             move = heaviest = None
             for t, (v, e) in enumerate(out):
                 if t == own:  # tight by the construction of x
-                    tight.append((u, v))
+                    tight.append((u, t))
                     continue
                 y = mul(e, x[v])
                 sign = cmp(y, xu)
                 if sign == 0:
-                    tight.append((u, v))
+                    tight.append((u, t))
                 elif sign > 0 and (move is None or cmp(y, heaviest) > 0):
                     move, heaviest = t, y
             if move is not None:
@@ -729,14 +736,23 @@ class _Kit:
         return [self.value(y) for y in labels]
 
 
-def _tol_below_walks(sr, n, table):
-    """Whether a float tolerance is below the rounding of a walk's weight
-    on n nodes, n _WALK_ROUNDING, times the widest entry of the _Table
-    ``table`` in max-plus: the closure must then answer."""
-    rounding = n * _WALK_ROUNDING
+def _walk_keys(sr, x, table, kit):
+    """The float keys h that order kit.run (_best_walks) by the
+    potentials ``x`` of a _Cert, or None when the closure must answer.
+
+    In exact mode h is kit.flog of each potential, a value of ``kit``.
+    Float potentials are logs, and h is x itself, unless the tolerance
+    is below the rounding of a walk's weight on n nodes, n
+    _WALK_ROUNDING, times the widest entry of the _Table ``table`` in
+    max-plus. A max-plus entry beyond 2^960 sets a rounding above every
+    tolerance, so potentials that _float_logs scaled are never keys.
+    """
+    if sr.exact:
+        return [kit.flog(v) for v in x]
+    rounding = len(x) * _WALK_ROUNDING
     if sr.domain != TIMES:
         rounding *= table.widest
-    return sr.tol < rounding
+    return None if sr.tol < rounding else x
 
 
 def _check_division(sr, pair, lam, kit):
@@ -766,17 +782,23 @@ def _check_division(sr, pair, lam, kit):
 # -- the analysis ------------------------------------------------------------
 
 
-def _tight_components(n, tight):
-    """(components, crit) of the tight edges on nodes 0..n-1.
+def _critical(sr, n, tight, best):
+    """(components, crit, witness) of the tight edges (u, v, a_uv) of the
+    certificates at the top mean pair ``best``, on nodes 0..n-1.
 
-    The critical edges ``crit``, sorted, are those whose ends lie in one
-    strongly connected component of the graph the tight edges span, and
-    ``components`` are its nontrivial components, ordered by smallest
-    node: one Tarjan pass over int adjacency lists.
+    ``components`` are the nontrivial strongly connected components of
+    the tight graph, ordered by smallest node: one Tarjan pass over int
+    adjacency lists. The critical edges are the tight edges whose ends
+    lie in one of them, and ``crit[u]`` lists those out of u as pairs
+    (v, a_uv) in nonzero_pattern's form, v ascending, as the tight edges
+    of a node come in the order of its successor list. ``witness`` is the
+    nodes and (weight, length) pair of a cycle of the first component
+    (digraph.cycle_walk), re-checked against ``best``, and a float weight
+    against the float range.
     """
     succ = [[] for _ in range(n)]
-    for i, j in tight:
-        succ[i].append(j)
+    for u, v, _a in tight:
+        succ[u].append(v)
     comp_of = [0] * n
     components = []
     for k, comp in enumerate(strong_components(n, succ)):
@@ -784,42 +806,15 @@ def _tight_components(n, tight):
             comp_of[v] = k
         if len(comp) > 1 or comp[0] in succ[comp[0]]:
             components.append(comp)
-    crit = sorted((i, j) for i, j in tight if comp_of[i] == comp_of[j])
-    return components, crit
-
-
-def _critical_graph(a, tight):
-    """The CriticalGraph of a from the tight edges of its certificates:
-    _tight_components, and one Digraph of the critical edges, built from
-    their pattern without a check."""
-    n, rows = a.n, a.rows
-    components, crit = _tight_components(n, tight)
-    out = [[] for _ in range(n)]
-    for i, j in crit:
-        out[i].append((j, rows[i][j]))
-    graph = Digraph.from_pattern(tuple(map(tuple, out)), a.semiring)
-    return CriticalGraph(
-        nodes=tuple(sorted(v for comp in components for v in comp)),
-        edges=tuple(crit),
-        components=tuple(components),
-        cyclicity=math.lcm(*(component_gcd(graph, c) for c in components)),
-        graph=graph,
-    )
-
-
-def _checked_witness(sr, components, successors, best):
-    """The nodes and (weight, length) pair of a cycle of the first
-    critical component: digraph.cycle_walk over the critical edges, with
-    ``successors(u)`` the pairs (v, a_uv) of those out of u.
-
-    The pair is re-checked against the mean pair ``best`` it must attain,
-    and a float weight against the float range.
-    """
     if not components:
         raise CertificationError("no cycle found in the critical edge set")
-    nodes = cycle_walk(successors, components[0])
+    crit = [[] for _ in range(n)]
+    for u, v, a in tight:
+        if comp_of[u] == comp_of[v]:
+            crit[u].append((v, a))
+    nodes = cycle_walk(crit.__getitem__, components[0])
     pair = _cycle_pair(
-        sr, [dict(successors(u))[v] for u, v in zip(nodes, nodes[1:])]
+        sr, [dict(crit[u])[v] for u, v in zip(nodes, nodes[1:])]
     )
     if not sr.exact:
         _in_float_range(sr, pair, nodes)
@@ -827,16 +822,7 @@ def _checked_witness(sr, components, successors, best):
         raise CertificationError(
             "witness cycle mean disagrees with the computed maximum"
         )
-    return nodes, pair
-
-
-def _witness_mean(sr, critical, best):
-    """The CycleMean of a cycle of the first critical component (see
-    _checked_witness)."""
-    nodes, (weight, length) = _checked_witness(
-        sr, critical.components, critical.graph.successors, best
-    )
-    return CycleMean(weight, length, Path(nodes, weight), sr)
+    return components, crit, (nodes, pair)
 
 
 # -- star columns by best walks ----------------------------------------------
@@ -904,13 +890,14 @@ class SpectralAnalysis:
     round built, and a float analysis builds it on the first check or
     read of ``tilde`` (_normal), whose range loss normalized() refuses;
     the dense float ``tilde`` is built from it when read, and an exact
-    ``tilde`` is a.scale(1/lam). ``_potentials``, set only when the
-    matrix is irreducible, are its certificate's potentials x (see
-    _certificate), values of the exact kit or float logs: the
-    Fiedler-Ptak scaling, a subeigenvector of ``tilde``. Star columns at
-    critical nodes, which the eigenvectors and the balancing scales are,
-    come from best-walk runs in the kit ordered by them (_Kit.run), so
-    reading those runs no closure.
+    ``tilde`` is a.scale(1/lam). ``_cert``, set only when the matrix is
+    irreducible, is its certificate (_certify): its potentials x, values
+    of the exact kit or float logs, are the Fiedler-Ptak scaling, a
+    subeigenvector of ``tilde``. Star columns at critical nodes, which
+    the eigenvectors are, come from best-walk runs in the kit keyed by
+    them (_walk_keys, _Kit.run), so reading those runs no closure. The
+    balancing levels take the same steps on successor lists
+    (balance_level).
     """
 
     components: SccDecomposition
@@ -921,7 +908,7 @@ class SpectralAnalysis:
     _kit: object = field(default=None, compare=False, repr=False)
     _tilde: MaxMatrix = field(default=None, compare=False, repr=False)
     _star: MaxMatrix = field(default=None, compare=False, repr=False)
-    _potentials: list = field(default=None, compare=False, repr=False)
+    _cert: _Cert = field(default=None, compare=False, repr=False)
 
     @property
     def tilde(self):
@@ -1077,24 +1064,16 @@ class SpectralAnalysis:
 
     def _walks(self):
         """(kit, h) for the best-walk runs of an irreducible matrix: its
-        _Kit and the float logs h of its potentials, which order the
-        runs. None when the closure must answer: a reducible matrix, or a
-        float tolerance below the rounding of a walk's weight (see
-        _WALK_ROUNDING)."""
-        x = self._potentials
-        if x is None:
+        _Kit and the keys _walk_keys reads off its certificate's
+        potentials. None when the closure must answer: a reducible
+        matrix, or a float tolerance below the rounding of a walk's
+        weight."""
+        cert = self._cert
+        if cert is None:
             return None
-        sr = self.mean.semiring
-        if sr.exact:
-            kit = self._kit
-            return kit, [kit.flog(v) for v in x]
-        a = self._matrix
-        table = nonzero_pattern(a).float_logs(sr, _float_logs)
-        if _tol_below_walks(sr, a.n, table):
-            return None
-        # the float potentials are logs, unscaled: a max-plus entry beyond
-        # 2^960 sets a rounding above every tolerance, and the closure answers
-        return self._normal(), x
+        kit = self._normal()
+        h = _walk_keys(self.mean.semiring, cert.x, cert.table, kit)
+        return None if h is None else (kit, h)
 
     def _star_basis(self):
         """eigenspace_basis read off the whole checked star."""
@@ -1130,10 +1109,12 @@ def spectral_analysis(a):
     """The SpectralAnalysis of a square matrix.
 
     Each nontrivial component's mean is certified with a subeigenvector
-    (see _certificate), and the critical edges are read off the tight
-    edges of the components at the top mean: one Tarjan pass on the
-    tight graph, and one on the matrix's nonzero_pattern, which the
-    pattern keeps for every later analysis of the matrix. No closure
+    (_certify on its _component), and the critical edges and the witness
+    are read off the tight edges of the components at the top mean
+    (_critical): one Tarjan pass on the tight graph, and one on the
+    matrix's nonzero_pattern, which the pattern keeps for every later
+    analysis of the matrix. The critical graph's weights are the
+    entries the tight edges carry, so no dense row is read. No closure
     runs; tilde and the star are built when first read. When the mean
     is irrational in exact max-times mode the potentials are symbolic,
     so the critical graph stays exact while lam, tilde and star are
@@ -1151,25 +1132,37 @@ def _analysis(a, pattern, dec):
     best = None
     tight = []
     for comp in dec.nontrivial_components:
-        pair, potentials, edges, kit = _certificate(sr, pattern, comp)
-        sign = 1 if best is None else gmean_cmp(sr, pair, best)
-        if sign > 0:
-            best, tight = pair, edges
-        elif sign == 0:
-            tight += edges
+        cert = _certify(sr, *_component(sr, pattern, comp), comp)
+        sign = 1 if best is None else gmean_cmp(sr, cert.pair, best)
+        if sign >= 0:
+            edges = [(comp[u], comp[v], w) for u, v, w in cert.tight]
+            if sign > 0:
+                best, tight = cert.pair, edges
+            else:
+                tight += edges
     if best is None:
         return SpectralAnalysis(
             dec, CycleMean(sr.zero, 1, None, sr), None, None
         )
-    critical = _critical_graph(a, tight)
-    mean = _witness_mean(sr, critical, best)
+    components, crit, (nodes, (weight, length)) = _critical(
+        sr, a.n, tight, best
+    )
+    graph = Digraph.from_pattern(tuple(map(tuple, crit)), sr)
+    critical = CriticalGraph(
+        nodes=tuple(sorted(v for comp in components for v in comp)),
+        edges=tuple((u, v) for u, v, _w in graph.edges),
+        components=tuple(components),
+        cyclicity=math.lcm(*(component_gcd(graph, c) for c in components)),
+        graph=graph,
+    )
+    mean = CycleMean(weight, length, Path(nodes, weight), sr)
     if not dec.is_single:
         return SpectralAnalysis(dec, mean, mean.exact_value(), critical, a)
-    # one component of every node: its kit and potentials are on the
+    # one component of every node: its certificate and kit are on the
     # matrix's own indices
     return SpectralAnalysis(
         dec, mean, mean.exact_value(), critical, a,
-        _kit=kit, _potentials=potentials,
+        _kit=cert.kit, _cert=cert,
     )
 
 
@@ -1240,35 +1233,27 @@ def balance_level(sr, succ, pred, table):
 
     The level is a strongly connected nonzero pattern given as (succ,
     pred, table) (see _component), and each part is what an analysis of
-    its matrix would give. The mean is certified by _certify. The
-    critical ``components`` come from one Tarjan pass over the tight
-    edges (_tight_components), and ``pair`` is the mean pair of the
-    analysis' witness, a cycle of the first of them (_checked_witness).
-    A division by the mean is refused by normalized()'s rule
-    (_check_division). ``x`` is the sum of the star's columns at the
-    critical nodes, from one best-walk run ordered by the certificate's
-    potentials (_Kit.run), in the certificate's kit in exact mode and in
-    a float kit of the witness pair otherwise; where no run answers, from
-    the closure of the kit's steps (_kit_star), as star_columns reads
-    checked_star(). No Digraph, cyclicity or SpectralAnalysis is built.
+    its matrix would give, by the same steps: the mean is certified by
+    _certify, the critical ``components`` and the witness's mean
+    ``pair`` come from _critical, and a division by the mean is refused
+    by normalized()'s rule (_check_division). ``x`` is the sum of the
+    star's columns at the critical nodes, from one best-walk run keyed
+    by _walk_keys (_Kit.run), in the certificate's kit in exact mode and
+    in a float kit of the witness pair otherwise; where no run answers,
+    from the closure of the kit's steps (_kit_star), as star_columns
+    reads checked_star(). No Digraph, cyclicity or SpectralAnalysis is
+    built.
     """
     n = len(succ)
-    best, h, tight, kit = _certify(sr, succ, pred, table, range(n))
-    components, crit = _tight_components(n, tight)
-    crit = set(crit)
-    _nodes, pair = _checked_witness(
-        sr, components,
-        lambda u: [(v, a) for v, a in succ[u] if (u, v) in crit], best,
+    cert = _certify(sr, succ, pred, table, range(n))
+    components, _crit, (_nodes, pair) = _critical(
+        sr, n, cert.tight, cert.pair
     )
     nodes = sorted(v for comp in components for v in comp)
-    if not sr.exact:
-        kit = _Kit(sr, succ, pair)
+    kit = cert.kit if sr.exact else _Kit(sr, succ, pair)
     _check_division(sr, pair, gmean_value(sr, pair), lambda: kit)
-    labels = None
-    if sr.exact:
-        labels = kit.run(nodes, -1, [kit.flog(v) for v in h])
-    elif not _tol_below_walks(sr, n, table):
-        labels = kit.run(nodes, -1, h)
+    h = _walk_keys(sr, cert.x, table, kit)
+    labels = None if h is None else kit.run(nodes, -1, h)
     if labels is None:
         return pair, components, _column_sums(sr, _kit_star(sr, kit), nodes)
     return pair, components, kit.values(labels)

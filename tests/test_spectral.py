@@ -342,6 +342,15 @@ def test_float_mean_of_a_loop_whose_walks_overflow(domain, rows, lam):
     assert critical_graph(exact).edges == an.critical.edges
 
 
+def certify(sr, a, comp):
+    """spectral._certify on the component ``comp`` of a's nonzero
+    pattern, given as _component's successor lists."""
+    pattern = nonzero_pattern(a)
+    return spectral._certify(
+        sr, *spectral._component(sr, pattern, comp), comp
+    )
+
+
 def test_float_range_is_checked_on_the_policy_cycle_and_the_witness():
     # a loop ties a 2-cycle of weight 1e400 under the tolerance. Here the
     # best policy cycle is the 2-cycle, and its pair is refused before
@@ -351,14 +360,11 @@ def test_float_range_is_checked_on_the_policy_cycle_and_the_witness():
     overflow = r"cycle \(0, 1, 0\) overflows the float range"
     a = MaxMatrix([[1e200, 1.000000000001e200], [1e200, 0]], FLOAT_TIMES)
     with pytest.raises(ModeError, match=overflow):
-        spectral._certificate(FLOAT_TIMES, nonzero_pattern(a), (0, 1))
+        certify(FLOAT_TIMES, a, (0, 1))
     # here the policy settles on the loop, but the witness, a cycle of
     # the critical component from its smallest node, is the 2-cycle
     b = MaxMatrix([[0, 1e200], [1e200, 1.000000000001e200]], FLOAT_TIMES)
-    pair, _x, _tight, _kit = spectral._certificate(
-        FLOAT_TIMES, nonzero_pattern(b), (0, 1)
-    )
-    assert pair == (1.000000000001e200, 1)
+    assert certify(FLOAT_TIMES, b, (0, 1)).pair == (1.000000000001e200, 1)
     with pytest.raises(ModeError, match=overflow):
         max_cycle_gmean(b)
 
@@ -415,6 +421,41 @@ def test_spectral_analysis_runs_two_scc_passes(monkeypatch):
     assert len(calls) == 2
     assert critical.components == ((0, 1), (2, 3, 4))
     assert critical.cyclicity == 6
+
+
+def test_each_analysis_certifies_each_component_once(monkeypatch):
+    # the analysis counterpart of balancing's
+    # test_each_level_certifies_its_mean_once: on reducible and
+    # irreducible inputs, exact and float, an analysis certifies each
+    # nontrivial component once, makes one Tarjan pass, over its tight
+    # graph (the pattern's own pass, made by scc before each analysis, is
+    # not counted), and closes nothing; its eigenvectors certify nothing
+    # again
+    rng = random.Random(2041)
+    corpus = [random_irreducible(rng, rng.randint(2, 9)) for _ in range(30)]
+    corpus += [random_matrix(rng, rng.randint(3, 9), density=0.25)
+               for _ in range(40)]
+    certified = count_calls(monkeypatch, "_certify")
+    passes = count_calls(monkeypatch, "strong_components")
+    closures = count_calls(monkeypatch, "closure_rows")
+    seen = {"reducible": 0, "irreducible": 0}
+    for a in corpus:
+        for m in (a, semiring_convert(a, FLOAT_TIMES),
+                  semiring_convert(a, FLOAT_PLUS)):
+            dec = scc(digraph_of(m))
+            del certified[:], passes[:]
+            an = spectral_analysis(m)
+            components = dec.nontrivial_components
+            assert len(certified) == len(components)
+            assert [comp for *_lists, comp in certified] == list(components)
+            assert len(passes) == (len(components) > 0)
+            if len(components) > 0:
+                seen["irreducible" if dec.is_single else "reducible"] += 1
+            if dec.is_single and an.lam is not None:
+                an.eigenspace_basis()
+                assert len(certified) == 1
+    assert closures == []
+    assert seen["reducible"] >= 40 and seen["irreducible"] >= 90
 
 
 # a 5-node matrix without loops as exponents: the entry 2^k in
@@ -563,12 +604,10 @@ def test_symbolic_closure_when_every_cycle_is_critical():
     # entries of a policy path to the policy's cycle, so it is a walk of
     # at most n - 1 edges, and the exact fallbacks stay that small
     small = _all_cycles_critical(4)
-    pair, potentials, _tight, _kit = spectral._certificate(
-        EXACT_TIMES, nonzero_pattern(small), tuple(range(small.n))
-    )
-    assert pair == (2, 2)
+    cert = certify(EXACT_TIMES, small, tuple(range(small.n)))
+    assert cert.pair == (2, 2)
     # m, the number of entries multiplied, is a value's second-to-last field
-    assert max(x[-2] for x in potentials) <= small.n - 1
+    assert max(x[-2] for x in cert.x) <= small.n - 1
     a = _all_cycles_critical(12)
     assert max_cycle_gmean(a).pair() == (2, 2)
     assert len(critical_graph(a).edges) == 288
@@ -631,12 +670,16 @@ def test_exact_improvement_on_a_reducible_matrix():
     assert analysis.mean.pair() == best_gmean_pair_brute(a) == (1, 2)
     assert analysis.lam == 1
     assert set(analysis.critical.edges) == critical_edges_brute(a)
-    # the lower class is certified at its own mean
-    pair, _x, tight, _kit = spectral._certificate(
-        EXACT_TIMES, nonzero_pattern(a), (2, 3)
-    )
+    # the lower class is certified at its own mean; its tight edges, in
+    # local indices, carry their entries
+    comp = (2, 3)
+    cert = certify(EXACT_TIMES, a, comp)
+    pair = cert.pair
     assert pair == (low, 2) and gmean_cmp(EXACT_TIMES, pair, (1, 2)) < 0
-    assert sorted(tight) == [(2, 3), (3, 2)]
+    assert sorted((comp[u], comp[v]) for u, v, _w in cert.tight) == [
+        (2, 3), (3, 2)
+    ]
+    assert all(w == a.rows[comp[u]][comp[v]] for u, v, w in cert.tight)
 
 
 def test_exact_analyses_close_only_when_the_star_is_read(monkeypatch):
@@ -698,17 +741,19 @@ def _two_digraph_critical_graph(a, tight):
 
 
 def test_critical_graph_matches_the_two_digraph_form(monkeypatch):
+    # the analysis' critical graph, built on the critical edges that
+    # _critical finds with the entries its tight edges carry, equals the
+    # old form on the same tight edges, with the weights of the dense rows
     from maxalg import FLOAT_PLUS
 
     seen = []
-    original = spectral._critical_graph
+    original = spectral._critical
 
-    def recording(a, tight):
-        got = original(a, tight)
-        seen.append((a, list(tight), got))
-        return got
+    def recording(sr, n, tight, best):
+        seen.append(list(tight))
+        return original(sr, n, tight, best)
 
-    monkeypatch.setattr(spectral, "_critical_graph", recording)
+    monkeypatch.setattr(spectral, "_critical", recording)
     compared = brute = 0
     for a in criteria_corpus():
         for m in (a, semiring_convert(a, FLOAT_TIMES),
@@ -716,10 +761,14 @@ def test_critical_graph_matches_the_two_digraph_form(monkeypatch):
             del seen[:]
             critical = spectral_analysis(m).critical
             if critical is None:
+                assert seen == []
                 continue
-            (m, tight, got), = seen
+            (tight,) = seen
+            assert all(w == m.rows[i][j] for i, j, w in tight)
             # field for field, the Digraph of the critical edges included
-            assert got == _two_digraph_critical_graph(m, tight)
+            assert critical == _two_digraph_critical_graph(
+                m, [(i, j) for i, j, _w in tight]
+            )
             compared += 1
             if m is a and a.n <= 6:
                 assert set(critical.edges) == critical_edges_brute(a)
