@@ -146,8 +146,7 @@ class _Pattern(tuple):
     Each fact is made on its first read, kept, and must not be changed:
 
     - ``components``: its SccDecomposition (see pattern_scc);
-    - ``pred``: its reverse edges, pred[v] listing the pairs (u, t) with
-      self[u][t] leading to v, u ascending;
+    - ``pred``: its reverse_edges, as tuples;
     - ``float_logs(sr, build)``: build(sr, self), the entry table that
       spectral's Howard iteration and exact kits read under sr, the
       semiring of the pattern's matrix.
@@ -164,11 +163,7 @@ class _Pattern(tuple):
 
     @cached_property
     def pred(self):
-        pred = [[] for _ in self]
-        for u, out in enumerate(self):
-            for t, (v, _w) in enumerate(out):
-                pred[v].append((u, t))
-        return tuple(map(tuple, pred))
+        return tuple(map(tuple, reverse_edges(self)))
 
     def float_logs(self, sr, build):
         if "_logs" not in self.__dict__:
@@ -273,6 +268,16 @@ class SccDecomposition:
     @property
     def is_single(self):
         return len(self.components) == 1
+
+
+def reverse_edges(succ):
+    """The reverse edges of successor lists of pairs (v, w): pred[v] lists
+    the pairs (u, t) with succ[u][t] leading to v, u ascending."""
+    pred = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for t, (v, _w) in enumerate(out):
+            pred[v].append((u, t))
+    return pred
 
 
 def strong_components(n, succ):

@@ -718,7 +718,7 @@ class PlusInts:
         return Fraction(x, den) if x != NEG_INF else x
 
 
-def closure_rows(rows, ops, diverges=None):
+def closure_rows(rows, ops, diverges):
     """Floyd-Warshall closure of a square grid: best path weights, no identity.
 
     ``ops`` supplies ``add``, ``mul`` and ``is_zero``: a Semiring, or any
@@ -728,9 +728,9 @@ def closure_rows(rows, ops, diverges=None):
     factors are skipped on both sides: in float max-times an overflowed
     inf times zero is nan, which would overwrite the real path weights.
 
-    ``diverges``, if given, is tested on each pivot's diagonal entry just
-    before that pivot is used; the first entry it holds for ends the
-    closure and None is returned. A heavy cycle shows there at its
+    ``diverges`` is tested on each pivot's diagonal entry just before
+    that pivot is used; the first entry it holds for ends the closure
+    and None is returned. A heavy cycle shows there at its
     largest node, before any entry holds a walk around it; pivoting on
     would square such walks at every later pivot (exact entries of about
     170,000 bits at n = 11).
@@ -747,7 +747,7 @@ def closure_rows(rows, ops, diverges=None):
     n = len(d)
     for k in range(n):
         dk = d[k]
-        if diverges is not None and diverges(dk[k]):
+        if diverges(dk[k]):
             return None
         support = [j for j, v in enumerate(dk) if not is_zero(v)]
         for i in range(n):
@@ -770,7 +770,7 @@ def _inline_closure(d, times, diverges):
     float diagonal entry can round above one.
     """
     for k, dk in enumerate(d):
-        if diverges is not None and diverges(dk[k]):
+        if diverges(dk[k]):
             return None
         if times:
             support = [j for j, v in enumerate(dk) if v]

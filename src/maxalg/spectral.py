@@ -31,14 +31,18 @@ their range check, in float mode. The exact rounds build their
 potentials in it, and an irreducible exact analysis keeps the last
 round's kit; a float analysis builds its kit when first normalized.
 
-In both modes the normalized matrix and its star, one closure, are built
-when they are first read. Eigenvectors and balancing levels need only
-the star's columns at critical nodes, and read no closure: the
-potentials x of an irreducible matrix's certificate make the costs
--log(a_ij x_j / (lam x_i)) nonnegative, as Johnson's reweighting does,
-so one Dijkstra-ordered run of best walks in the kit's arithmetic into
-the chosen nodes, keyed by the potentials (_walk_keys), gives the sum of
-their columns, and an O(m) check certifies it (_Kit.run).
+In both modes the normalized matrix and its star, kleene_star's one
+closure, are built when they are first read; a float normalized matrix
+is the dense form of its kit's steps (_kit_matrix). Eigenvectors and
+balancing levels need only the star's columns at critical nodes, and
+read no closure: the potentials x of an irreducible matrix's certificate
+make the costs -log(a_ij x_j / (lam x_i)) nonnegative, as Johnson's
+reweighting does, so one Dijkstra-ordered run of best walks in the kit's
+arithmetic into the chosen nodes, keyed by the potentials (_walk_keys),
+gives the sum of their columns, and an O(m) check certifies it
+(_Kit.run). One step, shared by analyses and levels, makes that run
+and, where no run answers, sums the columns of a closure instead
+(_star_columns).
 
 An analysis reads the matrix's nonzero pattern (digraph.nonzero_pattern),
 which the matrix keeps, and no dense row unless ``tilde`` or the star is
@@ -55,10 +59,9 @@ The max-balancing levels (balance_levels) run on a component's lists
 and entry tables (_component) with no analysis, by the analysis' own
 steps: each level certifies its mean (_certify), finds its critical
 components and witness (_critical), refuses as normalized() does
-(_check_division) and takes its scale from one best-walk run keyed by
-_walk_keys, or from the closure of its kit's steps where no run answers
-(balance_level), then rescales and contracts its lists into the next
-level's (_next_level).
+(_check_division) and takes its scale from _star_columns, whose closure
+is kleene_star of its kit's matrix (balance_level), then rescales and
+contracts its lists into the next level's (_next_level).
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ from .digraph import (
     cycle_walk,
     nonzero_pattern,
     pattern_scc,
+    reverse_edges,
     scaled_pattern,
     strong_components,
 )
@@ -93,7 +97,6 @@ from .matrix import (
     MaxMatrix,
     MaxVector,
     Ratios,
-    closure_rows,
     kleene_star,
     oplus,
     otimes,
@@ -433,11 +436,7 @@ def _component(sr, pattern, comp):
         [(index[v], a) for v, a in pattern[u] if v in index]
         for u in comp
     ]
-    pred = [[] for _ in comp]
-    for u, out in enumerate(succ):
-        for t, (v, _a) in enumerate(out):
-            pred[v].append((u, t))
-    return succ, pred, _float_logs(sr, succ)
+    return succ, reverse_edges(succ), _float_logs(sr, succ)
 
 
 def _cycle_pair(sr, weights):
@@ -865,10 +864,31 @@ def _best_walks(steps, sources, zero, one, mul, better, key, once):
     return labels
 
 
-def _column_sums(sr, star, nodes):
-    """The semiring sum of the columns of the matrix ``star`` at
-    ``nodes``, as a list: what the closure gives for a best-walk run."""
-    return [reduce(sr.add, [row[v] for v in nodes]) for row in star.rows]
+def _kit_matrix(sr, kit):
+    """The dense normalized matrix of the kit's steps, a_uv / lam as a
+    scalar of sr on each edge and the zero elsewhere."""
+    value = kit.value or (lambda e: e)
+    rows = [[sr.zero] * len(kit.steps) for _ in kit.steps]
+    for row, out in zip(rows, kit.steps):
+        for v, e in out:
+            row[v] = value(e)
+    return MaxMatrix._raw(rows, sr)
+
+
+def _star_columns(sr, kit, h, nodes, star):
+    """The sum of the star's columns at ``nodes``, as a list: the labels
+    of one best-walk run into them (kit.run keyed by ``h``), or, where
+    ``h`` is None or the run fails its certificate, the semiring sum of
+    the columns of the matrix that ``star()`` returns, the closure, whose
+    refusal and witness are then the answer's. An empty ``nodes`` gives
+    the zero vector on both routes."""
+    labels = None if h is None else kit.run(nodes, -1, h)
+    if labels is not None:
+        return kit.values(labels)
+    return [
+        reduce(sr.add, [row[v] for v in nodes], sr.zero)
+        for row in star().rows
+    ]
 
 
 @dataclass(frozen=True)
@@ -878,26 +898,26 @@ class SpectralAnalysis:
     Built once by spectral_analysis and passed down. ``components`` is the
     SCC decomposition of the matrix's digraph, ``mean`` the maximum cycle
     mean with its witness. ``lam`` is that mean as a scalar, ``tilde`` the
-    matrix divided by it and ``star`` the closure of ``tilde`` plus the
-    identity; these three are None when the matrix is acyclic or its mean
-    is irrational in exact mode. ``tilde`` and ``star`` are built when
-    first read, ``star`` by one closure, whether through ``star`` or
-    ``checked_star()``: in exact mode kleene_star's, in float mode a
-    closure with no divergence check, which ``checked_star()`` makes.
-    ``critical`` is the CriticalGraph, None for acyclic matrices.
-    ``_kit`` is the _Kit of the matrix's nonzero_pattern and the mean:
-    an irreducible exact analysis keeps the one its certificate's last
-    round built, and a float analysis builds it on the first check or
-    read of ``tilde`` (_normal), whose range loss normalized() refuses;
-    the dense float ``tilde`` is built from it when read, and an exact
-    ``tilde`` is a.scale(1/lam). ``_cert``, set only when the matrix is
-    irreducible, is its certificate (_certify): its potentials x, values
-    of the exact kit or float logs, are the Fiedler-Ptak scaling, a
-    subeigenvector of ``tilde``. Star columns at critical nodes, which
+    matrix divided by it and ``star`` kleene_star(tilde), in both modes;
+    these three are None when the matrix is acyclic or its mean is
+    irrational in exact mode. ``tilde`` and ``star`` are built when first
+    read, ``star`` by one closure, whether through ``star`` or
+    ``checked_star()``, and a star that diverges raises kleene_star's
+    DivergenceError either way. ``critical`` is the CriticalGraph, None
+    for acyclic matrices. ``_kit`` is the _Kit of the matrix's
+    nonzero_pattern and the mean: an irreducible exact analysis keeps
+    the one its certificate's last round built, and a float analysis
+    builds it on the first check or read of ``tilde`` (_normal), whose
+    range loss normalized() refuses; the float ``tilde`` is its dense
+    matrix (_kit_matrix), and an exact ``tilde`` is a.scale(1/lam).
+    ``_cert``, set only when the matrix is irreducible, is its
+    certificate (_certify): its potentials x, values of the exact kit or
+    float logs, are the Fiedler-Ptak scaling, a subeigenvector of
+    ``tilde``. Star columns at critical nodes, which
     the eigenvectors are, come from best-walk runs in the kit keyed by
-    them (_walk_keys, _Kit.run), so reading those runs no closure. The
-    balancing levels take the same steps on successor lists
-    (balance_level).
+    them (_walk_keys, _Kit.run), so reading those runs no closure, and
+    the star only where no run answers (_star_columns). The balancing
+    levels take the same steps on successor lists (balance_level).
     """
 
     components: SccDecomposition
@@ -917,11 +937,7 @@ class SpectralAnalysis:
             if sr.exact:
                 tilde = a.scale(sr.div(sr.one, self.lam))
             else:
-                rows = [list(row) for row in a.rows]
-                for row, out in zip(rows, self._normal().steps):
-                    for j, w in out:
-                        row[j] = w
-                tilde = MaxMatrix._raw(rows, sr)
+                tilde = _kit_matrix(sr, self._normal())
             object.__setattr__(self, "_tilde", tilde)
         return self._tilde
 
@@ -938,16 +954,7 @@ class SpectralAnalysis:
     @property
     def star(self):
         if self._star is None and self.lam is not None:
-            tilde = self.tilde
-            sr = tilde.semiring
-            if sr.exact:
-                star = kleene_star(tilde)
-            else:
-                closure = closure_rows(tilde.rows, sr)
-                for i, row in enumerate(closure):
-                    row[i] = sr.add(row[i], sr.one)
-                star = MaxMatrix._raw(closure, sr)
-            object.__setattr__(self, "_star", star)
+            object.__setattr__(self, "_star", kleene_star(self.tilde))
         return self._star
 
     @property
@@ -975,38 +982,32 @@ class SpectralAnalysis:
         return self.tilde
 
     def checked_star(self):
-        """``star`` after ``normalized()`` and kleene_star's divergence check.
+        """``star`` after the checks of ``normalized()``.
 
         Under a very tight float tolerance rounding can leave a normalized
         cycle above one; kleene_star then raises its DivergenceError with
-        a witness. Only the diagonal is read on the normal path.
+        a witness.
         """
-        tilde = self.normalized()
-        sr = tilde.semiring
-        star = self.star
-        if any(sr.lt(sr.one, star[i, i]) for i in range(star.n)):
-            return kleene_star(tilde)
-        return star
+        self._check_normal()
+        return self.star
 
     def star_columns(self, nodes):
         """The sum of ``star``'s columns at ``nodes``, as a list.
 
         Entry i is the best walk weight of ``tilde`` from i into a node
-        of ``nodes``. After the checks of ``normalized()``, an irreducible
-        matrix reads it off one best-walk run (see _Kit.run) and builds
-        no closure. A reducible one, a float tolerance too tight for the
-        runs (see _walks), or a run that fails its certificate reads
-        ``checked_star()`` instead, so the refusal and its witness are
-        the closure's.
+        of ``nodes``; no node gives the zero vector. After the checks
+        of ``normalized()``, _star_columns answers: an irreducible matrix
+        reads it off one best-walk run (see _Kit.run) and builds no
+        closure. A reducible one, a float tolerance too tight for the
+        runs (see _walks), or a run that fails its certificate sums the
+        columns of ``checked_star()`` instead, so the refusal and its
+        witness are the closure's.
         """
         self._check_normal()
-        walks = self._walks()
-        if walks is not None:
-            kit, h = walks
-            labels = kit.run(nodes, -1, h)
-            if labels is not None:
-                return kit.values(labels)
-        return _column_sums(self.mean.semiring, self.checked_star(), nodes)
+        kit, h = self._walks() or (None, None)
+        return _star_columns(
+            self.mean.semiring, kit, h, nodes, self.checked_star
+        )
 
     def eigenspace_basis(self):
         """One star column per critical component of ``tilde``.
@@ -1237,12 +1238,12 @@ def balance_level(sr, succ, pred, table):
     _certify, the critical ``components`` and the witness's mean
     ``pair`` come from _critical, and a division by the mean is refused
     by normalized()'s rule (_check_division). ``x`` is the sum of the
-    star's columns at the critical nodes, from one best-walk run keyed
-    by _walk_keys (_Kit.run), in the certificate's kit in exact mode and
-    in a float kit of the witness pair otherwise; where no run answers,
-    from the closure of the kit's steps (_kit_star), as star_columns
-    reads checked_star(). No Digraph, cyclicity or SpectralAnalysis is
-    built.
+    star's columns at the critical nodes from _star_columns, as
+    star_columns reads it: one best-walk run keyed by _walk_keys, in the
+    certificate's kit in exact mode and in a float kit of the witness
+    pair otherwise, or, where no run answers, kleene_star of the kit's
+    matrix (_kit_matrix), which is checked_star() of the level's matrix.
+    No Digraph, cyclicity or SpectralAnalysis is built.
     """
     n = len(succ)
     cert = _certify(sr, succ, pred, table, range(n))
@@ -1252,23 +1253,11 @@ def balance_level(sr, succ, pred, table):
     nodes = sorted(v for comp in components for v in comp)
     kit = cert.kit if sr.exact else _Kit(sr, succ, pair)
     _check_division(sr, pair, gmean_value(sr, pair), lambda: kit)
-    h = _walk_keys(sr, cert.x, table, kit)
-    labels = None if h is None else kit.run(nodes, -1, h)
-    if labels is None:
-        return pair, components, _column_sums(sr, _kit_star(sr, kit), nodes)
-    return pair, components, kit.values(labels)
-
-
-def _kit_star(sr, kit):
-    """kleene_star of the kit's steps, the zero elsewhere: checked_star()
-    of the normalized matrix, since a float diagonal that rounds above
-    one at a pivot stays above one, where checked_star() tests it."""
-    value = kit.value or (lambda e: e)
-    rows = [[sr.zero] * len(kit.steps) for _ in kit.steps]
-    for row, out in zip(rows, kit.steps):
-        for v, e in out:
-            row[v] = value(e)
-    return kleene_star(MaxMatrix._raw(rows, sr))
+    x = _star_columns(
+        sr, kit, _walk_keys(sr, cert.x, table, kit), nodes,
+        lambda: kleene_star(_kit_matrix(sr, kit)),
+    )
+    return pair, components, x
 
 
 def _next_level(sr, level, x, group_of, k):
@@ -1302,15 +1291,11 @@ def _next_level(sr, level, x, group_of, k):
             y = row[gv]
             if y is None or not b < y:
                 row[gv] = b
-    succ = []
-    pred = [[] for _ in range(k)]
-    for u, row in enumerate(acc):
-        out = [(v, b) for v, b in enumerate(row) if b is not None]
-        for t, (v, _b) in enumerate(out):
-            pred[v].append((u, t))
-        succ.append(tuple(out))
-    succ = tuple(succ)
-    return (succ, pred, _float_logs(sr, succ)), dropped
+    succ = tuple(
+        tuple([(v, b) for v, b in enumerate(row) if b is not None])
+        for row in acc
+    )
+    return (succ, reverse_edges(succ), _float_logs(sr, succ)), dropped
 
 
 def balance_levels(sr, pattern, comp):

@@ -95,6 +95,29 @@ def test_only_raw_is_named_of_the_matrix_privates():
     assert offenders == []
 
 
+def test_only_kleene_star_closes():
+    # one closure routine: matrix.py's closure_rows, which kleene_star
+    # runs; every other module closes through kleene_star and names
+    # closure_rows nowhere, by import, name or attribute
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "closure_rows" in names:
+                offenders.append(f"{path.name}:{node.lineno} closure_rows")
+    assert offenders == []
+
+
 def test_only_spectral_touches_the_analysis_fields():
     # a SpectralAnalysis keeps its matrix, its certificate (_cert, with
     # the potentials), its kit of a / lam, tilde and the star in private

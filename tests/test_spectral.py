@@ -13,15 +13,19 @@ from maxalg import (
     EXACT_TIMES,
     FLOAT_PLUS,
     FLOAT_TIMES,
+    NEG_INF,
+    DivergenceError,
     ExactnessError,
     MaxMatrix,
     NotIrreducibleError,
+    Semiring,
     critical_graph,
     digraph_of,
     eigenspace_basis,
     gmean_cmp,
     is_eigenvector,
     is_irreducible,
+    kleene_star,
     max_balance,
     max_cycle_gmean,
     otimes,
@@ -43,7 +47,7 @@ from helpers import (
 )
 from maxalg.digraph import nonzero_pattern
 from maxalg.matrix import Ratios, closure_rows
-from maxalg.semiring import TIMES
+from maxalg.semiring import PLUS, TIMES
 
 
 def test_max_cycle_gmean_hand_values():
@@ -632,7 +636,8 @@ def test_ratio_closure_keeps_the_smaller_denominator_on_ties():
                       for xs, d in matrix._row_lifts(moved)]
         for rows in (entry_pairs, lift_pairs):
             widest = max(x[1].bit_length() for row in rows for x in row if x)
-            closure = closure_rows(rows, Ratios)
+            # lam = 1, so no diagonal entry exceeds one
+            closure = closure_rows(rows, Ratios, Ratios.exceeds_one)
             assert max(
                 x[1].bit_length() for row in closure for x in row if x
             ) <= n * widest
@@ -712,6 +717,24 @@ def test_float_analyses_close_only_when_the_star_is_read(monkeypatch):
     analysis = spectral_analysis(f)
     assert analysis.star is analysis.checked_star() is analysis.star
     assert len(closures) == 1
+    # the float star is kleene_star's, to the last bit
+    want = kleene_star(analysis.tilde)
+    assert analysis.star == want and repr(analysis.star) == repr(want)
+    # at tolerance 0 the normalized 3-cycle 0 -> 1 -> 2 -> 0 of these
+    # decimal entries weighs one plus a rounding; the star, read either
+    # way, is kleene_star's refusal with its witness
+    for domain, z in ((TIMES, 0.0), (PLUS, NEG_INF)):
+        a = MaxMatrix([[z, 0.1, z], [z, z, 3.3], [0.6, z, z]],
+                      Semiring(domain, exact=False, tol=0.0))
+        analysis = spectral_analysis(a)
+        with pytest.raises(DivergenceError) as want:
+            kleene_star(analysis.tilde)
+        assert want.value.witness.nodes == (0, 1, 2, 0)
+        for read in (lambda: analysis.star, analysis.checked_star):
+            with pytest.raises(DivergenceError) as got:
+                read()
+            assert str(got.value) == str(want.value)
+            assert got.value.witness == want.value.witness
 
 
 def _two_digraph_critical_graph(a, tight):

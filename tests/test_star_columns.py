@@ -385,6 +385,24 @@ def test_tolerance_zero_raises_as_the_closure_route(monkeypatch, sr):
     assert refused > 0
 
 
+def test_no_node_gives_the_zero_vector_on_every_route(monkeypatch):
+    # star_columns(()) sums no column: the zero vector from the run of an
+    # irreducible matrix, from the closure of a reducible one, and from
+    # the closure that tolerance 0 hands over to
+    closures = count_calls(monkeypatch, "closure_rows")
+    cases = [
+        (MaxMatrix([[1, 1], [1, 1]]), 0),
+        (MaxMatrix([[1, 1], [0, 1]]), 1),
+        (MaxMatrix([[1.0, 1.0], [1.0, 1.0]], TIGHT_TIMES), 1),
+        (MaxMatrix([[1.0, 1.0], [1.0, 1.0]], TIGHT_PLUS), 1),
+    ]
+    for a, closed in cases:
+        before = len(closures)
+        zero = a.semiring.zero
+        assert spectral_analysis(a).star_columns(()) == [zero, zero]
+        assert len(closures) - before == closed
+
+
 def test_a_failed_run_hands_over_to_the_closure(monkeypatch):
     # a run whose labels fail their certificate answers through the
     # closure, with the closure's answer
