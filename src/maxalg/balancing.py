@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import nonzero_pattern, pattern_scc
+from .digraph import nonzero_pattern, pattern_scc, threshold_reach
 from .errors import (
     CertificationError,
     ExactnessError,
@@ -63,36 +63,25 @@ class BalancingCertificate:
 def is_max_balanced_cyclecover(b):
     """Every nonzero b[i][j] closes into a cycle of edges weighing >= it.
 
-    One Floyd-Warshall max-min (bottleneck) closure decides all entries at
-    once, in O(n^3): b[i][j] = w is covered when some path from j back to
-    i has its lightest edge x with sr.ge(x, w). The closure runs on the
-    ranks of the distinct entry values, as ints. Zero entries take part:
-    in float max-times a weight w <= tol counts them as edges. Under a
-    float tolerance below one sr.ge(x, w) is monotone in x, so the path
-    with the heaviest lightest edge decides (Pollack 1960). Above one,
-    max-plus comparisons are no longer monotone and a path of lighter
-    edges may pass where this check fails. A nan entry is no edge.
+    Entry (i, j) of weight w is covered when a walk from j back to i runs
+    on entries x with sr.ge(x, w): digraph.threshold_reach gives, at the
+    level of w, the nodes that j reaches on them, in one pass over the
+    entries for all levels. Zero entries take part: in float max-times
+    sr.ge(zero, w) holds for w <= tol, and then every entry is an edge,
+    so the mirror entry (j, i) closes the cycle. A nan entry is no edge,
+    so an off-diagonal nan lies on no covering cycle.
     """
     sr = b.semiring
-    rows = b.rows
-    vals = sorted({v for row in rows for v in row if v == v})
-    rank = {v: r for r, v in enumerate(vals, 1)}
-    best = [[rank.get(v, 0) for v in row] for row in rows]
-    for k, bk in enumerate(best):
-        for bi in best:
-            bik = bi[k]
-            for j, y in enumerate(bk):
-                if y > bik:
-                    y = bik
-                if y > bi[j]:
-                    bi[j] = y
-    for i, row in enumerate(rows):
-        for j, w in enumerate(row):
-            if i == j or sr.is_zero(w):
-                continue
-            r = best[j][i]
-            if not (r and sr.ge(vals[r - 1], w)):
+    pattern = nonzero_pattern(b)
+    for i, out in enumerate(pattern):
+        for j, w in out:
+            if w != w and i != j:
                 return False
+    for theta, pairs, reach, _closed in threshold_reach(sr, pattern):
+        for i, j in pairs:
+            if i != j and not reach[j] >> i & 1:
+                if not sr.ge(sr.zero, theta):
+                    return False
     return True
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import AcyclicNodeError, SizeLimitError
-from .semiring import EXACT_TIMES, NEG_INF, TIMES
+from .semiring import EXACT_TIMES, NEG_INF, TIMES, float_range_error
 
 
 @dataclass(frozen=True)
@@ -463,7 +463,8 @@ def graph_cyclicity(g):
 
 
 def threshold_digraph(a, theta):
-    """Digraph keeping the entries at or above the positive threshold."""
+    """Digraph keeping the entries at or above a threshold above the
+    semiring zero."""
     sr = a.semiring
     theta = sr.coerce(theta)
     if sr.is_zero(theta):
@@ -477,20 +478,95 @@ def threshold_digraph(a, theta):
     return Digraph(a.n, edges, sr)
 
 
+def threshold_reach(sr, pattern):
+    """Reachability in the threshold digraphs of a nonzero_pattern, as the
+    threshold falls through its entry values.
+
+    Yields (theta, pairs, reach, closed) per distinct entry value theta,
+    in decreasing order:
+
+    - ``pairs``: the (i, j) of the entries equal to theta;
+    - ``reach``: per node u, the int bitset of the nodes that a walk of
+      one or more entries x with sr.ge(x, theta) leads to from u, so u
+      lies on a cycle exactly when bit u of reach[u] is set;
+    - ``closed``: whether an entry entered at this level closed a new
+      cycle: a loop at a node on no cycle, or an entry (i, j) whose head
+      reached i while i did not reach j. The strong components and the
+      nodes on cycles change exactly at such levels.
+
+    A level enters the entries x with sr.ge(x, theta), a prefix of the
+    entries in decreasing order, since under a tolerance in [0, 1) ge is
+    monotone in x. Entering (i, j) joins j and reach[j] to the reach of
+    i and of every node that reaches i; an entry whose tail already
+    reaches its head costs one bit test. reach changes in place, so a
+    reader reads it before asking for the next level. A nan entry is no
+    edge. Under a positive tolerance Semiring.eq finds inf equal to every
+    float, so the level of an inf entry holds every entry; the level
+    below it starts again from none and counts as closed.
+    """
+    groups = {}
+    for i, out in enumerate(pattern):
+        for j, w in out:
+            if w == w:
+                groups.setdefault(w, []).append((i, j))
+    values = sorted(groups, reverse=True)
+    le = sr.le
+    n = len(pattern)
+    reach = [0] * n
+    k = 0
+    for theta in values:
+        closed = False
+        if k and values[k - 1] < theta and not le(theta, values[k - 1]):
+            # the level above was inf's, which held every entry
+            reach = [0] * n
+            k = 0
+            closed = True
+        while k < len(values) and (
+            values[k] >= theta or le(theta, values[k])
+        ):
+            for i, j in groups[values[k]]:
+                if reach[i] >> j & 1:
+                    continue
+                add = reach[j] | 1 << j
+                if add >> i & 1:
+                    closed = True
+                bit = 1 << i
+                reach[i] |= add
+                for u, r in enumerate(reach):
+                    if r & bit:
+                        reach[u] = r | add
+            k += 1
+        yield theta, groups[theta], reach, closed
+
+
 def threshold_spectrum(a):
     """Component structure of the threshold digraph at every entry level.
 
     Returns ((theta, SccDecomposition), ...) over the distinct nonzero
     entries of ``a`` in decreasing order, with runs of consecutive levels
     that share the same decomposition merged (the highest level is kept).
+    The digraph at theta keeps the entries x with sr.ge(x, theta), so
+    under a float tolerance an entry within it below theta is kept at
+    theta. The levels come from one threshold_reach pass: a level that
+    closes no new cycle keeps the decomposition of the level above, and
+    at one that does, a node on a cycle shares its component with the
+    nodes of equal reach. A float entry that is inf or nan is refused
+    with a ModeError.
     """
     sr = a.semiring
-    values = sorted(
-        {w for row in a.rows for w in row if not sr.is_zero(w)}, reverse=True
-    )
+    pattern = nonzero_pattern(a)
+    if not sr.exact and any(
+        w != w or w == math.inf for out in pattern for _j, w in out
+    ):
+        raise float_range_error("an entry")
     out = []
-    for theta in values:
-        dec = scc(threshold_digraph(a, theta))
-        if not out or out[-1][1] != dec:
-            out.append((theta, dec))
+    for theta, _pairs, reach, closed in threshold_reach(sr, pattern):
+        if closed or not out:
+            groups = {}
+            for u, r in enumerate(reach):
+                groups.setdefault(r if r >> u & 1 else ~u, []).append(u)
+            out.append((theta, SccDecomposition(
+                tuple(map(tuple, groups.values())),
+                tuple(key < 0 for key in groups),
+            )))
     return tuple(out)

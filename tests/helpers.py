@@ -5,9 +5,10 @@ enumeration over plain Fractions) so the fast library routines have an
 independent reference. Everything here is exact max-times unless stated;
 the cycle oracles read max-plus matrices too.
 The power-asymptotics references and the kernel references (the
-semiring-generic closure and Karp loops, the cycle-cover DFS, the dense
-balancing levels) work in any mode, and count_calls counts the library's
-internal calls of one function.
+semiring-generic closure and Karp loops, the cycle-cover DFS, the
+threshold levels by search, the dense balancing levels) work in any
+mode, and count_calls counts the library's internal calls of one
+function.
 """
 
 import math
@@ -30,6 +31,7 @@ from maxalg import (
     MaxVector,
     ModeError,
     NoScalingError,
+    SccDecomposition,
     Semiring,
     critical_graph,
     gmean_cmp,
@@ -793,6 +795,52 @@ def cyclecover_reference(b):
             if not found:
                 return False
     return True
+
+
+def threshold_spectrum_reference(a):
+    """threshold_spectrum by one search per node and level: at each
+    distinct nonzero entry value theta, decreasing, the nodes that each
+    node reaches in one or more steps on entries x with sr.ge(x, theta);
+    a component is a class of mutual reach, trivial when it is one node
+    that does not reach itself. A level whose decomposition equals the
+    one listed before it is left out."""
+    sr = a.semiring
+    n = a.n
+    values = sorted(
+        {w for row in a.rows for w in row if not sr.is_zero(w)}, reverse=True
+    )
+    out = []
+    for theta in values:
+        succ = [
+            [j for j, x in enumerate(row)
+             if not sr.is_zero(x) and sr.ge(x, theta)]
+            for row in a.rows
+        ]
+        reach = []
+        for u in range(n):
+            seen = set(succ[u])
+            stack = list(seen)
+            while stack:
+                for v in succ[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            reach.append(seen)
+        components, trivial, placed = [], [], set()
+        for u in range(n):
+            if u in placed:
+                continue
+            comp = tuple(
+                v for v in range(n)
+                if v == u or (v in reach[u] and u in reach[v])
+            )
+            placed.update(comp)
+            components.append(comp)
+            trivial.append(comp == (u,) and u not in reach[u])
+        dec = SccDecomposition(tuple(components), tuple(trivial))
+        if not out or out[-1][1] != dec:
+            out.append((theta, dec))
+    return tuple(out)
 
 
 def max_balance_reference(a):

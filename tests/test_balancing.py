@@ -30,6 +30,7 @@ from maxalg import (
     max_balance,
     semiring_convert,
     spectral_analysis,
+    threshold_spectrum,
 )
 from maxalg.digraph import nonzero_pattern
 
@@ -302,6 +303,58 @@ def test_cyclecover_nan_entry_is_no_edge():
         b = MaxMatrix._raw(rows, FLOAT_TIMES)
         assert is_max_balanced_cyclecover(b) is want
         assert cyclecover_reference(b) is want
+
+
+def test_cyclecover_inf_entries_match_reference():
+    # under a positive tolerance Semiring.eq finds inf equal to every
+    # float, so an inf entry is covered by a cycle of any weights, while a
+    # finite entry still needs heavy ones; at tol 0 inf equals only inf
+    inf = math.inf
+    rows = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, inf]]
+    for tol in (1e-9, 0.0):
+        b = MaxMatrix._raw(rows, Semiring(TIMES, False, tol))
+        assert not is_max_balanced_cyclecover(b)
+        assert not cyclecover_reference(b)
+    rng = random.Random(4409)
+    outcomes = {True: 0, False: 0}
+    for domain in (TIMES, PLUS):
+        for tol in (1e-9, 0.0):
+            sr = Semiring(domain, False, tol)
+            for _ in range(150):
+                n = rng.randint(2, 6)
+                pool = [inf] + [rng.choice([0.5, 1.0, 2.0]) for _ in range(3)]
+                if domain == PLUS:
+                    pool = [v - 1 for v in pool]
+                rows = [[rng.choice(pool) if rng.random() < 0.7 else sr.zero
+                         for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.5:
+                    for i in range(n):
+                        for j in range(i):
+                            rows[i][j] = rows[j][i]
+                b = MaxMatrix._raw(rows, sr)
+                got = is_max_balanced_cyclecover(b)
+                assert got == cyclecover_reference(b), (sr, rows)
+                outcomes[got] += 1
+    assert min(outcomes.values()) > 100
+
+
+def test_balanced_entries_share_a_threshold_component():
+    # a max-balanced entry (i, j) of weight w closes a cycle of entries at
+    # least as heavy, so i and j share a strong component of G_{>=w}: the
+    # decomposition of the last threshold level at or above w
+    entries = 0
+    for a in criteria_corpus():
+        try:
+            b = max_balance(a).balanced
+        except NoScalingError:
+            continue
+        spectrum = threshold_spectrum(b)
+        for i, out in enumerate(nonzero_pattern(b)):
+            for j, w in out:
+                dec = [dec for theta, dec in spectrum if theta >= w][-1]
+                assert dec.component_of(i) == dec.component_of(j)
+                entries += 1
+    assert entries > 3000
 
 
 # -- levels on nonzero patterns against the dense levels ----------------------

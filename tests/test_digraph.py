@@ -1,5 +1,6 @@
 """Digraph layer: components, cycle enumeration, cyclicity, thresholds."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,15 +13,20 @@ from maxalg import (
     FLOAT_TIMES,
     NEG_INF,
     PLUS,
+    TIMES,
     AcyclicNodeError,
     Digraph,
     MaxMatrix,
+    ModeError,
     Path,
+    Semiring,
     SizeLimitError,
     digraph_of,
     enumerate_cycles,
     graph_cyclicity,
+    is_max_balanced_cyclecover,
     is_strongly_connected,
+    otimes,
     scc,
     semiring_convert,
     threshold_digraph,
@@ -28,7 +34,13 @@ from maxalg import (
 )
 from maxalg.digraph import nonzero_pattern, pattern_scc
 
-from helpers import cycles_brute, fmat, random_matrix
+from helpers import (
+    count_calls,
+    cycles_brute,
+    fmat,
+    random_matrix,
+    threshold_spectrum_reference,
+)
 
 
 def reach_closure(n, edge_set):
@@ -239,6 +251,81 @@ def test_threshold_spectrum_refines_with_theta():
             for comp in d1.components:
                 target = {d2.component_of(v) for v in comp}
                 assert len(target) == 1
+
+
+def _threshold_grids(rng):
+    """(semiring, rows) per case, exact and float, in both domains, float
+    at tol 1e-9 and 0, n up to 40. Entries come from a small pool, so
+    values repeat; in float mode each value also comes 1e-12 above
+    itself, a near-tie inside the default tolerance."""
+    for domain in (TIMES, PLUS):
+        for exact in (True, False):
+            for n in [1, 2, 3, 4, 6, 8, 12] * 12 + [20, 30, 40] * 2:
+                if exact:
+                    pool = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                            for _ in range(rng.randint(1, 6))]
+                else:
+                    pool = [rng.choice([1.0, 2.0, rng.uniform(0.1, 4.0)])
+                            for _ in range(rng.randint(1, 4))]
+                    pool += [v * (1 + 1e-12) for v in pool]
+                if domain == PLUS:
+                    pool = [v - 2 for v in pool]
+                density = rng.uniform(0.05, 0.2) if n > 12 else rng.random()
+                tols = (1e-9,) if exact else (1e-9, 0.0)
+                for tol in tols:
+                    sr = Semiring(domain, exact, tol)
+                    yield sr, [
+                        [rng.choice(pool) if rng.random() < density
+                         else sr.zero for _ in range(n)]
+                        for _ in range(n)
+                    ]
+
+
+def test_threshold_spectrum_matches_the_search_reference():
+    rng = random.Random(3301)
+    levels = 0
+    for sr, rows in _threshold_grids(rng):
+        a = MaxMatrix._raw(rows, sr)
+        got = threshold_spectrum(a)
+        assert repr(got) == repr(threshold_spectrum_reference(a)), (sr, rows)
+        levels += len(got)
+    assert levels > 800
+
+
+def test_threshold_spectrum_keeps_a_near_tie_at_the_level_above():
+    # 1 - 1e-12 joins the level of 1.0 under the default tolerance only
+    rows = [[0.0, 1.0], [1.0 - 1e-12, 0.0]]
+    for tol, merged in ((1e-9, True), (0.0, False)):
+        spectrum = threshold_spectrum(
+            MaxMatrix._raw(rows, Semiring(TIMES, False, tol))
+        )
+        assert spectrum[0][0] == 1.0
+        assert spectrum[0][1].is_single is merged
+        assert len(spectrum) == (1 if merged else 2)
+
+
+def test_threshold_spectrum_refuses_inf_and_nan():
+    a = MaxMatrix([[1e200, 1e200], [1e200, 0.0]], FLOAT_TIMES)
+    cube = otimes(otimes(a, a), a)
+    assert math.inf in cube.rows[0]
+    with pytest.raises(ModeError, match="overflows the float range"):
+        threshold_spectrum(cube)
+    nan = float("nan")
+    for sr in (FLOAT_TIMES, FLOAT_PLUS):
+        with pytest.raises(ModeError, match="overflows the float range"):
+            threshold_spectrum(MaxMatrix._raw([[1.0, nan], [1.0, 1.0]], sr))
+
+
+def test_threshold_readers_share_one_reach_pass(monkeypatch):
+    reach = count_calls(monkeypatch, "threshold_reach")
+    digraphs = count_calls(monkeypatch, "threshold_digraph")
+    tarjan = count_calls(monkeypatch, "strong_components")
+    a = random_matrix(random.Random(5), 12, density=0.4)
+    spectrum = threshold_spectrum(a)
+    assert len(spectrum) > 2
+    assert (len(reach), digraphs, tarjan) == (1, [], [])
+    is_max_balanced_cyclecover(a)
+    assert len(reach) == 2
 
 
 def _in_mode(a, sr):

@@ -13,6 +13,8 @@ CORPORA = ["star_exact", "star_exact_plus", "star_float", "star_tol0",
            "criteria_exact", "criteria_float", "criteria_float_plus",
            "criteria_exact_plus", "perfbench_exact", "perfbench_float",
            "interleaved"]
+CALLS = ["max_balance", "spectral_analysis", "threshold_spectrum",
+         "is_max_balanced_cyclecover"]
 
 
 def digest(*args):
@@ -30,7 +32,7 @@ def test_outcomes_are_stable_and_compared(tmp_path):
     assert code == 0
     runs = json.loads(first.read_text())
     assert list(runs) == [f"{call}:{name}" for name in CORPORA
-                          for call in ("max_balance", "spectral_analysis")]
+                          for call in CALLS]
     assert all(len(done) == 2 for done in runs.values())
     # the first interleaved input is exact and the second float, so that
     # corpus gets a second, exact-only line per call
@@ -49,6 +51,10 @@ def test_outcomes_are_stable_and_compared(tmp_path):
     exact, text = runs["spectral_analysis:star_float"][0]
     assert not exact and text.startswith("SpectralAnalysis(")
     assert " basis (MaxVector(" in text
+    exact, text = runs["threshold_spectrum:star_exact"][0]
+    assert exact and text.startswith("((Fraction(1, 1), SccDecomposition(")
+    assert [text for _exact, text in
+            runs["is_max_balanced_cyclecover:star_exact"]] == ["True", "False"]
 
     code, again = digest("--limit", "2", "--save", str(second))
     assert (code, again) == (0, out)

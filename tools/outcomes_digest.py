@@ -1,5 +1,6 @@
-"""Record what max_balance and spectral_analysis give on a fixed corpus,
-to compare two checkouts.
+"""Record what max_balance, spectral_analysis, threshold_spectrum and
+is_max_balanced_cyclecover give on a fixed corpus, to compare two
+checkouts.
 
     python3 tools/outcomes_digest.py [--root DIR] [--limit K] --save F
     python3 tools/outcomes_digest.py --compare F1 F2
@@ -8,13 +9,15 @@ The first form imports maxalg from the checkout at ``--root`` (by
 default the one holding this file) and builds the corpus with the test
 generators of the checkout holding this file, so two checkouts are run
 on the same inputs. It runs every input of every corpus below (the
-first ``--limit`` of each, when given) through ``max_balance`` and
-``spectral_analysis`` and keeps, per input, the repr of the outcome:
+first ``--limit`` of each, when given) through four calls and keeps,
+per input, the repr of the outcome:
 
 - ``max_balance``: the BalancingCertificate (scaling, balanced rows,
   checked properties, degraded flag, levels);
 - ``spectral_analysis``: the analysis (mean pair and witness, lam, SCCs,
   critical graph) and its eigenspace basis;
+- ``threshold_spectrum``: the (theta, SccDecomposition) levels;
+- ``is_max_balanced_cyclecover``: the boolean for the input itself;
 
 or, where a call raises, the type and message of its exception. It
 prints one ``NAME sha256`` line per corpus and call, as
@@ -144,17 +147,27 @@ def outcomes(root, limit):
     tree = os.path.dirname(HERE)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(tree, "tests"),
                     os.path.join(tree, "perfbench")]
-    from maxalg import max_balance
+    from maxalg import (
+        is_max_balanced_cyclecover,
+        max_balance,
+        threshold_spectrum,
+    )
 
+    calls = [
+        ("max_balance", lambda a: outcome(max_balance, a)),
+        ("spectral_analysis", analysis_outcome),
+        ("threshold_spectrum", lambda a: outcome(threshold_spectrum, a)),
+        ("is_max_balanced_cyclecover",
+         lambda a: outcome(is_max_balanced_cyclecover, a)),
+    ]
     runs = {}
     for name, corpus in corpora():
-        balanced, analysed = [], []
+        done = {call: [] for call, _run in calls}
         for a in itertools.islice(corpus, limit):
-            exact = a.semiring.exact
-            balanced.append([exact, outcome(max_balance, a)])
-            analysed.append([exact, analysis_outcome(a)])
-        runs[f"max_balance:{name}"] = balanced
-        runs[f"spectral_analysis:{name}"] = analysed
+            for call, run in calls:
+                done[call].append([a.semiring.exact, run(a)])
+        for call, results in done.items():
+            runs[f"{call}:{name}"] = results
     return runs
 
 
