@@ -562,6 +562,7 @@ def threshold_spectrum(a):
     out = []
     for theta, _pairs, reach, closed in threshold_reach(sr, pattern):
         if closed or not out:
+            # keyed by reach on a cycle, by the negative ~u on none
             groups = {}
             for u, r in enumerate(reach):
                 groups.setdefault(r if r >> u & 1 else ~u, []).append(u)
