@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, repeat
 
-from .digraph import nonzero_pattern
 from .errors import (
     CertificationError,
     InapplicableError,
@@ -353,21 +352,32 @@ def _product_count(t):
     return max(t.bit_length() + bin(t).count("1") - 2, 0)
 
 
+def _s_power(s, t, start, gamma):
+    """S^t, where S^(u + gamma) == S^u for every u >= start.
+
+    For t >= start, S^t is also S^(start + (t - start) mod gamma);
+    mat_power takes whichever of the two exponents costs it fewer
+    products, so a large t costs no more than a small one. A start of
+    None, for powers that need not repeat bit for bit, takes
+    mat_power(S, t).
+    """
+    if start is not None and t >= start and t == int(t):
+        t = min(t, start + (int(t) - start) % gamma, key=_product_count)
+    return mat_power(s, t)
+
+
 def csr_power(triple, t):
     """Evaluate lam^t C (x) S^t (x) R; matches A^t for t >= transient.
 
-    In exact mode S^t repeats with period gamma from f = certified_from
-    on (csr_decompose checks it), so for t >= f it is also S^(f + (t - f)
-    mod gamma); mat_power takes whichever of the two exponents costs it
-    fewer products, so a large t costs no more than a small one. Float
-    mode takes mat_power(S, t).
+    In exact mode S^t repeats with period gamma from certified_from on
+    (csr_decompose checks it), and _s_power folds t into that period, so
+    a large t costs no more than a small one. Float mode takes
+    mat_power(S, t).
     """
     sr = triple.c.semiring
-    e = t
-    f = triple.certified_from
-    if sr.exact and t >= f and t == int(t):
-        e = min(t, f + (int(t) - f) % triple.gamma, key=_product_count)
-    prod = otimes(otimes(triple.c, mat_power(triple.s, e)), triple.r)
+    start = triple.certified_from if sr.exact else None
+    s_pow = _s_power(triple.s, t, start, triple.gamma)
+    prod = otimes(otimes(triple.c, s_pow), triple.r)
     power = prod.scale(sr.power(triple.lam, t))
     # an exact scale is born without Fraction rows; build them here, as
     # _periodicity_profile does for its window
@@ -377,7 +387,13 @@ def csr_power(triple, t):
 
 @dataclass(frozen=True)
 class CsrTerm:
-    """One summand coefficient^t C (x) S^t (x) R of a power expansion."""
+    """One summand coefficient^t C (x) S^t (x) R of a power expansion.
+
+    ``_start``, set on the exact terms of nachtigall_expansion, is the
+    least s with S^(s + gamma) == S^s, as its proof measured it
+    (_periodic_products); expansion_power folds t into that period. It
+    takes no part in comparison, hashing or repr.
+    """
 
     coefficient: object
     pair: tuple
@@ -386,6 +402,7 @@ class CsrTerm:
     r: MaxMatrix
     gamma: int
     critical_nodes: tuple
+    _start: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -423,16 +440,17 @@ def nachtigall_expansion(a, horizon=None):
     raising.
 
     Exact mode proves the onset (_proven_onset): from each term's
-    periodic products it finds the index v0 from which A (x) E(s) ==
-    E(s + 1) for every s, so that A^v == E(v) at any v >= v0 carries on
-    to every later power by induction, then climbs A's powers from v0 to
-    the first such v. The horizon caps that climb; the default one is
-    doubled only while the onset lies above it. An expansion whose two
-    sides of the induction step can never agree raises
-    CertificationError. Float mode, whose powers need not repeat bit for
-    bit, measures the onset instead: it compares directly computed
-    powers with the expansion up to the horizon and insists on a safety
-    margin of twice L below it.
+    periodic products (_periodic_products, one ladder per term, whose
+    start the returned term keeps for expansion_power) it finds the
+    index v0 from which A (x) E(s) == E(s + 1) for every s, so that A^v
+    == E(v) at any v >= v0 carries on to every later power by
+    induction, then climbs A's powers from v0 to the first such v. The
+    horizon caps that climb; the default one is doubled only while the
+    onset lies above it. An expansion whose two sides of the induction
+    step can never agree raises CertificationError. Float mode, whose
+    powers need not repeat bit for bit, measures the onset instead: it
+    compares directly computed powers with the expansion up to the
+    horizon and insists on a safety margin of twice L below it.
     """
     if horizon is not None and horizon < 1:
         raise IterationBudgetError(
@@ -469,10 +487,13 @@ def nachtigall_expansion(a, horizon=None):
     h = horizon if explicit else _default_budget(n, combined)
     attempts = 1 if explicit else 8
     if sr.exact:
+        ladders = [_periodic_products(term) for term in terms]
+        terms = [replace(term, _start=start)
+                 for term, (_prods, start) in zip(terms, ladders)]
         # the climb stops at the last horizon tried; the scalar
         # comparisons of the proof may reach the largest default one
         onset = _proven_onset(
-            a, terms, combined, h << (attempts - 1),
+            a, terms, ladders, combined, h << (attempts - 1),
             max(h, _default_budget(n, combined) << 7),
         )
 
@@ -557,7 +578,7 @@ def _periodic_products(term):
         products.append(prod)
 
 
-def _proven_onset(a, terms, period, cap, limit):
+def _proven_onset(a, terms, ladders, period, cap, limit):
     """The least v with A^s == E(s) for every s >= v; None when v > cap.
 
     E(s) is the expansion max_k c_k^s P_k(s), P_k(s) = C_k S_k^s R_k.
@@ -569,10 +590,10 @@ def _proven_onset(a, terms, period, cap, limit):
     v >= v0 with A^v == E(v): A's powers are climbed from v0 only.
 
     v0 is found without powers of A. Each term's products are periodic
-    from its start (_periodic_products); past the largest start, with L
-    = period and s running through one residue class mod L, each entry
-    (i, l) of the two sides is an upper envelope of lines of the same
-    slopes c_k, strictly decreasing:
+    from its start: ladders[k] is _periodic_products(terms[k]). Past the
+    largest start, with L = period and s running through one residue
+    class mod L, each entry (i, l) of the two sides is an upper envelope
+    of lines of the same slopes c_k, strictly decreasing:
 
         (A (x) E(s))_il = max_k alpha_k c_k^s,  alpha_k = (A (x) P_k(s))_il
         E(s + 1)_il     = max_k beta_k c_k^s,   beta_k = c_k P_k(s + 1)_il
@@ -585,7 +606,6 @@ def _proven_onset(a, terms, period, cap, limit):
     expansion cannot hold for large powers.
     """
     sr = a.semiring
-    ladders = [_periodic_products(term) for term in terms]
     start = max((first for _prods, first in ladders), default=1)
 
     def product(k, t):
@@ -827,62 +847,19 @@ def _agreements(a, terms):
         yield is_max_combination(power, [next(col) for col in columns])
 
 
-def _pattern_repeat(s):
-    """The least u at which the zero pattern of s^u repeats an earlier one.
-
-    No power of s repeats before its pattern does, and finding the
-    pattern's repeat takes no product: row i of a pattern is the set of
-    the j reached from i by walks of that length, and the next power's
-    row is the union of the rows of s's own pattern at its members.
-    """
-    steps = [frozenset([j for j, _v in out]) for out in nonzero_pattern(s)]
-    seen = {}
-    rows, u = tuple(steps), 1
-    while rows not in seen:
-        seen[rows] = u
-        rows = tuple([frozenset().union(*[steps[j] for j in row])
-                      for row in rows])
-        u += 1
-    return u
-
-
-def _ladder_power(s, t):
-    """s^t of an exact matrix, read off s's own ladder where it repeats.
-
-    When the ladder s, s^2, ... repeats, s^u == s^r, within the products
-    mat_power(s, t) would make, the periodicity scan walks it there and
-    s^t is s^(r + (t - r) mod (u - r)), already on the ladder; otherwise
-    s^t is mat_power's. The zero patterns of the powers (_pattern_repeat)
-    decide beforehand whether the walk can end in time. The S of a CSR
-    term repeats exactly when its pattern does, since each of its walks
-    from i to j weighs x_i / x_j (see _periodic_products), so for it the
-    walk always ends on the ladder and never makes more products than
-    mat_power would.
-    """
-    if t < 1 or t != int(t):
-        return mat_power(s, t)
-    budget = _product_count(t) + 1
-    if _pattern_repeat(s) > budget:
-        return mat_power(s, t)
-    try:
-        first, period, powers, _ladder = _scan_periodicity(s, budget)
-    except IterationBudgetError:
-        return mat_power(s, t)
-    return powers[first + (int(t) - first) % period]
-
-
 def expansion_power(expansion, t):
     """Evaluate the expansion at exponent t >= 1.
 
-    In exact mode each term's S^t is read off S's own ladder once it
-    repeats (_ladder_power), which takes a few products whatever t; float
-    mode takes mat_power(S, t).
+    An exact term from nachtigall_expansion keeps the start from which
+    its proof saw S^t repeat with period gamma, and _s_power folds t into
+    that period, so a large t costs no more than a small one. A float
+    term, or one built by hand, takes mat_power(S, t).
     """
     sr = expansion.semiring
-    power = _ladder_power if sr.exact else mat_power
     out = MaxMatrix.zeros(expansion.n, expansion.n, semiring=sr)
     for term in expansion.terms:
-        prod = otimes(otimes(term.c, power(term.s, t)), term.r)
+        s_pow = _s_power(term.s, t, term._start, term.gamma)
+        prod = otimes(otimes(term.c, s_pow), term.r)
         out = oplus(out, prod.scale(sr.power(term.coefficient, t)))
     return out
 

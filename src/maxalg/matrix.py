@@ -132,6 +132,12 @@ class MaxVector:
         return MaxVector._raw([sr.mul(c, v) for v in self.entries], sr)
 
 
+def _check_shape(nrows, ncols):
+    """Refuse a matrix with no entry, as the constructor does."""
+    if nrows < 1 or ncols < 1:
+        raise DimensionError("matrices must have at least one entry")
+
+
 class MaxMatrix:
     """A dense matrix of semiring scalars.
 
@@ -148,8 +154,7 @@ class MaxMatrix:
     def __init__(self, rows, semiring=EXACT_TIMES):
         self.semiring = semiring
         grid = tuple(tuple(semiring.coerce(v) for v in row) for row in rows)
-        if not grid or not grid[0]:
-            raise DimensionError("matrices must have at least one entry")
+        _check_shape(len(grid), len(grid[0]) if grid else 0)
         widths = {len(r) for r in grid}
         if len(widths) != 1:
             raise DimensionError("rows have unequal lengths")
@@ -196,6 +201,7 @@ class MaxMatrix:
 
     @classmethod
     def identity(cls, n, semiring=EXACT_TIMES):
+        _check_shape(n, n)
         one, zero = semiring.one, semiring.zero
         return cls._raw(
             [[one if i == j else zero for j in range(n)] for i in range(n)],
@@ -206,6 +212,7 @@ class MaxMatrix:
     def zeros(cls, nrows, ncols=None, semiring=EXACT_TIMES):
         zero = semiring.zero
         ncols = nrows if ncols is None else ncols
+        _check_shape(nrows, ncols)
         return cls._raw([[zero] * ncols for _ in range(nrows)], semiring)
 
     @classmethod
@@ -213,6 +220,7 @@ class MaxMatrix:
         sr = vector.semiring
         zero = sr.zero
         n = len(vector)
+        _check_shape(n, n)
         return cls._raw(
             [[vector[i] if i == j else zero for j in range(n)] for i in range(n)],
             sr,
@@ -793,6 +801,15 @@ def _inline_closure(d, times, diverges):
     return d
 
 
+def _heavy(sr, w):
+    """Whether the cycle weight w lies above one.
+
+    A float weight that overflowed to inf does, although the tolerant eq
+    finds inf equal to one.
+    """
+    return w == math.inf or sr.lt(sr.one, w)
+
+
 def _divergence_witness(a):
     """A cycle of weight above one, found through the power sequence."""
     sr = a.semiring
@@ -804,7 +821,7 @@ def _divergence_witness(a):
             powers.append(otimes(powers[-1], a))
         p = powers[length]
         for i in range(n):
-            if sr.lt(sr.one, p[i, i]):
+            if _heavy(sr, p[i, i]):
                 hit = (length, i)
                 break
         if hit:
@@ -812,27 +829,22 @@ def _divergence_witness(a):
     if hit is None:
         return None
     length, start = hit
-    # Reconstruct a closed walk achieving p[start, start], then take its
-    # heaviest elementary cycle; at the minimal length the walk is one.
+    # Reconstruct a closed walk achieving p[start, start], taking the
+    # first heaviest step each time (in exact mode, the first that
+    # attains the entry), then take its heaviest elementary cycle; at
+    # the minimal length the walk is one. A zero step stays zero: in
+    # float max-times, zero times an overflowed inf would be nan.
     nodes = [start]
     u = start
     for remaining in range(length, 0, -1):
-        target = powers[remaining][u, start]
-        nxt = None
-        for v in range(n):
-            cand = sr.mul(a[u, v], powers[remaining - 1][v, start])
-            if cand == target or (not sr.exact and sr.eq(cand, target)):
-                nxt = v
-                break
-        if nxt is None:  # float wobble: fall back to the best candidate
-            nxt = max(
-                range(n),
-                key=lambda v: sr.to_float(
-                    sr.mul(a[u, v], powers[remaining - 1][v, start])
-                ),
-            )
-        nodes.append(nxt)
-        u = nxt
+        tail = powers[remaining - 1]
+
+        def step(v):
+            x = a[u, v]
+            return x if sr.is_zero(x) else sr.mul(x, tail[v, start])
+
+        u = max(range(n), key=step)
+        nodes.append(u)
     best = None
     stack = []
     pos = {}
@@ -873,7 +885,7 @@ def kleene_star(a):
         rows, den = PlusInts.lift_rows(a.rows)
         ops, heavy = PlusInts, partial(operator.lt, 0)
     else:
-        ops, rows, heavy = sr, a.rows, partial(sr.lt, sr.one)
+        ops, rows, heavy = sr, a.rows, partial(_heavy, sr)
     closure = closure_rows(rows, ops, heavy)
     if closure is None or any(heavy(closure[i][i]) for i in range(n)):
         raise DivergenceError(

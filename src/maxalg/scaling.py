@@ -53,23 +53,24 @@ class DiagonalScaling:
     def __len__(self):
         return len(self.x)
 
-    def apply(self, a):
-        """The scaled matrix with entries a[i][j] * x[j] / x[i].
-
-        The nonzero entries come from digraph.scaled_pattern; a zero entry
-        stays the zero it is.
-        """
+    def _scaled(self, a):
+        """The pairs (j, a[i][j] * x[j] / x[i]) of a's nonzero entries, row
+        by row (digraph.scaled_pattern)."""
         sr = a.semiring
         if sr != self.x.semiring:
             raise ModeError("matrix and scaling live in different modes")
         if a.n != len(self.x):
             raise DimensionError("scaling length does not match the matrix")
+        return scaled_pattern(nonzero_pattern(a), self.x.entries, sr)
+
+    def apply(self, a):
+        """The scaled matrix with entries a[i][j] * x[j] / x[i] (_scaled);
+        a zero entry stays the zero it is."""
         rows = [list(row) for row in a.rows]
-        scaled = scaled_pattern(nonzero_pattern(a), self.x.entries, sr)
-        for row, out in zip(rows, scaled):
+        for row, out in zip(rows, self._scaled(a)):
             for j, w in out:
                 row[j] = w
-        return MaxMatrix._raw(rows, sr)
+        return MaxMatrix._raw(rows, a.semiring)
 
 
 def _as_vector(x, sr):
@@ -92,16 +93,11 @@ def apply_scaling(a, x):
     return as_scaling(x, a.semiring).apply(a)
 
 
-def _within_one(a, b, strict=False):
-    """Is every entry of the scaled b on a's support at most (below) one?"""
-    sr = a.semiring
+def _within_one(sr, scaled, strict=False):
+    """Is every scaled entry (DiagonalScaling._scaled) at most (below) one?"""
     one = sr.one
     test = sr.lt if strict else sr.le
-    return all(
-        sr.is_zero(v) or test(w, one)
-        for row, scaled in zip(a.rows, b.rows)
-        for v, w in zip(row, scaled)
-    )
+    return all(test(w, one) for out in scaled for _j, w in out)
 
 
 def is_fp_scaling(a, x, strict=False):
@@ -112,7 +108,7 @@ def is_fp_scaling(a, x, strict=False):
     x = _as_vector(x, a.semiring)
     if len(x) != a.n or not x.is_positive():
         return False
-    return _within_one(a, DiagonalScaling(x).apply(a), strict)
+    return _within_one(a.semiring, DiagonalScaling(x)._scaled(a), strict)
 
 
 def fp_scaling(a, u=None):
@@ -171,17 +167,13 @@ def saturation_graph(a, x):
     """The subgraph of entries scaled exactly to one by the scaling x."""
     sr = a.semiring
     scaling = as_scaling(x, sr)
-    if len(scaling) != a.n or not _within_one(a, b := scaling.apply(a)):
+    if len(scaling) != a.n or not _within_one(sr, b := scaling._scaled(a)):
         raise NotAnFpScalingError(
             "the vector does not scale all entries to at most one"
         )
     one = sr.one
-    edges = [
-        (i, j, one)
-        for i, (row, scaled) in enumerate(zip(a.rows, b.rows))
-        for j, (v, w) in enumerate(zip(row, scaled))
-        if not sr.is_zero(v) and sr.eq(w, one)
-    ]
+    edges = [(i, j, one) for i, out in enumerate(b) for j, w in out
+             if sr.eq(w, one)]
     return SaturationGraph(Digraph(a.n, edges, sr), scaling)
 
 
@@ -391,10 +383,10 @@ def hadamard_scaling_test(rows, semiring=EXACT_TIMES):
             "a cyclic product of moduli exceeds its diagonal product",
             witness=exc.witness,
         ) from None
-    scaled = scaling.apply(MaxMatrix._raw(mod, sr)).rows
-    for i in range(n):
-        for j in range(n):
-            if i != j and not sr.le(scaled[i][j], mod[i][i]):
+    scaled = scaling._scaled(MaxMatrix._raw(mod, sr))
+    for i, out in enumerate(scaled):
+        for j, w in out:
+            if i != j and not sr.le(w, mod[i][i]):
                 raise CertificationError(
                     "scaled moduli do not sit below the diagonal"
                 )

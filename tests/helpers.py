@@ -602,6 +602,38 @@ def fraction_scan_reference(rows, budget):
     return None
 
 
+def repeat_start_reference(m, gamma):
+    """The least s >= 1 with m^(s + gamma) == m^s, for an exact m of
+    either domain whose powers repeat with a period dividing gamma.
+
+    No maxalg product runs: each power is a plain triple loop on the
+    Fractions of grid_of, None the zero, and is compared with the power
+    gamma before it.
+    """
+    step = operator.add if m.semiring.domain == PLUS else operator.mul
+    base = grid_of(m)
+    n = len(base)
+
+    def times(x, y):
+        return None if x is None or y is None else step(x, y)
+
+    def best(values):
+        values = [v for v in values if v is not None]
+        return max(values) if values else None
+
+    powers = [None, base]
+    while True:
+        last = powers[-1]
+        powers.append([
+            [best(times(last[i][k], base[k][j]) for k in range(n))
+             for j in range(n)]
+            for i in range(n)
+        ])
+        s = len(powers) - 1 - gamma
+        if s >= 1 and powers[s] == powers[s + gamma]:
+            return s
+
+
 def _transient_reference(m, budget, gamma):
     """Transient of m's powers; the default budget doubles 7 times."""
     b = 3 * m.n * m.n + 2 * gamma if budget is None else budget

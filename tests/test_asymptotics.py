@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,11 @@ import pytest
 from maxalg import (
     EXACT_PLUS,
     EXACT_TIMES,
+    FLOAT_PLUS,
     FLOAT_TIMES,
     NEG_INF,
+    CsrTerm,
+    Expansion,
     InapplicableError,
     IterationBudgetError,
     MaxMatrix,
@@ -24,6 +28,7 @@ from maxalg import (
     nachtigall_expansion,
     normalize_to_unit,
     otimes,
+    semiring_convert,
     spectral_analysis,
     strong_path_table,
     strong_path_weight,
@@ -31,11 +36,7 @@ from maxalg import (
     transient_bound,
 )
 
-from maxalg.asymptotics import (
-    _csr_parts,
-    _ladder_power,
-    normalized_periodicity,
-)
+from maxalg.asymptotics import _csr_parts, normalized_periodicity
 
 from helpers import (
     additive,
@@ -43,8 +44,10 @@ from helpers import (
     fmat,
     power_two_dominant,
     random_matrix,
+    repeat_start_reference,
     two_level_planted,
     unit_lambda_irreducible,
+    unit_mean_corpus,
 )
 
 
@@ -110,19 +113,44 @@ def test_a_budget_below_two_is_refused(budget):
     assert transient_and_period(eye, budget=2).transient == 1
 
 
-def test_ladder_power_equals_mat_power():
-    # S^t off the ladder, on matrices whose powers need not repeat when
-    # their patterns do (random exact ones), and on CSR S
+def test_hand_built_expansion_evaluates_like_mat_power():
+    # a term built by hand carries no start, so its S^t is mat_power's,
+    # on matrices whose powers need not repeat when their patterns do
     rng = random.Random(47)
     cases = [random_matrix(rng, rng.randint(1, 5), rng.uniform(0.2, 0.8))
              for _ in range(40)]
-    cases += [csr_decompose(unit_lambda_irreducible(rng, rng.randint(2, 7))).s
-              for _ in range(20)]
     for s in cases:
+        n = s.n
+        eye = MaxMatrix.identity(n, EXACT_TIMES)
+        term = CsrTerm(coefficient=Fraction(1), pair=(Fraction(1), 1),
+                       c=eye, s=s, r=eye, gamma=1,
+                       critical_nodes=tuple(range(n)))
+        e = Expansion(terms=(term,), validity_start=1, horizon=1, n=n,
+                      semiring=EXACT_TIMES)
         for t in (0, 1, 2, 3, 4, 7, 8, 30, 100):
-            assert _ladder_power(s, t) == mat_power(s, t)
+            assert expansion_power(e, t) == mat_power(s, t)
         with pytest.raises(ValueError):
-            _ladder_power(s, -1)
+            expansion_power(e, -1)
+
+
+def test_expansion_terms_keep_the_start_of_their_repeat():
+    # each exact term keeps the least s with S^(s + gamma) == S^s, as
+    # plain Fraction powers find it; the start is not part of the term's
+    # value, so terms compare, hash and print without it
+    rng = random.Random(48)
+    cases = [two_level_planted(rng, rng.randint(3, 6))[0] for _ in range(8)]
+    cases += [power_two_dominant(rng, rng.randint(2, 4)) for _ in range(4)]
+    cases += unit_mean_corpus()[:8]
+    cases += [additive(a) for a in cases[:6]]
+    for a in cases:
+        for term in nachtigall_expansion(a).terms:
+            assert term._start == repeat_start_reference(term.s, term.gamma)
+            bare = replace(term, _start=None)
+            assert bare == term and hash(bare) == hash(term)
+            assert repr(bare) == repr(term)
+    for sr in (FLOAT_TIMES, FLOAT_PLUS):
+        a = semiring_convert(cases[0], sr)
+        assert all(t._start is None for t in nachtigall_expansion(a).terms)
 
 
 def test_strong_path_table_lifts_the_rows_of_tilde_once(monkeypatch):

@@ -348,6 +348,25 @@ def test_tol_zero_rounding_above_one_is_a_divergence(tmp_path, argv):
     assert report["results"]["witness"]["nodes"]
 
 
+@pytest.mark.parametrize("command", [["star"], ["scale", "fp"]],
+                         ids=["star", "scale_fp"])
+@pytest.mark.parametrize("text", [
+    "maxtimes 2 float\n. 1e200\n1e200 .\n",
+    "maxplus 2 float\n-inf 1e308\n1e308 -inf\n",
+    "maxtimes 2 float\n1e-300 5\n1e308 3/7\n",
+], ids=["times", "plus", "times_fuzzed"])
+def test_overflowing_heavy_cycle_is_a_negative_answer(tmp_path, command,
+                                                      text):
+    # the two-cycle weighs inf in float arithmetic: a divergence with its
+    # witness (exit 1), not an all-inf star or a failed self-check
+    path = tmp_path / "heavy.mx"
+    path.write_text(text)
+    report, code = run_command([*command, str(path)])
+    assert code == 1
+    assert report["results"]["answer"] == "negative"
+    assert report["results"]["witness"]["nodes"] == [0, 1, 0]
+
+
 @pytest.mark.parametrize("command", ["eigen", "powers", "csr"])
 def test_mean_below_float_range_is_a_mode_refusal(tmp_path, command):
     # 1/lam overflows: normalizing commands refuse with a typed mode error

@@ -316,6 +316,33 @@ def test_kleene_star_divergence_stops_early(domain):
         assert err.value.witness.nodes in ((0, 1, 0), (1, 0, 1))
 
 
+@pytest.mark.parametrize("sr,rows", [
+    (FLOAT_TIMES, [[0.0, 1e200], [1e200, 0.0]]),
+    (FLOAT_PLUS, [[NEG_INF, 1e308], [1e308, NEG_INF]]),
+])
+def test_kleene_star_diverges_when_the_heavy_cycle_overflows(sr, rows):
+    # the two-cycle's weight overflows to inf, which the tolerant eq finds
+    # equal to one; it is still heavy, and the witness walks its heaviest
+    # steps, not the zero self-loop (0, 0)
+    assert closure_rows(rows, sr, partial(sr.lt, sr.one))[1][1] == math.inf
+    with pytest.raises(DivergenceError) as err:
+        kleene_star(MaxMatrix._raw(rows, sr))
+    assert err.value.witness.nodes == (0, 1, 0)
+    assert err.value.witness.weight == math.inf
+
+
+def test_divergence_witness_skips_a_zero_step_into_an_overflowed_walk():
+    # the heavy cycle is 1 -> 2 -> 3 -> 1; the walk 0 -> 3 -> 1 weighs
+    # inf, and entry (1, 0) is zero: that step must weigh zero, not the
+    # nan of 0 * inf, which max would keep as the first candidate
+    rows = [[0.0, 0.0, 0.0, 1e200], [0.0, 0.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 1e-200], [0.0, 1e200, 0.0, 0.0]]
+    with pytest.raises(DivergenceError) as err:
+        kleene_star(MaxMatrix._raw(rows, FLOAT_TIMES))
+    assert err.value.witness.nodes == (1, 2, 3, 1)
+    assert err.value.witness.weight == 2.0
+
+
 # ---------------------------------------------------------------------------
 # exact max-plus closes on ints
 

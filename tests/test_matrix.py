@@ -74,6 +74,23 @@ def test_constructors_and_accessors():
         fmat([[0, 1], [1]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MaxMatrix([]),
+    lambda: MaxMatrix([[]]),
+    lambda: MaxMatrix.zeros(0),
+    lambda: MaxMatrix.zeros(2, 0),
+    lambda: MaxMatrix.zeros(0, 2),
+    lambda: MaxMatrix.identity(0),
+    lambda: MaxMatrix.diagonal(MaxVector([])),
+], ids=["rows", "empty_row", "zeros", "zeros_2x0", "zeros_0x2",
+        "identity", "diagonal"])
+def test_a_matrix_without_entries_is_refused(build):
+    # the factories refuse an empty shape as the constructor does, rather
+    # than end in an IndexError or return a matrix it would refuse
+    with pytest.raises(DimensionError, match="at least one entry"):
+        build()
+
+
 def test_vector_basics():
     v = fvec([1, Fraction(1, 2)])
     assert len(v) == 2

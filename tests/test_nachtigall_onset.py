@@ -24,7 +24,11 @@ from maxalg import (
     ExactnessError,
     nachtigall_expansion,
 )
-from maxalg.asymptotics import _last_failure, _proven_onset
+from maxalg.asymptotics import (
+    _last_failure,
+    _periodic_products,
+    _proven_onset,
+)
 
 from helpers import (
     additive,
@@ -196,8 +200,12 @@ def test_proven_onset_refuses_an_expansion_that_never_holds(rows):
     assert len(terms) == 2
     # without its leading term, A (x) E(s) keeps the walks that leave the
     # heavy cycle for the lighter one, which E(s + 1) lacks at every power
+    def onset(terms, cap):
+        ladders = [_periodic_products(term) for term in terms]
+        return _proven_onset(a, terms, ladders, terms[0].gamma, cap, 10_000)
+
     with pytest.raises(CertificationError):
-        _proven_onset(a, terms[1:], terms[1].gamma, 1000, 10_000)
+        onset(terms[1:], 1000)
     # without its lighter term the induction holds, but no power ever
     # equals the expansion: the onset lies beyond any cap
-    assert _proven_onset(a, terms[:1], terms[0].gamma, 200, 10_000) is None
+    assert onset(terms[:1], 200) is None
